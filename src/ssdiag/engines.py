@@ -6,22 +6,26 @@ replication resamples the regressor, refits the bivariate OLS, and tests a
 zero slope with every requested variance estimator; reports carry rejection
 frequencies.
 
-Determinism contract: replication b draws from substream(seed, b) only, and
-rejection counts are integers, so reports are identical for any worker
-count or execution order.
+The test kernel works on cells, sets of units that share one regressor
+value: a unit for shift-share data, a group for a partition design, so a
+permutation draw costs O(groups) rather than O(units).
+
+Determinism contract: replications are drawn in fixed chunks of 256, chunk c
+draws from substream(seed, c) only, and rejection counts are integers, so
+reports are identical for any worker count or execution order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
 from scipy import stats
 
-from .data import SHOCK_LAWS, Dataset, PartitionDesign, partition_to_shares, unit_treatment
+from .data import SHOCK_LAWS, Dataset, PartitionDesign, unit_treatment
 from .errors import ValidationError
 from .estimators import ESTIMATORS
 from .parallel import chunk_bounds, map_chunks
@@ -75,42 +79,29 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# regressor draws
+# regressor draws; bounds come from chunk_bounds(replications, _CHUNK), so
+# lo // _CHUNK is the chunk index
 
 
-def draw_shock_values(law: str, n_sectors: int, rng: np.random.Generator) -> np.ndarray:
-    """One shock vector under the named law (parity checked at draw time)."""
+def _draw_shocks(law: str, rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A (rows, n) block of shock vectors under the named law (parity checked here)."""
     if law == "iid-standard-normal":
-        return rng.standard_normal(n_sectors)
+        return rng.standard_normal((rows, n))
     if law == "balanced-binary":
-        if n_sectors % 2:
+        if n % 2:
             raise ValidationError("balanced-binary shocks require an even sector count")
-        values = np.zeros(n_sectors)
-        values[rng.permutation(n_sectors)[: n_sectors // 2]] = 1.0
-        return values
+        return rng.permuted(np.tile(np.repeat([1.0, 0.0], n // 2), (rows, 1)), axis=1)
     raise ValidationError(f"unknown shock law {law!r}")
 
 
-def draw_balanced_assignment(n_groups: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random treated set of exactly half the groups."""
-    treated = np.zeros(n_groups, dtype=bool)
-    treated[rng.permutation(n_groups)[: n_groups // 2]] = True
-    return treated
-
-
 def _shares_regressors(shares, law, seed, lo, hi) -> np.ndarray:
-    shocks = np.empty((hi - lo, shares.shape[1]))
-    for b in range(lo, hi):
-        shocks[b - lo] = draw_shock_values(law, shares.shape[1], substream(seed, b))
+    shocks = _draw_shocks(law, hi - lo, shares.shape[1], substream(seed, lo // _CHUNK))
     return shocks @ shares.T
 
 
-def _partition_regressors(group_of, n_groups, seed, lo, hi) -> np.ndarray:
-    out = np.empty((hi - lo, group_of.shape[0]))
-    for b in range(lo, hi):
-        treated = draw_balanced_assignment(n_groups, substream(seed, b))
-        out[b - lo] = treated[group_of]
-    return out
+def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
+    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row."""
+    return _draw_shocks("balanced-binary", hi - lo, n_groups, substream(seed, lo // _CHUNK))
 
 
 def enumerate_balanced_assignments(n_groups: int) -> np.ndarray:
@@ -128,22 +119,50 @@ def enumerate_balanced_assignments(n_groups: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized test kernel
+# cell-level test kernel
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Precomputed context for testing a zero slope over a block of draws."""
+    """Per-cell statistics for testing a zero slope over a block of draws.
 
-    y: np.ndarray
+    A cell is a set of units that share one regressor value in every draw:
+    a unit for shift-share data, a group for a partition design.  Cells nest
+    in clusters, and every unit of a cell has the same shares.
+    """
+
+    n: int  # units
+    m: np.ndarray  # (C,) cell sizes
+    S: np.ndarray  # (C,) cell sums of the centred outcome
+    W: np.ndarray  # (C,) within-cell sums of squares about the cell mean
     estimators: tuple[str, ...]
     crits: np.ndarray  # t critical value per estimator
-    cluster_onehot: np.ndarray | None  # (N, G)
-    shares: np.ndarray | None
+    cluster_onehot: np.ndarray | None  # (C, G)
+    shares: np.ndarray | None  # (C, F)
 
 
-def _make_kernel(y, estimators, alpha, clusters, shares) -> _Kernel:
+@lru_cache(maxsize=256)
+def _t_crits(alpha: float, dofs: tuple[int, ...]) -> tuple[float, ...]:
+    return tuple(stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float)))
+
+
+def _make_kernel(y, estimators, alpha, clusters, shares, cells=None) -> _Kernel:
+    """Kernel for outcomes y over units grouped into cells.
+
+    ``cells`` maps each unit to its cell (None: every unit is a cell);
+    ``clusters`` labels and ``shares`` rows are given per cell.
+    """
     n = y.shape[0]
+    if n < 3:
+        raise ValidationError("need at least 3 observations")
+    yc = y - y.mean()
+    if cells is None:
+        m, S, W = np.ones(n), yc, np.zeros(n)
+    else:
+        m = np.bincount(cells).astype(float)
+        S = np.bincount(cells, weights=yc)
+        W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
+    n_cells = m.shape[0]
     cluster_onehot = None
     dofs = []
     for est in estimators:
@@ -156,8 +175,8 @@ def _make_kernel(y, estimators, alpha, clusters, shares) -> _Kernel:
             if n_clusters < 2:
                 raise ValidationError("need at least 2 clusters")
             if cluster_onehot is None:
-                cluster_onehot = np.zeros((n, n_clusters))
-                cluster_onehot[np.arange(n), clusters] = 1.0
+                cluster_onehot = np.zeros((n_cells, n_clusters))
+                cluster_onehot[np.arange(n_cells), clusters] = 1.0
             dofs.append(n_clusters - 1)
         else:  # score-agg family
             if shares is None:
@@ -165,11 +184,13 @@ def _make_kernel(y, estimators, alpha, clusters, shares) -> _Kernel:
             if shares.shape[1] < 2:
                 raise ValidationError("need at least 2 sectors")
             dofs.append(shares.shape[1] - 1)
-    crits = stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float))
     return _Kernel(
-        y=y,
+        n=n,
+        m=m,
+        S=S,
+        W=W,
         estimators=tuple(estimators),
-        crits=crits,
+        crits=np.array(_t_crits(alpha, tuple(dofs))),
         cluster_onehot=cluster_onehot,
         shares=shares,
     )
@@ -178,42 +199,51 @@ def _make_kernel(y, estimators, alpha, clusters, shares) -> _Kernel:
 def _kernel_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, int]:
     """Rejection counts per estimator plus the skipped-replication count.
 
-    Mirrors the scalar path (ols_simple + var_* + t_test) replication by
-    replication; the estimator test suite pins that agreement.
+    ``X`` is (draws, cells).  With xc a cell's centred regressor and
+    e = S - slope*m*xc the sum of its residuals, a cell's residual sum of
+    squares is W + e**2/m, its score is xc*e, and its leverage
+    1/n + xc**2/ssq is shared by its units, so each draw costs O(cells).
+    tests/oracles.py keeps the unit-level form, and the engine tests pin
+    agreement with it and with the scalar path (ols_simple + var_* + t_test).
     """
-    y = kernel.y
-    n = y.shape[0]
-    xbar = X.mean(axis=1)
-    Xc = X - xbar[:, None]
-    ssq = np.einsum("bn,bn->b", Xc, Xc)
-    usable = ssq > 1e-12 * np.einsum("bn,bn->b", X, X)
+    n, m, S, W = kernel.n, kernel.m, kernel.S, kernel.W
+    Xc = X - ((X @ m) / n)[:, None]
+    ssq = (Xc * Xc) @ m
+    usable = ssq > 1e-12 * ((X * X) @ m)
 
+    # (draws, cells) temporaries set peak memory at large N, hence the in-place updates
     need_leverage = any(e in ("robust-hc3", "crve-hc3") for e in kernel.estimators)
     with np.errstate(divide="ignore", invalid="ignore"):
-        yc = y - y.mean()
-        slope = np.where(usable, (Xc @ yc) / ssq, 0.0)
-        E = yc[None, :] - slope[:, None] * Xc
+        slope = np.where(usable, (Xc @ S) / ssq, 0.0)
+        E = slope[:, None] * m  # becomes the cell residual sums S - slope*m*xc
+        E *= Xc
+        np.subtract(S, E, out=E)
         if need_leverage:
-            H = 1.0 / n + Xc * Xc / ssq[:, None]
-            usable &= ~np.any(H >= 1.0 - 1e-12, axis=1)
-            D = E / (1.0 - H)
+            deflate = Xc * Xc / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
+            usable &= ~np.any(deflate >= 1.0 - 1e-12, axis=1)
+            np.divide(1.0, 1.0 - deflate, out=deflate)
 
         counts = np.zeros(len(kernel.estimators), dtype=np.int64)
         ssq2 = ssq * ssq
         for k, est in enumerate(kernel.estimators):
-            if est == "robust-hc1":
-                value = n / (n - 2) * np.einsum("bn,bn->b", Xc * Xc, E * E) / ssq2
-            elif est == "robust-hc3":
-                value = n / (n - 2) * np.einsum("bn,bn->b", Xc * Xc, D * D) / ssq2
+            if est in ("robust-hc1", "robust-hc3"):
+                terms = E * E / m + W  # residual sums of squares
+                terms *= Xc
+                terms *= Xc
+                if est == "robust-hc3":
+                    terms *= deflate
+                    terms *= deflate
+                value = n / (n - 2) * terms.sum(axis=1) / ssq2
             elif est in ("crve", "crve-hc3"):
-                res = E if est == "crve" else D
-                scores = (Xc * res) @ kernel.cluster_onehot
+                scores = Xc * E
+                if est == "crve-hc3":
+                    scores *= deflate
+                scores = scores @ kernel.cluster_onehot
                 G = kernel.cluster_onehot.shape[1]
                 factor = G / (G - 1) * (n - 1) / (n - 2)
                 value = factor * np.einsum("bg,bg->b", scores, scores) / ssq2
-            else:  # score-agg / score-agg-null
-                res = E + slope[:, None] * Xc if est == "score-agg-null" else E
-                scores = (Xc * res) @ kernel.shares
+            else:  # score-agg / score-agg-null; null residuals sum to S per cell
+                scores = (Xc * S if est == "score-agg-null" else Xc * E) @ kernel.shares
                 F = kernel.shares.shape[1]
                 value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
             tstat = slope / np.sqrt(value)
@@ -228,8 +258,12 @@ def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, int]:
     return _kernel_counts(kernel, X)
 
 
-def _run_sim(y, mode, cfg, workers, draw, clusters, shares, regressors=None) -> SimReport:
-    kernel = _make_kernel(np.asarray(y, dtype=float), cfg.estimators, cfg.alpha, clusters, shares)
+def _run_sim(
+    y, mode, cfg, workers, draw, clusters, shares, regressors=None, cells=None
+) -> SimReport:
+    kernel = _make_kernel(
+        np.asarray(y, dtype=float), cfg.estimators, cfg.alpha, clusters, shares, cells
+    )
     if regressors is not None:
         n_reps = regressors.shape[0]
         results = [_kernel_counts(kernel, regressors)]
@@ -326,16 +360,18 @@ def run_partition_permutation(
             raise ValidationError("eps-fixed mode requires beta_hat")
         y = y - beta_hat * unit_treatment(design)
 
-    # groups double as clusters and as one-hot shares when those menus ask
-    needs_clusters = any(e in ("crve", "crve-hc3") for e in cfg.estimators)
-    clusters = design.group_of if needs_clusters else None
+    # cells are groups, which double as the clusters and as one-hot shares
+    n_groups = design.n_groups
+    clusters = np.arange(n_groups)
     needs_shares = any(e.startswith("score-agg") for e in cfg.estimators)
-    shares = partition_to_shares(design) if needs_shares else None
+    shares = np.eye(n_groups) if needs_shares else None
 
     if exhaustive:
-        treated_rows = enumerate_balanced_assignments(design.n_groups)
-        regressors = treated_rows[:, design.group_of].astype(float)
-        return _run_sim(y, mode, cfg, workers, None, clusters, shares, regressors=regressors)
+        regressors = enumerate_balanced_assignments(n_groups).astype(float)
+        return _run_sim(
+            y, mode, cfg, workers, None, clusters, shares,
+            regressors=regressors, cells=design.group_of,
+        )
 
-    draw = partial(_partition_regressors, design.group_of, design.n_groups, cfg.seed)
-    return _run_sim(y, mode, cfg, workers, draw, clusters, shares)
+    draw = partial(_partition_regressors, n_groups, cfg.seed)
+    return _run_sim(y, mode, cfg, workers, draw, clusters, shares, cells=design.group_of)

@@ -25,10 +25,24 @@ def chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+# The chunk function of the pool being started.  Forked workers inherit it, so
+# a task carries only its bounds, not fn and the arrays fn closes over.
+_TASK_FN = None
+
+
+def _run_task(bounds):
+    return _TASK_FN(bounds)
+
+
 def map_chunks(fn, bounds, workers: int):
     """Apply fn to each (lo, hi) chunk, returning results in chunk order."""
+    global _TASK_FN
     if workers <= 1 or len(bounds) <= 1:
         return [fn(b) for b in bounds]
     ctx = get_context("fork")
-    with ctx.Pool(processes=min(workers, len(bounds))) as pool:
-        return pool.map(fn, bounds)
+    _TASK_FN = fn
+    try:
+        with ctx.Pool(processes=min(workers, len(bounds))) as pool:
+            return pool.map(_run_task, bounds)
+    finally:
+        _TASK_FN = None

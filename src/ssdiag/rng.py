@@ -1,10 +1,12 @@
 """Deterministic substreams for parallel Monte Carlo runs.
 
-Every replication draws from its own Philox stream keyed by
-``(seed, *path)``, where the path typically ends in the replication
-index.  Philox is counter-based, so streams for distinct keys are
-independent and results do not depend on execution order, chunking, or
-worker count.
+Each stream is a Philox generator keyed by ``(seed, *path)``: chunk c of
+a simulation's replications draws from ``substream(seed, c)``, outer draw
+j of an experiment from ``substream(seed, j, 0)``, and replication r of
+the convergence experiment at grid point f from ``substream(seed, f, r)``.
+Philox is counter-based, so streams for distinct keys are independent, and
+since chunk boundaries never depend on the worker count, results do not
+depend on execution order or workers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for one replication, keyed by (seed, *path)."""
+    """Generator for one chunk or outer draw, keyed by (seed, *path)."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -22,7 +24,7 @@ def derive_seed(seed: int, *path: int) -> int:
     """64-bit child seed for a nested simulation stage.
 
     Used when an outer replication launches its own inner simulation (which
-    then keys per-replication substreams off the returned value).
+    then keys its chunk substreams off the returned value).
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import mpmath
 import numpy as np
+from scipy import stats
 
 
 def lstsq_fit(y, x):
@@ -77,3 +78,64 @@ def balanced_assignment_slopes(y, group_of, n_groups):
         mask = np.isin(group_of, treated)
         out.append(y[mask].mean() - y[~mask].mean())
     return np.array(out)
+
+
+def unit_kernel_counts(y, X, estimators, alpha, clusters=None, shares=None):
+    """Rejection counts per estimator and the skipped count, unit by unit.
+
+    The (draws, units) form of the engines' test kernel: every residual,
+    leverage and score is formed per unit and aggregated with dense
+    cluster and share matrices.  ``clusters`` labels and ``shares`` rows
+    are per unit.
+    """
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n = y.shape[0]
+    dofs = []
+    for est in estimators:
+        if est in ("robust-hc1", "robust-hc3"):
+            dofs.append(n - 2)
+        elif est in ("crve", "crve-hc3"):
+            dofs.append(int(np.max(clusters)))
+        else:
+            dofs.append(shares.shape[1] - 1)
+    crits = stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float))
+
+    xbar = X.mean(axis=1)
+    Xc = X - xbar[:, None]
+    ssq = np.einsum("bn,bn->b", Xc, Xc)
+    usable = ssq > 1e-12 * np.einsum("bn,bn->b", X, X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yc = y - y.mean()
+        slope = np.where(usable, (Xc @ yc) / ssq, 0.0)
+        E = yc[None, :] - slope[:, None] * Xc
+        H = 1.0 / n + Xc * Xc / ssq[:, None]
+        D = E / (1.0 - H)
+        leverage_ok = ~np.any(H >= 1.0 - 1e-12, axis=1)
+        if any(e in ("robust-hc3", "crve-hc3") for e in estimators):
+            usable &= leverage_ok
+
+        counts = []
+        ssq2 = ssq * ssq
+        for est, crit in zip(estimators, crits):
+            if est == "robust-hc1":
+                value = n / (n - 2) * np.einsum("bn,bn->b", Xc * Xc, E * E) / ssq2
+            elif est == "robust-hc3":
+                value = n / (n - 2) * np.einsum("bn,bn->b", Xc * Xc, D * D) / ssq2
+            elif est in ("crve", "crve-hc3"):
+                onehot = np.zeros((n, int(np.max(clusters)) + 1))
+                onehot[np.arange(n), clusters] = 1.0
+                res = E if est == "crve" else D
+                scores = (Xc * res) @ onehot
+                G = onehot.shape[1]
+                factor = G / (G - 1) * (n - 1) / (n - 2)
+                value = factor * np.einsum("bg,bg->b", scores, scores) / ssq2
+            else:
+                res = E + slope[:, None] * Xc if est == "score-agg-null" else E
+                scores = (Xc * res) @ shares
+                F = shares.shape[1]
+                value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
+            tstat = slope / np.sqrt(value)
+            reject = np.where(value > 0.0, np.abs(tstat) >= crit, slope != 0.0)
+            counts.append(int(np.count_nonzero(reject & usable)))
+    return counts, int(np.count_nonzero(~usable))

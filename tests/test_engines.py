@@ -1,7 +1,11 @@
 """Tests for the design-based simulation engines."""
 
+import threading
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from ssdiag import (
@@ -9,6 +13,7 @@ from ssdiag import (
     ValidationError,
     contiguous_partition,
     ols_simple,
+    partition_to_shares,
     run_eps_fixed,
     run_partition_permutation,
     run_placebo,
@@ -20,10 +25,25 @@ from ssdiag import (
     var_robust,
     var_score_agg,
 )
-from ssdiag.engines import draw_shock_values
+from ssdiag import engines
+from ssdiag.parallel import chunk_bounds, map_chunks
 from ssdiag.rng import substream
 
 FULL_MENU = ("robust-hc1", "robust-hc3", "crve", "crve-hc3", "score-agg", "score-agg-null")
+
+
+def _chunked_shocks(law, seed, replications, n):
+    """Shock draws rebuilt from the layout: chunk c of 256 rows draws from substream(seed, c)."""
+    blocks = []
+    for c, lo in enumerate(range(0, replications, 256)):
+        rows = min(256, replications - lo)
+        rng = substream(seed, c)
+        if law == "iid-standard-normal":
+            blocks.append(rng.standard_normal((rows, n)))
+        else:
+            half = np.repeat([1.0, 0.0], n // 2)
+            blocks.append(rng.permuted(np.tile(half, (rows, 1)), axis=1))
+    return np.vstack(blocks)
 
 
 def _dataset(seed=0, n=16, f=4, placebo=False):
@@ -125,6 +145,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="placebo outcome missing"):
             run_placebo(_dataset(6), SimConfig(replications=5, seed=1))
 
+    def test_two_unit_design_rejected(self):
+        design = contiguous_partition(2, 1)
+        with pytest.raises(ValidationError, match="at least 3 observations"):
+            run_partition_permutation(
+                np.array([1.0, 2.0]), design, "y-fixed", SimConfig(replications=5, seed=1)
+            )
+
     def test_eps_fixed_needs_beta(self):
         design = contiguous_partition(4, 1)
         with pytest.raises(ValidationError, match="beta_hat"):
@@ -173,13 +200,10 @@ class TestAgainstScalarPath:
     def test_engine_matches_scalar_replications(self, law):
         data = _dataset(8, n=14, f=4)
         cfg = SimConfig(
-            replications=120, seed=21, shock_law=law, alpha=0.1, estimators=FULL_MENU
+            replications=300, seed=21, shock_law=law, alpha=0.1, estimators=FULL_MENU
         )
         report = run_y_fixed(data, cfg)
-        draws = [
-            draw_shock_values(law, data.n_sectors, substream(cfg.seed, b))
-            for b in range(cfg.replications)
-        ]
+        draws = _chunked_shocks(law, cfg.seed, cfg.replications, data.n_sectors)
         assert report.skipped_degenerate == 0
         assert report.rejections == self._scalar_counts(data.y, data, cfg, draws)
 
@@ -188,14 +212,123 @@ class TestAgainstScalarPath:
         rng = np.random.default_rng(3)
         x_realized = data.shares @ rng.standard_normal(data.n_sectors)
         beta_hat = ols_simple(data.y, x_realized).slope
-        cfg = SimConfig(replications=80, seed=33, estimators=("robust-hc1", "crve"))
+        cfg = SimConfig(replications=300, seed=33, estimators=("robust-hc1", "crve"))
         report = run_eps_fixed(data, x_realized, beta_hat, cfg)
         ydot = data.y - beta_hat * x_realized
-        draws = [
-            draw_shock_values(cfg.shock_law, data.n_sectors, substream(cfg.seed, b))
-            for b in range(cfg.replications)
-        ]
+        draws = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, data.n_sectors)
         assert report.rejections == self._scalar_counts(ydot, data, cfg, draws)
+
+
+class TestCellKernel:
+    """The cell-level kernel counts what the unit-level oracle kernel counts, draw by draw."""
+
+    @staticmethod
+    def _grouped_outcome(design, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(design.n_groups)[design.group_of] + rng.standard_normal(
+            design.n_units
+        )
+
+    @pytest.mark.parametrize(
+        "n_groups, group_size", [(2, 10), (4, 1), (4, 10), (20, 1), (20, 10), (100, 10)]
+    )
+    def test_partition_matches_unit_oracle(self, n_groups, group_size):
+        design = contiguous_partition(n_groups, group_size)
+        y = self._grouped_outcome(design, n_groups + group_size)
+        cfg = SimConfig(replications=500, seed=41, alpha=0.2, estimators=FULL_MENU)
+        report = run_partition_permutation(y, design, "y-fixed", cfg)
+        X = np.vstack(
+            [
+                engines._partition_regressors(n_groups, cfg.seed, lo, hi)
+                for lo, hi in chunk_bounds(500, 256)
+            ]
+        )
+        counts, skipped = oracles.unit_kernel_counts(
+            y, X[:, design.group_of], FULL_MENU, cfg.alpha,
+            clusters=design.group_of, shares=partition_to_shares(design),
+        )
+        assert report.skipped_degenerate == skipped
+        assert list(report.rejections.values()) == counts
+        assert sum(counts) > 0
+
+    def test_exhaustive_matches_unit_oracle(self):
+        design = contiguous_partition(6, 3)
+        y = self._grouped_outcome(design, 5)
+        cfg = SimConfig(replications=1, seed=0, alpha=0.3, estimators=FULL_MENU)
+        report = run_partition_permutation(y, design, "y-fixed", cfg, exhaustive=True)
+        X = np.array([np.isin(design.group_of, t) for t in combinations(range(6), 3)], dtype=float)
+        counts, skipped = oracles.unit_kernel_counts(
+            y, X, FULL_MENU, cfg.alpha,
+            clusters=design.group_of, shares=partition_to_shares(design),
+        )
+        assert report.replications == 20 and skipped == report.skipped_degenerate
+        assert list(report.rejections.values()) == counts
+
+    def test_shift_share_matches_unit_oracle(self):
+        data = _dataset(10, n=30, f=6)
+        cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
+        report = run_y_fixed(data, cfg)
+        X = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, 6) @ data.shares.T
+        counts, skipped = oracles.unit_kernel_counts(
+            data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
+        )
+        assert report.skipped_degenerate == skipped
+        assert list(report.rejections.values()) == counts
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("n_groups", [2, 4, 20, 100])
+    def test_partition_rows_treat_half_the_groups(self, n_groups):
+        X = engines._partition_regressors(n_groups, 3, 256, 512)
+        assert X.shape == (256, n_groups)
+        assert set(np.unique(X)) <= {0.0, 1.0}
+        assert np.all(X.sum(axis=1) == n_groups // 2)
+
+    def test_balanced_assignments_equally_likely(self):
+        X = np.vstack(
+            [engines._partition_regressors(4, 12, lo, hi) for lo, hi in chunk_bounds(6000, 256)]
+        )
+        codes = X @ np.array([1.0, 2.0, 4.0, 8.0])
+        observed = np.array([np.count_nonzero(codes == c) for c in (3, 5, 6, 9, 10, 12)])
+        assert observed.sum() == 6000
+        assert stats.chisquare(observed).pvalue > 1e-3
+
+    @pytest.mark.parametrize("engine", ["partition", "shift-share"])
+    def test_first_chunk_independent_of_run_length(self, engine, monkeypatch):
+        blocks = []
+        real = engines._kernel_counts
+
+        def recording(kernel, X):
+            blocks.append(X.copy())
+            return real(kernel, X)
+
+        monkeypatch.setattr(engines, "_kernel_counts", recording)
+        design = contiguous_partition(10, 2)
+        y = np.random.default_rng(0).standard_normal(design.n_units)
+        data = _dataset(11)
+        firsts = []
+        for replications in (300, 256):
+            blocks.clear()
+            cfg = SimConfig(replications=replications, seed=17)
+            if engine == "partition":
+                run_partition_permutation(y, design, "y-fixed", cfg)
+            else:
+                run_y_fixed(data, cfg)
+            firsts.append(blocks[0])
+        assert firsts[0].shape[0] == firsts[1].shape[0] == 256
+        assert np.array_equal(firsts[0], firsts[1])
+
+
+class TestPool:
+    def test_tasks_do_not_pickle_the_chunk_function(self):
+        lock = threading.Lock()  # unpicklable state the chunk function closes over
+
+        def chunk(bounds):
+            with lock:
+                return bounds[1] - bounds[0]
+
+        bounds = chunk_bounds(1000, 256)
+        assert map_chunks(chunk, bounds, workers=2) == [256, 256, 256, 232]
 
 
 class TestExhaustiveMode:
