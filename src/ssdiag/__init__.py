@@ -23,7 +23,6 @@ from .data import (
     validate_dataset,
 )
 from .dgp import (
-    FlaggingDGP,
     GroupedDGP,
     PANEL_PARAMS,
     crossed_shares,
@@ -36,6 +35,7 @@ from .engines import (
     SimConfig,
     SimReport,
     run_eps_fixed,
+    run_outcome_fixed,
     run_partition_permutation,
     run_placebo,
     run_y_fixed,

@@ -91,6 +91,17 @@ class ShockDraw:
         object.__setattr__(self, "values", values)
 
 
+def contiguous_labels(labels) -> np.ndarray:
+    """Integer cluster labels relabeled 0..G-1 in order of first appearance."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        if not np.all(labels == np.floor(labels)):
+            raise ValidationError("cluster labels must be integers")
+        labels = labels.astype(np.int64)
+    _, first_index, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_index))[inverse]
+
+
 def validate_dataset(
     region_ids,
     y,
@@ -140,14 +151,7 @@ def validate_dataset(
         labels = np.asarray(clusters)
         if labels.shape != (n,):
             raise ValidationError(f"cluster labels ({labels.shape}) do not match outcomes ({n})")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.floor(labels)):
-                raise ValidationError("cluster labels must be integers")
-            labels = labels.astype(np.int64)
-        # relabel by first appearance
-        _, first_index, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        order = np.argsort(np.argsort(first_index))
-        clusters = _frozen_array(order[inverse], dtype=np.int64)
+        clusters = _frozen_array(contiguous_labels(labels), dtype=np.int64)
 
     if y_placebo is not None:
         y_placebo = _frozen_array(y_placebo)

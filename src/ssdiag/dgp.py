@@ -17,14 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, PartitionDesign, partition_design, unit_treatment
-from .engines import (
-    SimConfig,
-    flagged,
-    run_eps_fixed,
-    run_partition_permutation,
-    run_y_fixed,
-)
+from .data import PartitionDesign, contiguous_labels, partition_design, unit_treatment
+from .engines import SimConfig, flagged, run_outcome_fixed, run_partition_permutation
 from .errors import ValidationError
 from .estimators import ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
@@ -187,46 +181,30 @@ def crossed_shares(n_clusters: int, n_sectors: int) -> tuple[np.ndarray, np.ndar
 
 
 @dataclass(frozen=True)
-class FlaggingDGP:
-    """Outcome with a latent shift-share confound of strength gamma_sc.
+class FlaggingDraw:
+    """The parts of one spatial-confound draw that do not depend on gamma.
 
-    y*_i = z_i + gamma_sc * sum_f w_if * u_f with z and the latent shocks u
-    iid standard normal.  The regressor uses an independent shock draw over
+    y_i(gamma) = z_i + gamma * sum_f w_if * u_f with z and the latent shocks u
+    iid standard normal.  The regressor x uses an independent shock draw over
     the same shares, so the regression slope has mean zero while the errors
-    inherit share-driven spatial correlation scaled by |gamma_sc|.
+    inherit share-driven spatial correlation scaled by |gamma|.
     """
 
-    shares: np.ndarray
-    clusters: np.ndarray
-    gamma_sc: float
-
-    def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        clusters = np.asarray(self.clusters, dtype=np.int64)
-        if shares.ndim != 2:
-            raise ValidationError("shares must be a matrix")
-        if clusters.shape != (shares.shape[0],):
-            raise ValidationError("cluster labels do not match shares")
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "clusters", clusters)
-
-
-@dataclass(frozen=True)
-class FlaggingDraw:
-    y_star: np.ndarray
+    z: np.ndarray
+    confound: np.ndarray  # shares @ u
     x: np.ndarray
 
+    def outcome(self, gamma: float) -> np.ndarray:
+        return self.z + gamma * self.confound
 
-def draw_flagging(dgp: FlaggingDGP, rng: np.random.Generator) -> FlaggingDraw:
-    """One (outcome, regressor) pair; observed and latent shocks independent."""
-    n, n_sectors = dgp.shares.shape
+
+def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
+    """Noise, confound and regressor, drawn in that order from ``rng``."""
+    n, n_sectors = shares.shape
     z = rng.standard_normal(n)
-    latent = rng.standard_normal(n_sectors)
-    observed = rng.standard_normal(n_sectors)
-    return FlaggingDraw(
-        y_star=z + dgp.gamma_sc * (dgp.shares @ latent),
-        x=dgp.shares @ observed,
-    )
+    confound = shares @ rng.standard_normal(n_sectors)
+    x = shares @ rng.standard_normal(n_sectors)
+    return FlaggingDraw(z=z, confound=confound, x=x)
 
 
 @dataclass(frozen=True)
@@ -241,30 +219,29 @@ class FlagCurvePoint:
     outer_reps: int
 
 
-def _flagging_chunk(shares, clusters, region_ids, gammas, cfg, bounds) -> np.ndarray:
+def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
     lo, hi = bounds
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
     inner_cfg = replace(cfg, estimators=("crve",))
     for j in range(lo, hi):
-        rng = substream(cfg.seed, j, 0)
-        n, n_sectors = shares.shape
-        z = rng.standard_normal(n)
-        latent_x = shares @ rng.standard_normal(n_sectors)
-        x = shares @ rng.standard_normal(n_sectors)
-        seed_y = derive_seed(cfg.seed, j, 1)
-        seed_eps = derive_seed(cfg.seed, j, 2)
+        draw = draw_flagging(shares, substream(cfg.seed, j, 0))
+        ys, ydots = [], []
         for gi, gamma in enumerate(gammas):
-            y_star = z + gamma * latent_x
-            fit = ols_simple(y_star, x)
+            y_star = draw.outcome(gamma)
+            fit = ols_simple(y_star, draw.x)
             result = t_test(fit.slope, 0.0, var_cluster(fit, clusters, "cr1"), cfg.alpha)
             counts[gi, 0] += result.reject
-            data = Dataset(region_ids=region_ids, y=y_star, shares=shares, clusters=clusters)
-            report_y = run_y_fixed(data, replace(inner_cfg, seed=seed_y))
-            counts[gi, 1] += flagged(report_y.rates["crve"], cfg.flag_threshold)
-            report_eps = run_eps_fixed(
-                data, x, fit.slope, replace(inner_cfg, seed=seed_eps)
+            ys.append(y_star)
+            ydots.append(y_star - fit.slope * draw.x)
+        # one shock block per mode serves every gamma; the simulation behind
+        # counts column col draws from derive_seed(cfg.seed, j, col)
+        for col, outcomes, mode in ((1, ys, "y-fixed"), (2, ydots, "eps-fixed")):
+            reports = run_outcome_fixed(
+                outcomes, shares, clusters, mode,
+                replace(inner_cfg, seed=derive_seed(cfg.seed, j, col)),
             )
-            counts[gi, 2] += flagged(report_eps.rates["crve"], cfg.flag_threshold)
+            for gi, report in enumerate(reports):
+                counts[gi, col] += flagged(report.rates["crve"], cfg.flag_threshold)
     return counts
 
 
@@ -281,19 +258,24 @@ def run_flagging_curve(
     Per gamma and outer draw: test a zero slope with cluster-robust inference
     (size tally) and run y-fixed plus eps-fixed shock simulations for the
     crve estimator, flagging when the rejection rate reaches the threshold.
-    Draws are paired across gamma values (same substream per outer index), so
-    curve differences are low-noise.
+    Draws are paired across gamma values (same substream per outer index,
+    and one shock block per simulation mode tests every gamma), so curve
+    differences are low-noise.  Cluster labels count only the clusters they
+    name: they are relabeled 0..G-1 in order of first appearance.
     """
     shares = np.asarray(shares, dtype=float)
-    clusters = np.asarray(clusters, dtype=np.int64)
+    if shares.ndim != 2:
+        raise ValidationError("shares must be a matrix")
+    if np.shape(clusters) != (shares.shape[0],):
+        raise ValidationError("cluster labels do not match shares")
+    clusters = contiguous_labels(clusters)
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValidationError("gamma grid is empty")
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
-    region_ids = tuple(f"r{i}" for i in range(shares.shape[0]))
     parts = map_chunks(
-        partial(_flagging_chunk, shares, clusters, region_ids, gammas, cfg),
+        partial(_flagging_chunk, shares, clusters, gammas, cfg),
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )

@@ -1,14 +1,21 @@
 """Design-based simulation engines.
 
-Three outcome-fixed procedures for shift-share data (y-fixed, eps-fixed,
-placebo) plus a treatment-permutation engine for partition designs.  Each
-replication resamples the regressor, refits the bivariate OLS, and tests a
-zero slope with every requested variance estimator; reports carry rejection
-frequencies.
+One outcome-fixed engine for shift-share data holds K outcome vectors fixed
+and resamples sector shocks, testing every outcome against the same block of
+draws: y-fixed holds the realized y, eps-fixed the residualized
+y - beta_hat*x, placebo the pre-treatment outcome, and the flagging
+experiment every confound strength of its grid at once.  A
+treatment-permutation engine serves partition designs.  Each replication
+resamples the regressor, refits the bivariate OLS, and tests a zero slope with
+every requested variance estimator; reports carry rejection frequencies.
 
 The test kernel works on cells, sets of units that share one regressor
 value: a unit for shift-share data, a group for a partition design, so a
-permutation draw costs O(groups) rather than O(units).
+permutation draw costs O(groups) rather than O(units).  It makes one pass per
+block of draws for all K outcomes, forms each outcome's cell scores once for
+all its estimators, and sums cluster scores over the cells sorted by cluster.
+It walks a block in row sub-blocks of bounded size, so its memory stays
+bounded as the cell count grows.
 
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
@@ -32,6 +39,9 @@ from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
 _CHUNK = 256
+# Byte budget of one (rows, cells) temporary of the test kernel: a whole chunk
+# up to 512 cells, 13 rows at 10,000 cells.
+_KERNEL_BYTES = 1 << 20
 _EXHAUSTIVE_MAX_GROUPS = 12
 
 
@@ -123,8 +133,8 @@ def enumerate_balanced_assignments(n_groups: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Kernel:
-    """Per-cell statistics for testing a zero slope over a block of draws.
+class _Design:
+    """Cell-level terms shared by every outcome tested on one design.
 
     A cell is a set of units that share one regressor value in every draw:
     a unit for shift-share data, a group for a partition design.  Cells nest
@@ -133,12 +143,34 @@ class _Kernel:
 
     n: int  # units
     m: np.ndarray  # (C,) cell sizes
+    shares: np.ndarray | None  # (C, F); None: each cell is its own sector
+    order: np.ndarray | None  # cells sorted by cluster; None: already sorted
+    starts: np.ndarray | None  # (G,) first sorted cell of each cluster
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One fixed outcome: its cell terms, estimator menu and critical values."""
+
     S: np.ndarray  # (C,) cell sums of the centred outcome
-    W: np.ndarray  # (C,) within-cell sums of squares about the cell mean
+    W: np.ndarray | None  # (C,) within-cell sums of squares; None: one unit per cell
     estimators: tuple[str, ...]
     crits: np.ndarray  # t critical value per estimator
-    cluster_onehot: np.ndarray | None  # (C, G)
-    shares: np.ndarray | None  # (C, F)
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    design: _Design
+    outcomes: tuple[_Outcome, ...]
+
+    @property
+    def estimators(self) -> tuple[str, ...]:
+        """The tests made on one draw, over all outcomes."""
+        return tuple(est for outcome in self.outcomes for est in outcome.estimators)
+
+
+_CLUSTERED = ("crve", "crve-hc3")
+_DEFLATED = ("robust-hc3", "crve-hc3")
 
 
 @lru_cache(maxsize=256)
@@ -146,124 +178,159 @@ def _t_crits(alpha: float, dofs: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float)))
 
 
-def _make_kernel(y, estimators, alpha, clusters, shares, cells=None) -> _Kernel:
-    """Kernel for outcomes y over units grouped into cells.
+def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
+    """Cells stably sorted by cluster label (None if already sorted), and segment starts."""
+    order = np.argsort(clusters, kind="stable")
+    ordered = clusters[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    if np.array_equal(order, np.arange(order.size)):
+        order = None
+    return order, starts
+
+
+def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel:
+    """Kernel testing every outcome in ``ys`` with one estimator menu.
 
     ``cells`` maps each unit to its cell (None: every unit is a cell);
-    ``clusters`` labels and ``shares`` rows are given per cell.
+    ``clusters`` labels and ``shares`` rows are given per cell.  The
+    cluster count is the number of distinct labels.
     """
-    n = y.shape[0]
+    ys = np.asarray(ys, dtype=float)
+    n = ys.shape[1]
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    yc = y - y.mean()
-    if cells is None:
-        m, S, W = np.ones(n), yc, np.zeros(n)
-    else:
-        m = np.bincount(cells).astype(float)
-        S = np.bincount(cells, weights=yc)
-        W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
-    n_cells = m.shape[0]
-    cluster_onehot = None
+    m = np.ones(n) if cells is None else np.bincount(cells).astype(float)
+    order = starts = None
     dofs = []
     for est in estimators:
         if est in ("robust-hc1", "robust-hc3"):
             dofs.append(n - 2)
-        elif est in ("crve", "crve-hc3"):
+        elif est in _CLUSTERED:
             if clusters is None:
                 raise ValidationError(f"{est} requires cluster labels")
-            n_clusters = int(clusters.max()) + 1
-            if n_clusters < 2:
+            if starts is None:
+                order, starts = _cluster_segments(clusters)
+            if starts.size < 2:
                 raise ValidationError("need at least 2 clusters")
-            if cluster_onehot is None:
-                cluster_onehot = np.zeros((n_cells, n_clusters))
-                cluster_onehot[np.arange(n_cells), clusters] = 1.0
-            dofs.append(n_clusters - 1)
+            dofs.append(starts.size - 1)
         else:  # score-agg family
-            if shares is None:
-                raise ValidationError(f"{est} requires a share matrix")
-            if shares.shape[1] < 2:
+            n_sectors = m.size if shares is None else shares.shape[1]
+            if n_sectors < 2:
                 raise ValidationError("need at least 2 sectors")
-            dofs.append(shares.shape[1] - 1)
-    return _Kernel(
-        n=n,
-        m=m,
-        S=S,
-        W=W,
-        estimators=tuple(estimators),
-        crits=np.array(_t_crits(alpha, tuple(dofs))),
-        cluster_onehot=cluster_onehot,
-        shares=shares,
-    )
+            dofs.append(n_sectors - 1)
+    estimators = tuple(estimators)
+    crits = np.array(_t_crits(alpha, tuple(dofs)))
+    outcomes = []
+    for y in ys:
+        yc = y - y.mean()
+        if cells is None:
+            S, W = yc, None
+        else:
+            S = np.bincount(cells, weights=yc)
+            W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
+        outcomes.append(_Outcome(S=S, W=W, estimators=estimators, crits=crits))
+    design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
+    return _Kernel(design=design, outcomes=tuple(outcomes))
 
 
-def _kernel_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rejection counts per estimator plus the skipped-replication count.
+def _kernel_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection counts per test in ``kernel.estimators``, and skipped draws per outcome.
 
-    ``X`` is (draws, cells).  With xc a cell's centred regressor and
-    e = S - slope*m*xc the sum of its residuals, a cell's residual sum of
+    ``X`` is (draws, cells), tested in row sub-blocks whose (rows, cells)
+    temporaries stay within _KERNEL_BYTES.  With xc a cell's centred regressor
+    and e = S - slope*m*xc the sum of its residuals, a cell's residual sum of
     squares is W + e**2/m, its score is xc*e, and its leverage
     1/n + xc**2/ssq is shared by its units, so each draw costs O(cells).
-    tests/oracles.py keeps the unit-level form, and the engine tests pin
-    agreement with it and with the scalar path (ols_simple + var_* + t_test).
+    The regressor terms of a sub-block are formed once for all outcomes, an
+    outcome's scores once for all its estimators, and cluster scores are
+    segment sums over the cells sorted by cluster.  tests/oracles.py keeps
+    the unit-level form, and the engine tests pin agreement with it and with
+    the scalar path (ols_simple + var_* + t_test).
     """
-    n, m, S, W = kernel.n, kernel.m, kernel.S, kernel.W
-    Xc = X - ((X @ m) / n)[:, None]
-    ssq = (Xc * Xc) @ m
-    usable = ssq > 1e-12 * ((X * X) @ m)
+    rows = max(1, _KERNEL_BYTES // (8 * X.shape[1]))
+    blocks = [_block_counts(kernel, X[lo : lo + rows]) for lo in range(0, X.shape[0], rows)]
+    return sum(c for c, _ in blocks), sum(s for _, s in blocks)
 
-    # (draws, cells) temporaries set peak memory at large N, hence the in-place updates
-    need_leverage = any(e in ("robust-hc3", "crve-hc3") for e in kernel.estimators)
+
+def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = kernel.design
+    n, m = d.n, d.m
+    Xc = X - ((X @ m) / n)[:, None]
+    X2 = Xc * Xc
+    ssq = X2 @ m
+    usable = ssq > 1e-12 * ((X * X) @ m)
+    ssq2 = ssq * ssq
+
+    counts = np.zeros(len(kernel.estimators), dtype=np.int64)
+    skipped = np.zeros(len(kernel.outcomes), dtype=np.int64)
+    k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(usable, (Xc @ S) / ssq, 0.0)
-        E = slope[:, None] * m  # becomes the cell residual sums S - slope*m*xc
-        E *= Xc
-        np.subtract(S, E, out=E)
-        if need_leverage:
-            deflate = Xc * Xc / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
-            usable &= ~np.any(deflate >= 1.0 - 1e-12, axis=1)
+        if any(est in _DEFLATED for est in kernel.estimators):
+            deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
+            leverage_ok = ~np.any(deflate >= 1.0 - 1e-12, axis=1)
             np.divide(1.0, 1.0 - deflate, out=deflate)
 
-        counts = np.zeros(len(kernel.estimators), dtype=np.int64)
-        ssq2 = ssq * ssq
-        for k, est in enumerate(kernel.estimators):
-            if est in ("robust-hc1", "robust-hc3"):
-                terms = E * E / m + W  # residual sums of squares
-                terms *= Xc
-                terms *= Xc
-                if est == "robust-hc3":
-                    terms *= deflate
-                    terms *= deflate
-                value = n / (n - 2) * terms.sum(axis=1) / ssq2
-            elif est in ("crve", "crve-hc3"):
-                scores = Xc * E
-                if est == "crve-hc3":
-                    scores *= deflate
-                scores = scores @ kernel.cluster_onehot
-                G = kernel.cluster_onehot.shape[1]
-                factor = G / (G - 1) * (n - 1) / (n - 2)
-                value = factor * np.einsum("bg,bg->b", scores, scores) / ssq2
-            else:  # score-agg / score-agg-null; null residuals sum to S per cell
-                scores = (Xc * S if est == "score-agg-null" else Xc * E) @ kernel.shares
-                F = kernel.shares.shape[1]
-                value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
-            tstat = slope / np.sqrt(value)
-            reject = np.where(value > 0.0, np.abs(tstat) >= kernel.crits[k], slope != 0.0)
-            counts[k] = int(np.count_nonzero(reject & usable))
+        for i, outcome in enumerate(kernel.outcomes):
+            slope = np.where(usable, (Xc @ outcome.S) / ssq, 0.0)
+            P = slope[:, None] * m  # becomes the cell scores xc * (S - slope*m*xc)
+            P *= Xc
+            np.subtract(outcome.S, P, out=P)
+            P *= Xc
+            ok = usable
+            if any(est in _DEFLATED for est in outcome.estimators):
+                ok = usable & leverage_ok
+                P_deflated = P * deflate
+            skipped[i] = np.count_nonzero(~ok)
 
-    return counts, int(np.count_nonzero(~usable))
+            for est, crit in zip(outcome.estimators, outcome.crits):
+                deflated = est in _DEFLATED
+                scores = P_deflated if deflated else P
+                if est in ("robust-hc1", "robust-hc3"):
+                    # sum of xc**2 * (W + e**2/m), each unit deflated for hc3
+                    value = (scores * scores) @ (1.0 / m)
+                    if outcome.W is not None:
+                        value += (X2 * deflate * deflate if deflated else X2) @ outcome.W
+                    value = n / (n - 2) * value / ssq2
+                elif est in _CLUSTERED:
+                    if d.order is not None:
+                        scores = scores[:, d.order]
+                    scores = np.add.reduceat(scores, d.starts, axis=1)
+                    G = d.starts.size
+                    factor = G / (G - 1) * (n - 1) / (n - 2)
+                    value = factor * np.einsum("bg,bg->b", scores, scores) / ssq2
+                else:  # score-agg / score-agg-null; null residuals sum to S per cell
+                    if est == "score-agg-null":
+                        scores = Xc * outcome.S
+                    if d.shares is not None:
+                        scores = scores @ d.shares
+                    F = scores.shape[1]
+                    value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
+                tstat = slope / np.sqrt(value)
+                reject = np.where(value > 0.0, np.abs(tstat) >= crit, slope != 0.0)
+                counts[k] = np.count_nonzero(reject & ok)
+                k += 1
+    return counts, skipped
 
 
-def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, int]:
-    X = draw(*bounds)
-    return _kernel_counts(kernel, X)
+def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, np.ndarray]:
+    return _kernel_counts(kernel, draw(*bounds))
+
+
+@dataclass(frozen=True)
+class _Reports:
+    """The reports of one simulation, one per fixed outcome."""
+
+    reports: tuple[SimReport, ...]
+
+    @property
+    def skipped_degenerate(self) -> int:
+        return sum(r.skipped_degenerate for r in self.reports)
 
 
 def _run_sim(
-    y, mode, cfg, workers, draw, clusters, shares, regressors=None, cells=None
-) -> SimReport:
-    kernel = _make_kernel(
-        np.asarray(y, dtype=float), cfg.estimators, cfg.alpha, clusters, shares, cells
-    )
+    ys, mode, cfg, workers, draw, clusters, shares, regressors=None, cells=None
+) -> _Reports:
+    kernel = _make_kernel(ys, cfg.estimators, cfg.alpha, clusters, shares, cells)
     if regressors is not None:
         n_reps = regressors.shape[0]
         results = [_kernel_counts(kernel, regressors)]
@@ -271,37 +338,51 @@ def _run_sim(
         n_reps = cfg.replications
         bounds = chunk_bounds(n_reps, _CHUNK)
         results = map_chunks(partial(_sim_chunk, kernel, draw), bounds, workers)
-    counts = np.zeros(len(cfg.estimators), dtype=np.int64)
-    skipped = 0
-    for chunk_counts, chunk_skipped in results:
-        counts += chunk_counts
-        skipped += chunk_skipped
-    b_effective = n_reps - skipped
-    rejections = {est: int(c) for est, c in zip(cfg.estimators, counts)}
-    rates = {
-        est: (c / b_effective if b_effective else 0.0) for est, c in rejections.items()
-    }
-    return SimReport(
-        mode=mode,
-        seed=cfg.seed,
-        replications=n_reps,
-        b_effective=b_effective,
-        skipped_degenerate=skipped,
-        rejections=rejections,
-        rates=rates,
-    )
+    counts = sum(c for c, _ in results).reshape(len(kernel.outcomes), -1)
+    skipped = sum(s for _, s in results)
+    reports = []
+    for outcome_counts, outcome_skipped in zip(counts, skipped):
+        b_effective = n_reps - int(outcome_skipped)
+        rejections = {est: int(c) for est, c in zip(cfg.estimators, outcome_counts)}
+        rates = {
+            est: (c / b_effective if b_effective else 0.0) for est, c in rejections.items()
+        }
+        reports.append(
+            SimReport(
+                mode=mode,
+                seed=cfg.seed,
+                replications=n_reps,
+                b_effective=b_effective,
+                skipped_degenerate=int(outcome_skipped),
+                rejections=rejections,
+                rates=rates,
+            )
+        )
+    return _Reports(tuple(reports))
 
 
 # ---------------------------------------------------------------------------
 # public engines
 
 
+def run_outcome_fixed(
+    outcomes, shares, clusters, mode: str, cfg: SimConfig, workers: int = 1
+) -> tuple[SimReport, ...]:
+    """Hold each outcome vector fixed and resample sector shocks.
+
+    Every outcome is tested against the same shock draws, so each report
+    equals that of a run on its outcome alone; ``mode`` labels the reports.
+    """
+    draw = partial(_shares_regressors, shares, cfg.shock_law, cfg.seed)
+    return _run_sim(outcomes, mode, cfg, workers, draw, clusters, shares).reports
+
+
 def run_y_fixed(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
     """Hold the realized outcomes fixed and resample sector shocks."""
-    if cfg.shock_law == "balanced-binary" and data.n_sectors % 2:
-        raise ValidationError("balanced-binary shocks require an even sector count")
-    draw = partial(_shares_regressors, data.shares, cfg.shock_law, cfg.seed)
-    return _run_sim(data.y, "y-fixed", cfg, workers, draw, data.clusters, data.shares)
+    (report,) = run_outcome_fixed(
+        [data.y], data.shares, data.clusters, "y-fixed", cfg, workers
+    )
+    return report
 
 
 def run_eps_fixed(
@@ -315,23 +396,21 @@ def run_eps_fixed(
     x_realized = np.asarray(x_realized, dtype=float)
     if x_realized.shape != data.y.shape:
         raise ValidationError("realized regressor does not match outcomes")
-    if cfg.shock_law == "balanced-binary" and data.n_sectors % 2:
-        raise ValidationError("balanced-binary shocks require an even sector count")
     ydot = data.y - beta_hat * x_realized
-    draw = partial(_shares_regressors, data.shares, cfg.shock_law, cfg.seed)
-    return _run_sim(ydot, "eps-fixed", cfg, workers, draw, data.clusters, data.shares)
+    (report,) = run_outcome_fixed(
+        [ydot], data.shares, data.clusters, "eps-fixed", cfg, workers
+    )
+    return report
 
 
 def run_placebo(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
     """y-fixed simulation on the pre-treatment outcome."""
     if data.y_placebo is None:
         raise ValidationError("placebo outcome missing")
-    if cfg.shock_law == "balanced-binary" and data.n_sectors % 2:
-        raise ValidationError("balanced-binary shocks require an even sector count")
-    draw = partial(_shares_regressors, data.shares, cfg.shock_law, cfg.seed)
-    return _run_sim(
-        data.y_placebo, "placebo", cfg, workers, draw, data.clusters, data.shares
+    (report,) = run_outcome_fixed(
+        [data.y_placebo], data.shares, data.clusters, "placebo", cfg, workers
     )
+    return report
 
 
 def run_partition_permutation(
@@ -360,18 +439,16 @@ def run_partition_permutation(
             raise ValidationError("eps-fixed mode requires beta_hat")
         y = y - beta_hat * unit_treatment(design)
 
-    # cells are groups, which double as the clusters and as one-hot shares
+    # cells are groups, which double as the clusters and the sectors (shares None)
     n_groups = design.n_groups
     clusters = np.arange(n_groups)
-    needs_shares = any(e.startswith("score-agg") for e in cfg.estimators)
-    shares = np.eye(n_groups) if needs_shares else None
-
+    regressors = draw = None
     if exhaustive:
         regressors = enumerate_balanced_assignments(n_groups).astype(float)
-        return _run_sim(
-            y, mode, cfg, workers, None, clusters, shares,
-            regressors=regressors, cells=design.group_of,
-        )
-
-    draw = partial(_partition_regressors, n_groups, cfg.seed)
-    return _run_sim(y, mode, cfg, workers, draw, clusters, shares, cells=design.group_of)
+    else:
+        draw = partial(_partition_regressors, n_groups, cfg.seed)
+    (report,) = _run_sim(
+        [y], mode, cfg, workers, draw, clusters, None,
+        regressors=regressors, cells=design.group_of,
+    ).reports
+    return report

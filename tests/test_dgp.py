@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ssdiag import (
-    FlaggingDGP,
     GroupedDGP,
     PANEL_PARAMS,
     SimConfig,
@@ -99,39 +98,31 @@ class TestGroupedExperiment:
 
 
 class TestDrawFlagging:
-    def _dgp(self, gamma, n_groups=4, m=3):
-        design = contiguous_partition(n_groups, m)
-        return FlaggingDGP(
-            shares=partition_to_shares(design),
-            clusters=design.group_of,
-            gamma_sc=gamma,
-        )
+    @staticmethod
+    def _shares():
+        return partition_to_shares(contiguous_partition(4, 3))
 
     def test_zero_confound_outcome_is_pure_noise(self):
-        dgp = self._dgp(0.0)
-        rng = np.random.default_rng(0)
-        draw = draw_flagging(dgp, rng)
+        shares = self._shares()
+        draw = draw_flagging(shares, np.random.default_rng(0))
         # replay the stream: outcome must equal the first N normals exactly
-        replay = np.random.default_rng(0).standard_normal(dgp.shares.shape[0])
-        np.testing.assert_array_equal(draw.y_star, replay)
+        replay = np.random.default_rng(0).standard_normal(shares.shape[0])
+        np.testing.assert_array_equal(draw.outcome(0.0), replay)
 
     def test_identity_shares_structure(self):
-        shares = np.eye(6)
-        dgp = FlaggingDGP(shares=shares, clusters=np.arange(6), gamma_sc=2.0)
-        rng = np.random.default_rng(1)
-        draw = draw_flagging(dgp, rng)
+        draw = draw_flagging(np.eye(6), np.random.default_rng(1))
         replay_rng = np.random.default_rng(1)
         z = replay_rng.standard_normal(6)
         latent = replay_rng.standard_normal(6)
         observed = replay_rng.standard_normal(6)
-        np.testing.assert_allclose(draw.y_star, z + 2.0 * latent)
+        np.testing.assert_allclose(draw.outcome(2.0), z + 2.0 * latent)
         np.testing.assert_allclose(draw.x, observed)
 
     def test_seed_round_trip(self):
-        dgp = self._dgp(0.7)
-        a = draw_flagging(dgp, substream(5, 1))
-        b = draw_flagging(dgp, substream(5, 1))
-        np.testing.assert_array_equal(a.y_star, b.y_star)
+        shares = self._shares()
+        a = draw_flagging(shares, substream(5, 1))
+        b = draw_flagging(shares, substream(5, 1))
+        np.testing.assert_array_equal(a.outcome(0.7), b.outcome(0.7))
         np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -166,6 +157,21 @@ class TestFlaggingCurve:
         (point,) = run_flagging_curve(shares, clusters, [0.0], 32, cfg)
         assert point.pr_flag_y == 1.0 and point.pr_flag_eps == 1.0
 
+    def test_gamma_row_independent_of_grid(self):
+        shares, clusters = crossed_shares(5, 4)
+        cfg = SimConfig(replications=60, seed=9, estimators=("crve",))
+        (alone,) = run_flagging_curve(shares, clusters, [0.5], 20, cfg)
+        batched = run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, cfg)
+        assert batched[1] == alone
+
+    def test_gapped_cluster_labels(self):
+        # labels 0, 2, ..., 10 name the same 6 clusters as 0..5, not 11
+        shares, clusters = crossed_shares(6, 4)
+        cfg = SimConfig(replications=200, seed=3, estimators=("crve",))
+        contiguous = run_flagging_curve(shares, clusters, [0.0, 1.0], 40, cfg)
+        gapped = run_flagging_curve(shares, 2 * clusters, [0.0, 1.0], 40, cfg)
+        assert gapped == contiguous
+
     def test_crossed_shares_shape(self):
         shares, clusters = crossed_shares(3, 4)
         assert shares.shape == (12, 4)
@@ -183,3 +189,5 @@ class TestFlaggingCurve:
             run_flagging_curve(shares, design.group_of, [], 10, cfg)
         with pytest.raises(ValidationError):
             run_flagging_curve(shares, design.group_of, [0.0], 0, cfg)
+        with pytest.raises(ValidationError, match="do not match shares"):
+            run_flagging_curve(shares, design.group_of[:-1], [0.0], 10, cfg)

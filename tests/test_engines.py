@@ -275,6 +275,52 @@ class TestCellKernel:
         assert report.skipped_degenerate == skipped
         assert list(report.rejections.values()) == counts
 
+    def test_outcomes_with_different_menus_in_one_call(self):
+        # one outcome's menu takes the hc3 leverage guard and the other's does not,
+        # so their skipped counts differ on draws that put a unit at leverage 1
+        rng = np.random.default_rng(12)
+        n, clusters = 18, np.arange(18) % 6
+        shares = rng.uniform(0.05, 1.0, (n, 5))
+        X = np.vstack([rng.standard_normal((40, n)), np.eye(n)[:5], np.ones((2, n))])
+        menus = [("robust-hc1", "crve", "score-agg"), ("robust-hc3", "crve-hc3", "score-agg-null")]
+        ys = [rng.standard_normal(n), rng.standard_normal(n)]
+        parts = [
+            engines._make_kernel([y], menu, 0.3, clusters, shares) for y, menu in zip(ys, menus)
+        ]
+        kernel = engines._Kernel(parts[0].design, parts[0].outcomes + parts[1].outcomes)
+        counts, skipped = engines._kernel_counts(kernel, X)
+        want = [
+            oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
+            for y, menu in zip(ys, menus)
+        ]
+        assert list(zip(counts.reshape(2, 3).tolist(), skipped.tolist())) == want
+        assert want[0][1] == 2 and want[1][1] == 7
+        # gapped labels name the same 6 clusters
+        gapped = engines._make_kernel([ys[0]], menus[0], 0.3, 2 * clusters + 1, shares)
+        assert engines._kernel_counts(gapped, X)[0].tolist() == want[0][0]
+
+    def test_sub_blocks_match_unit_oracle(self, monkeypatch):
+        # enough cells that a 256-row chunk is tested in several row sub-blocks
+        n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
+        rng = np.random.default_rng(13)
+        data = validate_dataset(
+            None, rng.standard_normal(n), rng.uniform(0.05, 1.0, (n, 6)), clusters=np.arange(n) % 7
+        )
+        blocks = []
+        real = engines._block_counts
+        monkeypatch.setattr(
+            engines, "_block_counts", lambda kernel, X: blocks.append(len(X)) or real(kernel, X)
+        )
+        cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
+        report = run_y_fixed(data, cfg)
+        assert len(blocks) >= 4 and max(blocks) < 256 and sum(blocks) == 300
+        X = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, 6) @ data.shares.T
+        counts, skipped = oracles.unit_kernel_counts(
+            data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
+        )
+        assert report.skipped_degenerate == skipped
+        assert list(report.rejections.values()) == counts
+
 
 class TestStreamLayout:
     @pytest.mark.parametrize("n_groups", [2, 4, 20, 100])
