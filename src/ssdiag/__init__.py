@@ -14,8 +14,6 @@ from .analytics import (
 from .data import (
     Dataset,
     PartitionDesign,
-    ShockDraw,
-    build_shift_share,
     contiguous_partition,
     partition_design,
     partition_to_shares,

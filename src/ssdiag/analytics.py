@@ -22,8 +22,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import PartitionDesign
+from .data import PartitionDesign, contiguous_partition
 from .errors import BudgetError, ValidationError
+from .estimators import ols_simple
 from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
@@ -188,25 +189,20 @@ def draw_equicorrelated_errors(
 
 def _ratio_chunk(p, n_groups, seed, f_index, mode, bounds) -> np.ndarray:
     lo, hi = bounds
-    m = p.group_size
-    group_of = np.repeat(np.arange(n_groups), m)
+    # the variances read only the grouping, so one placeholder assignment serves
+    design = contiguous_partition(n_groups, p.group_size)
     out = np.empty(hi - lo)
     for rep in range(lo, hi):
         rng = substream(seed, f_index, rep)
         treated = np.zeros(n_groups, dtype=bool)
         treated[rng.permutation(n_groups)[: n_groups // 2]] = True
         errors = draw_equicorrelated_errors(rng, n_groups, p)
-        x = treated[group_of].astype(float)
+        x = treated[design.group_of].astype(float)
         y = p.beta * x + errors
         if mode == "eps-fixed":
-            xt = x - x.mean()
-            beta_hat = float(xt @ (y - y.mean())) / float(xt @ xt)
-            y = y - beta_hat * x
-        gdev = np.bincount(group_of, weights=y, minlength=n_groups) / m - y.mean()
-        udev = y - y.mean()
-        v_true = 4.0 / (n_groups * (n_groups - 2)) * float(gdev @ gdev)
-        v_robust = 4.0 / (m * n_groups * (m * n_groups - 2)) * float(udev @ udev)
-        out[rep - lo] = v_robust / v_true
+            y = y - ols_simple(y, x).slope * x
+        v_robust = randomization_variance_robust(y, design)
+        out[rep - lo] = v_robust / randomization_variance_true(y, design)
     return out
 
 

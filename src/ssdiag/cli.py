@@ -38,6 +38,7 @@ from .engines import (
     SimConfig,
     SimReport,
     flagged,
+    mc_se,
     run_eps_fixed,
     run_placebo,
     run_y_fixed,
@@ -85,6 +86,43 @@ def _parse_int(path: Path, lineno: int, value: str) -> int:
         ) from None
 
 
+def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
+    """Region ids and the parsed columns of an outcomes CSV, in file order.
+
+    Checks the header against the documented format, each row's field count
+    and numbers, and region id uniqueness.
+    """
+    header, body = _read_rows(path)
+    if len(header) < 2 or header[0] != "region_id" or header[1] != "y":
+        raise ValidationError(
+            f"{path}: header must start with region_id,y (got {','.join(header)})"
+        )
+    extras = header[2:]
+    unknown = [c for c in extras if c not in _OUTCOME_OPTIONAL_COLUMNS]
+    if unknown or len(set(extras)) != len(extras):
+        raise ValidationError(
+            f"{path}: optional columns must be among "
+            f"{', '.join(_OUTCOME_OPTIONAL_COLUMNS)} (got {','.join(extras)})"
+        )
+    parsers = [_parse_int if name == "cluster" else _parse_float for name in header[1:]]
+    region_ids: list[str] = []
+    columns: list[list] = [[] for _ in parsers]
+    seen: set[str] = set()
+    for lineno, row in body:
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        region = row[0].strip()
+        if region in seen:
+            raise ValidationError(f"{path} line {lineno}: duplicate region id {region!r}")
+        seen.add(region)
+        region_ids.append(region)
+        for column, parse, value in zip(columns, parsers, row[1:]):
+            column.append(parse(path, lineno, value))
+    return region_ids, dict(zip(header[1:], columns))
+
+
 def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
     """Load and join the shares and outcomes files into a validated Dataset.
 
@@ -110,51 +148,13 @@ def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
             raise ValidationError(f"{shares_path} line {lineno}: duplicate region id {region!r}")
         share_rows[region] = [_parse_float(shares_path, lineno, v) for v in row[1:]]
 
-    header, body = _read_rows(outcomes_path)
-    if len(header) < 2 or header[0] != "region_id" or header[1] != "y":
-        raise ValidationError(
-            f"{outcomes_path}: header must start with region_id,y (got {','.join(header)})"
-        )
-    extras = header[2:]
-    unknown = [c for c in extras if c not in _OUTCOME_OPTIONAL_COLUMNS]
-    if unknown or len(set(extras)) != len(extras):
-        raise ValidationError(
-            f"{outcomes_path}: optional columns must be among "
-            f"{', '.join(_OUTCOME_OPTIONAL_COLUMNS)} (got {','.join(extras)})"
-        )
-    col = {name: i + 2 for i, name in enumerate(extras)}
-
-    region_ids: list[str] = []
-    y: list[float] = []
-    y_placebo: list[float] = []
-    clusters: list[int] = []
-    x_realized: list[float] = []
-    seen: set[str] = set()
-    for lineno, row in body:
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{outcomes_path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        region = row[0].strip()
-        if region in seen:
-            raise ValidationError(
-                f"{outcomes_path} line {lineno}: duplicate region id {region!r}"
-            )
-        seen.add(region)
+    region_ids, columns = _read_outcomes(outcomes_path)
+    for region in region_ids:
         if region not in share_rows:
             raise ValidationError(
                 f"region {region!r} present in outcomes but missing from shares"
             )
-        region_ids.append(region)
-        y.append(_parse_float(outcomes_path, lineno, row[1]))
-        if "y_placebo" in col:
-            y_placebo.append(_parse_float(outcomes_path, lineno, row[col["y_placebo"]]))
-        if "cluster" in col:
-            clusters.append(_parse_int(outcomes_path, lineno, row[col["cluster"]]))
-        if "x_realized" in col:
-            x_realized.append(_parse_float(outcomes_path, lineno, row[col["x_realized"]]))
-
-    orphans = set(share_rows) - seen
+    orphans = set(share_rows) - set(region_ids)
     if orphans:
         raise ValidationError(
             f"region {sorted(orphans)[0]!r} present in shares but missing from outcomes"
@@ -163,12 +163,13 @@ def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
     shares = np.array([share_rows[r] for r in region_ids], dtype=float)
     dataset = validate_dataset(
         region_ids,
-        y,
+        columns["y"],
         shares,
-        clusters=clusters if "cluster" in col else None,
-        y_placebo=y_placebo if "y_placebo" in col else None,
+        clusters=columns.get("cluster"),
+        y_placebo=columns.get("y_placebo"),
     )
-    return dataset, (np.array(x_realized) if "x_realized" in col else None)
+    x_realized = columns.get("x_realized")
+    return dataset, (None if x_realized is None else np.array(x_realized))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +198,13 @@ def _echo(pairs: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in pairs.items())
 
 
-def _rate_se(rate: float, n: int) -> float:
-    return float(np.sqrt(rate * (1.0 - rate) / n)) if n else 0.0
-
-
 def _report_block(report: SimReport, threshold: float) -> dict:
     estimators = {}
     for est, rate in report.rates.items():
         estimators[est] = {
             "rejections": report.rejections[est],
             "rate": rate,
-            "mc_se": _rate_se(rate, report.b_effective),
+            "mc_se": mc_se(rate, report.b_effective),
             "flag": flagged(rate, threshold),
         }
     return {
@@ -540,15 +537,10 @@ def cmd_analytic(settings: _Settings) -> None:
 def cmd_oracle(settings: _Settings) -> None:
     outcomes = settings.require_path("outcomes")
     group_size = settings.get("group_size", 1, int)
-    header, body = _read_rows(outcomes)
-    if len(header) < 2 or header[0] != "region_id" or header[1] != "y":
-        raise ValidationError(
-            f"{outcomes}: header must start with region_id,y (got {','.join(header)})"
-        )
-    for lineno, row in body:
-        if len(row) < 2:
-            raise ValidationError(f"{outcomes} line {lineno}: expected at least 2 fields")
-    y = np.array([_parse_float(outcomes, lineno, row[1]) for lineno, row in body])
+    _, columns = _read_outcomes(outcomes)
+    y = np.array(columns["y"])
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("non-finite outcome")
     n = y.shape[0]
     if group_size < 1 or n % group_size:
         raise ValidationError(f"{n} units do not split into groups of {group_size}")

@@ -1,4 +1,4 @@
-"""Domain types: datasets, partition designs, shock draws, and regressor construction."""
+"""Domain types: validated datasets and partition designs."""
 
 from __future__ import annotations
 
@@ -64,31 +64,6 @@ class PartitionDesign:
     @property
     def n_units(self) -> int:
         return self.n_groups * self.group_size
-
-
-@dataclass(frozen=True)
-class ShockDraw:
-    """One realization of the sector-level shock vector under a named law."""
-
-    values: np.ndarray
-    law: str
-
-    def __post_init__(self):
-        if self.law not in SHOCK_LAWS:
-            raise ValidationError(f"unknown shock law {self.law!r}")
-        values = _frozen_array(self.values)
-        if values.ndim != 1:
-            raise ValidationError("shock values must be a vector")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("non-finite shock value")
-        if self.law == "balanced-binary":
-            if not np.all((values == 0.0) | (values == 1.0)):
-                raise ValidationError("balanced-binary shocks must be 0/1")
-            if values.size % 2 or values.sum() != values.size // 2:
-                raise ValidationError(
-                    "balanced-binary shocks must have exactly half the entries equal to 1"
-                )
-        object.__setattr__(self, "values", values)
 
 
 def contiguous_labels(labels) -> np.ndarray:
@@ -211,23 +186,6 @@ def contiguous_partition(n_groups: int, group_size: int, treated=None) -> Partit
 def unit_treatment(design: PartitionDesign) -> np.ndarray:
     """Unit-level 0/1 treatment implied by the group assignment."""
     return design.treated[design.group_of].astype(float)
-
-
-def build_shift_share(shares, shocks) -> np.ndarray:
-    """Exposure-weighted shock aggregate x_i = sum_f w_if * X_f.
-
-    ``shocks`` may be a :class:`ShockDraw` or a plain vector.
-    """
-    values = shocks.values if isinstance(shocks, ShockDraw) else np.asarray(shocks, dtype=float)
-    shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 2:
-        raise ValidationError("shares must be a matrix")
-    if values.ndim != 1 or values.shape[0] != shares.shape[1]:
-        raise ValidationError(
-            f"shock vector ({values.shape[0] if values.ndim == 1 else values.shape}) "
-            f"does not match share columns ({shares.shape[1]})"
-        )
-    return shares @ values
 
 
 def partition_to_shares(design: PartitionDesign) -> np.ndarray:

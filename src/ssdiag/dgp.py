@@ -11,14 +11,13 @@ Two data-generating processes drive the experiments:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .data import PartitionDesign, contiguous_labels, partition_design, unit_treatment
-from .engines import SimConfig, flagged, run_outcome_fixed, run_partition_permutation
+from .engines import SimConfig, flagged, mc_se, run_outcome_fixed, run_partition_permutation
 from .errors import ValidationError
 from .estimators import ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
@@ -93,8 +92,18 @@ class GroupedExperimentResult:
     outer_reps: int
 
 
-def _proportion_se(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
+def _rate_fields(counts, outer_reps: int) -> dict:
+    """Size and flag rates from (size, y-fixed, eps-fixed) tallies, each with its SE."""
+    size, pr_y, pr_eps = (float(c) / outer_reps for c in counts)
+    return {
+        "size": size,
+        "size_se": mc_se(size, outer_reps),
+        "pr_flag_y": pr_y,
+        "pr_flag_y_se": mc_se(pr_y, outer_reps),
+        "pr_flag_eps": pr_eps,
+        "pr_flag_eps_se": mc_se(pr_eps, outer_reps),
+        "outer_reps": outer_reps,
+    }
 
 
 def _grouped_chunk(dgp, cfg, bounds) -> np.ndarray:
@@ -147,17 +156,7 @@ def run_grouped_experiment(
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )
-    counts = np.sum(parts, axis=0)
-    size, pr_y, pr_eps = (float(c) / outer_reps for c in counts)
-    return GroupedExperimentResult(
-        size=size,
-        size_se=_proportion_se(size, outer_reps),
-        pr_flag_y=pr_y,
-        pr_flag_y_se=_proportion_se(pr_y, outer_reps),
-        pr_flag_eps=pr_eps,
-        pr_flag_eps_se=_proportion_se(pr_eps, outer_reps),
-        outer_reps=outer_reps,
-    )
+    return GroupedExperimentResult(**_rate_fields(np.sum(parts, axis=0), outer_reps))
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +279,7 @@ def run_flagging_curve(
         workers,
     )
     counts = np.sum(parts, axis=0)
-    points = []
-    for gi, gamma in enumerate(gammas):
-        size, pr_y, pr_eps = (float(c) / outer_reps for c in counts[gi])
-        points.append(
-            FlagCurvePoint(
-                gamma=gamma,
-                size=size,
-                size_se=_proportion_se(size, outer_reps),
-                pr_flag_y=pr_y,
-                pr_flag_y_se=_proportion_se(pr_y, outer_reps),
-                pr_flag_eps=pr_eps,
-                pr_flag_eps_se=_proportion_se(pr_eps, outer_reps),
-                outer_reps=outer_reps,
-            )
-        )
-    return points
+    return [
+        FlagCurvePoint(gamma=gamma, **_rate_fields(gamma_counts, outer_reps))
+        for gamma, gamma_counts in zip(gammas, counts)
+    ]

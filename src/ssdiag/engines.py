@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import SHOCK_LAWS, Dataset, PartitionDesign, unit_treatment
 from .errors import ValidationError
@@ -42,7 +41,6 @@ _CHUNK = 256
 # Byte budget of one (rows, cells) temporary of the test kernel: a whole chunk
 # up to 512 cells, 13 rows at 10,000 cells.
 _KERNEL_BYTES = 1 << 20
-_EXHAUSTIVE_MAX_GROUPS = 12
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,11 @@ class SimConfig:
 def flagged(rate: float, threshold: float) -> bool:
     """The flag rule: a rejection rate flags a problem when it reaches the threshold."""
     return bool(rate >= threshold)
+
+
+def mc_se(rate: float, n: int) -> float:
+    """Monte Carlo standard error of a rate counted over ``n`` draws (0.0 when n is 0)."""
+    return math.sqrt(rate * (1.0 - rate) / n) if n else 0.0
 
 
 @dataclass(frozen=True)
@@ -112,20 +115,6 @@ def _shares_regressors(shares, law, seed, lo, hi) -> np.ndarray:
 def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
     """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row."""
     return _draw_shocks("balanced-binary", hi - lo, n_groups, substream(seed, lo // _CHUNK))
-
-
-def enumerate_balanced_assignments(n_groups: int) -> np.ndarray:
-    """All C(F, F/2) balanced treated sets as a boolean matrix."""
-    if n_groups % 2:
-        raise ValidationError("balanced assignment requires an even group count")
-    if n_groups > _EXHAUSTIVE_MAX_GROUPS:
-        raise ValidationError(
-            f"exhaustive mode supports at most {_EXHAUSTIVE_MAX_GROUPS} groups"
-        )
-    rows = np.zeros((math.comb(n_groups, n_groups // 2), n_groups), dtype=bool)
-    for i, treated in enumerate(combinations(range(n_groups), n_groups // 2)):
-        rows[i, list(treated)] = True
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +164,7 @@ _DEFLATED = ("robust-hc3", "crve-hc3")
 
 @lru_cache(maxsize=256)
 def _t_crits(alpha: float, dofs: tuple[int, ...]) -> tuple[float, ...]:
-    return tuple(stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float)))
+    return tuple(special.stdtrit(np.asarray(dofs, dtype=float), 1.0 - alpha / 2.0))
 
 
 def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
@@ -327,17 +316,10 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(
-    ys, mode, cfg, workers, draw, clusters, shares, regressors=None, cells=None
-) -> _Reports:
+def _run_sim(ys, mode, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
     kernel = _make_kernel(ys, cfg.estimators, cfg.alpha, clusters, shares, cells)
-    if regressors is not None:
-        n_reps = regressors.shape[0]
-        results = [_kernel_counts(kernel, regressors)]
-    else:
-        n_reps = cfg.replications
-        bounds = chunk_bounds(n_reps, _CHUNK)
-        results = map_chunks(partial(_sim_chunk, kernel, draw), bounds, workers)
+    n_reps = cfg.replications
+    results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
     counts = sum(c for c, _ in results).reshape(len(kernel.outcomes), -1)
     skipped = sum(s for _, s in results)
     reports = []
@@ -420,14 +402,14 @@ def run_partition_permutation(
     cfg: SimConfig,
     beta_hat: float | None = None,
     workers: int = 1,
-    exhaustive: bool = False,
 ) -> SimReport:
     """Resample balanced group-level assignments for a partition design.
 
     ``mode`` selects the fixed outcome: the realized y, or the residualized
-    y - beta_hat * treatment (``beta_hat`` required).  With ``exhaustive``
-    every balanced assignment is evaluated exactly once (small designs only),
-    replacing the replication budget.
+    y - beta_hat * treatment (``beta_hat`` required).  Each of the
+    ``cfg.replications`` draws treats a random half of the groups; the exact
+    distribution over every balanced assignment is
+    :func:`ssdiag.analytics.enumerate_assignment_variance`.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != design.n_units:
@@ -441,14 +423,8 @@ def run_partition_permutation(
 
     # cells are groups, which double as the clusters and the sectors (shares None)
     n_groups = design.n_groups
-    clusters = np.arange(n_groups)
-    regressors = draw = None
-    if exhaustive:
-        regressors = enumerate_balanced_assignments(n_groups).astype(float)
-    else:
-        draw = partial(_partition_regressors, n_groups, cfg.seed)
+    draw = partial(_partition_regressors, n_groups, cfg.seed)
     (report,) = _run_sim(
-        [y], mode, cfg, workers, draw, clusters, None,
-        regressors=regressors, cells=design.group_of,
+        [y], mode, cfg, workers, draw, np.arange(n_groups), None, cells=design.group_of
     ).reports
     return report

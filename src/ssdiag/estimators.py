@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DegeneracyError, ValidationError
 
@@ -199,7 +199,7 @@ def t_test(
     diff = slope - null_value
     if variance.value > 0.0:
         statistic = diff / math.sqrt(variance.value)
-        p_value = 2.0 * float(stats.t.sf(abs(statistic), variance.dof))
+        p_value = 2.0 * float(special.stdtr(variance.dof, -abs(statistic)))
         return TestResult(statistic=statistic, p_value=p_value, reject=p_value <= level)
     if diff == 0.0:
         return TestResult(statistic=0.0, p_value=1.0, reject=False)

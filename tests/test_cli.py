@@ -254,6 +254,23 @@ class TestOracle:
         outcomes = self._outcomes(tmp_path, [float(i) for i in range(30)])
         assert main(["oracle", "--outcomes", outcomes]) == 4
 
+    def test_non_finite_outcome_rejected(self, tmp_path, capsys):
+        outcomes = self._outcomes(tmp_path, [1.0, float("nan"), 3.0, 4.0])
+        assert main(["oracle", "--outcomes", outcomes]) == 2
+        assert "non-finite outcome" in capsys.readouterr().err
+
+    def test_duplicate_region_rejected(self, tmp_path, capsys):
+        outcomes = _write(tmp_path / "dup.csv", "region_id,y\nr0,1\nr1,2\nr0,3\nr3,4\n")
+        assert main(["oracle", "--outcomes", outcomes]) == 2
+        assert "line 4: duplicate region id 'r0'" in capsys.readouterr().err
+
+    def test_unknown_column_rejected(self, tmp_path, capsys):
+        outcomes = _write(
+            tmp_path / "extra.csv", "region_id,y,weight\n" + "".join(f"r{i},{i},1\n" for i in range(4))
+        )
+        assert main(["oracle", "--outcomes", outcomes]) == 2
+        assert "optional columns must be among" in capsys.readouterr().err
+
 
 class TestTableAndCurve:
     def test_mc_table_shape(self, tmp_path):
@@ -358,3 +375,12 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["y_fixed_limit"] == 1.0
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second of start-up; the t law comes from scipy.special
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ssdiag.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,4 +1,4 @@
-"""Tests for dataset validation, designs, and regressor construction."""
+"""Tests for dataset validation and partition designs."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdiag import (
-    ShockDraw,
     ValidationError,
-    build_shift_share,
     contiguous_partition,
     partition_design,
     partition_to_shares,
@@ -89,40 +87,6 @@ class TestValidateDataset:
             data.y[0] = 99.0
 
 
-class TestBuildShiftShare:
-    def test_identity_shares(self):
-        x = build_shift_share(np.eye(3), np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(x, [1.0, -2.0, 3.0])
-
-    def test_zero_shocks(self):
-        x = build_shift_share(np.full((3, 2), 0.5), np.zeros(2))
-        np.testing.assert_array_equal(x, 0.0)
-
-    def test_hand_product(self):
-        shares = np.array([[0.5, 0.5], [1.0, 0.0]])
-        np.testing.assert_allclose(build_shift_share(shares, [2.0, 4.0]), [3.0, 2.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="does not match"):
-            build_shift_share(np.eye(3), np.ones(2))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        n=st.integers(3, 20),
-        f=st.integers(2, 10),
-        a=st.floats(-5, 5),
-        b=st.floats(-5, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_linear_in_shocks(self, n, f, a, b, seed):
-        rng = np.random.default_rng(seed)
-        shares = rng.uniform(0, 1, size=(n, f))
-        s1, s2 = rng.standard_normal(f), rng.standard_normal(f)
-        combined = build_shift_share(shares, a * s1 + b * s2)
-        separate = a * build_shift_share(shares, s1) + b * build_shift_share(shares, s2)
-        np.testing.assert_allclose(combined, separate, atol=1e-12)
-
-
 class TestPartitionDesign:
     def test_two_singleton_groups(self):
         np.testing.assert_array_equal(partition_to_shares(contiguous_partition(2, 1)), np.eye(2))
@@ -153,22 +117,5 @@ class TestPartitionDesign:
         design = partition_design(group_of, treated)
         shares = partition_to_shares(design)
         np.testing.assert_array_equal(shares.sum(axis=1), 1.0)
-        x = build_shift_share(shares, treated.astype(float))
+        x = shares @ treated.astype(float)
         np.testing.assert_array_equal(x, unit_treatment(design))
-
-
-class TestShockDraw:
-    def test_balanced_binary_invariant(self):
-        ShockDraw(np.array([1.0, 0.0, 0.0, 1.0]), "balanced-binary")
-        with pytest.raises(ValidationError, match="half the entries"):
-            ShockDraw(np.array([1.0, 1.0, 0.0, 1.0]), "balanced-binary")
-        with pytest.raises(ValidationError, match="0/1"):
-            ShockDraw(np.array([0.5, 0.5]), "balanced-binary")
-
-    def test_unknown_law(self):
-        with pytest.raises(ValidationError, match="unknown shock law"):
-            ShockDraw(np.zeros(2), "uniform")
-
-    def test_build_accepts_draw(self):
-        draw = ShockDraw(np.array([1.0, 0.0]), "balanced-binary")
-        np.testing.assert_array_equal(build_shift_share(np.eye(2), draw), [1.0, 0.0])

@@ -252,17 +252,20 @@ class TestCellKernel:
         assert sum(counts) > 0
 
     def test_exhaustive_matches_unit_oracle(self):
+        # every balanced assignment of 6 groups, tested once at group level
         design = contiguous_partition(6, 3)
         y = self._grouped_outcome(design, 5)
-        cfg = SimConfig(replications=1, seed=0, alpha=0.3, estimators=FULL_MENU)
-        report = run_partition_permutation(y, design, "y-fixed", cfg, exhaustive=True)
-        X = np.array([np.isin(design.group_of, t) for t in combinations(range(6), 3)], dtype=float)
-        counts, skipped = oracles.unit_kernel_counts(
-            y, X, FULL_MENU, cfg.alpha,
+        X = np.array([np.isin(np.arange(6), t) for t in combinations(range(6), 3)], dtype=float)
+        kernel = engines._make_kernel(
+            [y], FULL_MENU, 0.3, np.arange(6), None, cells=design.group_of
+        )
+        rejections, skipped = engines._kernel_counts(kernel, X)
+        counts, want_skipped = oracles.unit_kernel_counts(
+            y, X[:, design.group_of], FULL_MENU, 0.3,
             clusters=design.group_of, shares=partition_to_shares(design),
         )
-        assert report.replications == 20 and skipped == report.skipped_degenerate
-        assert list(report.rejections.values()) == counts
+        assert len(X) == 20 and skipped.tolist() == [want_skipped]
+        assert rejections.tolist() == counts
 
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
@@ -375,46 +378,6 @@ class TestPool:
 
         bounds = chunk_bounds(1000, 256)
         assert map_chunks(chunk, bounds, workers=2) == [256, 256, 256, 232]
-
-
-class TestExhaustiveMode:
-    def test_small_design_enumerates_all_assignments(self):
-        design = contiguous_partition(4, 1)
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        cfg = SimConfig(replications=1, seed=0, alpha=0.05)
-        report = run_partition_permutation(y, design, "y-fixed", cfg, exhaustive=True)
-        assert report.replications == 6
-        assert report.b_effective == 6
-        # oracle: test each of the six balanced assignments by hand
-        slopes = oracles.balanced_assignment_slopes(y, design.group_of, 4)
-        expected = 0
-        for treated_mean_diff, x in zip(
-            slopes,
-            [
-                np.array([1.0, 1, 0, 0]), np.array([1.0, 0, 1, 0]), np.array([1.0, 0, 0, 1]),
-                np.array([0.0, 1, 1, 0]), np.array([0.0, 1, 0, 1]), np.array([0.0, 0, 1, 1]),
-            ],
-        ):
-            fit = ols_simple(y, x)
-            assert fit.slope == pytest.approx(treated_mean_diff, abs=1e-12)
-            expected += t_test(fit.slope, 0.0, var_robust(fit, "hc1"), cfg.alpha).reject
-        assert report.rejections["robust-hc1"] == expected
-
-    def test_exhaustive_reproducible(self):
-        design = contiguous_partition(6, 2)
-        y = np.random.default_rng(4).standard_normal(12)
-        cfg = SimConfig(replications=1, seed=0)
-        a = run_partition_permutation(y, design, "y-fixed", cfg, exhaustive=True)
-        b = run_partition_permutation(y, design, "y-fixed", cfg, exhaustive=True)
-        assert a == b and a.replications == 20
-
-    def test_exhaustive_caps_group_count(self):
-        design = contiguous_partition(14, 1)
-        with pytest.raises(ValidationError, match="at most 12"):
-            run_partition_permutation(
-                np.zeros(14), design, "y-fixed", SimConfig(replications=1, seed=0),
-                exhaustive=True,
-            )
 
 
 class TestPermutationEngine:

@@ -1,0 +1,92 @@
+"""Smoke tests of scripts/ and the README quick-start, each run as a subprocess."""
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _run(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text), skipinitialspace=True))
+
+
+@pytest.fixture(scope="module")
+def toy_data(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("toy")
+    _run([str(SCRIPTS / "make_toy_data.py"), "--out-dir", "example_data"], cwd)
+    return cwd, cwd / "example_data"
+
+
+def test_make_toy_data_writes_both_files(toy_data):
+    _, data = toy_data
+    shares = _csv_rows((data / "shares.csv").read_text())
+    outcomes = _csv_rows((data / "outcomes.csv").read_text())
+    assert len(shares) == len(outcomes) == 40
+    assert list(outcomes[0]) == ["region_id", "y", "y_placebo", "cluster", "x_realized"]
+
+
+def test_readme_diagnose(toy_data):
+    cwd, data = toy_data
+    out = _run(
+        [
+            "-m", "ssdiag.cli", "diagnose", "--shares", str(data / "shares.csv"),
+            "--outcomes", str(data / "outcomes.csv"), "--seed", "7", "--perms", "100",
+        ],
+        cwd,
+    )
+    report = json.loads(out)
+    assert set(report["modes"]) == {"y-fixed", "eps-fixed", "placebo"}
+    assert report["modes"]["y-fixed"]["replications"] == 100
+
+
+def test_readme_oracle(toy_data):
+    cwd, data = toy_data
+    out = _run(
+        ["-m", "ssdiag.cli", "oracle", "--outcomes", str(data / "outcomes.csv"), "--group-size", "5"],
+        cwd,
+    )
+    report = json.loads(out)
+    assert report["config"] == {"group_size": 5, "n_groups": 8, "n_units": 40}
+    assert report["enumeration"]["n_assignments"] == 70
+
+
+def test_run_convergence_grid(tmp_path):
+    out = _run(
+        [str(SCRIPTS / "run_convergence_grid.py"), "--grid", "10", "--reps", "3", "--seed", "1"],
+        tmp_path,
+    )
+    (row,) = _csv_rows(out)
+    assert row["n_groups"] == "10" and float(row["mean_ratio"]) > 0
+
+
+def test_run_full_table(tmp_path):
+    out = _run(
+        [
+            str(SCRIPTS / "run_full_table.py"), "--seed", "1", "--reps", "2", "--perms", "10",
+            "--states", "4", "--per-state", "2",
+        ],
+        tmp_path,
+    )
+    comment, body = out.split("\n", 1)
+    assert comment.startswith("# ") and "reps=2" in comment and "perms=10" in comment
+    rows = _csv_rows(body)
+    assert [r["panel"] for r in rows] == ["A", "B", "C", "D", "E"]
+    assert all(0.0 <= float(r["size"]) <= 1.0 for r in rows)
