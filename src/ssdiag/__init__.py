@@ -16,7 +16,6 @@ from .data import (
     PartitionDesign,
     contiguous_partition,
     partition_design,
-    partition_to_shares,
     unit_treatment,
     validate_dataset,
 )
@@ -30,17 +29,15 @@ from .dgp import (
     run_grouped_experiment,
 )
 from .engines import (
+    ESTIMATORS,
     SimConfig,
     SimReport,
-    run_eps_fixed,
     run_outcome_fixed,
     run_partition_permutation,
-    run_placebo,
     run_y_fixed,
 )
 from .errors import BudgetError, DegeneracyError, SsdiagError, ValidationError
 from .estimators import (
-    ESTIMATORS,
     RegressionFit,
     TestResult,
     VarianceEstimate,
@@ -48,7 +45,6 @@ from .estimators import (
     t_test,
     var_cluster,
     var_robust,
-    var_score_agg,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +35,9 @@ from .dgp import (
     run_flagging_curve,
     run_grouped_experiment,
 )
-from .engines import (
-    SimConfig,
-    SimReport,
-    flagged,
-    mc_se,
-    run_eps_fixed,
-    run_placebo,
-    run_y_fixed,
-)
+from .engines import SimConfig, SimReport, flagged, mc_se, run_outcome_fixed, run_y_fixed
 from .errors import BudgetError, DegeneracyError, ValidationError
-from .estimators import ESTIMATORS, ols_simple
+from .estimators import ols_simple
 from .parallel import resolve_workers
 from .rng import derive_seed
 
@@ -86,11 +79,32 @@ def _parse_int(path: Path, lineno: int, value: str) -> int:
         ) from None
 
 
+def _keyed_rows(path: Path, header: list[str], body, parsers) -> tuple[list[str], list[list]]:
+    """Region ids and the parsed fields after region_id of each row of a CSV, in file order.
+
+    Checks, row by row, the field count, region id uniqueness and the numbers.
+    """
+    region_ids: list[str] = []
+    rows: list[list] = []
+    seen: set[str] = set()
+    for lineno, row in body:
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        region = row[0].strip()
+        if region in seen:
+            raise ValidationError(f"{path} line {lineno}: duplicate region id {region!r}")
+        seen.add(region)
+        region_ids.append(region)
+        rows.append([parse(path, lineno, value) for parse, value in zip(parsers, row[1:])])
+    return region_ids, rows
+
+
 def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
     """Region ids and the parsed columns of an outcomes CSV, in file order.
 
-    Checks the header against the documented format, each row's field count
-    and numbers, and region id uniqueness.
+    Checks the header against the documented format, then the rows.
     """
     header, body = _read_rows(path)
     if len(header) < 2 or header[0] != "region_id" or header[1] != "y":
@@ -105,22 +119,8 @@ def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
             f"{', '.join(_OUTCOME_OPTIONAL_COLUMNS)} (got {','.join(extras)})"
         )
     parsers = [_parse_int if name == "cluster" else _parse_float for name in header[1:]]
-    region_ids: list[str] = []
-    columns: list[list] = [[] for _ in parsers]
-    seen: set[str] = set()
-    for lineno, row in body:
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        region = row[0].strip()
-        if region in seen:
-            raise ValidationError(f"{path} line {lineno}: duplicate region id {region!r}")
-        seen.add(region)
-        region_ids.append(region)
-        for column, parse, value in zip(columns, parsers, row[1:]):
-            column.append(parse(path, lineno, value))
-    return region_ids, dict(zip(header[1:], columns))
+    region_ids, rows = _keyed_rows(path, header, body, parsers)
+    return region_ids, {name: [row[k] for row in rows] for k, name in enumerate(header[1:])}
 
 
 def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
@@ -137,16 +137,7 @@ def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
         raise ValidationError(
             f"{shares_path}: header must be region_id,s_1,...,s_F (got {','.join(header)})"
         )
-    share_rows: dict[str, list[float]] = {}
-    for lineno, row in body:
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{shares_path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        region = row[0].strip()
-        if region in share_rows:
-            raise ValidationError(f"{shares_path} line {lineno}: duplicate region id {region!r}")
-        share_rows[region] = [_parse_float(shares_path, lineno, v) for v in row[1:]]
+    share_rows = dict(zip(*_keyed_rows(shares_path, header, body, [_parse_float] * n_sectors)))
 
     region_ids, columns = _read_outcomes(outcomes_path)
     for region in region_ids:
@@ -235,6 +226,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+_KINDS = {int: "an integer", float: "a number", list: "a list"}
+
+
+def _cast(key: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key}: could not parse {value!r} as {_KINDS[cast]}") from None
+
+
 class _Settings:
     """Flag > command section > config top level > default."""
 
@@ -250,18 +251,28 @@ class _Settings:
         if value is None:
             value = self.section.get(key, self.config.get(key, default))
         if value is not None and cast is not None:
-            value = cast(value)
+            value = _cast(key, value, cast)
         return value
 
+    def get_list(self, key: str, default=None, cast=str):
+        """A comma-separated flag or a config list, each item cast."""
+        value = self.get(key, default)
+        if value is None:
+            return None
+        if isinstance(value, str):
+            items = [v for v in value.split(",") if v.strip()]
+        else:
+            items = _cast(key, value, list)
+        return [_cast(key, v, cast) for v in items]
+
     def require_seed(self) -> int:
-        seed = self.get("seed")
+        seed = self.get("seed", cast=int)
         if seed is None:
             raise ValidationError("--seed is required for simulation commands")
-        return int(seed)
+        return seed
 
     def workers(self) -> int:
-        configured = self.get("workers")
-        return resolve_workers(None if configured is None else int(configured))
+        return resolve_workers(self.get("workers", cast=int))
 
     def require_path(self, key: str) -> Path:
         value = self.get(key)
@@ -271,16 +282,6 @@ class _Settings:
         if not path.exists():
             raise ValidationError(f"{key} file not found: {path}")
         return path
-
-
-def _split_list(value, cast):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        items = [v for v in value.split(",") if v.strip()]
-    else:
-        items = list(value)
-    return [cast(v) for v in items]
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +297,22 @@ def cmd_diagnose(settings: _Settings) -> None:
         settings.require_path("shares"), settings.require_path("outcomes")
     )
 
-    requested = _split_list(settings.get("estimators"), str)
-    if requested is None:
+    menu = settings.get_list("estimators")
+    if menu is None:
         menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
         if data.clusters is not None:
             menu[2:2] = ["crve", "crve-hc3"]
-    else:
-        unknown = [e for e in requested if e not in ESTIMATORS]
-        if unknown:
-            raise ValidationError(f"unknown estimators {unknown}")
-        menu = requested
+    cfg = SimConfig(
+        replications=perms,
+        seed=seed,
+        alpha=alpha,
+        estimators=tuple(menu),
+        flag_threshold=threshold,
+    )
+    crve_cfg = replace(cfg, estimators=("crve",))
 
-    modes = _split_list(settings.get("modes"), str)
-    auto = modes is None
-    if auto:
+    modes = settings.get_list("modes")
+    if modes is None:
         modes = ["y-fixed"]
         if x_realized is not None:
             modes.append("eps-fixed")
@@ -320,22 +323,9 @@ def cmd_diagnose(settings: _Settings) -> None:
         raise ValidationError(f"unknown modes {unknown_modes}")
 
     workers = settings.workers()
-    cfg = SimConfig(
-        replications=perms,
-        seed=seed,
-        alpha=alpha,
-        estimators=tuple(menu),
-        flag_threshold=threshold,
-    )
-    crve_cfg = SimConfig(
-        replications=perms,
-        seed=seed,
-        alpha=alpha,
-        estimators=("crve",),
-        flag_threshold=threshold,
-    )
-
     blocks: dict[str, dict] = {}
+    # eps-fixed and placebo test crve on one seed, so one shock block serves both
+    crve_outcomes: dict[str, np.ndarray] = {}
     for mode in modes:
         if mode == "y-fixed":
             blocks[mode] = _report_block(run_y_fixed(data, cfg, workers), threshold)
@@ -345,16 +335,21 @@ def cmd_diagnose(settings: _Settings) -> None:
             if data.clusters is None:
                 raise ValidationError("eps-fixed diagnosis assesses crve; cluster column required")
             beta_hat = ols_simple(data.y, x_realized).slope
-            report = run_eps_fixed(data, x_realized, beta_hat, crve_cfg, workers)
-            block = _report_block(report, threshold)
-            block["beta_hat"] = beta_hat
-            blocks[mode] = block
+            crve_outcomes[mode] = data.y - beta_hat * x_realized
         else:
             if data.y_placebo is None:
                 raise ValidationError("placebo outcome missing (y_placebo column)")
             if data.clusters is None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
-            blocks[mode] = _report_block(run_placebo(data, crve_cfg, workers), threshold)
+            crve_outcomes[mode] = data.y_placebo
+    if crve_outcomes:
+        reports = run_outcome_fixed(
+            list(crve_outcomes.values()), data.shares, data.clusters, crve_cfg, workers
+        )
+        for mode, report in zip(crve_outcomes, reports):
+            blocks[mode] = _report_block(report, threshold)
+    if "eps-fixed" in blocks:
+        blocks["eps-fixed"]["beta_hat"] = beta_hat
 
     _emit_json(
         {
@@ -388,7 +383,7 @@ def cmd_mc_table(settings: _Settings) -> None:
     outer_reps = settings.get("reps", 2000, int)
     perms = settings.get("perms", 200, int)
     per_state = settings.get("per_state", 10, int)
-    states = _split_list(settings.get("states", [20, 100]), int)
+    states = settings.get_list("states", [20, 100], int)
     workers = settings.workers()
 
     rows = []
@@ -453,7 +448,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
     threshold = settings.get("threshold", 0.1, float)
     outer_reps = settings.get("reps", 500, int)
     perms = settings.get("perms", 200, int)
-    gammas = _split_list(settings.get("gammas", [0.0, 0.25, 0.5, 1.0]), float)
+    gammas = settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float)
     gammas = sorted(set(gammas))
     workers = settings.workers()
 

@@ -187,9 +187,3 @@ def unit_treatment(design: PartitionDesign) -> np.ndarray:
     """Unit-level 0/1 treatment implied by the group assignment."""
     return design.treated[design.group_of].astype(float)
 
-
-def partition_to_shares(design: PartitionDesign) -> np.ndarray:
-    """0/1 share matrix with one 1 per row, at each unit's group column."""
-    out = np.zeros((design.n_units, design.n_groups))
-    out[np.arange(design.n_units), design.group_of] = 1.0
-    return out

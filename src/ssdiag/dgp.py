@@ -115,7 +115,7 @@ def _grouped_chunk(dgp, cfg, bounds) -> np.ndarray:
         x = unit_treatment(draw.design)
         fit = ols_simple(draw.y, x)
         # size column: test the true effect with plain robust inference
-        result = t_test(fit.slope, dgp.beta, var_robust(fit, "hc1"), cfg.alpha)
+        result = t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
         counts[0] += result.reject
         report_y = run_partition_permutation(
             draw.y,
@@ -228,16 +228,15 @@ def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
         for gi, gamma in enumerate(gammas):
             y_star = draw.outcome(gamma)
             fit = ols_simple(y_star, draw.x)
-            result = t_test(fit.slope, 0.0, var_cluster(fit, clusters, "cr1"), cfg.alpha)
+            result = t_test(fit.slope, 0.0, var_cluster(fit, clusters), cfg.alpha)
             counts[gi, 0] += result.reject
             ys.append(y_star)
             ydots.append(y_star - fit.slope * draw.x)
         # one shock block per mode serves every gamma; the simulation behind
         # counts column col draws from derive_seed(cfg.seed, j, col)
-        for col, outcomes, mode in ((1, ys, "y-fixed"), (2, ydots, "eps-fixed")):
+        for col, outcomes in ((1, ys), (2, ydots)):
             reports = run_outcome_fixed(
-                outcomes, shares, clusters, mode,
-                replace(inner_cfg, seed=derive_seed(cfg.seed, j, col)),
+                outcomes, shares, clusters, replace(inner_cfg, seed=derive_seed(cfg.seed, j, col))
             )
             for gi, report in enumerate(reports):
                 counts[gi, col] += flagged(report.rates["crve"], cfg.flag_threshold)

@@ -33,7 +33,6 @@ from scipy import special
 
 from .data import SHOCK_LAWS, Dataset, PartitionDesign, unit_treatment
 from .errors import ValidationError
-from .estimators import ESTIMATORS
 from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
@@ -82,7 +81,6 @@ def mc_se(rate: float, n: int) -> float:
 class SimReport:
     """Per-estimator rejection tallies for one simulation run."""
 
-    mode: str
     seed: int
     replications: int
     b_effective: int
@@ -119,6 +117,35 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # cell-level test kernel
+
+# The estimator menu of the test kernel.  Every variance targets the slope of
+# y = b0 + b1*x, with xt the demeaned regressor and e the OLS residuals:
+#
+# * robust-hc1: N/(N-2) * sum(xt_i^2 e_i^2) / (sum xt_i^2)^2, dof N-2
+# * robust-hc3: same with e_i replaced by e_i/(1-h_ii)
+# * crve (CR1): G/(G-1) * (N-1)/(N-2) * sum_g S_g^2 / (sum xt_i^2)^2,
+#   S_g = sum_{i in g} xt_i e_i, dof G-1
+# * crve-hc3: CR1 with per-observation leverage deflation e_i/(1-h_ii)
+#   inside the cluster scores.  NOTE: this is NOT the full-block CR3
+#   inverse-projection correction; the per-observation form keeps O(N)
+#   cost and coincides with it only for singleton clusters.
+# * score-agg: sector-level aggregation R_f = sum_i w_if xt_i r_i with
+#   r_i = e_i, value F/(F-1) * sum_f R_f^2 / (sum xt_i^2)^2, dof F-1
+# * score-agg-null: same with r_i rebuilt under the null slope 0
+#   (r_i = y_i - ybar, i.e. intercept refit, slope forced to zero)
+#
+# On a partition share matrix the sector scores equal group-level cluster
+# scores, so score-agg = crve(groups) * (N-2)/(N-1) exactly; the test suite
+# pins that equivalence.  Each test is two-sided against Student-t with the
+# dof above.
+ESTIMATORS = (
+    "robust-hc1",
+    "robust-hc3",
+    "crve",
+    "crve-hc3",
+    "score-agg",
+    "score-agg-null",
+)
 
 
 @dataclass(frozen=True)
@@ -233,8 +260,8 @@ def _kernel_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The regressor terms of a sub-block are formed once for all outcomes, an
     outcome's scores once for all its estimators, and cluster scores are
     segment sums over the cells sorted by cluster.  tests/oracles.py keeps
-    the unit-level form, and the engine tests pin agreement with it and with
-    the scalar path (ols_simple + var_* + t_test).
+    the unit-level form and the scalar forms of the menu, and the engine
+    tests pin agreement with both.
     """
     rows = max(1, _KERNEL_BYTES // (8 * X.shape[1]))
     blocks = [_block_counts(kernel, X[lo : lo + rows]) for lo in range(0, X.shape[0], rows)]
@@ -316,7 +343,7 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(ys, mode, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
+def _run_sim(ys, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
     kernel = _make_kernel(ys, cfg.estimators, cfg.alpha, clusters, shares, cells)
     n_reps = cfg.replications
     results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
@@ -331,7 +358,6 @@ def _run_sim(ys, mode, cfg, workers, draw, clusters, shares, cells=None) -> _Rep
         }
         reports.append(
             SimReport(
-                mode=mode,
                 seed=cfg.seed,
                 replications=n_reps,
                 b_effective=b_effective,
@@ -348,50 +374,20 @@ def _run_sim(ys, mode, cfg, workers, draw, clusters, shares, cells=None) -> _Rep
 
 
 def run_outcome_fixed(
-    outcomes, shares, clusters, mode: str, cfg: SimConfig, workers: int = 1
+    outcomes, shares, clusters, cfg: SimConfig, workers: int = 1
 ) -> tuple[SimReport, ...]:
     """Hold each outcome vector fixed and resample sector shocks.
 
     Every outcome is tested against the same shock draws, so each report
-    equals that of a run on its outcome alone; ``mode`` labels the reports.
+    equals that of a run on its outcome alone.
     """
     draw = partial(_shares_regressors, shares, cfg.shock_law, cfg.seed)
-    return _run_sim(outcomes, mode, cfg, workers, draw, clusters, shares).reports
+    return _run_sim(outcomes, cfg, workers, draw, clusters, shares).reports
 
 
 def run_y_fixed(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
     """Hold the realized outcomes fixed and resample sector shocks."""
-    (report,) = run_outcome_fixed(
-        [data.y], data.shares, data.clusters, "y-fixed", cfg, workers
-    )
-    return report
-
-
-def run_eps_fixed(
-    data: Dataset,
-    x_realized,
-    beta_hat: float,
-    cfg: SimConfig,
-    workers: int = 1,
-) -> SimReport:
-    """Resample shocks holding the residualized outcome y - beta_hat*x fixed."""
-    x_realized = np.asarray(x_realized, dtype=float)
-    if x_realized.shape != data.y.shape:
-        raise ValidationError("realized regressor does not match outcomes")
-    ydot = data.y - beta_hat * x_realized
-    (report,) = run_outcome_fixed(
-        [ydot], data.shares, data.clusters, "eps-fixed", cfg, workers
-    )
-    return report
-
-
-def run_placebo(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
-    """y-fixed simulation on the pre-treatment outcome."""
-    if data.y_placebo is None:
-        raise ValidationError("placebo outcome missing")
-    (report,) = run_outcome_fixed(
-        [data.y_placebo], data.shares, data.clusters, "placebo", cfg, workers
-    )
+    (report,) = run_outcome_fixed([data.y], data.shares, data.clusters, cfg, workers)
     return report
 
 
@@ -425,6 +421,6 @@ def run_partition_permutation(
     n_groups = design.n_groups
     draw = partial(_partition_regressors, n_groups, cfg.seed)
     (report,) = _run_sim(
-        [y], mode, cfg, workers, draw, np.arange(n_groups), None, cells=design.group_of
+        [y], cfg, workers, draw, np.arange(n_groups), None, cells=design.group_of
     ).reports
     return report

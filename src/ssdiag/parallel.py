@@ -10,15 +10,22 @@ from __future__ import annotations
 import os
 from multiprocessing import get_context
 
+from .errors import ValidationError
+
 
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit worker count, else the SSDIAG_WORKERS env var, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("SSDIAG_WORKERS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValidationError(
+            f"SSDIAG_WORKERS: could not parse {env!r} as an integer"
+        ) from None
 
 
 def chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:

@@ -2,8 +2,9 @@
 
 Everything here is computed through a different route than the library:
 matrix least squares, explicit sandwich algebra, high-precision special
-functions, and exhaustive enumeration.  Tests compare library output
-against these, never the other way around.
+functions, exhaustive enumeration, the unit-level test kernel, and the
+scalar forms of the kernel's hc3, crve-hc3 and score-agg estimators.  Tests
+compare library output against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ import mpmath
 import numpy as np
 from scipy import stats
 
+from ssdiag import (
+    DegeneracyError,
+    PartitionDesign,
+    RegressionFit,
+    ValidationError,
+    VarianceEstimate,
+)
+
 
 def lstsq_fit(y, x):
     """Intercept, slope, residuals, leverages via matrix least squares."""
@@ -22,6 +31,80 @@ def lstsq_fit(y, x):
     residuals = y - X @ coef
     hat = X @ np.linalg.inv(X.T @ X) @ X.T
     return coef[0], coef[1], residuals, np.diag(hat)
+
+
+def partition_to_shares(design: PartitionDesign) -> np.ndarray:
+    """0/1 share matrix with one 1 per row, at each unit's group column."""
+    out = np.zeros((design.n_units, design.n_groups))
+    out[np.arange(design.n_units), design.group_of] = 1.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scalar forms of the kernel's hc3, crve-hc3 and score-agg estimators, from a
+# library fit; engines.py documents the conventions
+
+
+def leverages(fit: RegressionFit) -> np.ndarray:
+    """Diagonal of the hat matrix of a bivariate fit."""
+    xt = fit.x_demeaned
+    return 1.0 / fit.n_obs + xt * xt / fit.regressor_demeaned_ssq
+
+
+def deflated_residuals(fit: RegressionFit) -> np.ndarray:
+    h = leverages(fit)
+    if np.any(h >= 1.0 - 1e-12):
+        raise DegeneracyError("perfect-leverage point")
+    return fit.residuals / (1.0 - h)
+
+
+def var_hc3(fit: RegressionFit) -> VarianceEstimate:
+    """HC1 with each residual deflated by its leverage."""
+    n = fit.n_obs
+    e = deflated_residuals(fit)
+    xt = fit.x_demeaned
+    value = n / (n - 2) * float(xt * xt @ (e * e)) / fit.regressor_demeaned_ssq**2
+    return VarianceEstimate(estimator="robust-hc3", value=value, dof=float(n - 2))
+
+
+def var_cr3(fit: RegressionFit, clusters) -> VarianceEstimate:
+    """CR1 with each residual deflated by its leverage inside the cluster scores."""
+    clusters = np.asarray(clusters)
+    n = fit.n_obs
+    n_clusters = int(clusters.max()) + 1
+    e = deflated_residuals(fit)
+    scores = np.bincount(clusters, weights=fit.x_demeaned * e, minlength=n_clusters)
+    factor = n_clusters / (n_clusters - 1) * (n - 1) / (n - 2)
+    value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
+    return VarianceEstimate(estimator="crve-hc3", value=value, dof=float(n_clusters - 1))
+
+
+def var_score_agg(
+    fit: RegressionFit, shares, x_tilde, null_imposed: bool = False
+) -> VarianceEstimate:
+    """Sector-score-aggregation slope variance for shift-share regressors.
+
+    Sector scores R_f = sum_i w_if * xt_i * r_i allow for cross-region error
+    correlation induced by shared shocks.  With ``null_imposed`` the residual
+    source is rebuilt with the slope forced to zero (r_i = y_i - ybar, which
+    equals e_i + slope * xt_i).
+    """
+    shares = np.asarray(shares, dtype=float)
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    n = fit.n_obs
+    if shares.ndim != 2 or shares.shape[0] != n:
+        raise ValidationError("shares do not match the fit")
+    n_sectors = shares.shape[1]
+    if n_sectors < 2:
+        raise ValidationError("need at least 2 sectors")
+    r = fit.residuals + fit.slope * x_tilde if null_imposed else fit.residuals
+    scores = (x_tilde * r) @ shares
+    value = n_sectors / (n_sectors - 1) * float(scores @ scores) / fit.regressor_demeaned_ssq**2
+    return VarianceEstimate(
+        estimator="score-agg-null" if null_imposed else "score-agg",
+        value=value,
+        dof=float(n_sectors - 1),
+    )
 
 
 def sandwich_slope_variance(x, residual_like, groups=None, factor=1.0):

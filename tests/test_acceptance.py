@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from ssdiag import (
     GroupedDGP,
     PANEL_PARAMS,
@@ -25,7 +26,6 @@ from ssdiag import (
     enumerate_assignment_variance,
     eps_fixed_variance_ratio_limit,
     ols_simple,
-    partition_to_shares,
     randomization_variance_true,
     ratio_convergence_experiment,
     run_flagging_curve,
@@ -34,7 +34,6 @@ from ssdiag import (
     unit_treatment,
     validate_dataset,
     var_cluster,
-    var_score_agg,
     y_fixed_variance_ratio_limit,
 )
 from ssdiag.cli import main
@@ -234,15 +233,15 @@ def test_criterion_7_score_cluster_equivalence():
         f = 2 * int(rng.integers(2, 11))
         m = int(rng.integers(1, 5))
         design = contiguous_partition(f, m)
-        shares = partition_to_shares(design)
+        shares = oracles.partition_to_shares(design)
         if rng.random() < 0.5:
             x = unit_treatment(design)
         else:
             x = shares @ rng.standard_normal(f)
         y = rng.standard_normal(design.n_units)
         fit = ols_simple(y, x)
-        score = var_score_agg(fit, shares, fit.x_demeaned).value
-        cr1 = var_cluster(fit, design.group_of, "cr1").value
+        score = oracles.var_score_agg(fit, shares, fit.x_demeaned).value
+        cr1 = var_cluster(fit, design.group_of).value
         n = design.n_units
         expected = cr1 * (n - 2) / (n - 1)
         rel = abs(score - expected) / max(1e-300, expected)

@@ -4,13 +4,16 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssdiag import GroupedDGP, draw_grouped, unit_treatment
-from ssdiag.cli import ingest, main
+from ssdiag import GroupedDGP, SimConfig, draw_grouped, engines, run_outcome_fixed, unit_treatment
+from ssdiag.cli import _report_block, ingest, main
 from ssdiag.rng import substream
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write(path, text):
@@ -188,6 +191,43 @@ class TestDiagnose:
         ])
         assert code == 3
 
+    def test_placebo_missing(self, tmp_path, capsys):
+        shares, outcomes = _toy_files(tmp_path, with_cluster=True)
+        code = main([
+            "diagnose", "--shares", shares, "--outcomes", outcomes,
+            "--seed", "1", "--perms", "20", "--modes", "placebo",
+        ])
+        assert code == 2
+        assert "placebo outcome missing" in capsys.readouterr().err
+
+    def test_crve_modes_share_one_simulation(self, tmp_path, monkeypatch):
+        # y-fixed runs first on its own menu; eps-fixed and placebo test crve on
+        # one shock block, and each block equals a run on its outcome alone
+        calls = []
+        real = engines._run_sim
+
+        def counting(ys, cfg, *args, **kwargs):
+            calls.append((len(ys), cfg.estimators))
+            return real(ys, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(engines, "_run_sim", counting)
+        out = tmp_path / "r.json"
+        assert main([
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "300", "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert calls == [(1, tuple(report["config"]["estimators"])), (2, ("crve",))]
+
+        data, x_realized = ingest(GOLDEN / "shares.csv", GOLDEN / "outcomes.csv")
+        cfg = SimConfig(replications=300, seed=7, estimators=("crve",))
+        blocks = report["modes"]
+        beta_hat = blocks["eps-fixed"].pop("beta_hat")
+        ydot = data.y - beta_hat * x_realized
+        for mode, y in (("eps-fixed", ydot), ("placebo", data.y_placebo)):
+            (alone,) = run_outcome_fixed([y], data.shares, data.clusters, cfg)
+            assert blocks[mode] == _report_block(alone, 0.1)
+
     def test_missing_file(self, tmp_path):
         assert main(["diagnose", "--shares", "nope.csv", "--outcomes", "nope.csv", "--seed", "1"]) == 2
 
@@ -364,6 +404,45 @@ class TestFlags:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBadNumbers:
+    """A number that does not parse exits 2 and names its key."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["flag-curve", "--seed", "1", "--gammas", "0,x"], "gammas"),
+            (["mc-table", "--seed", "1", "--states", "4,x"], "states"),
+        ],
+    )
+    def test_list_item(self, argv, key, capsys):
+        assert main(argv) == 2
+        assert f"{key}: could not parse 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"perms": "abc"}, "perms"),
+            ({"seed": "abc"}, "seed"),
+            ({"diagnose": {"workers": "two"}}, "workers"),
+            ({"diagnose": {"modes": 5}}, "modes"),
+        ],
+    )
+    def test_config_value(self, config, key, tmp_path, capsys):
+        shares, outcomes = _toy_files(tmp_path, with_cluster=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, **config}))
+        code = main([
+            "diagnose", "--config", str(path), "--shares", shares, "--outcomes", outcomes,
+        ])
+        assert code == 2
+        assert f"error: {key}: could not parse" in capsys.readouterr().err
+
+    def test_workers_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("SSDIAG_WORKERS", "abc")
+        assert main(["mc-table", "--seed", "1", "--reps", "2", "--states", "4"]) == 2
+        assert "SSDIAG_WORKERS: could not parse 'abc'" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

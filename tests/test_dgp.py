@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ssdiag import (
     GroupedDGP,
     PANEL_PARAMS,
@@ -14,7 +15,7 @@ from ssdiag import (
     run_flagging_curve,
     run_grouped_experiment,
 )
-from ssdiag.data import contiguous_partition, partition_to_shares
+from ssdiag.data import contiguous_partition
 from ssdiag.rng import substream
 
 
@@ -100,7 +101,7 @@ class TestGroupedExperiment:
 class TestDrawFlagging:
     @staticmethod
     def _shares():
-        return partition_to_shares(contiguous_partition(4, 3))
+        return oracles.partition_to_shares(contiguous_partition(4, 3))
 
     def test_zero_confound_outcome_is_pure_noise(self):
         shares = self._shares()
@@ -129,7 +130,7 @@ class TestDrawFlagging:
 class TestFlaggingCurve:
     def test_points_and_determinism(self):
         design = contiguous_partition(8, 4)
-        shares = partition_to_shares(design)
+        shares = oracles.partition_to_shares(design)
         cfg = SimConfig(replications=30, seed=3, estimators=("crve",))
         runs = [
             run_flagging_curve(shares, design.group_of, [0.0, 1.0], 64, cfg, workers=w)
@@ -183,7 +184,7 @@ class TestFlaggingCurve:
 
     def test_validation(self):
         design = contiguous_partition(4, 2)
-        shares = partition_to_shares(design)
+        shares = oracles.partition_to_shares(design)
         cfg = SimConfig(replications=5, seed=1)
         with pytest.raises(ValidationError):
             run_flagging_curve(shares, design.group_of, [], 10, cfg)

@@ -13,17 +13,14 @@ from ssdiag import (
     ValidationError,
     contiguous_partition,
     ols_simple,
-    partition_to_shares,
-    run_eps_fixed,
+    run_outcome_fixed,
     run_partition_permutation,
-    run_placebo,
     run_y_fixed,
     t_test,
     unit_treatment,
     validate_dataset,
     var_cluster,
     var_robust,
-    var_score_agg,
 )
 from ssdiag import engines
 from ssdiag.parallel import chunk_bounds, map_chunks
@@ -77,15 +74,15 @@ class TestDeterminism:
         cfg = SimConfig(replications=250, seed=7, estimators=("robust-hc1", "crve"))
         x = data.shares @ np.ones(data.n_sectors)
         y_report = run_y_fixed(data, cfg)
-        eps_report = run_eps_fixed(data, x, 0.0, cfg)
+        (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], data.shares, data.clusters, cfg)
         assert eps_report.rejections == y_report.rejections
-        assert eps_report.mode == "eps-fixed"
 
     def test_placebo_equals_y_fixed_when_identical(self):
         data = _dataset(3)
         twin = validate_dataset(None, data.y, data.shares, data.clusters, y_placebo=data.y)
         cfg = SimConfig(replications=250, seed=11, estimators=("robust-hc1",))
-        assert run_placebo(twin, cfg).rejections == run_y_fixed(twin, cfg).rejections
+        (placebo,) = run_outcome_fixed([twin.y_placebo], twin.shares, twin.clusters, cfg)
+        assert placebo.rejections == run_y_fixed(twin, cfg).rejections
 
 
 class TestReportInvariants:
@@ -121,7 +118,9 @@ class TestReportInvariants:
             np.random.default_rng(2).uniform(0.1, 1, (9, 3)),
             y_placebo=np.zeros(9),
         )
-        report = run_placebo(data, SimConfig(replications=100, seed=2))
+        (report,) = run_outcome_fixed(
+            [data.y_placebo], data.shares, data.clusters, SimConfig(replications=100, seed=2)
+        )
         assert report.rates["robust-hc1"] == 0.0
 
 
@@ -140,10 +139,6 @@ class TestValidation:
         )
         with pytest.raises(ValidationError, match="cluster labels"):
             run_y_fixed(data, SimConfig(replications=5, seed=1, estimators=("crve",)))
-
-    def test_placebo_missing(self):
-        with pytest.raises(ValidationError, match="placebo outcome missing"):
-            run_placebo(_dataset(6), SimConfig(replications=5, seed=1))
 
     def test_two_unit_design_rejected(self):
         design = contiguous_partition(2, 1)
@@ -182,17 +177,17 @@ class TestAgainstScalarPath:
             fit = ols_simple(y, x)
             for est in cfg.estimators:
                 if est == "robust-hc1":
-                    v = var_robust(fit, "hc1")
+                    v = var_robust(fit)
                 elif est == "robust-hc3":
-                    v = var_robust(fit, "hc3")
+                    v = oracles.var_hc3(fit)
                 elif est == "crve":
-                    v = var_cluster(fit, data.clusters, "cr1")
+                    v = var_cluster(fit, data.clusters)
                 elif est == "crve-hc3":
-                    v = var_cluster(fit, data.clusters, "cr3")
+                    v = oracles.var_cr3(fit, data.clusters)
                 elif est == "score-agg":
-                    v = var_score_agg(fit, data.shares, fit.x_demeaned)
+                    v = oracles.var_score_agg(fit, data.shares, fit.x_demeaned)
                 else:
-                    v = var_score_agg(fit, data.shares, fit.x_demeaned, null_imposed=True)
+                    v = oracles.var_score_agg(fit, data.shares, fit.x_demeaned, null_imposed=True)
                 counts[est] += t_test(fit.slope, 0.0, v, cfg.alpha).reject
         return counts
 
@@ -213,8 +208,8 @@ class TestAgainstScalarPath:
         x_realized = data.shares @ rng.standard_normal(data.n_sectors)
         beta_hat = ols_simple(data.y, x_realized).slope
         cfg = SimConfig(replications=300, seed=33, estimators=("robust-hc1", "crve"))
-        report = run_eps_fixed(data, x_realized, beta_hat, cfg)
         ydot = data.y - beta_hat * x_realized
+        (report,) = run_outcome_fixed([ydot], data.shares, data.clusters, cfg)
         draws = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, data.n_sectors)
         assert report.rejections == self._scalar_counts(ydot, data, cfg, draws)
 
@@ -245,7 +240,7 @@ class TestCellKernel:
         )
         counts, skipped = oracles.unit_kernel_counts(
             y, X[:, design.group_of], FULL_MENU, cfg.alpha,
-            clusters=design.group_of, shares=partition_to_shares(design),
+            clusters=design.group_of, shares=oracles.partition_to_shares(design),
         )
         assert report.skipped_degenerate == skipped
         assert list(report.rejections.values()) == counts
@@ -262,7 +257,7 @@ class TestCellKernel:
         rejections, skipped = engines._kernel_counts(kernel, X)
         counts, want_skipped = oracles.unit_kernel_counts(
             y, X[:, design.group_of], FULL_MENU, 0.3,
-            clusters=design.group_of, shares=partition_to_shares(design),
+            clusters=design.group_of, shares=oracles.partition_to_shares(design),
         )
         assert len(X) == 20 and skipped.tolist() == [want_skipped]
         assert rejections.tolist() == counts
