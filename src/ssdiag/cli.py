@@ -230,10 +230,14 @@ _KINDS = {int: "an integer", float: "a number", list: "a list"}
 
 
 def _cast(key: str, value, cast):
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key}: could not parse {value!r} as {_KINDS[cast]}") from None
+    # int() truncates 2.7 and bool is an int to Python; a number setting takes neither
+    truncated = cast is int and isinstance(value, float) and not value.is_integer()
+    if not truncated and not (cast in (int, float) and isinstance(value, bool)):
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{key}: could not parse {value!r} as {_KINDS[cast]}")
 
 
 class _Settings:
@@ -321,6 +325,9 @@ def cmd_diagnose(settings: _Settings) -> None:
     unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
+    repeated_modes = sorted({m for m in modes if modes.count(m) > 1})
+    if repeated_modes:
+        raise ValidationError(f"repeated modes {repeated_modes}")
 
     workers = settings.workers()
     blocks: dict[str, dict] = {}

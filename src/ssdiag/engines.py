@@ -65,6 +65,9 @@ class SimConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValidationError(f"unknown estimators {unknown}")
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise ValidationError(f"repeated estimators {repeated}")
 
 
 def flagged(rate: float, threshold: float) -> bool:

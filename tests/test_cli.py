@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdiag import GroupedDGP, SimConfig, draw_grouped, engines, run_outcome_fixed, unit_treatment
+from ssdiag import (
+    GroupedDGP,
+    SimConfig,
+    dgp,
+    draw_grouped,
+    engines,
+    run_outcome_fixed,
+    unit_treatment,
+)
 from ssdiag.cli import _report_block, ingest, main
 from ssdiag.rng import substream
 
@@ -228,6 +236,23 @@ class TestDiagnose:
             (alone,) = run_outcome_fixed([y], data.shares, data.clusters, cfg)
             assert blocks[mode] == _report_block(alone, 0.1)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--modes", "y-fixed,placebo,y-fixed"], "repeated modes ['y-fixed']"),
+            (["--estimators", "crve,robust-hc1,crve"], "repeated estimators ['crve']"),
+        ],
+    )
+    def test_repeats_exit_before_any_simulation(self, extra, message, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
+        assert main([
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "30", *extra,
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_file(self, tmp_path):
         assert main(["diagnose", "--shares", "nope.csv", "--outcomes", "nope.csv", "--seed", "1"]) == 2
 
@@ -324,6 +349,27 @@ class TestTableAndCurve:
         assert lines[0].startswith("#")
         assert lines[1].split(",")[:3] == ["panel", "n_states", "size"]
         assert len(lines) == 2 + 10  # comment + header + 5 panels x 2 sizes
+
+    def test_mc_table_splits_small_budgets_across_workers(self, tmp_path, monkeypatch):
+        # 32 outer draws make several chunks, so a second worker has work to do
+        chunk_counts = []
+        real = dgp.map_chunks
+
+        def counting(fn, bounds, workers):
+            chunk_counts.append(len(bounds))
+            return real(fn, bounds, workers)
+
+        monkeypatch.setattr(dgp, "map_chunks", counting)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"table-{workers}.csv"
+            assert main([
+                "mc-table", "--seed", "5", "--reps", "32", "--perms", "20", "--states", "4",
+                "--per-state", "2", "--workers", workers, "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert min(chunk_counts) > 1
 
     def test_flag_curve_sorted_and_deterministic(self, tmp_path):
         args = [
@@ -427,6 +473,10 @@ class TestBadNumbers:
             ({"seed": "abc"}, "seed"),
             ({"diagnose": {"workers": "two"}}, "workers"),
             ({"diagnose": {"modes": 5}}, "modes"),
+            ({"perms": 2.7}, "perms"),
+            ({"perms": True}, "perms"),
+            ({"diagnose": {"workers": 1.5}}, "workers"),
+            ({"alpha": True}, "alpha"),
         ],
     )
     def test_config_value(self, config, key, tmp_path, capsys):
@@ -438,6 +488,20 @@ class TestBadNumbers:
         ])
         assert code == 2
         assert f"error: {key}: could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("perms", [3, 3.0, "3"])
+    def test_integral_values_are_accepted(self, perms, tmp_path):
+        shares, outcomes = _toy_files(tmp_path, with_cluster=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "perms": perms}))
+        out = tmp_path / "r.json"
+        assert main([
+            "diagnose", "--config", str(path), "--shares", shares, "--outcomes", outcomes,
+            "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["perms"] == 3
+        assert report["modes"]["y-fixed"]["replications"] == 3
 
     def test_workers_env(self, monkeypatch, capsys):
         monkeypatch.setenv("SSDIAG_WORKERS", "abc")
