@@ -219,7 +219,8 @@ def ratio_convergence_experiment(
     For each F, draws balanced assignments and equicorrelated errors, builds
     the outcomes with the configured effect, evaluates both exact-form
     variances (on residualized outcomes in eps-fixed mode), and averages the
-    ratio across replications next to the closed-form limit.
+    ratio across replications next to the closed-form limit.  Every grid
+    entry is checked before the first simulation runs.
     """
     if mode not in ("y-fixed", "eps-fixed"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -229,11 +230,11 @@ def ratio_convergence_experiment(
         y_fixed_variance_ratio_limit if mode == "y-fixed" else eps_fixed_variance_ratio_limit
     )
     limit = limit_fn(p)
+    grid = [int(n_groups) for n_groups in f_grid]
+    if any(n_groups % 2 or n_groups <= 2 for n_groups in grid):
+        raise ValidationError("grid entries must be even group counts above 2")
     rows = []
-    for f_index, n_groups in enumerate(f_grid):
-        n_groups = int(n_groups)
-        if n_groups % 2 or n_groups <= 2:
-            raise ValidationError("grid entries must be even group counts above 2")
+    for f_index, n_groups in enumerate(grid):
         chunk = partial(_ratio_chunk, p, n_groups, seed, f_index, mode)
         parts = map_chunks(chunk, chunk_bounds(replications, _CONVERGENCE_CHUNK), workers)
         ratios = np.concatenate(parts)

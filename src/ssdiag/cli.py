@@ -29,6 +29,7 @@ from .analytics import (
 )
 from .data import Dataset, contiguous_partition, validate_dataset
 from .dgp import (
+    ExperimentRow,
     GroupedDGP,
     PANEL_PARAMS,
     crossed_shares,
@@ -207,6 +208,17 @@ def _report_block(report: SimReport, threshold: float) -> dict:
     }
 
 
+def _rate_columns(row: ExperimentRow) -> list:
+    return [
+        row.size,
+        row.size_se,
+        row.pr_flag_y,
+        row.pr_flag_y_se,
+        row.pr_flag_eps,
+        row.pr_flag_eps_se,
+    ]
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -330,25 +342,26 @@ def cmd_diagnose(settings: _Settings) -> None:
         raise ValidationError(f"repeated modes {repeated_modes}")
 
     workers = settings.workers()
-    blocks: dict[str, dict] = {}
-    # eps-fixed and placebo test crve on one seed, so one shock block serves both
+    # every mode's columns are checked before the first simulation; eps-fixed
+    # and placebo test crve on one seed, so one shock block serves both
     crve_outcomes: dict[str, np.ndarray] = {}
     for mode in modes:
-        if mode == "y-fixed":
-            blocks[mode] = _report_block(run_y_fixed(data, cfg, workers), threshold)
-        elif mode == "eps-fixed":
+        if mode == "eps-fixed":
             if x_realized is None:
                 raise ValidationError("missing realized shocks (x_realized column)")
             if data.clusters is None:
                 raise ValidationError("eps-fixed diagnosis assesses crve; cluster column required")
             beta_hat = ols_simple(data.y, x_realized).slope
             crve_outcomes[mode] = data.y - beta_hat * x_realized
-        else:
+        elif mode == "placebo":
             if data.y_placebo is None:
                 raise ValidationError("placebo outcome missing (y_placebo column)")
             if data.clusters is None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
             crve_outcomes[mode] = data.y_placebo
+    blocks: dict[str, dict] = {}
+    if "y-fixed" in modes:
+        blocks["y-fixed"] = _report_block(run_y_fixed(data, cfg, workers), threshold)
     if crve_outcomes:
         reports = run_outcome_fixed(
             list(crve_outcomes.values()), data.shares, data.clusters, crve_cfg, workers
@@ -393,32 +406,19 @@ def cmd_mc_table(settings: _Settings) -> None:
     states = settings.get_list("states", [20, 100], int)
     workers = settings.workers()
 
-    rows = []
-    cell = 0
+    labels, cells = [], []
     for panel, params in PANEL_PARAMS.items():
         for n_states in states:
-            dgp = GroupedDGP(n_states=n_states, per_state=per_state, **params)
             cfg = SimConfig(
                 replications=perms,
-                seed=derive_seed(seed, cell),
+                seed=derive_seed(seed, len(cells)),
                 alpha=alpha,
                 estimators=("robust-hc1",),
                 flag_threshold=threshold,
             )
-            result = run_grouped_experiment(dgp, outer_reps, cfg, workers)
-            rows.append(
-                [
-                    panel,
-                    n_states,
-                    result.size,
-                    result.size_se,
-                    result.pr_flag_y,
-                    result.pr_flag_y_se,
-                    result.pr_flag_eps,
-                    result.pr_flag_eps_se,
-                ]
-            )
-            cell += 1
+            labels.append([panel, n_states])
+            cells.append((GroupedDGP(n_states=n_states, per_state=per_state, **params), cfg))
+    results = run_grouped_experiment(cells, outer_reps, workers)
 
     comment = _echo(
         {
@@ -444,7 +444,7 @@ def cmd_mc_table(settings: _Settings) -> None:
             "pr_gamma_eps",
             "pr_gamma_eps_mc_se",
         ],
-        rows,
+        [label + _rate_columns(r) for label, r in zip(labels, results)],
         settings.get("out"),
     )
 
@@ -479,7 +479,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
         estimators=("crve",),
         flag_threshold=threshold,
     )
-    points = run_flagging_curve(shares, clusters, gammas, outer_reps, cfg, workers)
+    rows = run_flagging_curve(shares, clusters, gammas, outer_reps, cfg, workers)
 
     comment = _echo(
         {
@@ -504,10 +504,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
             "pr_flag_eps",
             "pr_flag_eps_mc_se",
         ],
-        [
-            [p.gamma, p.size, p.size_se, p.pr_flag_y, p.pr_flag_y_se, p.pr_flag_eps, p.pr_flag_eps_se]
-            for p in points
-        ],
+        [[gamma] + _rate_columns(r) for gamma, r in zip(gammas, rows)],
         settings.get("out"),
     )
 

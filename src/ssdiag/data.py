@@ -8,9 +8,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-SHOCK_LAWS = ("iid-standard-normal", "balanced-binary")
-
-
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """Copy into a read-only contiguous array (all domain types are immutable)."""
     out = np.array(values, dtype=dtype)

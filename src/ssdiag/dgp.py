@@ -23,8 +23,8 @@ from .estimators import ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
-# outer draw j keys its own streams, so the chunk size changes no report; 16
-# draws let two workers share a cell from 32 draws up
+# outer draw j of a cell keys its own streams, so the chunk size changes no
+# report; a chunk of 16 cell-draw pairs may span two cells
 _OUTER_CHUNK = 16
 
 # scenario panels for the grouped experiment table
@@ -84,7 +84,9 @@ def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
 
 
 @dataclass(frozen=True)
-class GroupedExperimentResult:
+class ExperimentRow:
+    """Size and flag rates of one experiment cell or gamma, each with its SE."""
+
     size: float
     size_se: float
     pr_flag_y: float
@@ -93,72 +95,68 @@ class GroupedExperimentResult:
     pr_flag_eps_se: float
     outer_reps: int
 
+    @classmethod
+    def from_counts(cls, counts, outer_reps: int) -> ExperimentRow:
+        """Rates from (size, y-fixed, eps-fixed) tallies over ``outer_reps`` draws."""
+        size, pr_y, pr_eps = (float(c) / outer_reps for c in counts)
+        return cls(
+            size=size,
+            size_se=mc_se(size, outer_reps),
+            pr_flag_y=pr_y,
+            pr_flag_y_se=mc_se(pr_y, outer_reps),
+            pr_flag_eps=pr_eps,
+            pr_flag_eps_se=mc_se(pr_eps, outer_reps),
+            outer_reps=outer_reps,
+        )
 
-def _rate_fields(counts, outer_reps: int) -> dict:
-    """Size and flag rates from (size, y-fixed, eps-fixed) tallies, each with its SE."""
-    size, pr_y, pr_eps = (float(c) / outer_reps for c in counts)
-    return {
-        "size": size,
-        "size_se": mc_se(size, outer_reps),
-        "pr_flag_y": pr_y,
-        "pr_flag_y_se": mc_se(pr_y, outer_reps),
-        "pr_flag_eps": pr_eps,
-        "pr_flag_eps_se": mc_se(pr_eps, outer_reps),
-        "outer_reps": outer_reps,
-    }
 
+def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
+    """(cells, 3) tallies of the cell-draw pairs lo..hi-1.
 
-def _grouped_chunk(dgp, cfg, bounds) -> np.ndarray:
+    Pair g is draw g % outer_reps of cell g // outer_reps.
+    """
     lo, hi = bounds
-    counts = np.zeros(3, dtype=np.int64)
-    flag_estimator = cfg.estimators[0]
-    for j in range(lo, hi):
+    counts = np.zeros((len(cells), 3), dtype=np.int64)
+    for g in range(lo, hi):
+        k, j = divmod(g, outer_reps)
+        dgp, cfg = cells[k]
         draw = draw_grouped(dgp, substream(cfg.seed, j, 0))
         x = unit_treatment(draw.design)
         fit = ols_simple(draw.y, x)
         # size column: test the true effect with plain robust inference
         result = t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
-        counts[0] += result.reject
-        report_y = run_partition_permutation(
-            draw.y,
-            draw.design,
-            "y-fixed",
-            replace(cfg, seed=derive_seed(cfg.seed, j, 1)),
-        )
-        counts[1] += flagged(report_y.rates[flag_estimator], cfg.flag_threshold)
-        report_eps = run_partition_permutation(
-            draw.y,
-            draw.design,
-            "eps-fixed",
-            replace(cfg, seed=derive_seed(cfg.seed, j, 2)),
-            beta_hat=fit.slope,
-        )
-        counts[2] += flagged(report_eps.rates[flag_estimator], cfg.flag_threshold)
+        counts[k, 0] += result.reject
+        for col, y in ((1, draw.y), (2, draw.y - fit.slope * x)):
+            report = run_partition_permutation(
+                y, draw.design, replace(cfg, seed=derive_seed(cfg.seed, j, col))
+            )
+            counts[k, col] += flagged(report.rates[cfg.estimators[0]], cfg.flag_threshold)
     return counts
 
 
-def run_grouped_experiment(
-    dgp: GroupedDGP,
-    outer_reps: int,
-    cfg: SimConfig,
-    workers: int = 1,
-) -> GroupedExperimentResult:
+def run_grouped_experiment(cells, outer_reps: int, workers: int = 1) -> list[ExperimentRow]:
     """Distribution of the simulation diagnostics across repeated samples.
 
-    Per outer draw: (a) one realized-data test of the true effect with
-    robust-hc1 (size tally); (b) y-fixed and eps-fixed permutation
+    ``cells`` is a sequence of (GroupedDGP, SimConfig) pairs, one row each.
+    Per cell and outer draw: (a) one realized-data test of the true effect
+    with robust-hc1 (size tally); (b) y-fixed and eps-fixed permutation
     simulations, each flagged when its rejection rate for the first
-    estimator in cfg.estimators reaches cfg.flag_threshold.  eps-fixed
-    residualizes with the realized OLS slope.
+    estimator in cfg.estimators reaches cfg.flag_threshold.  eps-fixed holds
+    y - beta_hat * treatment fixed, beta_hat the realized OLS slope.  Every
+    cell-draw pair runs through one map_chunks call, and draw j of a cell
+    keys its own streams, so a row does not depend on the other cells.
     """
+    cells = list(cells)
+    if not cells:
+        raise ValidationError("need at least 1 experiment cell")
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
     parts = map_chunks(
-        partial(_grouped_chunk, dgp, cfg),
-        chunk_bounds(outer_reps, _OUTER_CHUNK),
+        partial(_grouped_chunk, cells, outer_reps),
+        chunk_bounds(len(cells) * outer_reps, _OUTER_CHUNK),
         workers,
     )
-    return GroupedExperimentResult(**_rate_fields(np.sum(parts, axis=0), outer_reps))
+    return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +206,6 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
     return FlaggingDraw(z=z, confound=confound, x=x)
 
 
-@dataclass(frozen=True)
-class FlagCurvePoint:
-    gamma: float
-    size: float
-    size_se: float
-    pr_flag_y: float
-    pr_flag_y_se: float
-    pr_flag_eps: float
-    pr_flag_eps_se: float
-    outer_reps: int
-
-
 def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
     lo, hi = bounds
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
@@ -252,7 +238,7 @@ def run_flagging_curve(
     outer_reps: int,
     cfg: SimConfig,
     workers: int = 1,
-) -> list[FlagCurvePoint]:
+) -> list[ExperimentRow]:
     """Flagging probabilities and test size along a confound-strength grid.
 
     Per gamma and outer draw: test a zero slope with cluster-robust inference
@@ -261,7 +247,8 @@ def run_flagging_curve(
     Draws are paired across gamma values (same substream per outer index,
     and one shock block per simulation mode tests every gamma), so curve
     differences are low-noise.  Cluster labels count only the clusters they
-    name: they are relabeled 0..G-1 in order of first appearance.
+    name: they are relabeled 0..G-1 in order of first appearance.  Returns
+    one row per gamma, in grid order.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
@@ -279,8 +266,4 @@ def run_flagging_curve(
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )
-    counts = np.sum(parts, axis=0)
-    return [
-        FlagCurvePoint(gamma=gamma, **_rate_fields(gamma_counts, outer_reps))
-        for gamma, gamma_counts in zip(gammas, counts)
-    ]
+    return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]

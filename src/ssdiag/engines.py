@@ -1,13 +1,15 @@
 """Design-based simulation engines.
 
 One outcome-fixed engine for shift-share data holds K outcome vectors fixed
-and resamples sector shocks, testing every outcome against the same block of
-draws: y-fixed holds the realized y, eps-fixed the residualized
-y - beta_hat*x, placebo the pre-treatment outcome, and the flagging
-experiment every confound strength of its grid at once.  A
-treatment-permutation engine serves partition designs.  Each replication
-resamples the regressor, refits the bivariate OLS, and tests a zero slope with
-every requested variance estimator; reports carry rejection frequencies.
+and resamples iid standard normal sector shocks, testing every outcome against
+the same block of draws: y-fixed holds the realized y, eps-fixed the
+residualized y - beta_hat*x, placebo the pre-treatment outcome, and the
+flagging experiment every confound strength of its grid at once.  A
+treatment-permutation engine resamples the balanced assignment of a partition
+design.  Both engines take the fixed outcomes themselves; the caller forms
+them.  Each replication resamples the regressor, refits the bivariate OLS,
+and tests a zero slope with every requested variance estimator; reports
+carry rejection frequencies.
 
 The test kernel works on cells, sets of units that share one regressor
 value: a unit for shift-share data, a group for a partition design, so a
@@ -31,7 +33,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy import special
 
-from .data import SHOCK_LAWS, Dataset, PartitionDesign, unit_treatment
+from .data import Dataset, PartitionDesign
 from .errors import ValidationError
 from .parallel import chunk_bounds, map_chunks
 from .rng import substream
@@ -48,7 +50,6 @@ class SimConfig:
 
     replications: int
     seed: int
-    shock_law: str = "iid-standard-normal"
     alpha: float = 0.05
     estimators: tuple[str, ...] = ("robust-hc1",)
     flag_threshold: float = 0.1
@@ -58,8 +59,6 @@ class SimConfig:
             raise ValidationError("need at least 1 replication")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-        if self.shock_law not in SHOCK_LAWS:
-            raise ValidationError(f"unknown shock law {self.shock_law!r}")
         if not self.estimators:
             raise ValidationError("estimator menu is empty")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
@@ -97,25 +96,16 @@ class SimReport:
 # lo // _CHUNK is the chunk index
 
 
-def _draw_shocks(law: str, rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A (rows, n) block of shock vectors under the named law (parity checked here)."""
-    if law == "iid-standard-normal":
-        return rng.standard_normal((rows, n))
-    if law == "balanced-binary":
-        if n % 2:
-            raise ValidationError("balanced-binary shocks require an even sector count")
-        return rng.permuted(np.tile(np.repeat([1.0, 0.0], n // 2), (rows, 1)), axis=1)
-    raise ValidationError(f"unknown shock law {law!r}")
-
-
-def _shares_regressors(shares, law, seed, lo, hi) -> np.ndarray:
-    shocks = _draw_shocks(law, hi - lo, shares.shape[1], substream(seed, lo // _CHUNK))
+def _shares_regressors(shares, seed, lo, hi) -> np.ndarray:
+    """Shift-share regressors from iid standard normal sector shocks."""
+    shocks = substream(seed, lo // _CHUNK).standard_normal((hi - lo, shares.shape[1]))
     return shocks @ shares.T
 
 
 def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
-    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row."""
-    return _draw_shocks("balanced-binary", hi - lo, n_groups, substream(seed, lo // _CHUNK))
+    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row (n_groups even)."""
+    half = np.tile(np.repeat([1.0, 0.0], n_groups // 2), (hi - lo, 1))
+    return substream(seed, lo // _CHUNK).permuted(half, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +374,7 @@ def run_outcome_fixed(
     Every outcome is tested against the same shock draws, so each report
     equals that of a run on its outcome alone.
     """
-    draw = partial(_shares_regressors, shares, cfg.shock_law, cfg.seed)
+    draw = partial(_shares_regressors, shares, cfg.seed)
     return _run_sim(outcomes, cfg, workers, draw, clusters, shares).reports
 
 
@@ -395,30 +385,19 @@ def run_y_fixed(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
 
 
 def run_partition_permutation(
-    y,
-    design: PartitionDesign,
-    mode: str,
-    cfg: SimConfig,
-    beta_hat: float | None = None,
-    workers: int = 1,
+    y, design: PartitionDesign, cfg: SimConfig, workers: int = 1
 ) -> SimReport:
-    """Resample balanced group-level assignments for a partition design.
+    """Hold the outcome ``y`` fixed and resample balanced group-level assignments.
 
-    ``mode`` selects the fixed outcome: the realized y, or the residualized
-    y - beta_hat * treatment (``beta_hat`` required).  Each of the
-    ``cfg.replications`` draws treats a random half of the groups; the exact
-    distribution over every balanced assignment is
+    The caller picks the fixed outcome: the realized y, or the residualized
+    y - beta_hat * treatment for eps-fixed.  Each of the ``cfg.replications``
+    draws treats a random half of the groups; the exact distribution over
+    every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != design.n_units:
         raise ValidationError("outcome length does not match the design")
-    if mode not in ("y-fixed", "eps-fixed"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "eps-fixed":
-        if beta_hat is None:
-            raise ValidationError("eps-fixed mode requires beta_hat")
-        y = y - beta_hat * unit_treatment(design)
 
     # cells are groups, which double as the clusters and the sectors (shares None)
     n_groups = design.n_groups

@@ -170,28 +170,31 @@ def test_criterion_5_reference_table_at_desk_scale():
     outer, perms, master = 2000, 500, 505
     failures = []
     lines = []
-    cell = 0
-    for panel in "ABCDE":
-        for n_states in (20, 100):
-            dgp = GroupedDGP(n_states=n_states, per_state=10, **PANEL_PARAMS[panel])
-            cfg = SimConfig(replications=perms, seed=derive_seed(master, cell), alpha=0.05)
-            r = run_grouped_experiment(dgp, outer, cfg, workers=WORKERS)
-            got = (r.size, r.pr_flag_y, r.pr_flag_eps)
-            ses = (r.size_se, r.pr_flag_y_se, r.pr_flag_eps_se)
-            names = ("size", "pr_y", "pr_eps")
-            for name, g, e, s in zip(names, got, REFERENCE_TABLE[(panel, n_states)], ses):
-                tol = max(0.03, 4.0 * s)
-                if abs(g - e) > tol:
-                    failures.append(
-                        f"{panel}/N={n_states}/{name}: got {g:.3f}, reference {e:.3f}, "
-                        f"|diff| {abs(g - e):.3f} > tol {tol:.3f}"
-                    )
-            lines.append(
-                f"  {panel} N={n_states}: size {got[0]:.3f}/{REFERENCE_TABLE[(panel, n_states)][0]:.3f}"
-                f"  pr_y {got[1]:.3f}/{REFERENCE_TABLE[(panel, n_states)][1]:.3f}"
-                f"  pr_eps {got[2]:.3f}/{REFERENCE_TABLE[(panel, n_states)][2]:.3f}"
-            )
-            cell += 1
+    keys = [(panel, n_states) for panel in "ABCDE" for n_states in (20, 100)]
+    cells = [
+        (
+            GroupedDGP(n_states=n_states, per_state=10, **PANEL_PARAMS[panel]),
+            SimConfig(replications=perms, seed=derive_seed(master, cell), alpha=0.05),
+        )
+        for cell, (panel, n_states) in enumerate(keys)
+    ]
+    rows = run_grouped_experiment(cells, outer, workers=WORKERS)
+    for (panel, n_states), r in zip(keys, rows):
+        got = (r.size, r.pr_flag_y, r.pr_flag_eps)
+        ses = (r.size_se, r.pr_flag_y_se, r.pr_flag_eps_se)
+        names = ("size", "pr_y", "pr_eps")
+        for name, g, e, s in zip(names, got, REFERENCE_TABLE[(panel, n_states)], ses):
+            tol = max(0.03, 4.0 * s)
+            if abs(g - e) > tol:
+                failures.append(
+                    f"{panel}/N={n_states}/{name}: got {g:.3f}, reference {e:.3f}, "
+                    f"|diff| {abs(g - e):.3f} > tol {tol:.3f}"
+                )
+        lines.append(
+            f"  {panel} N={n_states}: size {got[0]:.3f}/{REFERENCE_TABLE[(panel, n_states)][0]:.3f}"
+            f"  pr_y {got[1]:.3f}/{REFERENCE_TABLE[(panel, n_states)][1]:.3f}"
+            f"  pr_eps {got[2]:.3f}/{REFERENCE_TABLE[(panel, n_states)][2]:.3f}"
+        )
     elapsed = time.perf_counter() - t0
     print(f"[acceptance] 5 reference-table at {outer}x{perms}, {elapsed:.0f}s:")
     for line in lines:

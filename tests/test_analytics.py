@@ -18,6 +18,7 @@ from ssdiag import (
     ratio_convergence_experiment,
     y_fixed_variance_ratio_limit,
 )
+from ssdiag import analytics
 
 
 def _params(beta=0.0, sigma2=1.0, rho=0.0, m=1):
@@ -197,3 +198,11 @@ class TestConvergenceExperiment:
             ratio_convergence_experiment(_params(), [10], replications=1, seed=1)
         with pytest.raises(ValidationError):
             ratio_convergence_experiment(_params(), [10], replications=10, seed=1, mode="x")
+
+    def test_grid_checked_before_any_simulation(self, monkeypatch):
+        # a bad entry after a good one exits before the good one's simulation runs
+        calls = []
+        monkeypatch.setattr(analytics, "map_chunks", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError, match="even group counts"):
+            ratio_convergence_experiment(_params(), [10, 7], replications=10, seed=1)
+        assert calls == []

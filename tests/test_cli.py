@@ -241,14 +241,23 @@ class TestDiagnose:
         [
             (["--modes", "y-fixed,placebo,y-fixed"], "repeated modes ['y-fixed']"),
             (["--estimators", "crve,robust-hc1,crve"], "repeated estimators ['crve']"),
+            (["--modes", "y-fixed,eps-fixed"], "missing realized shocks"),
         ],
     )
-    def test_repeats_exit_before_any_simulation(self, extra, message, monkeypatch, capsys):
+    def test_repeats_exit_before_any_simulation(
+        self, extra, message, tmp_path, monkeypatch, capsys
+    ):
+        # the golden outcomes without their last column, x_realized, which only the
+        # eps-fixed case reads
+        lines = (GOLDEN / "outcomes.csv").read_text().splitlines()
+        outcomes = _write(
+            tmp_path / "outcomes.csv", "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+        )
         calls = []
         monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
         assert main([
-            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
-            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "30", *extra,
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes", outcomes,
+            "--seed", "7", "--perms", "30", *extra,
         ]) == 2
         assert message in capsys.readouterr().err
         assert calls == []
@@ -351,7 +360,9 @@ class TestTableAndCurve:
         assert len(lines) == 2 + 10  # comment + header + 5 panels x 2 sizes
 
     def test_mc_table_splits_small_budgets_across_workers(self, tmp_path, monkeypatch):
-        # 32 outer draws make several chunks, so a second worker has work to do
+        # every cell-draw pair of a command goes through one map_chunks call, so
+        # a second worker has work to do; 21 draws per cell make a chunk of 16
+        # pairs span two cells
         chunk_counts = []
         real = dgp.map_chunks
 
@@ -360,16 +371,18 @@ class TestTableAndCurve:
             return real(fn, bounds, workers)
 
         monkeypatch.setattr(dgp, "map_chunks", counting)
-        outs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"table-{workers}.csv"
-            assert main([
-                "mc-table", "--seed", "5", "--reps", "32", "--perms", "20", "--states", "4",
-                "--per-state", "2", "--workers", workers, "--out", str(out),
-            ]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert min(chunk_counts) > 1
+        for reps, states in (("32", "4"), ("21", "4,6")):
+            outs = []
+            for workers in ("1", "2"):
+                chunk_counts.clear()
+                out = tmp_path / f"table-{reps}-{workers}.csv"
+                assert main([
+                    "mc-table", "--seed", "5", "--reps", reps, "--perms", "20", "--states",
+                    states, "--per-state", "2", "--workers", workers, "--out", str(out),
+                ]) == 0
+                outs.append(out.read_bytes())
+                assert len(chunk_counts) == 1 and chunk_counts[0] > 1
+            assert outs[0] == outs[1]
 
     def test_flag_curve_sorted_and_deterministic(self, tmp_path):
         args = [

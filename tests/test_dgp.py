@@ -78,9 +78,9 @@ class TestGroupedExperiment:
     def test_report_shape_and_determinism(self):
         dgp = GroupedDGP(n_states=8, per_state=3, beta=0.5)
         cfg = SimConfig(replications=40, seed=11)
-        results = [run_grouped_experiment(dgp, 96, cfg, workers=w) for w in (1, 2)]
+        results = [run_grouped_experiment([(dgp, cfg)], 96, workers=w) for w in (1, 2)]
         assert results[0] == results[1]
-        r = results[0]
+        (r,) = results[0]
         for value in (r.size, r.pr_flag_y, r.pr_flag_eps):
             assert 0.0 <= value <= 1.0
         assert r.outer_reps == 96
@@ -89,8 +89,24 @@ class TestGroupedExperiment:
         # every rejection rate reaches a zero threshold, a zero rate included
         dgp = GroupedDGP(n_states=4, per_state=2)
         cfg = SimConfig(replications=8, seed=5, flag_threshold=0.0)
-        r = run_grouped_experiment(dgp, 32, cfg)
+        (r,) = run_grouped_experiment([(dgp, cfg)], 32)
         assert r.pr_flag_y == 1.0 and r.pr_flag_eps == 1.0
+
+    def test_cell_row_independent_of_other_cells(self):
+        # 21 draws per cell, so chunks of 16 cell-draw pairs span two cells
+        cells = [
+            (GroupedDGP(n_states=n, per_state=2, omega=0.3), SimConfig(replications=20, seed=seed))
+            for n, seed in ((4, 1), (6, 2), (4, 3))
+        ]
+        batched = run_grouped_experiment(cells, 21, workers=2)
+        assert batched == [run_grouped_experiment([cell], 21)[0] for cell in cells]
+
+    def test_validation(self):
+        cfg = SimConfig(replications=5, seed=1)
+        with pytest.raises(ValidationError, match="experiment cell"):
+            run_grouped_experiment([], 10)
+        with pytest.raises(ValidationError, match="outer replication"):
+            run_grouped_experiment([(GroupedDGP(n_states=4), cfg)], 0)
 
     def test_panel_params_table(self):
         assert set(PANEL_PARAMS) == {"A", "B", "C", "D", "E"}
@@ -137,8 +153,7 @@ class TestFlaggingCurve:
             for w in (1, 2)
         ]
         assert runs[0] == runs[1]
-        gammas = [p.gamma for p in runs[0]]
-        assert gammas == [0.0, 1.0]
+        assert len(runs[0]) == 2  # one row per gamma, in grid order
         for p in runs[0]:
             assert 0.0 <= p.size <= 1.0
             assert 0.0 <= p.pr_flag_y <= 1.0

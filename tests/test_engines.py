@@ -43,7 +43,7 @@ design = contiguous_partition(100, 10)
 y = np.random.default_rng(0).standard_normal(design.n_units)
 
 def run(seed):
-    run_partition_permutation(y, design, "y-fixed", SimConfig(replications=512, seed=seed))
+    run_partition_permutation(y, design, SimConfig(replications=512, seed=seed))
 
 run(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -56,18 +56,14 @@ print(*keep_freed_memory(), faults / 100)
 FULL_MENU = ("robust-hc1", "robust-hc3", "crve", "crve-hc3", "score-agg", "score-agg-null")
 
 
-def _chunked_shocks(law, seed, replications, n):
+def _chunked_shocks(seed, replications, n):
     """Shock draws rebuilt from the layout: chunk c of 256 rows draws from substream(seed, c)."""
-    blocks = []
-    for c, lo in enumerate(range(0, replications, 256)):
-        rows = min(256, replications - lo)
-        rng = substream(seed, c)
-        if law == "iid-standard-normal":
-            blocks.append(rng.standard_normal((rows, n)))
-        else:
-            half = np.repeat([1.0, 0.0], n // 2)
-            blocks.append(rng.permuted(np.tile(half, (rows, 1)), axis=1))
-    return np.vstack(blocks)
+    return np.vstack(
+        [
+            substream(seed, c).standard_normal((min(256, replications - lo), n))
+            for c, lo in enumerate(range(0, replications, 256))
+        ]
+    )
 
 
 def _dataset(seed=0, n=16, f=4, placebo=False):
@@ -135,7 +131,7 @@ class TestReportInvariants:
         design = contiguous_partition(6, 2)
         y = np.random.default_rng(0).standard_normal(12)
         cfg = SimConfig(replications=400, seed=3)
-        report = run_partition_permutation(y, design, "y-fixed", cfg)
+        report = run_partition_permutation(y, design, cfg)
         assert report.skipped_degenerate == 0
 
     def test_constant_placebo(self):
@@ -152,12 +148,6 @@ class TestReportInvariants:
 
 
 class TestValidation:
-    def test_balanced_binary_needs_even_sectors(self):
-        data = _dataset(5, f=5)
-        cfg = SimConfig(replications=10, seed=1, shock_law="balanced-binary")
-        with pytest.raises(ValidationError, match="even sector count"):
-            run_y_fixed(data, cfg)
-
     def test_crve_requires_clusters(self):
         data = validate_dataset(
             None,
@@ -171,14 +161,7 @@ class TestValidation:
         design = contiguous_partition(2, 1)
         with pytest.raises(ValidationError, match="at least 3 observations"):
             run_partition_permutation(
-                np.array([1.0, 2.0]), design, "y-fixed", SimConfig(replications=5, seed=1)
-            )
-
-    def test_eps_fixed_needs_beta(self):
-        design = contiguous_partition(4, 1)
-        with pytest.raises(ValidationError, match="beta_hat"):
-            run_partition_permutation(
-                np.arange(4.0), design, "eps-fixed", SimConfig(replications=5, seed=1)
+                np.array([1.0, 2.0]), design, SimConfig(replications=5, seed=1)
             )
 
     def test_bad_config(self):
@@ -190,8 +173,6 @@ class TestValidation:
             SimConfig(replications=5, seed=1, estimators=())
         with pytest.raises(ValidationError):
             SimConfig(replications=5, seed=1, estimators=("nope",))
-        with pytest.raises(ValidationError):
-            SimConfig(replications=5, seed=1, shock_law="cauchy")
 
 
 class TestAgainstScalarPath:
@@ -218,14 +199,13 @@ class TestAgainstScalarPath:
                 counts[est] += t_test(fit.slope, 0.0, v, cfg.alpha).reject
         return counts
 
-    @pytest.mark.parametrize("law", ["iid-standard-normal", "balanced-binary"])
+    # the id names the law of the sector shocks the engine draws
+    @pytest.mark.parametrize("law", ["iid-standard-normal"])
     def test_engine_matches_scalar_replications(self, law):
         data = _dataset(8, n=14, f=4)
-        cfg = SimConfig(
-            replications=300, seed=21, shock_law=law, alpha=0.1, estimators=FULL_MENU
-        )
+        cfg = SimConfig(replications=300, seed=21, alpha=0.1, estimators=FULL_MENU)
         report = run_y_fixed(data, cfg)
-        draws = _chunked_shocks(law, cfg.seed, cfg.replications, data.n_sectors)
+        draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.skipped_degenerate == 0
         assert report.rejections == self._scalar_counts(data.y, data, cfg, draws)
 
@@ -237,7 +217,7 @@ class TestAgainstScalarPath:
         cfg = SimConfig(replications=300, seed=33, estimators=("robust-hc1", "crve"))
         ydot = data.y - beta_hat * x_realized
         (report,) = run_outcome_fixed([ydot], data.shares, data.clusters, cfg)
-        draws = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, data.n_sectors)
+        draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.rejections == self._scalar_counts(ydot, data, cfg, draws)
 
 
@@ -258,7 +238,7 @@ class TestCellKernel:
         design = contiguous_partition(n_groups, group_size)
         y = self._grouped_outcome(design, n_groups + group_size)
         cfg = SimConfig(replications=500, seed=41, alpha=0.2, estimators=FULL_MENU)
-        report = run_partition_permutation(y, design, "y-fixed", cfg)
+        report = run_partition_permutation(y, design, cfg)
         X = np.vstack(
             [
                 engines._partition_regressors(n_groups, cfg.seed, lo, hi)
@@ -293,7 +273,7 @@ class TestCellKernel:
         data = _dataset(10, n=30, f=6)
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
         report = run_y_fixed(data, cfg)
-        X = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, 6) @ data.shares.T
+        X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
             data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
         )
@@ -339,7 +319,7 @@ class TestCellKernel:
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
         report = run_y_fixed(data, cfg)
         assert len(blocks) >= 4 and max(blocks) < 256 and sum(blocks) == 300
-        X = _chunked_shocks(cfg.shock_law, cfg.seed, cfg.replications, 6) @ data.shares.T
+        X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
             data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
         )
@@ -382,7 +362,7 @@ class TestStreamLayout:
             blocks.clear()
             cfg = SimConfig(replications=replications, seed=17)
             if engine == "partition":
-                run_partition_permutation(y, design, "y-fixed", cfg)
+                run_partition_permutation(y, design, cfg)
             else:
                 run_y_fixed(data, cfg)
             firsts.append(blocks[0])
@@ -426,17 +406,18 @@ class TestPermutationEngine:
     def test_constant_outcome(self):
         design = contiguous_partition(4, 2)
         report = run_partition_permutation(
-            np.full(8, 2.0), design, "y-fixed", SimConfig(replications=50, seed=9)
+            np.full(8, 2.0), design, SimConfig(replications=50, seed=9)
         )
         assert report.rates["robust-hc1"] == 0.0
 
     def test_eps_fixed_uses_unit_treatment(self):
         design = contiguous_partition(4, 2)
         beta = 1.7
-        y = beta * unit_treatment(design)  # pure effect, no noise
+        x = unit_treatment(design)
+        y = beta * x  # pure effect, no noise
         cfg = SimConfig(replications=60, seed=2)
         # residualizing with the true slope leaves a constant outcome
-        report = run_partition_permutation(y, design, "eps-fixed", cfg, beta_hat=beta)
+        report = run_partition_permutation(y - beta * x, design, cfg)
         assert report.rates["robust-hc1"] == 0.0
 
     def test_worker_invariance(self):
@@ -444,6 +425,6 @@ class TestPermutationEngine:
         y = np.random.default_rng(7).standard_normal(24)
         cfg = SimConfig(replications=600, seed=77, estimators=("robust-hc1", "crve"))
         reports = [
-            run_partition_permutation(y, design, "y-fixed", cfg, workers=w) for w in (1, 3)
+            run_partition_permutation(y, design, cfg, workers=w) for w in (1, 3)
         ]
         assert reports[0] == reports[1]
