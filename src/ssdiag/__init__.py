@@ -39,7 +39,6 @@ from .engines import (
 from .errors import BudgetError, DegeneracyError, SsdiagError, ValidationError
 from .estimators import (
     RegressionFit,
-    TestResult,
     VarianceEstimate,
     ols_simple,
     t_test,

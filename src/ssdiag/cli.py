@@ -124,10 +124,9 @@ def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
     return region_ids, {name: [row[k] for row in rows] for k, name in enumerate(header[1:])}
 
 
-def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
+def ingest(shares_path, outcomes_path) -> Dataset:
     """Load and join the shares and outcomes files into a validated Dataset.
 
-    Returns the dataset plus the realized regressor column when present.
     Row order follows the outcomes file.
     """
     shares_path, outcomes_path = Path(shares_path), Path(outcomes_path)
@@ -153,15 +152,14 @@ def ingest(shares_path, outcomes_path) -> tuple[Dataset, np.ndarray | None]:
         )
 
     shares = np.array([share_rows[r] for r in region_ids], dtype=float)
-    dataset = validate_dataset(
+    return validate_dataset(
         region_ids,
         columns["y"],
         shares,
         clusters=columns.get("cluster"),
         y_placebo=columns.get("y_placebo"),
+        x_realized=columns.get("x_realized"),
     )
-    x_realized = columns.get("x_realized")
-    return dataset, (None if x_realized is None else np.array(x_realized))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +307,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     alpha = settings.get("alpha", 0.05, float)
     threshold = settings.get("threshold", 0.1, float)
     perms = settings.get("perms", 2000, int)
-    data, x_realized = ingest(
-        settings.require_path("shares"), settings.require_path("outcomes")
-    )
+    data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
 
     menu = settings.get_list("estimators")
     if menu is None:
@@ -330,7 +326,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     modes = settings.get_list("modes")
     if modes is None:
         modes = ["y-fixed"]
-        if x_realized is not None:
+        if data.x_realized is not None:
             modes.append("eps-fixed")
         if data.y_placebo is not None:
             modes.append("placebo")
@@ -347,12 +343,12 @@ def cmd_diagnose(settings: _Settings) -> None:
     crve_outcomes: dict[str, np.ndarray] = {}
     for mode in modes:
         if mode == "eps-fixed":
-            if x_realized is None:
+            if data.x_realized is None:
                 raise ValidationError("missing realized shocks (x_realized column)")
             if data.clusters is None:
                 raise ValidationError("eps-fixed diagnosis assesses crve; cluster column required")
-            beta_hat = ols_simple(data.y, x_realized).slope
-            crve_outcomes[mode] = data.y - beta_hat * x_realized
+            beta_hat = ols_simple(data.y, data.x_realized).slope
+            crve_outcomes[mode] = data.y - beta_hat * data.x_realized
         elif mode == "placebo":
             if data.y_placebo is None:
                 raise ValidationError("placebo outcome missing (y_placebo column)")
@@ -388,7 +384,7 @@ def cmd_diagnose(settings: _Settings) -> None:
                 "n_sectors": data.n_sectors,
                 "n_clusters": data.n_clusters,
                 "has_placebo": data.y_placebo is not None,
-                "has_x_realized": x_realized is not None,
+                "has_x_realized": data.x_realized is not None,
             },
             "modes": blocks,
         },
@@ -461,7 +457,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
 
     shares_arg = settings.get("shares")
     if shares_arg is not None:
-        data, _ = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
+        data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
         if data.clusters is None:
             raise ValidationError("flag-curve on user shares requires a cluster column")
         shares, clusters = data.shares, data.clusters
@@ -583,15 +579,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ssdiag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, budget: bool = True):
+    def common(p: argparse.ArgumentParser, simulation: bool = True):
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help="RNG seed (required for simulation commands)")
         p.add_argument("--workers", type=int, help="worker processes (or SSDIAG_WORKERS)")
         p.add_argument("--out", help="output path (default: stdout)")
-        if budget:
+        if simulation:
+            p.add_argument("--seed", type=int, help="RNG seed (required)")
             p.add_argument("--alpha", type=float, help="test level (default 0.05)")
             p.add_argument("--threshold", type=float, help="flag a simulation whose rejection rate reaches this value (default 0.1)")
-            p.add_argument("--reps", type=int, help="outer replications")
             p.add_argument("--perms", type=int, help="simulation replications per run")
 
     p = sub.add_parser("diagnose", help="run the simulation diagnostics on a dataset")
@@ -603,11 +598,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-table", help="grouped-scenario experiment table")
     common(p)
+    p.add_argument("--reps", type=int, help="outer replications")
     p.add_argument("--states", help="comma-separated state counts (default 20,100)")
     p.add_argument("--per-state", type=int, dest="per_state", help="units per state (default 10)")
 
     p = sub.add_parser("flag-curve", help="flagging probability vs confound strength")
     common(p)
+    p.add_argument("--reps", type=int, help="outer replications")
     p.add_argument("--gammas", help="comma-separated confound strengths")
     p.add_argument("--shares", help="optional user shares CSV")
     p.add_argument("--outcomes", help="outcomes CSV providing cluster labels (user shares)")
@@ -615,14 +612,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sectors", type=int, help="synthetic crossed design: sector count (default 20)")
 
     p = sub.add_parser("analytic", help="closed-form variance-ratio limits")
-    common(p, budget=False)
+    common(p, simulation=False)
     p.add_argument("--beta", type=float, help="treatment effect (default 0)")
     p.add_argument("--sigma2", type=float, help="error variance (default 1)")
     p.add_argument("--rho", type=float, help="within-group covariance (default 0)")
     p.add_argument("--group-size", type=int, dest="group_size", help="group size m (default 1)")
 
     p = sub.add_parser("oracle", help="compare exact-form variance against enumeration")
-    common(p, budget=False)
+    common(p, simulation=False)
     p.add_argument("--outcomes", help="outcomes CSV (region_id,y,...)")
     p.add_argument("--group-size", type=int, dest="group_size", help="group size m (default 1)")
 

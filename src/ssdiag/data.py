@@ -17,7 +17,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """One cross-section: outcomes, exposure shares, optional clusters and placebo.
+    """One cross-section: outcomes, exposure shares, optional clusters, placebo and regressor.
 
     Construct through :func:`validate_dataset`; the raw constructor performs
     no checks and is reserved for internal pre-validated inputs.
@@ -28,6 +28,7 @@ class Dataset:
     shares: np.ndarray  # (N, F), nonnegative, no all-zero row
     clusters: np.ndarray | None = None  # contiguous int labels 0..G-1
     y_placebo: np.ndarray | None = None
+    x_realized: np.ndarray | None = None  # the realized regressor
 
     @property
     def n_regions(self) -> int:
@@ -80,6 +81,7 @@ def validate_dataset(
     shares,
     clusters=None,
     y_placebo=None,
+    x_realized=None,
 ) -> Dataset:
     """Check array shapes and invariants, returning an immutable Dataset.
 
@@ -132,12 +134,20 @@ def validate_dataset(
         if not np.all(np.isfinite(y_placebo)):
             raise ValidationError("non-finite placebo outcome")
 
+    if x_realized is not None:
+        x_realized = _frozen_array(x_realized)
+        if x_realized.shape != (n,):
+            raise ValidationError(f"realized regressor ({x_realized.shape}) does not match outcomes ({n})")
+        if not np.all(np.isfinite(x_realized)):
+            raise ValidationError("non-finite realized regressor")
+
     return Dataset(
         region_ids=region_ids,
         y=y,
         shares=shares,
         clusters=clusters,
         y_placebo=y_placebo,
+        x_realized=x_realized,
     )
 
 

@@ -124,8 +124,7 @@ def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
         x = unit_treatment(draw.design)
         fit = ols_simple(draw.y, x)
         # size column: test the true effect with plain robust inference
-        result = t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
-        counts[k, 0] += result.reject
+        counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
         for col, y in ((1, draw.y), (2, draw.y - fit.slope * x)):
             report = run_partition_permutation(
                 y, draw.design, replace(cfg, seed=derive_seed(cfg.seed, j, col))
@@ -216,8 +215,7 @@ def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
         for gi, gamma in enumerate(gammas):
             y_star = draw.outcome(gamma)
             fit = ols_simple(y_star, draw.x)
-            result = t_test(fit.slope, 0.0, var_cluster(fit, clusters), cfg.alpha)
-            counts[gi, 0] += result.reject
+            counts[gi, 0] += t_test(fit.slope, 0.0, var_cluster(fit, clusters), cfg.alpha)
             ys.append(y_star)
             ydots.append(y_star - fit.slope * draw.x)
         # one shock block per mode serves every gamma; the simulation behind

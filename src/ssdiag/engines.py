@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset, PartitionDesign
 from .errors import ValidationError
+from .estimators import DEGENERATE_TOL, rejects, t_crits
 from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
@@ -129,8 +129,8 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
 #
 # On a partition share matrix the sector scores equal group-level cluster
 # scores, so score-agg = crve(groups) * (N-2)/(N-1) exactly; the test suite
-# pins that equivalence.  Each test is two-sided against Student-t with the
-# dof above.
+# pins that equivalence.  Each test is the two-sided t test of
+# ssdiag.estimators (t_crits, rejects) with the dof above.
 ESTIMATORS = (
     "robust-hc1",
     "robust-hc3",
@@ -182,11 +182,6 @@ _CLUSTERED = ("crve", "crve-hc3")
 _DEFLATED = ("robust-hc3", "crve-hc3")
 
 
-@lru_cache(maxsize=256)
-def _t_crits(alpha: float, dofs: tuple[int, ...]) -> tuple[float, ...]:
-    return tuple(special.stdtrit(np.asarray(dofs, dtype=float), 1.0 - alpha / 2.0))
-
-
 def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
     """Cells stably sorted by cluster label (None if already sorted), and segment starts."""
     order = np.argsort(clusters, kind="stable")
@@ -228,7 +223,7 @@ def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel
                 raise ValidationError("need at least 2 sectors")
             dofs.append(n_sectors - 1)
     estimators = tuple(estimators)
-    crits = np.array(_t_crits(alpha, tuple(dofs)))
+    crits = np.array(t_crits(alpha, tuple(dofs)))
     outcomes = []
     for y in ys:
         yc = y - y.mean()
@@ -267,7 +262,7 @@ def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Xc = X - ((X @ m) / n)[:, None]
     X2 = Xc * Xc
     ssq = X2 @ m
-    usable = ssq > 1e-12 * ((X * X) @ m)
+    usable = ssq > DEGENERATE_TOL * ((X * X) @ m)
     ssq2 = ssq * ssq
 
     counts = np.zeros(len(kernel.estimators), dtype=np.int64)
@@ -314,9 +309,7 @@ def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
                         scores = scores @ d.shares
                     F = scores.shape[1]
                     value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
-                tstat = slope / np.sqrt(value)
-                reject = np.where(value > 0.0, np.abs(tstat) >= crit, slope != 0.0)
-                counts[k] = np.count_nonzero(reject & ok)
+                counts[k] = np.count_nonzero(rejects(slope, value, crit) & ok)
                 k += 1
     return counts, skipped
 

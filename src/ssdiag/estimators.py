@@ -1,19 +1,26 @@
-"""Bivariate OLS and the scalar tests of realized data.
+"""Bivariate OLS and the two-sided t test.
 
 The experiments test each realized sample once, with robust-hc1 or crve; the
 simulations test their draws with the vectorized kernel of
 :mod:`ssdiag.engines`, which documents the conventions of the estimator menu.
+Both decide with the one test defined here: :func:`t_crits` gives the
+critical values and :func:`rejects` the rejection rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .errors import DegeneracyError, ValidationError
+
+# A regressor is degenerate when its demeaned sum of squares is at most this
+# share of its raw sum of squares (N times its mean square), so ols_simple and
+# the test kernel drop the same draws.
+DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,22 +43,20 @@ class VarianceEstimate:
     dof: float
 
 
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    p_value: float
-    reject: bool
-    degenerate: bool = False
+@lru_cache(maxsize=256)
+def t_crits(alpha: float, dofs: tuple[float, ...]) -> tuple[float, ...]:
+    """Two-sided Student-t critical values at level ``alpha``, one per dof."""
+    return tuple(special.stdtrit(np.asarray(dofs, dtype=float), 1.0 - alpha / 2.0))
 
 
-def regressor_degenerate_tol(x: np.ndarray) -> float:
-    """Threshold below which the demeaned sum of squares counts as zero.
+def rejects(diff, value, crit) -> np.ndarray:
+    """The rejection rule: |diff| / sqrt(value) >= crit, elementwise.
 
-    Scales with N times the mean square of the raw regressor (written as the
-    raw sum of squares so the scalar and vectorized paths agree exactly).
+    A zero variance rejects any nonzero ``diff``.
     """
-    x = np.asarray(x, dtype=float)
-    return 1e-12 * float(x @ x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstat = diff / np.sqrt(value)
+        return np.where(value > 0.0, np.abs(tstat) >= crit, diff != 0.0)
 
 
 def ols_simple(y, x) -> RegressionFit:
@@ -66,7 +71,7 @@ def ols_simple(y, x) -> RegressionFit:
     xbar = x.mean()
     xt = x - xbar
     ssq = float(xt @ xt)
-    if ssq <= regressor_degenerate_tol(x):
+    if ssq <= DEGENERATE_TOL * float(x @ x):
         raise DegeneracyError("degenerate regressor (no variation)")
     ybar = y.mean()
     slope = float(xt @ (y - ybar)) / ssq
@@ -110,24 +115,9 @@ def t_test(
     null_value: float,
     variance: VarianceEstimate,
     level: float = 0.05,
-) -> TestResult:
-    """Two-sided t test of slope = null_value against a Student-t reference.
-
-    A zero variance with a nonzero slope difference is reported as a
-    degenerate rejection (p = 0), not an error.
-    """
+) -> bool:
+    """Whether the two-sided t test at ``level`` rejects slope = null_value."""
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0, 1)")
-    diff = slope - null_value
-    if variance.value > 0.0:
-        statistic = diff / math.sqrt(variance.value)
-        p_value = 2.0 * float(special.stdtr(variance.dof, -abs(statistic)))
-        return TestResult(statistic=statistic, p_value=p_value, reject=p_value <= level)
-    if diff == 0.0:
-        return TestResult(statistic=0.0, p_value=1.0, reject=False)
-    return TestResult(
-        statistic=math.copysign(math.inf, diff),
-        p_value=0.0,
-        reject=True,
-        degenerate=True,
-    )
+    (crit,) = t_crits(level, (variance.dof,))
+    return bool(rejects(slope - null_value, variance.value, crit))

@@ -85,6 +85,7 @@ def map_chunks(fn, bounds, workers: int):
     _TASK_FN = fn
     try:
         with ctx.Pool(processes=min(workers, len(bounds))) as pool:
-            return pool.map(_run_task, bounds)
+            # one chunk per task: a free worker takes the next chunk
+            return pool.map(_run_task, bounds, chunksize=1)
     finally:
         _TASK_FN = None

@@ -2,13 +2,15 @@
 
 Everything here is computed through a different route than the library:
 matrix least squares, explicit sandwich algebra, high-precision special
-functions, exhaustive enumeration, the unit-level test kernel, and the
-scalar forms of the kernel's hc3, crve-hc3 and score-agg estimators.  Tests
-compare library output against these, never the other way around.
+functions, the p-value form of the two-sided t test, exhaustive enumeration,
+the unit-level test kernel, and the scalar forms of the kernel's hc3,
+crve-hc3 and score-agg estimators.  Tests compare library output against
+these, never the other way around.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import mpmath
@@ -151,6 +153,19 @@ def student_t_sf(value, dof):
     z = dof / (dof + value**2)
     tail = mpmath.betainc(dof / 2, mpmath.mpf(1) / 2, 0, z, regularized=True) / 2
     return tail if value >= 0 else 1 - tail
+
+
+def t_test_rejects(slope, null_value, variance: VarianceEstimate, level=0.05) -> bool:
+    """The p-value form of the two-sided t test: reject when p <= level.
+
+    p = 2 * sf(|t|) from the high-precision tail; a zero variance gives p = 0
+    for a nonzero difference and p = 1 for a zero one.
+    """
+    diff = slope - null_value
+    if variance.value > 0.0:
+        statistic = abs(diff) / math.sqrt(variance.value)
+        return bool(2 * student_t_sf(statistic, variance.dof) <= level)
+    return diff != 0.0
 
 
 def balanced_assignment_slopes(y, group_of, n_groups):

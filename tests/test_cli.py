@@ -58,18 +58,18 @@ def _toy_files(tmp_path, n=3, with_placebo=False, with_cluster=False, with_x=Fal
 class TestIngest:
     def test_toy_join(self, tmp_path):
         shares, outcomes = _toy_files(tmp_path, with_placebo=True, with_cluster=True, with_x=True)
-        data, x_realized = ingest(shares, outcomes)
+        data = ingest(shares, outcomes)
         assert data.n_regions == 3 and data.n_sectors == 2
         assert data.region_ids == ("r0", "r1", "r2")
         np.testing.assert_allclose(data.y, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(data.y_placebo, [2.0, 1.0, 0.0])
         np.testing.assert_array_equal(data.clusters, [0, 1, 0])
-        np.testing.assert_allclose(x_realized, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(data.x_realized, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(data.shares[:, 0], [0.25, 0.5, 0.75])
 
     def test_placebo_absent(self, tmp_path):
-        data, x_realized = ingest(*_toy_files(tmp_path))
-        assert data.y_placebo is None and data.clusters is None and x_realized is None
+        data = ingest(*_toy_files(tmp_path))
+        assert data.y_placebo is None and data.clusters is None and data.x_realized is None
 
     def test_missing_region_named(self, tmp_path):
         shares, _ = _toy_files(tmp_path)
@@ -199,6 +199,18 @@ class TestDiagnose:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_realized_regressor(self, value, tmp_path, capsys):
+        lines = (GOLDEN / "outcomes.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+        outcomes = _write(tmp_path / "outcomes.csv", "\n".join(lines) + "\n")
+        code = main([
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes", outcomes,
+            "--seed", "7", "--perms", "30", "--modes", "eps-fixed",
+        ])
+        assert code == 2
+        assert "non-finite realized regressor" in capsys.readouterr().err
+
     def test_placebo_missing(self, tmp_path, capsys):
         shares, outcomes = _toy_files(tmp_path, with_cluster=True)
         code = main([
@@ -227,11 +239,11 @@ class TestDiagnose:
         report = json.loads(out.read_text())
         assert calls == [(1, tuple(report["config"]["estimators"])), (2, ("crve",))]
 
-        data, x_realized = ingest(GOLDEN / "shares.csv", GOLDEN / "outcomes.csv")
+        data = ingest(GOLDEN / "shares.csv", GOLDEN / "outcomes.csv")
         cfg = SimConfig(replications=300, seed=7, estimators=("crve",))
         blocks = report["modes"]
         beta_hat = blocks["eps-fixed"].pop("beta_hat")
-        ydot = data.y - beta_hat * x_realized
+        ydot = data.y - beta_hat * data.x_realized
         for mode, y in (("eps-fixed", ydot), ("placebo", data.y_placebo)):
             (alone,) = run_outcome_fixed([y], data.shares, data.clusters, cfg)
             assert blocks[mode] == _report_block(alone, 0.1)
@@ -463,6 +475,26 @@ class TestFlags:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestUnreadFlags:
+    """A command has no flag it does not read: argparse exits 2 on one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--shares", "{golden}/shares.csv", "--outcomes",
+             "{golden}/outcomes.csv", "--seed", "7", "--perms", "30", "--reps", "5"],
+            ["analytic", "--seed", "1"],
+            ["oracle", "--outcomes", "{golden}/oracle.csv", "--seed", "1"],
+        ],
+    )
+    def test_exits_2(self, argv, tmp_path, capsys):
+        argv = [arg.format(golden=GOLDEN) for arg in argv] + ["--out", str(tmp_path / "r")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBadNumbers:

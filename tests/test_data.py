@@ -71,15 +71,30 @@ class TestValidateDataset:
 
     def test_idempotent(self):
         raw = _valid_arrays()
-        once = validate_dataset(**raw, clusters=[5, 2, 2, 5], y_placebo=raw["y"] * 2)
+        once = validate_dataset(
+            **raw, clusters=[5, 2, 2, 5], y_placebo=raw["y"] * 2, x_realized=raw["y"] + 1
+        )
         twice = validate_dataset(
-            once.region_ids, once.y, once.shares, once.clusters, once.y_placebo
+            once.region_ids, once.y, once.shares, once.clusters, once.y_placebo, once.x_realized
         )
         assert once.region_ids == twice.region_ids
         np.testing.assert_array_equal(once.y, twice.y)
         np.testing.assert_array_equal(once.shares, twice.shares)
         np.testing.assert_array_equal(once.clusters, twice.clusters)
         np.testing.assert_array_equal(once.y_placebo, twice.y_placebo)
+        np.testing.assert_array_equal(once.x_realized, twice.x_realized)
+
+    @pytest.mark.parametrize(
+        "x_realized, message",
+        [
+            ([0.0, 1.0, 2.0], "realized regressor .* does not match"),
+            ([0.0, 1.0, np.nan, 3.0], "non-finite realized regressor"),
+            ([0.0, 1.0, -np.inf, 3.0], "non-finite realized regressor"),
+        ],
+    )
+    def test_realized_regressor_checked(self, x_realized, message):
+        with pytest.raises(ValidationError, match=message):
+            validate_dataset(**_valid_arrays(), x_realized=x_realized)
 
     def test_arrays_immutable(self):
         data = validate_dataset(**_valid_arrays())

@@ -21,7 +21,6 @@ from ssdiag import (
     run_outcome_fixed,
     run_partition_permutation,
     run_y_fixed,
-    t_test,
     unit_treatment,
     validate_dataset,
     var_cluster,
@@ -176,7 +175,7 @@ class TestValidation:
 
 
 class TestAgainstScalarPath:
-    """The vectorized kernel must agree with the scalar estimators, draw by draw."""
+    """The vectorized kernel agrees, draw by draw, with the scalar estimators and p-value rule."""
 
     def _scalar_counts(self, y, data, cfg, draws):
         counts = dict.fromkeys(cfg.estimators, 0)
@@ -196,7 +195,7 @@ class TestAgainstScalarPath:
                     v = oracles.var_score_agg(fit, data.shares, fit.x_demeaned)
                 else:
                     v = oracles.var_score_agg(fit, data.shares, fit.x_demeaned, null_imposed=True)
-                counts[est] += t_test(fit.slope, 0.0, v, cfg.alpha).reject
+                counts[est] += oracles.t_test_rejects(fit.slope, 0.0, v, cfg.alpha)
         return counts
 
     # the id names the law of the sector shocks the engine draws

@@ -1,9 +1,12 @@
-"""Tests for the OLS fit and the slope-variance estimator menu."""
+"""Tests for the OLS fit, the slope-variance estimator menu and the t test."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from ssdiag import (
@@ -15,6 +18,7 @@ from ssdiag import (
     var_robust,
 )
 from ssdiag.data import contiguous_partition, unit_treatment
+from ssdiag.estimators import t_crits
 
 
 def _random_case(seed, n=12, n_clusters=3):
@@ -209,33 +213,40 @@ class TestVarScoreAgg:
             assert got.value == pytest.approx(expected, rel=1e-9)
 
 
+DOFS = [2, 5, 18, 198, 998]
+
+
 class TestTTest:
     def test_slope_at_null(self):
         est = var_robust(ols_simple(*_random_case(1)[:2]))
-        result = t_test(0.3, 0.3, est)
-        assert result.statistic == 0.0
-        assert result.p_value == 1.0
-        assert not result.reject
+        assert not t_test(0.3, 0.3, est)
 
     def test_huge_statistic(self):
         est = var_robust(ols_simple(*_random_case(2)[:2]))
-        assert t_test(1e6, 0.0, est, level=1e-6).reject
+        assert t_test(1e6, 0.0, est, level=1e-6)
 
     def test_zero_variance_degenerate(self):
+        # a zero variance rejects a nonzero slope difference and no other
         fit = ols_simple(np.arange(4.0), np.arange(4.0))
-        result = t_test(fit.slope, 0.0, var_robust(fit))
-        assert result.reject and result.degenerate and result.p_value == 0.0
+        assert var_robust(fit).value == 0.0
+        assert t_test(fit.slope, 0.0, var_robust(fit))
+        assert not t_test(fit.slope, fit.slope, var_robust(fit))
 
     def test_pvalue_at_critical_value(self):
-        from scipy import stats
+        for dof in DOFS:
+            (crit,) = t_crits(0.05, (dof,))
+            # the t tail from a high-precision implementation
+            assert 2 * float(oracles.student_t_sf(crit, dof)) == pytest.approx(0.05, abs=1e-12)
 
-        for dof in (2, 5, 18, 198):
-            crit = stats.t.ppf(0.975, dof)
-            result = t_test(crit, 0.0, VarianceEstimate("robust-hc1", 1.0, float(dof)))
-            assert result.p_value == pytest.approx(0.05, abs=1e-9)
-            # cross-check the t tail against a high-precision implementation
-            oracle_p = 2 * float(oracles.student_t_sf(crit, dof))
-            assert result.p_value == pytest.approx(oracle_p, abs=1e-12)
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("dof", DOFS)
+    def test_decision_matches_p_value_rule_at_critical_value(self, dof, side):
+        t = stats.t.ppf(0.975, dof) * (1.0 + side * 1e-9)
+        variance = VarianceEstimate("robust-hc1", 1.0, float(dof))
+        expected = oracles.t_test_rejects(t, 0.0, variance, 0.05)
+        assert expected == (side > 0)
+        assert t_test(t, 0.0, variance) == expected
+        assert t_test(-t, 0.0, variance) == expected
 
 
 class TestSymmetries:
@@ -260,10 +271,10 @@ class TestSymmetries:
         ]
         for v1, v2 in zip(variances(fit), variances(fit2)):
             assert v2.value == pytest.approx(b * b * v1.value, rel=1e-9)
-            t1 = t_test(fit.slope, 0.0, v1)
-            t2 = t_test(fit2.slope, b * 0.0, v2)
-            assert t2.statistic == pytest.approx(t1.statistic, rel=1e-9)
-            assert t2.reject == t1.reject
+            t1 = fit.slope / math.sqrt(v1.value)
+            t2 = fit2.slope / math.sqrt(v2.value)
+            assert t2 == pytest.approx(t1, rel=1e-9)
+            assert t_test(fit2.slope, b * 0.0, v2) == t_test(fit.slope, 0.0, v1)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
