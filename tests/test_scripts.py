@@ -1,17 +1,35 @@
-"""Smoke tests of scripts/ and the README quick-start, each run as a subprocess."""
+"""Smoke tests of scripts/ and the README quick-start, each run as a subprocess.
+
+The convergence grid and the toy data are also pinned byte for byte against
+files in tests/golden/.  A change that alters them on purpose regenerates
+them and says so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_scripts.py
+"""
 
 import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+GOLDEN = ROOT / "tests" / "golden"
+
+CONVERGENCE = {
+    "convergence-y-fixed.csv": ["--seed", "7", "--grid", "4,8,20", "--reps", "50", "--rho", "0.3"],
+    "convergence-eps-fixed.csv": [
+        "--seed", "7", "--mode", "eps-fixed", "--rho", "-0.2", "--grid", "4,8", "--reps", "30",
+    ],
+}
+TOY = {"toy-shares.csv": "shares.csv", "toy-outcomes.csv": "outcomes.csv"}
 
 
 def _run(args, cwd):
@@ -41,6 +59,12 @@ def test_make_toy_data_writes_both_files(toy_data):
     outcomes = _csv_rows((data / "outcomes.csv").read_text())
     assert len(shares) == len(outcomes) == 40
     assert list(outcomes[0]) == ["region_id", "y", "y_placebo", "cluster", "x_realized"]
+
+
+@pytest.mark.parametrize("name", sorted(TOY))
+def test_make_toy_data_matches_golden(toy_data, name):
+    _, data = toy_data
+    assert (data / TOY[name]).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_readme_diagnose(toy_data):
@@ -77,6 +101,12 @@ def test_run_convergence_grid(tmp_path):
     assert row["n_groups"] == "10" and float(row["mean_ratio"]) > 0
 
 
+@pytest.mark.parametrize("name", sorted(CONVERGENCE))
+def test_run_convergence_grid_matches_golden(tmp_path, name):
+    out = _run([str(SCRIPTS / "run_convergence_grid.py"), *CONVERGENCE[name]], tmp_path)
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_run_full_table(tmp_path):
     out = _run(
         [
@@ -90,3 +120,14 @@ def test_run_full_table(tmp_path):
     rows = _csv_rows(body)
     assert [r["panel"] for r in rows] == ["A", "B", "C", "D", "E"]
     assert all(0.0 <= float(r["size"]) <= 1.0 for r in rows)
+
+
+if __name__ == "__main__":
+    for name, args in CONVERGENCE.items():
+        (GOLDEN / name).write_text(_run([str(SCRIPTS / "run_convergence_grid.py"), *args], ROOT))
+        print(f"wrote {GOLDEN / name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _run([str(SCRIPTS / "make_toy_data.py"), "--out-dir", tmp], ROOT)
+        for name, source in TOY.items():
+            shutil.copyfile(Path(tmp) / source, GOLDEN / name)
+            print(f"wrote {GOLDEN / name}")
