@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from ssdiag import GroupedDGP, draw_grouped, unit_treatment
+from ssdiag import GroupedDGP, draw_grouped
 from ssdiag.rng import substream
 
 
@@ -29,7 +29,6 @@ def main() -> None:
     placebo = draw_grouped(
         GroupedDGP(n_states=args.states, per_state=args.per_state), substream(args.seed, 1)
     )
-    x = unit_treatment(draw.design)
     n = draw.design.n_units
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -44,7 +43,7 @@ def main() -> None:
     for i in range(n):
         lines.append(
             f"u{i},{float(draw.y[i])!r},{float(placebo.y[i])!r},"
-            f"{draw.design.group_of[i]},{float(x[i])!r}"
+            f"{draw.design.group_of[i]},{float(draw.x[i])!r}"
         )
     (args.out_dir / "outcomes.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out_dir}/shares.csv and {args.out_dir}/outcomes.csv ({n} regions)")

@@ -15,8 +15,6 @@ from .data import (
     Dataset,
     PartitionDesign,
     contiguous_partition,
-    partition_design,
-    unit_treatment,
     validate_dataset,
 )
 from .dgp import (

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_partition
+from .data import PartitionDesign, contiguous_partition, draw_treatment
 from .errors import BudgetError, ValidationError
 from .estimators import ols_simple
 from .parallel import chunk_bounds, map_chunks
@@ -128,8 +128,6 @@ def enumerate_assignment_variance(y, design: PartitionDesign) -> EnumerationResu
     """
     y = np.asarray(y, dtype=float)
     n_groups = design.n_groups
-    if n_groups % 2:
-        raise ValidationError("balanced assignment requires an even group count")
     if y.shape[0] != design.n_units:
         raise ValidationError("outcome length does not match the design")
     n_assignments = math.comb(n_groups, n_groups // 2)
@@ -189,15 +187,12 @@ def draw_equicorrelated_errors(
 
 def _ratio_chunk(p, n_groups, seed, f_index, mode, bounds) -> np.ndarray:
     lo, hi = bounds
-    # the variances read only the grouping, so one placeholder assignment serves
     design = contiguous_partition(n_groups, p.group_size)
     out = np.empty(hi - lo)
     for rep in range(lo, hi):
         rng = substream(seed, f_index, rep)
-        treated = np.zeros(n_groups, dtype=bool)
-        treated[rng.permutation(n_groups)[: n_groups // 2]] = True
+        x = draw_treatment(design, rng)
         errors = draw_equicorrelated_errors(rng, n_groups, p)
-        x = treated[design.group_of].astype(float)
         y = p.beta * x + errors
         if mode == "eps-fixed":
             y = y - ols_simple(y, x).slope * x

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -236,17 +237,21 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-_KINDS = {int: "an integer", float: "a number", list: "a list"}
+_KINDS = {int: "an integer", float: "a finite number", list: "a list"}
 
 
 def _cast(key: str, value, cast):
-    # int() truncates 2.7 and bool is an int to Python; a number setting takes neither
+    # int() truncates 2.7 and bool is an int to Python; a number setting takes
+    # neither, and a float setting takes no nan or infinity
     truncated = cast is int and isinstance(value, float) and not value.is_integer()
     if not truncated and not (cast in (int, float) and isinstance(value, bool)):
         try:
-            return cast(value)
+            value = cast(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if cast is not float or math.isfinite(value):
+                return value
     raise ValidationError(f"{key}: could not parse {value!r} as {_KINDS[cast]}")
 
 

@@ -47,17 +47,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PartitionDesign:
-    """Equal-size grouping of units with a balanced binary group assignment.
+    """Equal-size grouping of units: ``n_groups`` groups of ``group_size`` each.
 
-    ``n_groups`` groups of ``group_size`` units each; exactly half the groups
-    are treated.  Construct through :func:`partition_design` or
+    Units 0..m-1 form group 0, the next m group 1, and so on; the group count
+    is even, so half the groups can be treated.  A realized assignment is a
+    draw, not part of the design (:func:`draw_treatment`).  Construct through
     :func:`contiguous_partition`.
     """
 
     n_groups: int
     group_size: int
     group_of: np.ndarray  # (N,) int, values in 0..n_groups-1
-    treated: np.ndarray  # (n_groups,) bool, exactly n_groups/2 True
 
     @property
     def n_units(self) -> int:
@@ -151,46 +151,23 @@ def validate_dataset(
     )
 
 
-def partition_design(group_of, treated) -> PartitionDesign:
-    """Validating constructor from a unit->group map and a group assignment."""
-    group_of = _frozen_array(group_of, dtype=np.int64)
-    treated = _frozen_array(treated, dtype=bool)
-    if group_of.ndim != 1 or treated.ndim != 1:
-        raise ValidationError("group map and treatment must be vectors")
-    n_groups = treated.shape[0]
+def contiguous_partition(n_groups: int, group_size: int) -> PartitionDesign:
+    """Validating constructor: ``n_groups`` contiguous groups of ``group_size`` units."""
     if n_groups < 2:
         raise ValidationError("need at least 2 groups")
     if n_groups % 2:
         raise ValidationError("balanced assignment requires an even group count")
-    if group_of.size == 0 or group_of.min() < 0 or group_of.max() >= n_groups:
-        raise ValidationError("group labels out of range")
-    counts = np.bincount(group_of, minlength=n_groups)
-    if not np.all(counts == counts[0]):
-        raise ValidationError("groups must have equal size")
-    group_size = int(counts[0])
-    if int(treated.sum()) != n_groups // 2:
-        raise ValidationError("exactly half the groups must be treated")
-    return PartitionDesign(
-        n_groups=n_groups,
-        group_size=group_size,
-        group_of=group_of,
-        treated=treated,
-    )
+    if group_size < 1:
+        raise ValidationError("group size must be at least 1")
+    group_of = _frozen_array(np.repeat(np.arange(n_groups), group_size), dtype=np.int64)
+    return PartitionDesign(n_groups=n_groups, group_size=group_size, group_of=group_of)
 
 
-def contiguous_partition(n_groups: int, group_size: int, treated=None) -> PartitionDesign:
-    """Design with units 0..m-1 in group 0, the next m in group 1, and so on.
+def draw_treatment(design: PartitionDesign, rng: np.random.Generator) -> np.ndarray:
+    """Unit-level 0/1 regressor of one balanced assignment, drawn from ``rng``.
 
-    When ``treated`` is omitted the first half of the groups is treated (a
-    placeholder assignment for callers that only need the grouping).
+    One permutation of the groups treats its first half.
     """
-    if treated is None:
-        treated = np.arange(n_groups) < n_groups // 2
-    group_of = np.repeat(np.arange(n_groups), group_size)
-    return partition_design(group_of, treated)
-
-
-def unit_treatment(design: PartitionDesign) -> np.ndarray:
-    """Unit-level 0/1 treatment implied by the group assignment."""
-    return design.treated[design.group_of].astype(float)
-
+    treated = np.zeros(design.n_groups)
+    treated[rng.permutation(design.n_groups)[: design.n_groups // 2]] = 1.0
+    return treated[design.group_of]

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_labels, partition_design, unit_treatment
+from .data import PartitionDesign, contiguous_labels, contiguous_partition, draw_treatment
 from .engines import SimConfig, flagged, mc_se, run_outcome_fixed, run_partition_permutation
 from .errors import ValidationError
 from .estimators import ols_simple, t_test, var_cluster, var_robust
@@ -65,22 +65,22 @@ class GroupedDGP:
 class GroupedDraw:
     y: np.ndarray
     design: PartitionDesign
+    x: np.ndarray  # the realized unit-level 0/1 treatment
     sate: float
 
 
 def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
-    """One realized sample: outcomes, design, and the realized SATE."""
-    n_states, m = dgp.n_states, dgp.per_state
-    state_shock = rng.standard_normal(n_states)
-    noise = rng.standard_normal(n_states * m)
-    treated = np.zeros(n_states, dtype=bool)
-    treated[rng.permutation(n_states)[: n_states // 2]] = True
-    group_of = np.repeat(np.arange(n_states), m)
-    y0 = dgp.omega * state_shock[group_of] + noise
-    effect = dgp.beta + dgp.het_loading * state_shock[group_of]
-    y = np.where(treated[group_of], y0 + effect, y0)
-    design = partition_design(group_of, treated)
-    return GroupedDraw(y=y, design=design, sate=float(effect.mean()))
+    """One realized sample: outcomes, design, treatment and the realized SATE.
+
+    Draws the state shocks, the unit noise and the assignment, in that order.
+    """
+    design = contiguous_partition(dgp.n_states, dgp.per_state)
+    state_shock = rng.standard_normal(dgp.n_states)[design.group_of]
+    noise = rng.standard_normal(design.n_units)
+    x = draw_treatment(design, rng)
+    effect = dgp.beta + dgp.het_loading * state_shock
+    y = dgp.omega * state_shock + noise + x * effect
+    return GroupedDraw(y=y, design=design, x=x, sate=float(effect.mean()))
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,10 @@ def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
         k, j = divmod(g, outer_reps)
         dgp, cfg = cells[k]
         draw = draw_grouped(dgp, substream(cfg.seed, j, 0))
-        x = unit_treatment(draw.design)
-        fit = ols_simple(draw.y, x)
+        fit = ols_simple(draw.y, draw.x)
         # size column: test the true effect with plain robust inference
         counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
-        for col, y in ((1, draw.y), (2, draw.y - fit.slope * x)):
+        for col, y in ((1, draw.y), (2, draw.y - fit.slope * draw.x)):
             report = run_partition_permutation(
                 y, draw.design, replace(cfg, seed=derive_seed(cfg.seed, j, col))
             )

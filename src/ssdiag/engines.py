@@ -59,6 +59,8 @@ class SimConfig:
             raise ValidationError("need at least 1 replication")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
+        if not 0.0 <= self.flag_threshold <= 1.0:
+            raise ValidationError("flag threshold must be in [0, 1]")
         if not self.estimators:
             raise ValidationError("estimator menu is empty")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]

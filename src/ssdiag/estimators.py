@@ -38,7 +38,6 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    estimator: str
     value: float
     dof: float
 
@@ -92,22 +91,23 @@ def var_robust(fit: RegressionFit) -> VarianceEstimate:
     e = fit.residuals
     xt = fit.x_demeaned
     value = n / (n - 2) * float(xt * xt @ (e * e)) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(estimator="robust-hc1", value=value, dof=float(n - 2))
+    return VarianceEstimate(value=value, dof=float(n - 2))
 
 
 def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
-    """Cluster-robust (CR1) slope variance."""
+    """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels."""
     clusters = np.asarray(clusters)
     n = fit.n_obs
     if clusters.shape != (n,):
         raise ValidationError("cluster labels do not match the fit")
-    n_clusters = int(clusters.max()) + 1
+    labels, index = np.unique(clusters, return_inverse=True)
+    n_clusters = labels.size
     if n_clusters < 2:
         raise ValidationError("need at least 2 clusters")
-    scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
+    scores = np.bincount(index, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
     factor = n_clusters / (n_clusters - 1) * (n - 1) / (n - 2)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(estimator="crve", value=value, dof=float(n_clusters - 1))
+    return VarianceEstimate(value=value, dof=float(n_clusters - 1))
 
 
 def t_test(

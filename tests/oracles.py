@@ -42,6 +42,11 @@ def partition_to_shares(design: PartitionDesign) -> np.ndarray:
     return out
 
 
+def first_half_treated(design: PartitionDesign) -> np.ndarray:
+    """Unit-level 0/1 regressor of the fixed assignment that treats groups 0..F/2-1."""
+    return (design.group_of < design.n_groups // 2).astype(float)
+
+
 # ---------------------------------------------------------------------------
 # scalar forms of the kernel's hc3, crve-hc3 and score-agg estimators, from a
 # library fit; engines.py documents the conventions
@@ -66,19 +71,22 @@ def var_hc3(fit: RegressionFit) -> VarianceEstimate:
     e = deflated_residuals(fit)
     xt = fit.x_demeaned
     value = n / (n - 2) * float(xt * xt @ (e * e)) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(estimator="robust-hc3", value=value, dof=float(n - 2))
+    return VarianceEstimate(value=value, dof=float(n - 2))
 
 
 def var_cr3(fit: RegressionFit, clusters) -> VarianceEstimate:
-    """CR1 with each residual deflated by its leverage inside the cluster scores."""
-    clusters = np.asarray(clusters)
+    """CR1 with each residual deflated by its leverage inside the cluster scores.
+
+    The cluster count is the number of distinct labels.
+    """
+    labels, index = np.unique(clusters, return_inverse=True)
     n = fit.n_obs
-    n_clusters = int(clusters.max()) + 1
+    n_clusters = labels.size
     e = deflated_residuals(fit)
-    scores = np.bincount(clusters, weights=fit.x_demeaned * e, minlength=n_clusters)
+    scores = np.bincount(index, weights=fit.x_demeaned * e, minlength=n_clusters)
     factor = n_clusters / (n_clusters - 1) * (n - 1) / (n - 2)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(estimator="crve-hc3", value=value, dof=float(n_clusters - 1))
+    return VarianceEstimate(value=value, dof=float(n_clusters - 1))
 
 
 def var_score_agg(
@@ -102,11 +110,7 @@ def var_score_agg(
     r = fit.residuals + fit.slope * x_tilde if null_imposed else fit.residuals
     scores = (x_tilde * r) @ shares
     value = n_sectors / (n_sectors - 1) * float(scores @ scores) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(
-        estimator="score-agg-null" if null_imposed else "score-agg",
-        value=value,
-        dof=float(n_sectors - 1),
-    )
+    return VarianceEstimate(value=value, dof=float(n_sectors - 1))
 
 
 def sandwich_slope_variance(x, residual_like, groups=None, factor=1.0):
@@ -184,7 +188,7 @@ def unit_kernel_counts(y, X, estimators, alpha, clusters=None, shares=None):
     The (draws, units) form of the engines' test kernel: every residual,
     leverage and score is formed per unit and aggregated with dense
     cluster and share matrices.  ``clusters`` labels and ``shares`` rows
-    are per unit.
+    are per unit; the cluster count is the number of distinct labels.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -194,7 +198,7 @@ def unit_kernel_counts(y, X, estimators, alpha, clusters=None, shares=None):
         if est in ("robust-hc1", "robust-hc3"):
             dofs.append(n - 2)
         elif est in ("crve", "crve-hc3"):
-            dofs.append(int(np.max(clusters)))
+            dofs.append(np.unique(clusters).size - 1)
         else:
             dofs.append(shares.shape[1] - 1)
     crits = stats.t.ppf(1.0 - alpha / 2.0, np.asarray(dofs, dtype=float))
@@ -221,8 +225,7 @@ def unit_kernel_counts(y, X, estimators, alpha, clusters=None, shares=None):
             elif est == "robust-hc3":
                 value = n / (n - 2) * np.einsum("bn,bn->b", Xc * Xc, D * D) / ssq2
             elif est in ("crve", "crve-hc3"):
-                onehot = np.zeros((n, int(np.max(clusters)) + 1))
-                onehot[np.arange(n), clusters] = 1.0
+                onehot = (np.asarray(clusters)[:, None] == np.unique(clusters)).astype(float)
                 res = E if est == "crve" else D
                 scores = (Xc * res) @ onehot
                 G = onehot.shape[1]

@@ -31,7 +31,6 @@ from ssdiag import (
     run_flagging_curve,
     run_grouped_experiment,
     run_y_fixed,
-    unit_treatment,
     validate_dataset,
     var_cluster,
     y_fixed_variance_ratio_limit,
@@ -238,7 +237,7 @@ def test_criterion_7_score_cluster_equivalence():
         design = contiguous_partition(f, m)
         shares = oracles.partition_to_shares(design)
         if rng.random() < 0.5:
-            x = unit_treatment(design)
+            x = oracles.first_half_treated(design)
         else:
             x = shares @ rng.standard_normal(f)
         y = rng.standard_normal(design.n_units)

@@ -16,7 +16,6 @@ from ssdiag import (
     draw_grouped,
     engines,
     run_outcome_fixed,
-    unit_treatment,
 )
 from ssdiag.cli import _report_block, ingest, main
 from ssdiag.rng import substream
@@ -106,7 +105,6 @@ def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     """CSV pair from a grouped draw: one-hot state shares, clusters, x column."""
     dgp = GroupedDGP(n_states=n_states, per_state=per_state, beta=beta)
     draw = draw_grouped(dgp, substream(seed, 0))
-    x = unit_treatment(draw.design)
     n = draw.design.n_units
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, n_states + 1))
     share_lines = [header]
@@ -116,7 +114,9 @@ def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     shares = _write(tmp_path / "p_shares.csv", "\n".join(share_lines) + "\n")
     out_lines = ["region_id,y,cluster,x_realized"]
     for i in range(n):
-        out_lines.append(f"u{i},{float(draw.y[i])!r},{draw.design.group_of[i]},{float(x[i])!r}")
+        out_lines.append(
+            f"u{i},{float(draw.y[i])!r},{draw.design.group_of[i]},{float(draw.x[i])!r}"
+        )
     outcomes = _write(tmp_path / "p_outcomes.csv", "\n".join(out_lines) + "\n")
     return shares, outcomes
 
@@ -498,7 +498,7 @@ class TestUnreadFlags:
 
 
 class TestBadNumbers:
-    """A number that does not parse exits 2 and names its key."""
+    """A number that does not parse, or is out of range, exits 2 and names its key."""
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -522,6 +522,8 @@ class TestBadNumbers:
             ({"perms": True}, "perms"),
             ({"diagnose": {"workers": 1.5}}, "workers"),
             ({"alpha": True}, "alpha"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"diagnose": {"threshold": float("inf")}}, "threshold"),
         ],
     )
     def test_config_value(self, config, key, tmp_path, capsys):
@@ -533,6 +535,36 @@ class TestBadNumbers:
         ])
         assert code == 2
         assert f"error: {key}: could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["diagnose", "--shares", "{golden}/shares.csv", "--outcomes",
+                 "{golden}/outcomes.csv", "--seed", "1", "--perms", "10", "--threshold", "nan"],
+                "threshold: could not parse nan as a finite number",
+            ),
+            (
+                ["flag-curve", "--seed", "1", "--reps", "2", "--perms", "10", "--clusters", "3",
+                 "--sectors", "2", "--gammas", "nan,1"],
+                "gammas: could not parse nan as a finite number",
+            ),
+            (["analytic", "--beta", "inf"], "beta: could not parse inf as a finite number"),
+            (
+                ["flag-curve", "--seed", "1", "--reps", "2", "--perms", "10", "--clusters", "3",
+                 "--sectors", "2", "--threshold", "7"],
+                "flag threshold must be in [0, 1]",
+            ),
+        ],
+        ids=["diagnose-threshold-nan", "flag-curve-gamma-nan", "analytic-beta-inf",
+             "flag-curve-threshold-7"],
+    )
+    def test_non_finite_or_out_of_range(self, argv, message, tmp_path, capsys):
+        # each wrote a report and exited 0 before the check
+        out = tmp_path / "report"
+        assert main([a.format(golden=GOLDEN) for a in argv] + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("perms", [3, 3.0, "3"])
     def test_integral_values_are_accepted(self, perms, tmp_path):

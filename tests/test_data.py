@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ssdiag import (
-    ValidationError,
-    contiguous_partition,
-    partition_design,
-    unit_treatment,
-    validate_dataset,
-)
+from ssdiag import ValidationError, contiguous_partition, validate_dataset
+from ssdiag.data import draw_treatment
 
 
 def _valid_arrays(n=4, f=2):
@@ -111,27 +106,26 @@ class TestPartitionDesign:
         shares = oracles.partition_to_shares(contiguous_partition(2, 2))
         np.testing.assert_array_equal(shares, [[1, 0], [1, 0], [0, 1], [0, 1]])
 
-    def test_unbalanced_treatment_rejected(self):
-        with pytest.raises(ValidationError, match="half the groups"):
-            partition_design([0, 1, 2, 3], [True, True, True, False])
-
-    def test_unequal_groups_rejected(self):
-        with pytest.raises(ValidationError, match="equal size"):
-            partition_design([0, 0, 0, 1], [True, False])
-
     def test_odd_group_count_rejected(self):
         with pytest.raises(ValidationError, match="even"):
-            partition_design([0, 1, 2], [True, False, False])
+            contiguous_partition(3, 1)
+
+    def test_too_few_groups_rejected(self):
+        with pytest.raises(ValidationError, match="at least 2 groups"):
+            contiguous_partition(0, 1)
+
+    def test_empty_groups_rejected(self):
+        with pytest.raises(ValidationError, match="group size"):
+            contiguous_partition(2, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(f=st.sampled_from([2, 4, 6]), m=st.integers(1, 3), seed=st.integers(0, 99))
     def test_rows_sum_to_one_and_round_trip(self, f, m, seed):
-        rng = np.random.default_rng(seed)
-        treated = np.zeros(f, dtype=bool)
-        treated[rng.permutation(f)[: f // 2]] = True
-        group_of = rng.permutation(np.repeat(np.arange(f), m))
-        design = partition_design(group_of, treated)
+        design = contiguous_partition(f, m)
+        x = draw_treatment(design, np.random.default_rng(seed))
         shares = oracles.partition_to_shares(design)
         np.testing.assert_array_equal(shares.sum(axis=1), 1.0)
-        x = shares @ treated.astype(float)
-        np.testing.assert_array_equal(x, unit_treatment(design))
+        # the group-level assignment behind x is balanced and maps back onto x
+        treated = shares.T @ x / m
+        assert sorted(treated) == [0.0] * (f // 2) + [1.0] * (f // 2)
+        np.testing.assert_array_equal(shares @ treated, x)

@@ -35,7 +35,9 @@ class TestDrawGrouped:
     def test_balanced_treatment(self):
         dgp = GroupedDGP(n_states=10, per_state=3)
         draw = draw_grouped(dgp, np.random.default_rng(2))
-        assert draw.design.treated.sum() == 5
+        # 5 of the 10 states treated, every unit of a state alike
+        treated_units = np.bincount(draw.design.group_of, weights=draw.x)
+        assert sorted(treated_units) == [0.0] * 5 + [3.0] * 5
         assert draw.design.group_size == 3
 
     def test_within_state_correlation(self):
@@ -46,7 +48,7 @@ class TestDrawGrouped:
         pairs = []
         for _ in range(40000):
             draw = draw_grouped(dgp, rng)
-            control = draw.y[~draw.design.treated[draw.design.group_of]]
+            control = draw.y[draw.x == 0.0]
             pairs.append(control)
         pairs = np.array(pairs)
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
@@ -63,7 +65,7 @@ class TestDrawGrouped:
         a = draw_grouped(dgp, substream(7, 0))
         b = draw_grouped(dgp, substream(7, 0))
         np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.design.treated, b.design.treated)
+        np.testing.assert_array_equal(a.x, b.x)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -21,7 +21,6 @@ from ssdiag import (
     run_outcome_fixed,
     run_partition_permutation,
     run_y_fixed,
-    unit_treatment,
     validate_dataset,
     var_cluster,
     var_robust,
@@ -172,6 +171,16 @@ class TestValidation:
             SimConfig(replications=5, seed=1, estimators=())
         with pytest.raises(ValidationError):
             SimConfig(replications=5, seed=1, estimators=("nope",))
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_flag_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValidationError, match=r"flag threshold must be in \[0, 1\]"):
+            SimConfig(replications=5, seed=1, flag_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_flag_threshold_bounds_accepted(self, threshold):
+        cfg = SimConfig(replications=5, seed=1, flag_threshold=threshold)
+        assert cfg.flag_threshold == threshold
 
 
 class TestAgainstScalarPath:
@@ -412,7 +421,7 @@ class TestPermutationEngine:
     def test_eps_fixed_uses_unit_treatment(self):
         design = contiguous_partition(4, 2)
         beta = 1.7
-        x = unit_treatment(design)
+        x = oracles.first_half_treated(design)
         y = beta * x  # pure effect, no noise
         cfg = SimConfig(replications=60, seed=2)
         # residualizing with the true slope leaves a constant outcome
