@@ -273,8 +273,8 @@ class _Settings:
             value = _cast(key, value, cast)
         return value
 
-    def get_list(self, key: str, default=None, cast=str):
-        """A comma-separated flag or a config list, each item cast."""
+    def get_list(self, key: str, default=None, cast=str, distinct=False):
+        """A comma-separated flag or a config list, each item cast (and named once if distinct)."""
         value = self.get(key, default)
         if value is None:
             return None
@@ -282,7 +282,11 @@ class _Settings:
             items = [v for v in value.split(",") if v.strip()]
         else:
             items = _cast(key, value, list)
-        return [_cast(key, v, cast) for v in items]
+        items = [_cast(key, v, cast) for v in items]
+        repeated = sorted({v for v in items if items.count(v) > 1})
+        if distinct and repeated:
+            raise ValidationError(f"repeated {key} {repeated}")
+        return items
 
     def require_seed(self) -> int:
         seed = self.get("seed", cast=int)
@@ -328,7 +332,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     )
     crve_cfg = replace(cfg, estimators=("crve",))
 
-    modes = settings.get_list("modes")
+    modes = settings.get_list("modes", distinct=True)
     if modes is None:
         modes = ["y-fixed"]
         if data.x_realized is not None:
@@ -338,9 +342,6 @@ def cmd_diagnose(settings: _Settings) -> None:
     unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
-    repeated_modes = sorted({m for m in modes if modes.count(m) > 1})
-    if repeated_modes:
-        raise ValidationError(f"repeated modes {repeated_modes}")
 
     workers = settings.workers()
     # every mode's columns are checked before the first simulation; eps-fixed
@@ -404,7 +405,7 @@ def cmd_mc_table(settings: _Settings) -> None:
     outer_reps = settings.get("reps", 2000, int)
     perms = settings.get("perms", 200, int)
     per_state = settings.get("per_state", 10, int)
-    states = settings.get_list("states", [20, 100], int)
+    states = settings.get_list("states", [20, 100], int, distinct=True)
     workers = settings.workers()
 
     labels, cells = [], []

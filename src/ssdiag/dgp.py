@@ -11,7 +11,7 @@ Two data-generating processes drive the experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -51,14 +51,13 @@ class GroupedDGP:
     omega: float = 0.0
     beta: float = 0.0
     het_loading: float = 0.0
+    design: PartitionDesign = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_states < 2 or self.n_states % 2:
-            raise ValidationError("n_states must be even and at least 2")
-        if self.per_state < 1:
-            raise ValidationError("per_state must be at least 1")
+        design = contiguous_partition(self.n_states, self.per_state)
         if self.omega < 0 or self.het_loading < 0:
             raise ValidationError("loadings must be nonnegative")
+        object.__setattr__(self, "design", design)
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
 
     Draws the state shocks, the unit noise and the assignment, in that order.
     """
-    design = contiguous_partition(dgp.n_states, dgp.per_state)
+    design = dgp.design
     state_shock = rng.standard_normal(dgp.n_states)[design.group_of]
     noise = rng.standard_normal(design.n_units)
     x = draw_treatment(design, rng)
@@ -124,11 +123,12 @@ def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
         fit = ols_simple(draw.y, draw.x)
         # size column: test the true effect with plain robust inference
         counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
-        for col, y in ((1, draw.y), (2, draw.y - fit.slope * draw.x)):
-            report = run_partition_permutation(
-                y, draw.design, replace(cfg, seed=derive_seed(cfg.seed, j, col))
-            )
-            counts[k, col] += flagged(report.rates[cfg.estimators[0]], cfg.flag_threshold)
+        # one assignment block tests y-fixed (column 1) and eps-fixed (column 2)
+        ydot = draw.y - fit.slope * draw.x
+        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1))
+        reports = run_partition_permutation([draw.y, ydot], draw.design, block_cfg)
+        rates = [r.rates[cfg.estimators[0]] for r in reports]
+        counts[k, 1:] += [flagged(rate, cfg.flag_threshold) for rate in rates]
     return counts
 
 
@@ -137,12 +137,14 @@ def run_grouped_experiment(cells, outer_reps: int, workers: int = 1) -> list[Exp
 
     ``cells`` is a sequence of (GroupedDGP, SimConfig) pairs, one row each.
     Per cell and outer draw: (a) one realized-data test of the true effect
-    with robust-hc1 (size tally); (b) y-fixed and eps-fixed permutation
-    simulations, each flagged when its rejection rate for the first
-    estimator in cfg.estimators reaches cfg.flag_threshold.  eps-fixed holds
-    y - beta_hat * treatment fixed, beta_hat the realized OLS slope.  Every
-    cell-draw pair runs through one map_chunks call, and draw j of a cell
-    keys its own streams, so a row does not depend on the other cells.
+    with robust-hc1 (size tally); (b) one permutation simulation testing
+    y-fixed and eps-fixed (y - beta_hat * treatment, beta_hat the realized
+    OLS slope) on the same draws, so their contrast is paired; a mode flags
+    when its rejection rate for the first estimator in cfg.estimators
+    reaches cfg.flag_threshold.  Every cell-draw pair runs through one
+    map_chunks call, and draw j of a cell keys its own streams
+    (substream(cfg.seed, j, 0), derive_seed(cfg.seed, j, 1)), so a row does
+    not depend on the other cells.
     """
     cells = list(cells)
     if not cells:
@@ -217,14 +219,13 @@ def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
             counts[gi, 0] += t_test(fit.slope, 0.0, var_cluster(fit, clusters), cfg.alpha)
             ys.append(y_star)
             ydots.append(y_star - fit.slope * draw.x)
-        # one shock block per mode serves every gamma; the simulation behind
-        # counts column col draws from derive_seed(cfg.seed, j, col)
-        for col, outcomes in ((1, ys), (2, ydots)):
-            reports = run_outcome_fixed(
-                outcomes, shares, clusters, replace(inner_cfg, seed=derive_seed(cfg.seed, j, col))
-            )
-            for gi, report in enumerate(reports):
-                counts[gi, col] += flagged(report.rates["crve"], cfg.flag_threshold)
+        # one shock block, drawn from derive_seed(cfg.seed, j, 1), tests every
+        # gamma in both modes: y-fixed fills column 1 and eps-fixed column 2
+        reports = run_outcome_fixed(
+            ys + ydots, shares, clusters, replace(inner_cfg, seed=derive_seed(cfg.seed, j, 1))
+        )
+        flags = [flagged(r.rates["crve"], cfg.flag_threshold) for r in reports]
+        counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
 
 
@@ -239,13 +240,13 @@ def run_flagging_curve(
     """Flagging probabilities and test size along a confound-strength grid.
 
     Per gamma and outer draw: test a zero slope with cluster-robust inference
-    (size tally) and run y-fixed plus eps-fixed shock simulations for the
-    crve estimator, flagging when the rejection rate reaches the threshold.
-    Draws are paired across gamma values (same substream per outer index,
-    and one shock block per simulation mode tests every gamma), so curve
-    differences are low-noise.  Cluster labels count only the clusters they
-    name: they are relabeled 0..G-1 in order of first appearance.  Returns
-    one row per gamma, in grid order.
+    (size tally) and test y-fixed and eps-fixed with the crve estimator,
+    flagging when the rejection rate reaches the threshold.  Draws are paired
+    across gamma values and modes (same substream per outer index, and one
+    shock simulation per outer draw tests every gamma in both modes), so
+    curve differences and the y-versus-eps contrast are low-noise.  Cluster
+    labels count only the clusters they name: they are relabeled 0..G-1 in
+    order of first appearance.  Returns one row per gamma, in grid order.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:

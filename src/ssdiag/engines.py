@@ -1,15 +1,15 @@
 """Design-based simulation engines.
 
-One outcome-fixed engine for shift-share data holds K outcome vectors fixed
-and resamples iid standard normal sector shocks, testing every outcome against
-the same block of draws: y-fixed holds the realized y, eps-fixed the
-residualized y - beta_hat*x, placebo the pre-treatment outcome, and the
-flagging experiment every confound strength of its grid at once.  A
-treatment-permutation engine resamples the balanced assignment of a partition
-design.  Both engines take the fixed outcomes themselves; the caller forms
-them.  Each replication resamples the regressor, refits the bivariate OLS,
-and tests a zero slope with every requested variance estimator; reports
-carry rejection frequencies.
+Both engines hold K outcome vectors fixed and test every outcome against the
+same block of resampled regressors; the caller forms the outcomes.  The
+outcome-fixed engine for shift-share data resamples iid standard normal
+sector shocks: y-fixed holds the realized y, eps-fixed the residualized
+y - beta_hat*x, placebo the pre-treatment outcome, and the flagging
+experiment both modes at every confound strength.  The treatment-permutation
+engine resamples the balanced assignment of a partition design, for the
+grouped experiment's y-fixed and eps-fixed outcomes.  Each replication
+refits the bivariate OLS and tests a zero slope with every requested
+variance estimator; reports carry rejection frequencies.
 
 The test kernel works on cells, sets of units that share one regressor
 value: a unit for shift-share data, a group for a partition design, so a
@@ -380,24 +380,20 @@ def run_y_fixed(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
 
 
 def run_partition_permutation(
-    y, design: PartitionDesign, cfg: SimConfig, workers: int = 1
-) -> SimReport:
-    """Hold the outcome ``y`` fixed and resample balanced group-level assignments.
+    outcomes, design: PartitionDesign, cfg: SimConfig, workers: int = 1
+) -> tuple[SimReport, ...]:
+    """Hold each outcome vector fixed and resample balanced group-level assignments.
 
-    The caller picks the fixed outcome: the realized y, or the residualized
-    y - beta_hat * treatment for eps-fixed.  Each of the ``cfg.replications``
+    Every outcome is tested against the same draws, so each report equals
+    that of a run on its outcome alone.  Each of the ``cfg.replications``
     draws treats a random half of the groups; the exact distribution over
     every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != design.n_units:
+    ys = np.asarray(outcomes, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != design.n_units:
         raise ValidationError("outcome length does not match the design")
-
     # cells are groups, which double as the clusters and the sectors (shares None)
-    n_groups = design.n_groups
-    draw = partial(_partition_regressors, n_groups, cfg.seed)
-    (report,) = _run_sim(
-        [y], cfg, workers, draw, np.arange(n_groups), None, cells=design.group_of
-    ).reports
-    return report
+    draw = partial(_partition_regressors, design.n_groups, cfg.seed)
+    groups = np.arange(design.n_groups)
+    return _run_sim(ys, cfg, workers, draw, groups, None, cells=design.group_of).reports

@@ -2,7 +2,8 @@
 
 Each stream is a Philox generator keyed by ``(seed, *path)``: chunk c of
 a simulation's replications draws from ``substream(seed, c)``, outer draw
-j of an experiment from ``substream(seed, j, 0)``, and replication r of
+j of an experiment its data from ``substream(seed, j, 0)`` and its one
+inner simulation from ``derive_seed(seed, j, 1)``, and replication r of
 the convergence experiment at grid point f from ``substream(seed, f, r)``.
 Philox is counter-based, so streams for distinct keys are independent, and
 since chunk boundaries never depend on the worker count, results do not

@@ -371,6 +371,20 @@ class TestTableAndCurve:
         assert lines[1].split(",")[:3] == ["panel", "n_states", "size"]
         assert len(lines) == 2 + 10  # comment + header + 5 panels x 2 sizes
 
+    def test_mc_table_repeated_states_exit_before_any_simulation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a repeated size wrote two rows per panel under one label, with different numbers
+        calls = []
+        monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "table.csv"
+        assert main([
+            "mc-table", "--seed", "1", "--reps", "4", "--perms", "10",
+            "--states", "4,4", "--per-state", "2", "--out", str(out),
+        ]) == 2
+        assert "repeated states [4]" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_mc_table_splits_small_budgets_across_workers(self, tmp_path, monkeypatch):
         # every cell-draw pair of a command goes through one map_chunks call, so
         # a second worker has work to do; 21 draws per cell make a chunk of 16

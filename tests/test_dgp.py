@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo experiment generators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from ssdiag import (
     crossed_shares,
     draw_flagging,
     draw_grouped,
+    engines,
+    ols_simple,
     run_flagging_curve,
     run_grouped_experiment,
+    run_partition_permutation,
 )
 from ssdiag.data import contiguous_partition
-from ssdiag.rng import substream
+from ssdiag.rng import derive_seed, substream
 
 
 class TestDrawGrouped:
@@ -102,6 +107,25 @@ class TestGroupedExperiment:
         ]
         batched = run_grouped_experiment(cells, 21, workers=2)
         assert batched == [run_grouped_experiment([cell], 21)[0] for cell in cells]
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_one_block_tests_both_modes(self, seed):
+        # draw 0 keys substream(seed, 0, 0) for the data and derive_seed(seed, 0, 1)
+        # for the one assignment block that tests y-fixed and eps-fixed
+        dgp = GroupedDGP(n_states=20, per_state=3, beta=0.5, omega=0.6)
+        cfg = SimConfig(replications=400, seed=seed)
+        draw = draw_grouped(dgp, substream(seed, 0, 0))
+        slope = ols_simple(draw.y, draw.x).slope
+        reports = run_partition_permutation(
+            [draw.y, draw.y - slope * draw.x], draw.design,
+            replace(cfg, seed=derive_seed(seed, 0, 1)),
+        )
+        # a threshold at the block's eps-fixed rate: another block flags only
+        # when its rate is at least as high
+        threshold = reports[1].rates["robust-hc1"]
+        (row,) = run_grouped_experiment([(dgp, replace(cfg, flag_threshold=threshold))], 1)
+        y_flag = reports[0].rates["robust-hc1"] >= threshold
+        assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), 1.0)
 
     def test_validation(self):
         cfg = SimConfig(replications=5, seed=1)
@@ -189,6 +213,25 @@ class TestFlaggingCurve:
         contiguous = run_flagging_curve(shares, clusters, [0.0, 1.0], 40, cfg)
         gapped = run_flagging_curve(shares, 2 * clusters, [0.0, 1.0], 40, cfg)
         assert gapped == contiguous
+
+    def test_one_simulation_per_outer_draw(self, monkeypatch):
+        # both modes of every gamma share one shock simulation per outer draw
+        calls = []
+        real = engines._run_sim
+
+        def counting(ys, *args, **kwargs):
+            calls.append(len(ys))
+            return real(ys, *args, **kwargs)
+
+        monkeypatch.setattr(engines, "_run_sim", counting)
+        shares, clusters = crossed_shares(4, 3)
+        cfg = SimConfig(replications=20, seed=5, estimators=("crve",))
+        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 7, cfg)
+        assert calls == [6] * 7  # 3 gammas x 2 modes
+        calls.clear()
+        grouped = (GroupedDGP(n_states=4, per_state=2), SimConfig(replications=20, seed=5))
+        run_grouped_experiment([grouped], 5)
+        assert calls == [2] * 5
 
     def test_crossed_shares_shape(self):
         shares, clusters = crossed_shares(3, 4)

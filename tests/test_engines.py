@@ -41,7 +41,7 @@ design = contiguous_partition(100, 10)
 y = np.random.default_rng(0).standard_normal(design.n_units)
 
 def run(seed):
-    run_partition_permutation(y, design, SimConfig(replications=512, seed=seed))
+    run_partition_permutation([y], design, SimConfig(replications=512, seed=seed))
 
 run(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -129,7 +129,7 @@ class TestReportInvariants:
         design = contiguous_partition(6, 2)
         y = np.random.default_rng(0).standard_normal(12)
         cfg = SimConfig(replications=400, seed=3)
-        report = run_partition_permutation(y, design, cfg)
+        (report,) = run_partition_permutation([y], design, cfg)
         assert report.skipped_degenerate == 0
 
     def test_constant_placebo(self):
@@ -159,7 +159,7 @@ class TestValidation:
         design = contiguous_partition(2, 1)
         with pytest.raises(ValidationError, match="at least 3 observations"):
             run_partition_permutation(
-                np.array([1.0, 2.0]), design, SimConfig(replications=5, seed=1)
+                [np.array([1.0, 2.0])], design, SimConfig(replications=5, seed=1)
             )
 
     def test_bad_config(self):
@@ -246,7 +246,7 @@ class TestCellKernel:
         design = contiguous_partition(n_groups, group_size)
         y = self._grouped_outcome(design, n_groups + group_size)
         cfg = SimConfig(replications=500, seed=41, alpha=0.2, estimators=FULL_MENU)
-        report = run_partition_permutation(y, design, cfg)
+        (report,) = run_partition_permutation([y], design, cfg)
         X = np.vstack(
             [
                 engines._partition_regressors(n_groups, cfg.seed, lo, hi)
@@ -370,7 +370,7 @@ class TestStreamLayout:
             blocks.clear()
             cfg = SimConfig(replications=replications, seed=17)
             if engine == "partition":
-                run_partition_permutation(y, design, cfg)
+                run_partition_permutation([y], design, cfg)
             else:
                 run_y_fixed(data, cfg)
             firsts.append(blocks[0])
@@ -413,8 +413,8 @@ class TestPool:
 class TestPermutationEngine:
     def test_constant_outcome(self):
         design = contiguous_partition(4, 2)
-        report = run_partition_permutation(
-            np.full(8, 2.0), design, SimConfig(replications=50, seed=9)
+        (report,) = run_partition_permutation(
+            [np.full(8, 2.0)], design, SimConfig(replications=50, seed=9)
         )
         assert report.rates["robust-hc1"] == 0.0
 
@@ -425,7 +425,7 @@ class TestPermutationEngine:
         y = beta * x  # pure effect, no noise
         cfg = SimConfig(replications=60, seed=2)
         # residualizing with the true slope leaves a constant outcome
-        report = run_partition_permutation(y - beta * x, design, cfg)
+        (report,) = run_partition_permutation([y - beta * x], design, cfg)
         assert report.rates["robust-hc1"] == 0.0
 
     def test_worker_invariance(self):
@@ -433,6 +433,23 @@ class TestPermutationEngine:
         y = np.random.default_rng(7).standard_normal(24)
         cfg = SimConfig(replications=600, seed=77, estimators=("robust-hc1", "crve"))
         reports = [
-            run_partition_permutation(y, design, cfg, workers=w) for w in (1, 3)
+            run_partition_permutation([y], design, cfg, workers=w) for w in (1, 3)
         ]
         assert reports[0] == reports[1]
+
+    def test_outcomes_share_one_block(self):
+        # each report of a two-outcome run equals a one-outcome run at the same seed
+        design = contiguous_partition(8, 3)
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(24)
+        ys = [y, y - 0.8 * rng.standard_normal(8)[design.group_of]]
+        cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
+        both = run_partition_permutation(ys, design, cfg)
+        assert both == tuple(run_partition_permutation([o], design, cfg)[0] for o in ys)
+        assert both[0] != both[1]
+
+    def test_outcome_length_checked(self):
+        design = contiguous_partition(4, 2)
+        for outcomes in (np.zeros(8), [np.zeros(6)]):
+            with pytest.raises(ValidationError, match="does not match the design"):
+                run_partition_permutation(outcomes, design, SimConfig(replications=5, seed=1))

@@ -2,9 +2,10 @@
 
 A refactor that must keep report bytes identical is checked against these
 files.  A change that alters them on purpose (for example the random-stream
-layout) regenerates them and says so in CHANGES.md:
+layout) regenerates the goldens it means to change, by name, and says so in
+CHANGES.md; with no names every golden is regenerated:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py mc-table.csv flag-curve.csv
 """
 
 import sys
@@ -70,9 +71,13 @@ def _write_inputs() -> None:
 
 
 if __name__ == "__main__":
+    names = [arg for arg in sys.argv[1:] if arg != "--inputs"]
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown goldens {unknown}; choose from {sorted(COMMANDS)}")
     GOLDEN.mkdir(exist_ok=True)
     if "--inputs" in sys.argv:
         _write_inputs()
-    for name in COMMANDS:
+    for name in names or COMMANDS:
         _run(name, GOLDEN / name)
         print(f"wrote {GOLDEN / name}")
