@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,38 +126,97 @@ def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
     return region_ids, {name: [row[k] for row in rows] for k, name in enumerate(header[1:])}
 
 
+def _is_shares_header(header: list[str]) -> bool:
+    return len(header) > 1 and header == ["region_id"] + [f"s_{j}" for j in range(1, len(header))]
+
+
+# numpy's float parse strips these separators as spaces; float() refuses them
+_NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt_shares(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """Region ids and shares of a shares CSV in one np.loadtxt parse, or None.
+
+    None wherever the row-by-row parse might differ: a bad header, a quote, a
+    field count other than the header's, a duplicate id, a number numpy does
+    not take (``1_0``, full-width digits), no rows, or an unreadable file.
+    numpy and float() give the same bits for every number both take.
+    """
+    region_ids: list[str] = []
+
+    def region(field: str) -> float:
+        if '"' in field:
+            raise ValueError("quoted field")
+        region_ids.append(field.strip())
+        return 0.0
+
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = [h.strip() for h in next((row for row in reader if row), [])]
+            header_lines = reader.line_num  # blank lines before the header count
+        if not _is_shares_header(header):
+            return None
+        # one read of the whole file, freed before the parse
+        if any(map(path.read_bytes().__contains__, _NUMPY_ONLY_SPACES)):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
+            # all columns are read: usecols would drop an extra field without a word
+            table = np.loadtxt(
+                path, delimiter=",", comments=None, skiprows=header_lines,
+                converters={0: region}, ndmin=2, encoding="utf-8",
+            )
+    except (OSError, ValueError, csv.Error):
+        return None
+    if not region_ids or table.shape != (len(region_ids), len(header)):
+        return None
+    return (region_ids, table[:, 1:]) if len(set(region_ids)) == len(region_ids) else None
+
+
+def _read_shares(path: Path) -> tuple[list[str], np.ndarray]:
+    """Region ids and the shares matrix of a shares CSV, in file order.
+
+    The row-by-row parse runs only where the one-pass parse refuses the file;
+    it gives every ``path line N: ...`` message.
+    """
+    fast = _loadtxt_shares(path)
+    if fast is not None:
+        return fast
+    header, body = _read_rows(path)
+    if not _is_shares_header(header):
+        raise ValidationError(
+            f"{path}: header must be region_id,s_1,...,s_F (got {','.join(header)})"
+        )
+    region_ids, rows = _keyed_rows(path, header, body, [_parse_float] * (len(header) - 1))
+    return region_ids, np.array(rows, dtype=float)
+
+
 def ingest(shares_path, outcomes_path) -> Dataset:
     """Load and join the shares and outcomes files into a validated Dataset.
 
     Row order follows the outcomes file.
     """
     shares_path, outcomes_path = Path(shares_path), Path(outcomes_path)
-    header, body = _read_rows(shares_path)
-    n_sectors = len(header) - 1
-    expected = ["region_id"] + [f"s_{j}" for j in range(1, n_sectors + 1)]
-    if header != expected or n_sectors < 1:
-        raise ValidationError(
-            f"{shares_path}: header must be region_id,s_1,...,s_F (got {','.join(header)})"
-        )
-    share_rows = dict(zip(*_keyed_rows(shares_path, header, body, [_parse_float] * n_sectors)))
+    share_ids, shares = _read_shares(shares_path)
 
     region_ids, columns = _read_outcomes(outcomes_path)
+    position = {region: k for k, region in enumerate(share_ids)}
     for region in region_ids:
-        if region not in share_rows:
+        if region not in position:
             raise ValidationError(
                 f"region {region!r} present in outcomes but missing from shares"
             )
-    orphans = set(share_rows) - set(region_ids)
+    orphans = position.keys() - set(region_ids)
     if orphans:
         raise ValidationError(
             f"region {sorted(orphans)[0]!r} present in shares but missing from outcomes"
         )
 
-    shares = np.array([share_rows[r] for r in region_ids], dtype=float)
     return validate_dataset(
         region_ids,
         columns["y"],
-        shares,
+        shares[[position[r] for r in region_ids]],
         clusters=columns.get("cluster"),
         y_placebo=columns.get("y_placebo"),
         x_realized=columns.get("x_realized"),
@@ -316,6 +376,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     alpha = settings.get("alpha", 0.05, float)
     threshold = settings.get("threshold", 0.1, float)
     perms = settings.get("perms", 2000, int)
+    workers = settings.workers()
     data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
 
     menu = settings.get_list("estimators")
@@ -343,7 +404,6 @@ def cmd_diagnose(settings: _Settings) -> None:
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
 
-    workers = settings.workers()
     # every mode's columns are checked before the first simulation; eps-fixed
     # and placebo test crve on one seed, so one shock block serves both
     crve_outcomes: dict[str, np.ndarray] = {}

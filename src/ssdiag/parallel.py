@@ -29,18 +29,20 @@ from .errors import ValidationError
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit worker count, else the SSDIAG_WORKERS env var, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SSDIAG_WORKERS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValidationError(
-            f"SSDIAG_WORKERS: could not parse {env!r} as an integer"
-        ) from None
+    """Explicit worker count, else the SSDIAG_WORKERS env var, else 1; at least 1."""
+    if workers is None:
+        env = os.environ.get("SSDIAG_WORKERS")
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValidationError(
+                f"SSDIAG_WORKERS: could not parse {env!r} as an integer"
+            ) from None
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1 (got {workers})")
+    return workers
 
 
 # mallopt parameters of glibc's <malloc.h>

@@ -17,7 +17,9 @@ from ssdiag import (
     engines,
     run_outcome_fixed,
 )
+from ssdiag import cli
 from ssdiag.cli import _report_block, ingest, main
+from ssdiag.errors import ValidationError
 from ssdiag.rng import substream
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -99,6 +101,78 @@ class TestIngest:
         _, outcomes = _toy_files(tmp_path)
         with pytest.raises(Exception, match="header"):
             ingest(bad, outcomes)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("r0,0.25,0.75\nr1,0.5,0.5,0.1\nr2,1,0", "line 3: expected 3 fields, got 4"),
+            ("r0,0.25,0.75\nr1,0.5,0.5,\nr2,1,0", "line 3: expected 3 fields, got 4"),
+            ("r0,0.25,0.75,1\nr1,0.5,0.5,1\nr2,1,0,1", "line 2: expected 3 fields, got 4"),
+            ("r0,0.25,0.75\n   \nr2,1,0", "line 3: expected 3 fields, got 1"),
+            ("r0,0.25,0.75\nr1,abc,0.5\nr2,1,0", "line 3: could not parse 'abc' as a number"),
+            ("r0,0.25,0.75\nr1,0.5#x,0.5\nr2,1,0", "line 3: could not parse '0.5#x' as a number"),
+            ("r0,0.25,0.75\nr1,0.5,0.5#x\nr2,1,0", "line 3: could not parse '0.5#x' as a number"),
+            ("r0,0.25,0.75\nr1,\x1c0.5,0.5\nr2,1,0", "line 3: could not parse '\\x1c0.5' as a number"),
+            ("r0,0.25,0.75\nr0,0.5,0.5\nr2,1,0", "line 3: duplicate region id 'r0'"),
+        ],
+    )
+    def test_shares_row_errors(self, rows, message, tmp_path):
+        shares = _write(tmp_path / "s.csv", f"region_id,s_1,s_2\n{rows}\n")
+        _, outcomes = _toy_files(tmp_path)
+        with pytest.raises(ValidationError) as exc:
+            ingest(shares, outcomes)
+        assert str(exc.value) == f"{shares} {message}"
+
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("region_id,s_1,s_2\nr0,0.25,0.75\nr1,0.5,0.5\nr2,10,0\n", True),
+            ("region_id,s_1,s_2\nr0,0.25,0.75\nr1,0.5,0.5\nr2,1_0,0\n", False),
+            ('region_id,s_1,s_2\nr0,0.25,0.75\nr1,"0.5",0.5\nr2,10,0\n', False),
+            ('region_id,s_1,s_2\n"r0",0.25,0.75\nr1,0.5,0.5\nr2,10,0\n', False),
+            ("region_id,s_1,s_2\nr0,0.25,0.75\nr1,0.5,\uff10.5\nr2,10,0\n", False),
+            ("\n\nregion_id,s_1,s_2\nr0,0.25,0.75\n\nr1,0.5,0.5\nr2,10,0", True),
+            ("region_id,s_1,s_2\r\nr0,0.25,0.75\r\nr1,0.5,0.5\r\nr2,10,0\r\n", True),
+            ("region_id,s_1,s_2\rr0,0.25,0.75\rr1,0.5,0.5\rr2,10,0\r", True),
+            ("region_id, s_1 ,s_2\n r0 , 0.25,0.75 \nr1,\t0.5,0.5\nr2,1e1 ,0\n", True),
+        ],
+    )
+    def test_shares_formats_read_alike(self, text, fast, tmp_path):
+        shares = tmp_path / "s.csv"
+        shares.write_bytes(text.encode("utf-8"))
+        _, outcomes = _toy_files(tmp_path)
+        data = ingest(shares, outcomes)
+        assert data.region_ids == ("r0", "r1", "r2")
+        np.testing.assert_array_equal(data.shares, [[0.25, 0.75], [0.5, 0.5], [10.0, 0.0]])
+        assert (cli._loadtxt_shares(shares) is not None) == fast
+
+    def test_one_pass_parse_matches_row_by_row_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        n, f = 60, 7
+        values = rng.gamma(0.3, size=(n, f)) * 10.0 ** rng.integers(-300, 300, size=(n, f))
+        values[rng.random((n, f)) < 0.1] = -0.0
+        values[:, 0] = np.maximum(values[:, 0], 5e-324)  # no all-zero row
+        cells = [list(map(repr, row.tolist())) for row in values]
+        cells[3][2], cells[5][4], cells[8][1] = "nan", "-inf", "Infinity"
+        rows = [f"r{i}," + ",".join(c) for i, c in enumerate(cells)]
+        header = "region_id," + ",".join(f"s_{j}" for j in range(1, f + 1))
+        raw = _write(tmp_path / "raw.csv", "\n".join([header] + rows) + "\n")
+        clean = _write(tmp_path / "clean.csv", "\n".join([header] + rows[10:]) + "\n")
+        order = rng.permutation(range(10, n))
+        outcomes = _write(
+            tmp_path / "o.csv", "region_id,y\n" + "".join(f"r{i},{i}\n" for i in order)
+        )
+
+        fast_raw, fast = cli._read_shares(Path(raw)), ingest(clean, outcomes)
+        assert cli._loadtxt_shares(Path(clean)) is not None
+        monkeypatch.setattr(cli, "_loadtxt_shares", lambda path: None)
+        slow_raw, slow = cli._read_shares(Path(raw)), ingest(clean, outcomes)
+        assert fast_raw[0] == slow_raw[0]
+        assert fast_raw[1].shape == slow_raw[1].shape == (n, f)
+        assert np.array_equal(fast_raw[1].view(np.uint64), slow_raw[1].view(np.uint64))
+        assert fast.region_ids == slow.region_ids == tuple(f"r{i}" for i in order)
+        assert np.array_equal(fast.shares.view(np.uint64), slow.shares.view(np.uint64))
+        assert np.array_equal(fast.shares, values[order])
 
 
 def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
@@ -598,6 +672,19 @@ class TestBadNumbers:
         monkeypatch.setenv("SSDIAG_WORKERS", "abc")
         assert main(["mc-table", "--seed", "1", "--reps", "2", "--states", "4"]) == 2
         assert "SSDIAG_WORKERS: could not parse 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+    @pytest.mark.parametrize("command", ["diagnose", "mc-table", "flag-curve"])
+    def test_workers_below_one(self, command, flag, env, tmp_path, monkeypatch, capsys):
+        # exits before any input is read: the shares file does not exist
+        argv = [command, "--seed", "1", "--shares", str(tmp_path / "missing.csv")]
+        if command == "mc-table":
+            argv = argv[:3]
+        if flag is not None:
+            argv += ["--workers", flag]
+        monkeypatch.setenv("SSDIAG_WORKERS", env or "")
+        assert main(argv) == 2
+        assert "error: workers must be at least 1" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:
