@@ -162,7 +162,8 @@ def _loadtxt_shares(path: Path) -> tuple[list[str], np.ndarray] | None:
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
-            # all columns are read: usecols would drop an extra field without a word
+            # every column is read, as usecols would drop an extra field without a word;
+            # comments=None keeps a '#' in its field
             table = np.loadtxt(
                 path, delimiter=",", comments=None, skiprows=header_lines,
                 converters={0: region}, ndmin=2, encoding="utf-8",
