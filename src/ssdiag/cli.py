@@ -56,7 +56,7 @@ def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             table = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not table:
         raise ValidationError(f"{path}: empty file")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Dataset, PartitionDesign
 from .errors import ValidationError
-from .estimators import DEGENERATE_TOL, rejects, t_crits
+from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
@@ -114,25 +114,13 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
 # cell-level test kernel
 
 # The estimator menu of the test kernel.  Every variance targets the slope of
-# y = b0 + b1*x, with xt the demeaned regressor and e the OLS residuals:
-#
-# * robust-hc1: N/(N-2) * sum(xt_i^2 e_i^2) / (sum xt_i^2)^2, dof N-2
-# * robust-hc3: same with e_i replaced by e_i/(1-h_ii)
-# * crve (CR1): G/(G-1) * (N-1)/(N-2) * sum_g S_g^2 / (sum xt_i^2)^2,
-#   S_g = sum_{i in g} xt_i e_i, dof G-1
-# * crve-hc3: CR1 with per-observation leverage deflation e_i/(1-h_ii)
-#   inside the cluster scores.  NOTE: this is NOT the full-block CR3
-#   inverse-projection correction; the per-observation form keeps O(N)
-#   cost and coincides with it only for singleton clusters.
-# * score-agg: sector-level aggregation R_f = sum_i w_if xt_i r_i with
-#   r_i = e_i, value F/(F-1) * sum_f R_f^2 / (sum xt_i^2)^2, dof F-1
-# * score-agg-null: same with r_i rebuilt under the null slope 0
-#   (r_i = y_i - ybar, i.e. intercept refit, slope forced to zero)
-#
-# On a partition share matrix the sector scores equal group-level cluster
-# scores, so score-agg = crve(groups) * (N-2)/(N-1) exactly; the test suite
-# pins that equivalence.  Each test is the two-sided t test of
-# ssdiag.estimators (t_crits, rejects) with the dof above.
+# y = b0 + b1*x; estimators.small_sample gives each one's finite-sample factor
+# and t dof.  crve-hc3 deflates each observation's residual by 1/(1-h_ii)
+# inside the cluster scores: it is NOT the full-block CR3 inverse-projection
+# correction, which it matches only for singleton clusters.  On a partition
+# share matrix the sector scores equal group-level cluster scores, so
+# score-agg = crve(groups) * (N-2)/(N-1) exactly; the test suite pins that
+# equivalence.
 ESTIMATORS = (
     "robust-hc1",
     "robust-hc3",
@@ -161,11 +149,12 @@ class _Design:
 
 @dataclass(frozen=True)
 class _Outcome:
-    """One fixed outcome: its cell terms, estimator menu and critical values."""
+    """One fixed outcome: its cell terms, estimator menu, factors and critical values."""
 
     S: np.ndarray  # (C,) cell sums of the centred outcome
     W: np.ndarray | None  # (C,) within-cell sums of squares; None: one unit per cell
     estimators: tuple[str, ...]
+    factors: tuple[float, ...]  # finite-sample factor per estimator
     crits: np.ndarray  # t critical value per estimator
 
 
@@ -206,26 +195,20 @@ def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel
     if n < 3:
         raise ValidationError("need at least 3 observations")
     m = np.ones(n) if cells is None else np.bincount(cells).astype(float)
+    n_sectors = m.size if shares is None else shares.shape[1]
     order = starts = None
-    dofs = []
+    conventions = []  # (factor, dof) per estimator, checked in menu order
     for est in estimators:
-        if est in ("robust-hc1", "robust-hc3"):
-            dofs.append(n - 2)
-        elif est in _CLUSTERED:
+        if est in _CLUSTERED:
             if clusters is None:
                 raise ValidationError(f"{est} requires cluster labels")
             if starts is None:
                 order, starts = _cluster_segments(clusters)
-            if starts.size < 2:
-                raise ValidationError("need at least 2 clusters")
-            dofs.append(starts.size - 1)
-        else:  # score-agg family
-            n_sectors = m.size if shares is None else shares.shape[1]
-            if n_sectors < 2:
-                raise ValidationError("need at least 2 sectors")
-            dofs.append(n_sectors - 1)
+        n_clusters = 0 if starts is None else starts.size
+        conventions.append(small_sample(est, n, n_clusters, n_sectors))
     estimators = tuple(estimators)
-    crits = np.array(t_crits(alpha, tuple(dofs)))
+    factors = tuple(factor for factor, _ in conventions)
+    crits = np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
     outcomes = []
     for y in ys:
         yc = y - y.mean()
@@ -234,7 +217,7 @@ def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel
         else:
             S = np.bincount(cells, weights=yc)
             W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
-        outcomes.append(_Outcome(S=S, W=W, estimators=estimators, crits=crits))
+        outcomes.append(_Outcome(S=S, W=W, estimators=estimators, factors=factors, crits=crits))
     design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
     return _Kernel(design=design, outcomes=tuple(outcomes))
 
@@ -288,7 +271,7 @@ def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 P_deflated = P * deflate
             skipped[i] = np.count_nonzero(~ok)
 
-            for est, crit in zip(outcome.estimators, outcome.crits):
+            for est, factor, crit in zip(outcome.estimators, outcome.factors, outcome.crits):
                 deflated = est in _DEFLATED
                 scores = P_deflated if deflated else P
                 if est in ("robust-hc1", "robust-hc3"):
@@ -296,21 +279,18 @@ def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
                     value = (scores * scores) @ (1.0 / m)
                     if outcome.W is not None:
                         value += (X2 * deflate * deflate if deflated else X2) @ outcome.W
-                    value = n / (n - 2) * value / ssq2
                 elif est in _CLUSTERED:
                     if d.order is not None:
                         scores = scores[:, d.order]
                     scores = np.add.reduceat(scores, d.starts, axis=1)
-                    G = d.starts.size
-                    factor = G / (G - 1) * (n - 1) / (n - 2)
-                    value = factor * np.einsum("bg,bg->b", scores, scores) / ssq2
+                    value = np.einsum("bg,bg->b", scores, scores)
                 else:  # score-agg / score-agg-null; null residuals sum to S per cell
                     if est == "score-agg-null":
                         scores = Xc * outcome.S
                     if d.shares is not None:
                         scores = scores @ d.shares
-                    F = scores.shape[1]
-                    value = F / (F - 1) * np.einsum("bf,bf->b", scores, scores) / ssq2
+                    value = np.einsum("bf,bf->b", scores, scores)
+                value = factor * value / ssq2
                 counts[k] = np.count_nonzero(rejects(slope, value, crit) & ok)
                 k += 1
     return counts, skipped

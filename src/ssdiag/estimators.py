@@ -2,9 +2,10 @@
 
 The experiments test each realized sample once, with robust-hc1 or crve; the
 simulations test their draws with the vectorized kernel of
-:mod:`ssdiag.engines`, which documents the conventions of the estimator menu.
-Both decide with the one test defined here: :func:`t_crits` gives the
-critical values and :func:`rejects` the rejection rule.
+:mod:`ssdiag.engines`.  Both take each estimator's finite-sample factor and
+dof from :func:`small_sample` and decide with the one test defined here:
+:func:`t_crits` gives the critical values and :func:`rejects` the rejection
+rule.
 """
 
 from __future__ import annotations
@@ -40,6 +41,27 @@ class RegressionFit:
 class VarianceEstimate:
     value: float
     dof: float
+
+
+def small_sample(estimator: str, n: int, n_clusters: int, n_sectors: int) -> tuple[float, int]:
+    """The finite-sample factor and t dof of ``estimator`` on ``n`` units.
+
+    robust-hc1 and robust-hc3 take N/(N-2) and dof N-2; crve and crve-hc3
+    G/(G-1) * (N-1)/(N-2) and dof G-1, G clusters; score-agg and
+    score-agg-null F/(F-1) and dof F-1, F sectors.  The one statement of
+    these conventions, for the test kernel and the realized-sample tests.
+    """
+    if estimator in ("robust-hc1", "robust-hc3"):
+        return n / (n - 2), n - 2
+    if estimator in ("crve", "crve-hc3"):
+        G = n_clusters
+        if G < 2:
+            raise ValidationError("need at least 2 clusters")
+        return G / (G - 1) * (n - 1) / (n - 2), G - 1
+    F = n_sectors  # score-agg family
+    if F < 2:
+        raise ValidationError("need at least 2 sectors")
+    return F / (F - 1), F - 1
 
 
 @lru_cache(maxsize=256)
@@ -87,11 +109,11 @@ def ols_simple(y, x) -> RegressionFit:
 
 def var_robust(fit: RegressionFit) -> VarianceEstimate:
     """Heteroskedasticity-robust (HC1) slope variance."""
-    n = fit.n_obs
     e = fit.residuals
     xt = fit.x_demeaned
-    value = n / (n - 2) * float(xt * xt @ (e * e)) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(value=value, dof=float(n - 2))
+    factor, dof = small_sample("robust-hc1", fit.n_obs, 0, 0)
+    value = factor * float(xt * xt @ (e * e)) / fit.regressor_demeaned_ssq**2
+    return VarianceEstimate(value=value, dof=float(dof))
 
 
 def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
@@ -101,13 +123,10 @@ def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
     if clusters.shape != (n,):
         raise ValidationError("cluster labels do not match the fit")
     labels, index = np.unique(clusters, return_inverse=True)
-    n_clusters = labels.size
-    if n_clusters < 2:
-        raise ValidationError("need at least 2 clusters")
-    scores = np.bincount(index, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
-    factor = n_clusters / (n_clusters - 1) * (n - 1) / (n - 2)
+    factor, dof = small_sample("crve", n, labels.size, 0)
+    scores = np.bincount(index, weights=fit.x_demeaned * fit.residuals, minlength=labels.size)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
-    return VarianceEstimate(value=value, dof=float(n_clusters - 1))
+    return VarianceEstimate(value=value, dof=float(dof))
 
 
 def t_test(

@@ -174,6 +174,28 @@ class TestIngest:
         assert np.array_equal(fast.shares.view(np.uint64), slow.shares.view(np.uint64))
         assert np.array_equal(fast.shares, values[order])
 
+    _LONG = b"0" * 131072 + b"1"  # one character over csv's default field limit
+
+    @pytest.mark.parametrize(
+        "command, name, raw",
+        [
+            ("diagnose", "shares.csv", b"region_id,s_1,s_\xff2\nr0,0.25,0.75\nr1,0.5,0.5\nr2,1,0\n"),
+            ("diagnose", "shares.csv", b"region_id,s_1,s_2\nr0,0.25,0.75\nr1,0.5,0.5\nr2\xff,1,0\n"),
+            ("diagnose", "shares.csv", b'region_id,s_1,s_2\nr0,0.25,0.75\n"' + _LONG + b'",0.5,0.5\n'),
+            ("diagnose", "outcomes.csv", b"region_id,y\nr0,1\nr1,2\nr2\xff,3\n"),
+            ("diagnose", "outcomes.csv", b"region_id,y\nr0,1\nr1," + _LONG + b"\nr2,3\n"),
+            ("oracle", "outcomes.csv", b"region_id,y\nr0,1\nr1," + _LONG + b"\nr2,3\nr3,4\n"),
+        ],
+    )
+    def test_undecodable_byte_or_long_field_exits_2(self, command, name, raw, tmp_path, capsys):
+        shares, outcomes = _toy_files(tmp_path)
+        (tmp_path / name).write_bytes(raw)
+        inputs = ["--outcomes", outcomes]
+        if command == "diagnose":
+            inputs += ["--shares", shares, "--seed", "1"]
+        assert main([command, *inputs]) == 2
+        assert f"error: cannot read {tmp_path / name}: " in capsys.readouterr().err
+
 
 def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     """CSV pair from a grouped draw: one-hot state shares, clusters, x column."""

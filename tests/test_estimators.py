@@ -17,8 +17,10 @@ from ssdiag import (
     var_cluster,
     var_robust,
 )
+from ssdiag import engines
 from ssdiag.data import contiguous_partition
-from ssdiag.estimators import t_crits
+from ssdiag.errors import ValidationError
+from ssdiag.estimators import small_sample, t_crits
 
 
 def _random_case(seed, n=12, n_clusters=3):
@@ -174,6 +176,56 @@ class TestVarCluster:
         y, x, _ = _random_case(3)
         with pytest.raises(Exception, match="2 clusters"):
             var_cluster(ols_simple(y, x), np.zeros(y.size, dtype=int))
+
+
+class TestSmallSample:
+    @pytest.mark.parametrize("N, G, F", [(200, 20, 10), (7, 3, 2)])
+    def test_readme_conventions(self, N, G, F):
+        # README "Estimator conventions", written out
+        hc1 = (N / (N - 2), N - 2)
+        cr1 = (G / (G - 1) * (N - 1) / (N - 2), G - 1)
+        agg = (F / (F - 1), F - 1)
+        want = {
+            "robust-hc1": hc1, "robust-hc3": hc1, "crve": cr1, "crve-hc3": cr1,
+            "score-agg": agg, "score-agg-null": agg,
+        }
+        assert set(want) == set(engines.ESTIMATORS)
+        for est, convention in want.items():
+            assert small_sample(est, N, G, F) == convention
+
+    @pytest.mark.parametrize(
+        "est, G, F, message",
+        [("crve", 1, 10, "need at least 2 clusters"),
+         ("crve-hc3", 0, 10, "need at least 2 clusters"),
+         ("score-agg", 20, 1, "need at least 2 sectors"),
+         ("score-agg-null", 20, 1, "need at least 2 sectors")],
+    )
+    def test_too_few_clusters_or_sectors(self, est, G, F, message):
+        with pytest.raises(ValidationError, match=message):
+            small_sample(est, 200, G, F)
+
+    @pytest.mark.parametrize(
+        "menu, clusters, message",
+        [(("score-agg", "crve"), None, "need at least 2 sectors"),
+         (("crve", "score-agg"), None, "crve requires cluster labels"),
+         (("score-agg", "crve"), np.zeros(6, dtype=int), "need at least 2 sectors"),
+         (("crve", "score-agg"), np.zeros(6, dtype=int), "need at least 2 clusters")],
+    )
+    def test_kernel_checks_in_menu_order(self, menu, clusters, message):
+        # one sector: the first estimator of the menu names the fault
+        with pytest.raises(ValidationError, match=message):
+            engines._make_kernel([np.arange(6.0)], menu, 0.05, clusters, np.ones((6, 1)))
+
+    def test_kernel_and_realized_tests_read_it(self):
+        y, x, clusters = _random_case(4, n=12, n_clusters=3)
+        shares = np.random.default_rng(4).uniform(0.05, 1.0, (12, 4))
+        kernel = engines._make_kernel([y], engines.ESTIMATORS, 0.05, clusters, shares)
+        (outcome,) = kernel.outcomes
+        conventions = [small_sample(est, 12, 3, 4) for est in engines.ESTIMATORS]
+        assert outcome.factors == tuple(factor for factor, _ in conventions)
+        assert outcome.crits.tolist() == list(t_crits(0.05, tuple(d for _, d in conventions)))
+        fit = ols_simple(y, x)
+        assert var_robust(fit).dof == 10 and var_cluster(fit, clusters).dof == 2
 
 
 class TestVarScoreAgg:
