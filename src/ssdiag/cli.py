@@ -290,7 +290,11 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ValidationError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {p}: {exc}") from exc
+    try:
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
@@ -392,7 +396,6 @@ def cmd_diagnose(settings: _Settings) -> None:
         estimators=tuple(menu),
         flag_threshold=threshold,
     )
-    crve_cfg = replace(cfg, estimators=("crve",))
 
     modes = settings.get_list("modes", distinct=True)
     if modes is None:
@@ -405,8 +408,8 @@ def cmd_diagnose(settings: _Settings) -> None:
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
 
-    # every mode's columns are checked before the first simulation; eps-fixed
-    # and placebo test crve on one seed, so one shock block serves both
+    # every mode's columns are checked before the simulation; one shock block
+    # tests y-fixed with the menu and eps-fixed and placebo with crve
     crve_outcomes: dict[str, np.ndarray] = {}
     for mode in modes:
         if mode == "eps-fixed":
@@ -422,15 +425,16 @@ def cmd_diagnose(settings: _Settings) -> None:
             if data.clusters is None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
             crve_outcomes[mode] = data.y_placebo
-    blocks: dict[str, dict] = {}
+    names, reports = list(crve_outcomes), ()
     if "y-fixed" in modes:
-        blocks["y-fixed"] = _report_block(run_y_fixed(data, cfg, workers), threshold)
-    if crve_outcomes:
+        names.insert(0, "y-fixed")
+        reports = run_y_fixed(data, cfg, workers, crve=crve_outcomes.values())
+    elif names:
+        crve_cfg = replace(cfg, estimators=("crve",))
         reports = run_outcome_fixed(
             list(crve_outcomes.values()), data.shares, data.clusters, crve_cfg, workers
         )
-        for mode, report in zip(crve_outcomes, reports):
-            blocks[mode] = _report_block(report, threshold)
+    blocks = {mode: _report_block(report, threshold) for mode, report in zip(names, reports)}
     if "eps-fixed" in blocks:
         blocks["eps-fixed"]["beta_hat"] = beta_hat
 

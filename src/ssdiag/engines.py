@@ -1,15 +1,17 @@
 """Design-based simulation engines.
 
-Both engines hold K outcome vectors fixed and test every outcome against the
-same block of resampled regressors; the caller forms the outcomes.  The
-outcome-fixed engine for shift-share data resamples iid standard normal
-sector shocks: y-fixed holds the realized y, eps-fixed the residualized
-y - beta_hat*x, placebo the pre-treatment outcome, and the flagging
-experiment both modes at every confound strength.  The treatment-permutation
-engine resamples the balanced assignment of a partition design, for the
-grouped experiment's y-fixed and eps-fixed outcomes.  Each replication
-refits the bivariate OLS and tests a zero slope with every requested
-variance estimator; reports carry rejection frequencies.
+Both engines hold K outcome vectors fixed and test every outcome, each with
+its own estimator menu, against the same block of resampled regressors; the
+caller forms the outcomes.  The outcome-fixed engine for shift-share data
+resamples iid standard normal sector shocks: one block tests the realized y
+(y-fixed) with the requested menu and the residualized y - beta_hat*x
+(eps-fixed) and the pre-treatment outcome (placebo) with crve, and the
+flagging experiment both modes at every confound strength.  The
+treatment-permutation engine resamples the balanced assignment of a
+partition design, for the grouped experiment's y-fixed and eps-fixed
+outcomes.  Each replication refits the bivariate OLS and tests a zero slope
+with every requested variance estimator; reports carry rejection
+frequencies.
 
 The test kernel works on cells, sets of units that share one regressor
 value: a unit for shift-share data, a group for a partition design, so a
@@ -183,12 +185,13 @@ def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
     return order, starts
 
 
-def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel:
-    """Kernel testing every outcome in ``ys`` with one estimator menu.
+def _make_kernel(ys, menus, alpha, clusters, shares, cells=None) -> _Kernel:
+    """Kernel testing each outcome in ``ys`` with its own menu in ``menus``.
 
     ``cells`` maps each unit to its cell (None: every unit is a cell);
     ``clusters`` labels and ``shares`` rows are given per cell.  The
-    cluster count is the number of distinct labels.
+    cluster count is the number of distinct labels.  The design is built
+    once, and each distinct menu's factors and critical values once.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[1]
@@ -196,28 +199,33 @@ def _make_kernel(ys, estimators, alpha, clusters, shares, cells=None) -> _Kernel
         raise ValidationError("need at least 3 observations")
     m = np.ones(n) if cells is None else np.bincount(cells).astype(float)
     n_sectors = m.size if shares is None else shares.shape[1]
+    menus = [tuple(menu) for menu in menus]
     order = starts = None
-    conventions = []  # (factor, dof) per estimator, checked in menu order
-    for est in estimators:
-        if est in _CLUSTERED:
-            if clusters is None:
-                raise ValidationError(f"{est} requires cluster labels")
-            if starts is None:
-                order, starts = _cluster_segments(clusters)
-        n_clusters = 0 if starts is None else starts.size
-        conventions.append(small_sample(est, n, n_clusters, n_sectors))
-    estimators = tuple(estimators)
-    factors = tuple(factor for factor, _ in conventions)
-    crits = np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
+    tests = {}  # menu -> (factors, crits); menus checked in order, each in menu order
+    for menu in menus:
+        if menu in tests:
+            continue
+        conventions = []  # (factor, dof) per estimator
+        for est in menu:
+            if est in _CLUSTERED:
+                if clusters is None:
+                    raise ValidationError(f"{est} requires cluster labels")
+                if starts is None:
+                    order, starts = _cluster_segments(clusters)
+            n_clusters = 0 if starts is None else starts.size
+            conventions.append(small_sample(est, n, n_clusters, n_sectors))
+        factors = tuple(factor for factor, _ in conventions)
+        tests[menu] = factors, np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
     outcomes = []
-    for y in ys:
+    for y, menu in zip(ys, menus, strict=True):
         yc = y - y.mean()
         if cells is None:
             S, W = yc, None
         else:
             S = np.bincount(cells, weights=yc)
             W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
-        outcomes.append(_Outcome(S=S, W=W, estimators=estimators, factors=factors, crits=crits))
+        factors, crits = tests[menu]
+        outcomes.append(_Outcome(S=S, W=W, estimators=menu, factors=factors, crits=crits))
     design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
     return _Kernel(design=design, outcomes=tuple(outcomes))
 
@@ -311,16 +319,17 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(ys, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
-    kernel = _make_kernel(ys, cfg.estimators, cfg.alpha, clusters, shares, cells)
+def _run_sim(ys, menus, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
+    """One report per outcome in ``ys``, each tested with its menu in ``menus``."""
+    kernel = _make_kernel(ys, menus, cfg.alpha, clusters, shares, cells)
     n_reps = cfg.replications
     results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
-    counts = sum(c for c, _ in results).reshape(len(kernel.outcomes), -1)
+    counts = iter(sum(c for c, _ in results).tolist())  # outcome by outcome, menu order
     skipped = sum(s for _, s in results)
     reports = []
-    for outcome_counts, outcome_skipped in zip(counts, skipped):
+    for outcome, outcome_skipped in zip(kernel.outcomes, skipped):
         b_effective = n_reps - int(outcome_skipped)
-        rejections = {est: int(c) for est, c in zip(cfg.estimators, outcome_counts)}
+        rejections = {est: next(counts) for est in outcome.estimators}
         rates = {
             est: (c / b_effective if b_effective else 0.0) for est, c in rejections.items()
         }
@@ -350,13 +359,26 @@ def run_outcome_fixed(
     equals that of a run on its outcome alone.
     """
     draw = partial(_shares_regressors, shares, cfg.seed)
-    return _run_sim(outcomes, cfg, workers, draw, clusters, shares).reports
+    menus = [cfg.estimators] * len(outcomes)
+    return _run_sim(outcomes, menus, cfg, workers, draw, clusters, shares).reports
 
 
-def run_y_fixed(data: Dataset, cfg: SimConfig, workers: int = 1) -> SimReport:
-    """Hold the realized outcomes fixed and resample sector shocks."""
-    (report,) = run_outcome_fixed([data.y], data.shares, data.clusters, cfg, workers)
-    return report
+def run_y_fixed(
+    data: Dataset, cfg: SimConfig, workers: int = 1, crve=()
+) -> tuple[SimReport, ...]:
+    """Hold the realized outcomes fixed and resample sector shocks.
+
+    Returns the report of ``data.y`` tested with the menu of ``cfg``, then
+    one report per outcome in ``crve`` tested with crve alone.  Every
+    outcome is tested against the same shock draws, so each report equals
+    that of a run on its outcome alone; ``diagnose`` tests all its modes in
+    this one call.  bench/child.py ends a ``diagnose`` command's set-up at
+    this name, so it stays until ROADMAP item 2 re-pins the benchmark hooks.
+    """
+    ys = [data.y, *crve]
+    menus = [cfg.estimators] + [("crve",)] * (len(ys) - 1)
+    draw = partial(_shares_regressors, data.shares, cfg.seed)
+    return _run_sim(ys, menus, cfg, workers, draw, data.clusters, data.shares).reports
 
 
 def run_partition_permutation(
@@ -376,4 +398,5 @@ def run_partition_permutation(
     # cells are groups, which double as the clusters and the sectors (shares None)
     draw = partial(_partition_regressors, design.n_groups, cfg.seed)
     groups = np.arange(design.n_groups)
-    return _run_sim(ys, cfg, workers, draw, groups, None, cells=design.group_of).reports
+    menus = [cfg.estimators] * len(ys)
+    return _run_sim(ys, menus, cfg, workers, draw, groups, None, cells=design.group_of).reports

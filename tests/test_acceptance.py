@@ -213,7 +213,7 @@ def test_criterion_6_null_calibration():
     n = 1000
     y = substream(2, 0).standard_normal(n)
     data = validate_dataset(None, y, np.eye(n))
-    report = run_y_fixed(data, SimConfig(replications=10_000, seed=77), workers=WORKERS)
+    (report,) = run_y_fixed(data, SimConfig(replications=10_000, seed=77), workers=WORKERS)
     count = report.rejections["robust-hc1"]
     lo = int(stats.binom.ppf(0.005, 10_000, 0.05))
     hi = int(stats.binom.ppf(0.995, 10_000, 0.05))

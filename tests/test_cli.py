@@ -317,14 +317,14 @@ class TestDiagnose:
         assert "placebo outcome missing" in capsys.readouterr().err
 
     def test_crve_modes_share_one_simulation(self, tmp_path, monkeypatch):
-        # y-fixed runs first on its own menu; eps-fixed and placebo test crve on
-        # one shock block, and each block equals a run on its outcome alone
+        # one shock block tests y-fixed on its menu and eps-fixed and placebo on
+        # crve, and each block equals a run on its outcome alone
         calls = []
         real = engines._run_sim
 
-        def counting(ys, cfg, *args, **kwargs):
-            calls.append((len(ys), cfg.estimators))
-            return real(ys, cfg, *args, **kwargs)
+        def counting(ys, menus, *args, **kwargs):
+            calls.append((len(ys), [tuple(menu) for menu in menus]))
+            return real(ys, menus, *args, **kwargs)
 
         monkeypatch.setattr(engines, "_run_sim", counting)
         out = tmp_path / "r.json"
@@ -333,7 +333,7 @@ class TestDiagnose:
             str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "300", "--out", str(out),
         ]) == 0
         report = json.loads(out.read_text())
-        assert calls == [(1, tuple(report["config"]["estimators"])), (2, ("crve",))]
+        assert calls == [(3, [tuple(report["config"]["estimators"]), ("crve",), ("crve",)])]
 
         data = ingest(GOLDEN / "shares.csv", GOLDEN / "outcomes.csv")
         cfg = SimConfig(replications=300, seed=7, estimators=("crve",))
@@ -343,6 +343,48 @@ class TestDiagnose:
         for mode, y in (("eps-fixed", ydot), ("placebo", data.y_placebo)):
             (alone,) = run_outcome_fixed([y], data.shares, data.clusters, cfg)
             assert blocks[mode] == _report_block(alone, 0.1)
+
+    @pytest.mark.parametrize(
+        "modes, sims", [("y-fixed,eps-fixed,placebo", 1), ("eps-fixed,placebo", 1), (",", 0)]
+    )
+    def test_one_simulation_per_command(self, modes, sims, tmp_path, monkeypatch):
+        # every requested mode is tested in one simulation: one kernel, one map_chunks
+        # call and so one pool at 2 workers
+        calls = {"_run_sim": 0, "_make_kernel": 0, "map_chunks": 0}
+        for name in calls:
+            real = getattr(engines, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engines, name, counting)
+        out = tmp_path / "r.json"
+        assert main([
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "300", "--modes", modes,
+            "--workers", "2", "--out", str(out),
+        ]) == 0
+        assert calls == dict.fromkeys(calls, sims)
+        requested = [mode for mode in modes.split(",") if mode]
+        assert sorted(json.loads(out.read_text())["modes"]) == sorted(requested)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_mode_as_if_run_alone(self, workers, tmp_path):
+        def blocks(*modes):
+            out = tmp_path / f"{'-'.join(modes) or 'default'}.json"
+            argv = [
+                "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+                str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "300",
+                "--workers", workers, "--out", str(out),
+            ]
+            assert main(argv + (["--modes", ",".join(modes)] if modes else [])) == 0
+            return json.loads(out.read_text())["modes"]
+
+        every = blocks()
+        assert sorted(every) == ["eps-fixed", "placebo", "y-fixed"]
+        for mode in every:
+            assert blocks(mode) == {mode: every[mode]}
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -529,6 +571,16 @@ class TestTableAndCurve:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2 + 5
         assert "seed=9" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'\xff{"beta": 1.0}')
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert f"error: cannot read {path}: " in capsys.readouterr().err
 
     def test_flag_override_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

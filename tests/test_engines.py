@@ -94,7 +94,7 @@ class TestDeterminism:
         data = _dataset(2)
         cfg = SimConfig(replications=250, seed=7, estimators=("robust-hc1", "crve"))
         x = data.shares @ np.ones(data.n_sectors)
-        y_report = run_y_fixed(data, cfg)
+        (y_report,) = run_y_fixed(data, cfg)
         (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], data.shares, data.clusters, cfg)
         assert eps_report.rejections == y_report.rejections
 
@@ -103,7 +103,7 @@ class TestDeterminism:
         twin = validate_dataset(None, data.y, data.shares, data.clusters, y_placebo=data.y)
         cfg = SimConfig(replications=250, seed=11, estimators=("robust-hc1",))
         (placebo,) = run_outcome_fixed([twin.y_placebo], twin.shares, twin.clusters, cfg)
-        assert placebo.rejections == run_y_fixed(twin, cfg).rejections
+        assert placebo.rejections == run_y_fixed(twin, cfg)[0].rejections
 
 
 class TestReportInvariants:
@@ -113,13 +113,13 @@ class TestReportInvariants:
             clusters=np.arange(12) % 3,
         )
         cfg = SimConfig(replications=150, seed=1, estimators=FULL_MENU)
-        report = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data, cfg)
         assert all(rate == 0.0 for rate in report.rates.values())
 
     def test_rates_are_count_ratios(self):
         data = _dataset(4)
         cfg = SimConfig(replications=173, seed=13, estimators=FULL_MENU)
-        report = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data, cfg)
         assert report.b_effective + report.skipped_degenerate == 173
         for est, rate in report.rates.items():
             assert 0.0 <= rate <= 1.0
@@ -212,7 +212,7 @@ class TestAgainstScalarPath:
     def test_engine_matches_scalar_replications(self, law):
         data = _dataset(8, n=14, f=4)
         cfg = SimConfig(replications=300, seed=21, alpha=0.1, estimators=FULL_MENU)
-        report = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data, cfg)
         draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.skipped_degenerate == 0
         assert report.rejections == self._scalar_counts(data.y, data, cfg, draws)
@@ -267,7 +267,7 @@ class TestCellKernel:
         y = self._grouped_outcome(design, 5)
         X = np.array([np.isin(np.arange(6), t) for t in combinations(range(6), 3)], dtype=float)
         kernel = engines._make_kernel(
-            [y], FULL_MENU, 0.3, np.arange(6), None, cells=design.group_of
+            [y], [FULL_MENU], 0.3, np.arange(6), None, cells=design.group_of
         )
         rejections, skipped = engines._kernel_counts(kernel, X)
         counts, want_skipped = oracles.unit_kernel_counts(
@@ -280,7 +280,7 @@ class TestCellKernel:
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        report = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data, cfg)
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
             data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
@@ -297,10 +297,7 @@ class TestCellKernel:
         X = np.vstack([rng.standard_normal((40, n)), np.eye(n)[:5], np.ones((2, n))])
         menus = [("robust-hc1", "crve", "score-agg"), ("robust-hc3", "crve-hc3", "score-agg-null")]
         ys = [rng.standard_normal(n), rng.standard_normal(n)]
-        parts = [
-            engines._make_kernel([y], menu, 0.3, clusters, shares) for y, menu in zip(ys, menus)
-        ]
-        kernel = engines._Kernel(parts[0].design, parts[0].outcomes + parts[1].outcomes)
+        kernel = engines._make_kernel(ys, menus, 0.3, clusters, shares)
         counts, skipped = engines._kernel_counts(kernel, X)
         want = [
             oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
@@ -309,8 +306,68 @@ class TestCellKernel:
         assert list(zip(counts.reshape(2, 3).tolist(), skipped.tolist())) == want
         assert want[0][1] == 2 and want[1][1] == 7
         # gapped labels name the same 6 clusters
-        gapped = engines._make_kernel([ys[0]], menus[0], 0.3, 2 * clusters + 1, shares)
+        gapped = engines._make_kernel([ys[0]], menus[:1], 0.3, 2 * clusters + 1, shares)
         assert engines._kernel_counts(gapped, X)[0].tolist() == want[0][0]
+
+    def test_design_and_conventions_built_once(self, monkeypatch):
+        # three outcomes on two distinct menus: one cluster sort, each menu's factors once
+        segments, conventions = [], []
+        real_segments, real_small_sample = engines._cluster_segments, engines.small_sample
+        monkeypatch.setattr(
+            engines, "_cluster_segments", lambda c: segments.append(1) or real_segments(c)
+        )
+        monkeypatch.setattr(
+            engines,
+            "small_sample",
+            lambda est, *args: conventions.append(est) or real_small_sample(est, *args),
+        )
+        rng = np.random.default_rng(15)
+        clusters = np.arange(12) % 4
+        ys = rng.standard_normal((3, 12))
+        menus = [FULL_MENU, ("crve",), FULL_MENU]
+        kernel = engines._make_kernel(ys, menus, 0.05, clusters, rng.uniform(0.1, 1.0, (12, 3)))
+        assert segments == [1] and conventions == [*FULL_MENU, "crve"]
+        assert [o.estimators for o in kernel.outcomes] == menus
+        assert kernel.estimators == (*FULL_MENU, "crve", *FULL_MENU)
+        assert kernel.outcomes[0].crits is kernel.outcomes[2].crits
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_menus_of_lengths_6_and_1_in_one_sim(self, workers):
+        # unit-vector rows put a unit at leverage 1, which the full menu's hc3 guard
+        # skips and crve does not; constant rows are degenerate for both
+        data = _dataset(14, n=12, f=5)
+        rng = np.random.default_rng(14)
+        eye = np.eye(12)
+        X = np.vstack([
+            eye[:3], rng.standard_normal((260, 12)), eye[3:5], np.ones((2, 12)),
+            rng.standard_normal((40, 12)),
+        ])
+
+        def draw(lo, hi):
+            return X[lo:hi]
+
+        ydot = rng.standard_normal(12)
+        cfg = SimConfig(replications=len(X), seed=3, alpha=0.2, estimators=FULL_MENU)
+        rest = (cfg, workers, draw, data.clusters, data.shares)
+        both = engines._run_sim([data.y, ydot], [FULL_MENU, ("crve",)], *rest).reports
+        (y_alone,) = engines._run_sim([data.y], [FULL_MENU], *rest).reports
+        (crve_alone,) = engines._run_sim([ydot], [("crve",)], *rest).reports
+        assert both == (y_alone, crve_alone)
+        assert [r.skipped_degenerate for r in both] == [7, 2]
+        assert list(crve_alone.rejections) == ["crve"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_y_fixed_with_crve_outcomes_matches_separate_runs(self, workers):
+        data = _dataset(16, n=20, f=5, placebo=True)
+        ydot = np.random.default_rng(16).standard_normal(20)
+        cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
+        crve_cfg = SimConfig(replications=600, seed=19, estimators=("crve",))
+        (y_alone,) = run_y_fixed(data, cfg, workers)
+        crve_alone = run_outcome_fixed(
+            [ydot, data.y_placebo], data.shares, data.clusters, crve_cfg, workers
+        )
+        both = run_y_fixed(data, cfg, workers, crve=[ydot, data.y_placebo])
+        assert both == (y_alone, *crve_alone)
 
     def test_sub_blocks_match_unit_oracle(self, monkeypatch):
         # enough cells that a 256-row chunk is tested in several row sub-blocks
@@ -325,7 +382,7 @@ class TestCellKernel:
             engines, "_block_counts", lambda kernel, X: blocks.append(len(X)) or real(kernel, X)
         )
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        report = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data, cfg)
         assert len(blocks) >= 4 and max(blocks) < 256 and sum(blocks) == 300
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
