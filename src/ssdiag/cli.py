@@ -232,7 +232,10 @@ def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_json(payload: dict, out: str | None) -> None:

@@ -13,12 +13,14 @@ depend on execution order or workers.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first use; import it with the package instead,
+# so the first substream of a command or of a forked worker does not pay it
+from numpy.random import Generator, Philox, SeedSequence
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> Generator:
     """Generator for one chunk or outer draw, keyed by (seed, *path)."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(SeedSequence(seed, spawn_key=tuple(path))))
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -27,5 +29,5 @@ def derive_seed(seed: int, *path: int) -> int:
     Used when an outer replication launches its own inner simulation (which
     then keys its chunk substreams off the returned value).
     """
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
+    ss = SeedSequence(seed, spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])

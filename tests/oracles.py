@@ -159,6 +159,14 @@ def student_t_sf(value, dof):
     return tail if value >= 0 else 1 - tail
 
 
+def student_t_isf(q, dof):
+    """The t whose high-precision survival function is ``q``, to 50 digits."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        start = mpmath.mpf(float(stats.t.isf(float(q), dof)))
+        return mpmath.findroot(lambda t: student_t_sf(t, dof) - q, start)
+
+
 def t_test_rejects(slope, null_value, variance: VarianceEstimate, level=0.05) -> bool:
     """The p-value form of the two-sided t test: reject when p <= level.
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,15 @@ class TestAnalytic:
         assert report["y_fixed_limit"] == pytest.approx(2 / 3, abs=1e-15)
         assert report["eps_fixed_limit"] == pytest.approx(2 / 3, abs=1e-15)
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, kind, tmp_path, capsys):
+        out = tmp_path / "missing" / "a.json" if kind == "missing-directory" else tmp_path
+        assert main([
+            "analytic", "--beta", "0", "--sigma2", "1", "--rho", "0",
+            "--group-size", "2", "--out", str(out),
+        ]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
 
 class TestOracle:
     def _outcomes(self, tmp_path, values):
@@ -771,11 +781,35 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["y_fixed_limit"] == 1.0
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about half a second of start-up; the t law comes from scipy.special
+    def test_start_up_imports_numpy_alone(self, tmp_path):
+        # importing scipy took about 0.3 s of start-up; estimators.t_crits computes the
+        # t quantiles itself, and rng imports numpy.random with the package, not on first use
+        script = textwrap.dedent("""
+            import json, sys
+            before = set(sys.modules)
+            import ssdiag.cli
+            random_at_import = "numpy.random" in sys.modules
+            code = ssdiag.cli.main([
+                "mc-table", "--seed", "1", "--reps", "4", "--perms", "10", "--states", "4",
+                "--per-state", "2", "--workers", "1", "--out", sys.argv[1],
+            ])
+            # a package has a file; Cython's runtime modules and the __mp_main__ alias do not
+            added = {name.partition(".")[0] for name in set(sys.modules) - before}
+            packages = {name for name in added if getattr(sys.modules.get(name), "__file__", None)}
+            print(json.dumps({
+                "code": code,
+                "random_at_import": random_at_import,
+                "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+                "third_party": sorted(packages - set(sys.stdlib_module_names) - {"ssdiag"}),
+            }))
+        """)
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, ssdiag.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", script, str(tmp_path / "table.csv")],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = json.loads(proc.stdout)
+        assert loaded["code"] == 0
+        assert loaded["scipy"] == []
+        assert loaded["random_at_import"]
+        assert loaded["third_party"] == ["numpy"]

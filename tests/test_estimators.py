@@ -310,6 +310,27 @@ class TestTTest:
         assert t_test(-t, 0.0, variance) == expected
 
 
+T_CRIT_DOFS = [1, 2, 3, 4, 5, 10, 19, 24, 99, 100, 198, 199, 998, 999, 1000, 9998, 10**6]
+
+
+class TestTCrits:
+    @pytest.mark.parametrize(
+        "alpha, bound",
+        [(0.001, 1e-13), (0.01, 1e-13), (0.05, 1e-13), (0.1, 1e-13), (0.5, 1e-13),
+         (0.9, 1e-13), (1e-6, 1e-10)],
+    )
+    def test_matches_high_precision_quantile(self, alpha, bound):
+        crits = t_crits(alpha, tuple(T_CRIT_DOFS))
+        for dof, crit in zip(T_CRIT_DOFS, crits):
+            exact = oracles.student_t_isf(alpha / 2, dof)
+            assert float(abs(crit / exact - 1)) <= bound, (dof, crit, exact)
+
+    @pytest.mark.parametrize("dof", [0.999, 0.5, 0.0, -3.0, math.nan])
+    def test_dof_below_one_raises(self, dof):
+        with pytest.raises(ValueError, match="dof must be at least 1"):
+            t_crits(0.05, (dof,))
+
+
 class TestSymmetries:
     @settings(max_examples=30, deadline=None)
     @given(
