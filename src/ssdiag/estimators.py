@@ -72,9 +72,7 @@ def t_crits(alpha: float, dofs: tuple[float, ...]) -> tuple[float, ...]:
     Each is the upper alpha/2 quantile of the t law, within 1e-13 (relative)
     of the exact value for alpha >= 0.001 and within 1e-10 down to 1e-6.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return tuple(_t_upper_quantile(alpha / 2.0, float(dof)) for dof in dofs)
+    return tuple(_t_upper_quantile(alpha / 2.0, dof) for dof in dofs)
 
 
 # At this many dof and above, the Cornish-Fisher expansion of the t quantile
