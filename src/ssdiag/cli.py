@@ -365,6 +365,17 @@ class _Settings:
     def workers(self) -> int:
         return resolve_workers(self.get("workers", cast=int))
 
+    def out(self) -> str | None:
+        """The --out path, checked before any simulation runs for a report it cannot write."""
+        out = self.get("out")
+        if out is not None:
+            path = Path(out)
+            if path.is_dir():
+                raise ValidationError(f"cannot write {out}: is a directory")
+            if not path.parent.is_dir():
+                raise ValidationError(f"cannot write {out}: no directory {path.parent}")
+        return out
+
     def require_path(self, key: str) -> Path:
         value = self.get(key)
         if value is None:
@@ -385,6 +396,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     threshold = settings.get("threshold", 0.1, float)
     perms = settings.get("perms", 2000, int)
     workers = settings.workers()
+    out = settings.out()
     data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
 
     menu = settings.get_list("estimators")
@@ -462,7 +474,7 @@ def cmd_diagnose(settings: _Settings) -> None:
             },
             "modes": blocks,
         },
-        settings.get("out"),
+        out,
     )
 
 
@@ -475,6 +487,7 @@ def cmd_mc_table(settings: _Settings) -> None:
     per_state = settings.get("per_state", 10, int)
     states = settings.get_list("states", [20, 100], int, distinct=True)
     workers = settings.workers()
+    out = settings.out()
 
     labels, cells = [], []
     for panel, params in PANEL_PARAMS.items():
@@ -515,7 +528,7 @@ def cmd_mc_table(settings: _Settings) -> None:
             "pr_gamma_eps_mc_se",
         ],
         [label + _rate_columns(r) for label, r in zip(labels, results)],
-        settings.get("out"),
+        out,
     )
 
 
@@ -528,6 +541,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
     gammas = settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float)
     gammas = sorted(set(gammas))
     workers = settings.workers()
+    out = settings.out()
 
     shares_arg = settings.get("shares")
     if shares_arg is not None:
@@ -575,7 +589,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
             "pr_flag_eps_mc_se",
         ],
         [[gamma] + _rate_columns(r) for gamma, r in zip(gammas, rows)],
-        settings.get("out"),
+        out,
     )
 
 

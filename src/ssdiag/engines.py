@@ -13,13 +13,15 @@ outcomes.  Each replication refits the bivariate OLS and tests a zero slope
 with every requested variance estimator; reports carry rejection
 frequencies.
 
-The test kernel works on cells, sets of units that share one regressor
-value: a unit for shift-share data, a group for a partition design, so a
-permutation draw costs O(groups) rather than O(units).  It makes one pass per
-block of draws for all K outcomes, forms each outcome's cell scores once for
-all its estimators, and sums cluster scores over the cells sorted by cluster.
-It walks a block in row sub-blocks of bounded size, so its memory stays
-bounded as the cell count grows.
+A draw is a (draws, sectors) block: sector shocks, or a partition design's
+group-level assignments, whose groups are its sectors.  The test kernel maps
+it to cells, sets of units that share one regressor value: a unit for
+shift-share data, a group for a partition design, so a permutation draw
+costs O(groups) rather than O(units).  It makes one pass per block of draws
+for all K outcomes, forms each outcome's cell scores once for all its
+estimators, and sums cluster scores over the cells sorted by cluster.  It
+walks a block in row sub-blocks of bounded size, so beyond the block's
+(draws, cells) regressors its memory stays bounded as the cell count grows.
 
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
@@ -101,9 +103,8 @@ class SimReport:
 
 
 def _shares_regressors(shares, seed, lo, hi) -> np.ndarray:
-    """Shift-share regressors from iid standard normal sector shocks."""
-    shocks = substream(seed, lo // _CHUNK).standard_normal((hi - lo, shares.shape[1]))
-    return shocks @ shares.T
+    """iid standard normal sector shocks, (draws, sectors); the kernel maps them to regions."""
+    return substream(seed, lo // _CHUNK).standard_normal((hi - lo, shares.shape[1]))
 
 
 def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
@@ -158,6 +159,9 @@ class _Outcome:
     estimators: tuple[str, ...]
     factors: tuple[float, ...]  # finite-sample factor per estimator
     crits: np.ndarray  # t critical value per estimator
+    # score-agg-null in sector space: shares' diag(S) shares (F, F) and S @ shares (F,);
+    # None unless the menu holds score-agg-null and the design has shares
+    null: tuple[np.ndarray, np.ndarray] | None
 
 
 @dataclass(frozen=True)
@@ -225,34 +229,49 @@ def _make_kernel(ys, menus, alpha, clusters, shares, cells=None) -> _Kernel:
             S = np.bincount(cells, weights=yc)
             W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
         factors, crits = tests[menu]
-        outcomes.append(_Outcome(S=S, W=W, estimators=menu, factors=factors, crits=crits))
+        null = None
+        if "score-agg-null" in menu and shares is not None:
+            null = shares.T @ (S[:, None] * shares), S @ shares
+        outcomes.append(
+            _Outcome(S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null)
+        )
     design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
     return _Kernel(design=design, outcomes=tuple(outcomes))
 
 
-def _kernel_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rejection counts per test in ``kernel.estimators``, and skipped draws per outcome.
 
-    ``X`` is (draws, cells), tested in row sub-blocks whose (rows, cells)
-    temporaries stay within _KERNEL_BYTES.  With xc a cell's centred regressor
-    and e = S - slope*m*xc the sum of its residuals, a cell's residual sum of
-    squares is W + e**2/m, its score is xc*e, and its leverage
-    1/n + xc**2/ssq is shared by its units, so each draw costs O(cells).
-    The regressor terms of a sub-block are formed once for all outcomes, an
-    outcome's scores once for all its estimators, and cluster scores are
-    segment sums over the cells sorted by cluster.  tests/oracles.py keeps
-    the unit-level form and the scalar forms of the menu, and the engine
-    tests pin agreement with both.
+    ``Z`` is (draws, sectors), mapped once to the (draws, cells) regressors
+    X = Z @ shares.T; with no shares each cell is its own sector and Z is X.
+    X is tested in row sub-blocks whose (rows, cells) temporaries stay within
+    _KERNEL_BYTES.  With xc a cell's centred regressor and e = S - slope*m*xc
+    the sum of its residuals, a cell's residual sum of squares is W + e**2/m,
+    its score is xc*e, and its leverage 1/n + xc**2/ssq is shared by its
+    units, so each draw costs O(cells).  The regressor terms of a sub-block
+    are formed once for all outcomes, an outcome's scores once for all its
+    estimators, and cluster scores are segment sums over the cells sorted by
+    cluster.  score-agg-null's sector scores sum_c shares_cf*xc_c*S_c are
+    (Z @ H)_f - xbar*(S @ shares)_f with H = shares' diag(S) shares, so they
+    cost O(sectors**2) per draw, not O(cells*sectors).  tests/oracles.py
+    keeps the unit-level form and the scalar forms of the menu, and the
+    engine tests pin agreement with both.
     """
+    shares = kernel.design.shares
+    X = Z if shares is None else Z @ shares.T
     rows = max(1, _KERNEL_BYTES // (8 * X.shape[1]))
-    blocks = [_block_counts(kernel, X[lo : lo + rows]) for lo in range(0, X.shape[0], rows)]
+    blocks = [
+        _block_counts(kernel, X[lo : lo + rows], Z[lo : lo + rows])
+        for lo in range(0, X.shape[0], rows)
+    ]
     return sum(c for c, _ in blocks), sum(s for _, s in blocks)
 
 
-def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
     d = kernel.design
     n, m = d.n, d.m
-    Xc = X - ((X @ m) / n)[:, None]
+    xbar = (X @ m) / n
+    Xc = X - xbar[:, None]
     X2 = Xc * Xc
     ssq = X2 @ m
     usable = ssq > DEGENERATE_TOL * ((X * X) @ m)
@@ -293,9 +312,12 @@ def _block_counts(kernel: _Kernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
                     scores = np.add.reduceat(scores, d.starts, axis=1)
                     value = np.einsum("bg,bg->b", scores, scores)
                 else:  # score-agg / score-agg-null; null residuals sum to S per cell
-                    if est == "score-agg-null":
-                        scores = Xc * outcome.S
-                    if d.shares is not None:
+                    if est == "score-agg-null" and outcome.null is None:
+                        scores = Xc * outcome.S  # each cell its own sector
+                    elif est == "score-agg-null":
+                        H, s = outcome.null
+                        scores = Z @ H - xbar[:, None] * s
+                    elif d.shares is not None:
                         scores = scores @ d.shares
                     value = np.einsum("bf,bf->b", scores, scores)
                 value = factor * value / ssq2

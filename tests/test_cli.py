@@ -770,6 +770,36 @@ class TestBadNumbers:
         assert main(argv) == 2
         assert "error: workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory", "writable"])
+    @pytest.mark.parametrize("command", ["diagnose", "mc-table", "flag-curve"])
+    def test_unwritable_out_exits_before_simulating(
+        self, command, kind, tmp_path, monkeypatch, capsys
+    ):
+        # the report used to be opened only after the whole simulation had run
+        calls = []
+        real = engines._run_sim
+        monkeypatch.setattr(
+            engines, "_run_sim", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        argv = {
+            "diagnose": ["--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+                         str(GOLDEN / "outcomes.csv")],
+            "mc-table": ["--reps", "2", "--states", "4", "--per-state", "2"],
+            "flag-curve": ["--reps", "2", "--clusters", "3", "--sectors", "2"],
+        }[command]
+        out = {
+            "missing-directory": tmp_path / "missing" / "report",
+            "directory": tmp_path,
+            "writable": tmp_path / "report",
+        }[kind]
+        code = main([command, *argv, "--seed", "1", "--perms", "20", "--workers", "1",
+                     "--out", str(out)])
+        if kind == "writable":
+            assert code == 0 and calls and out.is_file()
+        else:
+            assert code == 2 and calls == []
+            assert f"error: cannot write {out}: " in capsys.readouterr().err
+
 
 class TestConsoleEntryPoint:
     def test_subprocess_smoke(self):

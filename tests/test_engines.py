@@ -64,6 +64,15 @@ def _chunked_shocks(seed, replications, n):
     )
 
 
+def _diagonal_shares(rng, n):
+    """A positive diagonal shares matrix of powers of 2: region j is sector j, scaled exactly.
+
+    Shocks map to regions without rounding, so unit-vector shocks give unit-vector
+    regressors (a unit at leverage 1) and shocks 1/d give constant regressors.
+    """
+    return np.diag(2.0 ** rng.integers(-2, 3, n))
+
+
 def _dataset(seed=0, n=16, f=4, placebo=False):
     rng = np.random.default_rng(seed)
     shares = rng.uniform(0.05, 1.0, size=(n, f))
@@ -293,12 +302,14 @@ class TestCellKernel:
         # so their skipped counts differ on draws that put a unit at leverage 1
         rng = np.random.default_rng(12)
         n, clusters = 18, np.arange(18) % 6
-        shares = rng.uniform(0.05, 1.0, (n, 5))
-        X = np.vstack([rng.standard_normal((40, n)), np.eye(n)[:5], np.ones((2, n))])
+        shares = _diagonal_shares(rng, n)
+        Z = np.vstack([rng.standard_normal((40, n)), np.eye(n)[:5], np.tile(1 / shares.diagonal(), (2, 1))])
+        X = Z @ shares.T
+        assert np.all(X[-2:] == 1.0)
         menus = [("robust-hc1", "crve", "score-agg"), ("robust-hc3", "crve-hc3", "score-agg-null")]
         ys = [rng.standard_normal(n), rng.standard_normal(n)]
         kernel = engines._make_kernel(ys, menus, 0.3, clusters, shares)
-        counts, skipped = engines._kernel_counts(kernel, X)
+        counts, skipped = engines._kernel_counts(kernel, Z)
         want = [
             oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
             for y, menu in zip(ys, menus)
@@ -307,7 +318,7 @@ class TestCellKernel:
         assert want[0][1] == 2 and want[1][1] == 7
         # gapped labels name the same 6 clusters
         gapped = engines._make_kernel([ys[0]], menus[:1], 0.3, 2 * clusters + 1, shares)
-        assert engines._kernel_counts(gapped, X)[0].tolist() == want[0][0]
+        assert engines._kernel_counts(gapped, Z)[0].tolist() == want[0][0]
 
     def test_design_and_conventions_built_once(self, monkeypatch):
         # three outcomes on two distinct menus: one cluster sort, each menu's factors once
@@ -337,18 +348,19 @@ class TestCellKernel:
         # skips and crve does not; constant rows are degenerate for both
         data = _dataset(14, n=12, f=5)
         rng = np.random.default_rng(14)
+        shares = _diagonal_shares(rng, 12)
         eye = np.eye(12)
-        X = np.vstack([
-            eye[:3], rng.standard_normal((260, 12)), eye[3:5], np.ones((2, 12)),
+        Z = np.vstack([
+            eye[:3], rng.standard_normal((260, 12)), eye[3:5], np.tile(1 / shares.diagonal(), (2, 1)),
             rng.standard_normal((40, 12)),
         ])
 
         def draw(lo, hi):
-            return X[lo:hi]
+            return Z[lo:hi]
 
         ydot = rng.standard_normal(12)
-        cfg = SimConfig(replications=len(X), seed=3, alpha=0.2, estimators=FULL_MENU)
-        rest = (cfg, workers, draw, data.clusters, data.shares)
+        cfg = SimConfig(replications=len(Z), seed=3, alpha=0.2, estimators=FULL_MENU)
+        rest = (cfg, workers, draw, data.clusters, shares)
         both = engines._run_sim([data.y, ydot], [FULL_MENU, ("crve",)], *rest).reports
         (y_alone,) = engines._run_sim([data.y], [FULL_MENU], *rest).reports
         (crve_alone,) = engines._run_sim([ydot], [("crve",)], *rest).reports
@@ -379,7 +391,9 @@ class TestCellKernel:
         blocks = []
         real = engines._block_counts
         monkeypatch.setattr(
-            engines, "_block_counts", lambda kernel, X: blocks.append(len(X)) or real(kernel, X)
+            engines,
+            "_block_counts",
+            lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
         )
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
         (report,) = run_y_fixed(data, cfg)
@@ -390,6 +404,39 @@ class TestCellKernel:
         )
         assert report.skipped_degenerate == skipped
         assert list(report.rejections.values()) == counts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_null_scores_in_sector_space(self, seed):
+        # the kernel's sector-space null scores Z @ H - xbar * (S @ shares) equal the
+        # unit-level (Xc * S) @ shares, on share rows that do not sum to 1 and an
+        # outcome whose mean is not zero
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(3, 300)), int(rng.integers(2, 60))
+        shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
+        y = 5.0 + rng.standard_normal(n)
+        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.05, None, shares)
+        (outcome,) = kernel.outcomes
+        Z = rng.standard_normal((64, f))
+        X = Z @ shares.T
+        xbar = X.mean(axis=1)
+        want = ((X - xbar[:, None]) * (y - y.mean())) @ shares
+        H, s = outcome.null
+        got = Z @ H - xbar[:, None] * s
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_null_scores_match_unit_oracle_over_sub_blocks(self):
+        # a score-agg-null menu alone, at enough regions that a block spans several row pieces
+        n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
+        rng = np.random.default_rng(17)
+        shares = rng.uniform(0.0, 1.5, (n, 20)) * (rng.random((n, 20)) < 0.05)
+        y = 2.0 + rng.standard_normal(n)
+        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.3, None, shares)
+        Z = rng.standard_normal((300, 20))
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        want = oracles.unit_kernel_counts(y, Z @ shares.T, ("score-agg-null",), 0.3, shares=shares)
+        assert (counts.tolist(), int(skipped[0])) == want
+        assert want[0][0] > 0
 
 
 class TestStreamLayout:
