@@ -775,7 +775,7 @@ class TestBadNumbers:
     def test_unwritable_out_exits_before_simulating(
         self, command, kind, tmp_path, monkeypatch, capsys
     ):
-        # the report used to be opened only after the whole simulation had run
+        # a report that cannot be written is refused before the simulation spends its time
         calls = []
         real = engines._run_sim
         monkeypatch.setattr(
