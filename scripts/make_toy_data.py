@@ -29,13 +29,13 @@ def main() -> None:
     placebo = draw_grouped(
         GroupedDGP(n_states=args.states, per_state=args.per_state), substream(args.seed, 1)
     )
-    n = draw.design.n_units
+    n = dgp.design.n_units
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, args.states + 1))
     lines = [header]
     for i in range(n):
-        row = ["1" if g == draw.design.group_of[i] else "0" for g in range(args.states)]
+        row = ["1" if g == dgp.design.group_of[i] else "0" for g in range(args.states)]
         lines.append(f"u{i}," + ",".join(row))
     (args.out_dir / "shares.csv").write_text("\n".join(lines) + "\n")
 
@@ -43,7 +43,7 @@ def main() -> None:
     for i in range(n):
         lines.append(
             f"u{i},{float(draw.y[i])!r},{float(placebo.y[i])!r},"
-            f"{draw.design.group_of[i]},{float(draw.x[i])!r}"
+            f"{dgp.design.group_of[i]},{float(draw.x[i])!r}"
         )
     (args.out_dir / "outcomes.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out_dir}/shares.csv and {args.out_dir}/outcomes.csv ({n} regions)")

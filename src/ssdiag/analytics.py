@@ -159,7 +159,6 @@ class ConvergenceRow:
     mean_ratio: float
     se_ratio: float
     limit: float
-    replications: int
 
 
 def draw_equicorrelated_errors(
@@ -239,7 +238,6 @@ def ratio_convergence_experiment(
                 mean_ratio=float(ratios.mean()),
                 se_ratio=float(ratios.std(ddof=1) / math.sqrt(replications)),
                 limit=limit,
-                replications=replications,
             )
         )
     return rows

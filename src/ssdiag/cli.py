@@ -196,7 +196,8 @@ def _read_shares(path: Path) -> tuple[list[str], np.ndarray]:
 def ingest(shares_path, outcomes_path) -> Dataset:
     """Load and join the shares and outcomes files into a validated Dataset.
 
-    Row order follows the outcomes file.
+    Row order follows the outcomes file.  Each id appears once in each file
+    and every id joins.
     """
     shares_path, outcomes_path = Path(shares_path), Path(outcomes_path)
     share_ids, shares = _read_shares(shares_path)
@@ -215,7 +216,6 @@ def ingest(shares_path, outcomes_path) -> Dataset:
         )
 
     return validate_dataset(
-        region_ids,
         columns["y"],
         shares[[position[r] for r in region_ids]],
         clusters=columns.get("cluster"),
@@ -419,6 +419,8 @@ def cmd_diagnose(settings: _Settings) -> None:
             modes.append("eps-fixed")
         if data.y_placebo is not None:
             modes.append("placebo")
+    if not modes:
+        raise ValidationError("need at least 1 mode")
     unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
@@ -440,11 +442,11 @@ def cmd_diagnose(settings: _Settings) -> None:
             if data.clusters is None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
             crve_outcomes[mode] = data.y_placebo
-    names, reports = list(crve_outcomes), ()
+    names = list(crve_outcomes)
     if "y-fixed" in modes:
         names.insert(0, "y-fixed")
         reports = run_y_fixed(data, cfg, workers, crve=crve_outcomes.values())
-    elif names:
+    else:
         crve_cfg = replace(cfg, estimators=("crve",))
         reports = run_outcome_fixed(
             list(crve_outcomes.values()), data.shares, data.clusters, crve_cfg, workers
@@ -496,7 +498,6 @@ def cmd_mc_table(settings: _Settings) -> None:
                 replications=perms,
                 seed=derive_seed(seed, len(cells)),
                 alpha=alpha,
-                estimators=("robust-hc1",),
                 flag_threshold=threshold,
             )
             labels.append([panel, n_states])
@@ -550,19 +551,15 @@ def cmd_flag_curve(settings: _Settings) -> None:
             raise ValidationError("flag-curve on user shares requires a cluster column")
         shares, clusters = data.shares, data.clusters
         source = "user"
+    elif settings.get("outcomes") is not None:
+        raise ValidationError("flag-curve reads --outcomes only with --shares")
     else:
         n_clusters = settings.get("clusters", 25, int)
         n_sectors = settings.get("sectors", 20, int)
         shares, clusters = crossed_shares(n_clusters, n_sectors)
         source = f"synthetic-crossed:{n_clusters}x{n_sectors}"
 
-    cfg = SimConfig(
-        replications=perms,
-        seed=seed,
-        alpha=alpha,
-        estimators=("crve",),
-        flag_threshold=threshold,
-    )
+    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha, flag_threshold=threshold)
     rows = run_flagging_curve(shares, clusters, gammas, outer_reps, cfg, workers)
 
     comment = _echo(
@@ -594,6 +591,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
 
 
 def cmd_analytic(settings: _Settings) -> None:
+    out = settings.out()
     params = StylizedParams(
         beta=settings.get("beta", 0.0, float),
         sigma2=settings.get("sigma2", 1.0, float),
@@ -613,11 +611,12 @@ def cmd_analytic(settings: _Settings) -> None:
             "y_fixed_limit": y_fixed_variance_ratio_limit(params),
             "eps_fixed_limit": eps_fixed_variance_ratio_limit(params),
         },
-        settings.get("out"),
+        out,
     )
 
 
 def cmd_oracle(settings: _Settings) -> None:
+    out = settings.out()
     outcomes = settings.require_path("outcomes")
     group_size = settings.get("group_size", 1, int)
     _, columns = _read_outcomes(outcomes)
@@ -651,7 +650,7 @@ def cmd_oracle(settings: _Settings) -> None:
             ),
             "finite_sample_factor": (n_groups - 1) / (n_groups - 2),
         },
-        settings.get("out"),
+        out,
     )
 
 

@@ -19,11 +19,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class Dataset:
     """One cross-section: outcomes, exposure shares, optional clusters, placebo and regressor.
 
-    Construct through :func:`validate_dataset`; the raw constructor performs
-    no checks and is reserved for internal pre-validated inputs.
+    Rows are regions; :func:`ssdiag.cli.ingest` joins the files on their ids
+    and keeps none.  Construct through :func:`validate_dataset`; the raw
+    constructor performs no checks and is reserved for internal pre-validated
+    inputs.
     """
 
-    region_ids: tuple[str, ...]
     y: np.ndarray
     shares: np.ndarray  # (N, F), nonnegative, no all-zero row
     clusters: np.ndarray | None = None  # contiguous int labels 0..G-1
@@ -76,7 +77,6 @@ def contiguous_labels(labels) -> np.ndarray:
 
 
 def validate_dataset(
-    region_ids,
     y,
     shares,
     clusters=None,
@@ -85,8 +85,9 @@ def validate_dataset(
 ) -> Dataset:
     """Check array shapes and invariants, returning an immutable Dataset.
 
-    Cluster labels are relabeled to contiguous 0..G-1 in order of first
-    appearance so downstream accumulators can index arrays directly.
+    Region ids are not an input: ``ingest`` checks them.  Cluster labels are
+    relabeled to contiguous 0..G-1 in order of first appearance so
+    downstream accumulators can index arrays directly.
     Idempotent: validating the fields of a validated Dataset reproduces it.
     """
     y = _frozen_array(y)
@@ -104,14 +105,6 @@ def validate_dataset(
         raise ValidationError("need at least 3 regions")
     if shares.shape[1] < 2:
         raise ValidationError("need at least 2 sectors")
-    if region_ids is None:
-        region_ids = tuple(f"r{i}" for i in range(n))
-    else:
-        region_ids = tuple(str(r) for r in region_ids)
-    if len(region_ids) != n:
-        raise ValidationError(f"region ids ({len(region_ids)}) do not match outcomes ({n})")
-    if len(set(region_ids)) != n:
-        raise ValidationError("duplicate region id")
     if not np.all(np.isfinite(y)):
         raise ValidationError("non-finite outcome")
     if not np.all(np.isfinite(shares)):
@@ -142,7 +135,6 @@ def validate_dataset(
             raise ValidationError("non-finite realized regressor")
 
     return Dataset(
-        region_ids=region_ids,
         y=y,
         shares=shares,
         clusters=clusters,

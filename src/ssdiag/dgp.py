@@ -62,14 +62,15 @@ class GroupedDGP:
 
 @dataclass(frozen=True)
 class GroupedDraw:
+    """One realized sample over ``GroupedDGP.design``."""
+
     y: np.ndarray
-    design: PartitionDesign
     x: np.ndarray  # the realized unit-level 0/1 treatment
     sate: float
 
 
 def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
-    """One realized sample: outcomes, design, treatment and the realized SATE.
+    """One realized sample: outcomes, treatment and the realized SATE.
 
     Draws the state shocks, the unit noise and the assignment, in that order.
     """
@@ -79,7 +80,7 @@ def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
     x = draw_treatment(design, rng)
     effect = dgp.beta + dgp.het_loading * state_shock
     y = dgp.omega * state_shock + noise + x * effect
-    return GroupedDraw(y=y, design=design, x=x, sate=float(effect.mean()))
+    return GroupedDraw(y=y, x=x, sate=float(effect.mean()))
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,6 @@ class ExperimentRow:
     pr_flag_y_se: float
     pr_flag_eps: float
     pr_flag_eps_se: float
-    outer_reps: int
 
     @classmethod
     def from_counts(cls, counts, outer_reps: int) -> ExperimentRow:
@@ -105,7 +105,6 @@ class ExperimentRow:
             pr_flag_y_se=mc_se(pr_y, outer_reps),
             pr_flag_eps=pr_eps,
             pr_flag_eps_se=mc_se(pr_eps, outer_reps),
-            outer_reps=outer_reps,
         )
 
 
@@ -124,10 +123,11 @@ def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
         # size column: test the true effect with plain robust inference
         counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
         # one assignment block tests y-fixed (column 1) and eps-fixed (column 2)
+        # with the size column's estimator
         ydot = draw.y - fit.slope * draw.x
-        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1))
-        reports = run_partition_permutation([draw.y, ydot], draw.design, block_cfg)
-        rates = [r.rates[cfg.estimators[0]] for r in reports]
+        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("robust-hc1",))
+        reports = run_partition_permutation([draw.y, ydot], dgp.design, block_cfg)
+        rates = [r.rates["robust-hc1"] for r in reports]
         counts[k, 1:] += [flagged(rate, cfg.flag_threshold) for rate in rates]
     return counts
 
@@ -140,8 +140,8 @@ def run_grouped_experiment(cells, outer_reps: int, workers: int = 1) -> list[Exp
     with robust-hc1 (size tally); (b) one permutation simulation testing
     y-fixed and eps-fixed (y - beta_hat * treatment, beta_hat the realized
     OLS slope) on the same draws, so their contrast is paired; a mode flags
-    when its rejection rate for the first estimator in cfg.estimators
-    reaches cfg.flag_threshold.  Every cell-draw pair runs through one
+    when its robust-hc1 rejection rate reaches cfg.flag_threshold, whatever
+    cfg.estimators names.  Every cell-draw pair runs through one
     map_chunks call, and draw j of a cell keys its own streams
     (substream(cfg.seed, j, 0), derive_seed(cfg.seed, j, 1)), so a row does
     not depend on the other cells.
@@ -209,7 +209,6 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
 def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
     lo, hi = bounds
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
-    inner_cfg = replace(cfg, estimators=("crve",))
     for j in range(lo, hi):
         draw = draw_flagging(shares, substream(cfg.seed, j, 0))
         ys, ydots = [], []
@@ -221,9 +220,8 @@ def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
             ydots.append(y_star - fit.slope * draw.x)
         # one shock block, drawn from derive_seed(cfg.seed, j, 1), tests every
         # gamma in both modes: y-fixed fills column 1 and eps-fixed column 2
-        reports = run_outcome_fixed(
-            ys + ydots, shares, clusters, replace(inner_cfg, seed=derive_seed(cfg.seed, j, 1))
-        )
+        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("crve",))
+        reports = run_outcome_fixed(ys + ydots, shares, clusters, block_cfg)
         flags = [flagged(r.rates["crve"], cfg.flag_threshold) for r in reports]
         counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
@@ -240,11 +238,12 @@ def run_flagging_curve(
     """Flagging probabilities and test size along a confound-strength grid.
 
     Per gamma and outer draw: test a zero slope with cluster-robust inference
-    (size tally) and test y-fixed and eps-fixed with the crve estimator,
-    flagging when the rejection rate reaches the threshold.  Draws are paired
-    across gamma values and modes (same substream per outer index, and one
-    shock simulation per outer draw tests every gamma in both modes), so
-    curve differences and the y-versus-eps contrast are low-noise.  Cluster
+    (size tally) and test y-fixed and eps-fixed with crve, whatever
+    cfg.estimators names, flagging when the rejection rate reaches the
+    threshold.  Draws are paired across gamma values and modes (same
+    substream per outer index, and one shock simulation per outer draw tests
+    every gamma in both modes), so curve differences and the y-versus-eps
+    contrast are low-noise.  Cluster
     labels count only the clusters they name: they are relabeled 0..G-1 in
     order of first appearance.  Returns one row per gamma, in grid order.
     """

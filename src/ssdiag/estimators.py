@@ -27,7 +27,6 @@ DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RegressionFit:
-    intercept: float
     slope: float
     residuals: np.ndarray
     regressor_demeaned_ssq: float
@@ -179,7 +178,6 @@ def ols_simple(y, x) -> RegressionFit:
     intercept = ybar - slope * xbar
     residuals = y - intercept - slope * x
     return RegressionFit(
-        intercept=intercept,
         slope=slope,
         residuals=residuals,
         regressor_demeaned_ssq=ssq,

@@ -212,7 +212,7 @@ def test_criterion_6_null_calibration():
     t0 = time.perf_counter()
     n = 1000
     y = substream(2, 0).standard_normal(n)
-    data = validate_dataset(None, y, np.eye(n))
+    data = validate_dataset(y, np.eye(n))
     (report,) = run_y_fixed(data, SimConfig(replications=10_000, seed=77), workers=WORKERS)
     count = report.rejections["robust-hc1"]
     lo = int(stats.binom.ppf(0.005, 10_000, 0.05))

@@ -62,7 +62,6 @@ class TestIngest:
         shares, outcomes = _toy_files(tmp_path, with_placebo=True, with_cluster=True, with_x=True)
         data = ingest(shares, outcomes)
         assert data.n_regions == 3 and data.n_sectors == 2
-        assert data.region_ids == ("r0", "r1", "r2")
         np.testing.assert_allclose(data.y, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(data.y_placebo, [2.0, 1.0, 0.0])
         np.testing.assert_array_equal(data.clusters, [0, 1, 0])
@@ -143,7 +142,7 @@ class TestIngest:
         shares.write_bytes(text.encode("utf-8"))
         _, outcomes = _toy_files(tmp_path)
         data = ingest(shares, outcomes)
-        assert data.region_ids == ("r0", "r1", "r2")
+        np.testing.assert_allclose(data.y, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(data.shares, [[0.25, 0.75], [0.5, 0.5], [10.0, 0.0]])
         assert (cli._loadtxt_shares(shares) is not None) == fast
 
@@ -168,10 +167,12 @@ class TestIngest:
         assert cli._loadtxt_shares(Path(clean)) is not None
         monkeypatch.setattr(cli, "_loadtxt_shares", lambda path: None)
         slow_raw, slow = cli._read_shares(Path(raw)), ingest(clean, outcomes)
-        assert fast_raw[0] == slow_raw[0]
+        assert fast_raw[0] == slow_raw[0] == [f"r{i}" for i in range(n)]
         assert fast_raw[1].shape == slow_raw[1].shape == (n, f)
         assert np.array_equal(fast_raw[1].view(np.uint64), slow_raw[1].view(np.uint64))
-        assert fast.region_ids == slow.region_ids == tuple(f"r{i}" for i in order)
+        # outcomes row k is region order[k], with y = order[k]
+        np.testing.assert_array_equal(fast.y, order)
+        np.testing.assert_array_equal(slow.y, order)
         assert np.array_equal(fast.shares.view(np.uint64), slow.shares.view(np.uint64))
         assert np.array_equal(fast.shares, values[order])
 
@@ -202,17 +203,17 @@ def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     """CSV pair from a grouped draw: one-hot state shares, clusters, x column."""
     dgp = GroupedDGP(n_states=n_states, per_state=per_state, beta=beta)
     draw = draw_grouped(dgp, substream(seed, 0))
-    n = draw.design.n_units
+    n = dgp.design.n_units
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, n_states + 1))
     share_lines = [header]
     for i in range(n):
-        row = ["1" if g == draw.design.group_of[i] else "0" for g in range(n_states)]
+        row = ["1" if g == dgp.design.group_of[i] else "0" for g in range(n_states)]
         share_lines.append(f"u{i}," + ",".join(row))
     shares = _write(tmp_path / "p_shares.csv", "\n".join(share_lines) + "\n")
     out_lines = ["region_id,y,cluster,x_realized"]
     for i in range(n):
         out_lines.append(
-            f"u{i},{float(draw.y[i])!r},{draw.design.group_of[i]},{float(draw.x[i])!r}"
+            f"u{i},{float(draw.y[i])!r},{dgp.design.group_of[i]},{float(draw.x[i])!r}"
         )
     outcomes = _write(tmp_path / "p_outcomes.csv", "\n".join(out_lines) + "\n")
     return shares, outcomes
@@ -346,7 +347,7 @@ class TestDiagnose:
             assert blocks[mode] == _report_block(alone, 0.1)
 
     @pytest.mark.parametrize(
-        "modes, sims", [("y-fixed,eps-fixed,placebo", 1), ("eps-fixed,placebo", 1), (",", 0)]
+        "modes, sims", [("y-fixed,eps-fixed,placebo", 1), ("eps-fixed,placebo", 1)]
     )
     def test_one_simulation_per_command(self, modes, sims, tmp_path, monkeypatch):
         # every requested mode is tested in one simulation: one kernel, one map_chunks
@@ -367,8 +368,7 @@ class TestDiagnose:
             "--workers", "2", "--out", str(out),
         ]) == 0
         assert calls == dict.fromkeys(calls, sims)
-        requested = [mode for mode in modes.split(",") if mode]
-        assert sorted(json.loads(out.read_text())["modes"]) == sorted(requested)
+        assert sorted(json.loads(out.read_text())["modes"]) == sorted(modes.split(","))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_mode_as_if_run_alone(self, workers, tmp_path):
@@ -393,6 +393,8 @@ class TestDiagnose:
             (["--modes", "y-fixed,placebo,y-fixed"], "repeated modes ['y-fixed']"),
             (["--estimators", "crve,robust-hc1,crve"], "repeated estimators ['crve']"),
             (["--modes", "y-fixed,eps-fixed"], "missing realized shocks"),
+            (["--modes", ""], "need at least 1 mode"),
+            (["--modes", ","], "need at least 1 mode"),
         ],
     )
     def test_repeats_exit_before_any_simulation(
@@ -444,13 +446,19 @@ class TestAnalytic:
         assert report["eps_fixed_limit"] == pytest.approx(2 / 3, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
-    def test_unwritable_out_exits_2(self, kind, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, kind, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.y_fixed_variance_ratio_limit
+        monkeypatch.setattr(
+            cli, "y_fixed_variance_ratio_limit", lambda p: calls.append(p) or real(p)
+        )
         out = tmp_path / "missing" / "a.json" if kind == "missing-directory" else tmp_path
         assert main([
             "analytic", "--beta", "0", "--sigma2", "1", "--rho", "0",
             "--group-size", "2", "--out", str(out),
         ]) == 2
         assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert calls == []
 
 
 class TestOracle:
@@ -492,6 +500,19 @@ class TestOracle:
         outcomes = self._outcomes(tmp_path, [1.0, float("nan"), 3.0, 4.0])
         assert main(["oracle", "--outcomes", outcomes]) == 2
         assert "non-finite outcome" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_before_enumerating(self, kind, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.enumerate_assignment_variance
+        monkeypatch.setattr(
+            cli, "enumerate_assignment_variance", lambda *a: calls.append(a) or real(*a)
+        )
+        outcomes = self._outcomes(tmp_path, [1.0, 2.0, 3.0, 4.0])
+        out = tmp_path / "missing" / "o.json" if kind == "missing-directory" else tmp_path
+        assert main(["oracle", "--outcomes", outcomes, "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert calls == []
 
     def test_duplicate_region_rejected(self, tmp_path, capsys):
         outcomes = _write(tmp_path / "dup.csv", "region_id,y\nr0,1\nr1,2\nr0,3\nr3,4\n")
@@ -569,6 +590,24 @@ class TestTableAndCurve:
         assert out1.read_bytes() == out2.read_bytes()
         rows = [line.split(",") for line in out1.read_text().strip().splitlines()[2:]]
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_curve_outcomes_without_shares_exit_2(
+        self, source, tmp_path, monkeypatch, capsys
+    ):
+        # the synthetic design reads no outcomes file, so naming one is a mistake
+        calls = []
+        monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
+        _, outcomes = _toy_files(tmp_path, with_cluster=True)
+        argv = ["flag-curve", "--seed", "1", "--reps", "2", "--perms", "10"]
+        if source == "flag":
+            argv += ["--outcomes", outcomes]
+        else:
+            cfg = _write(tmp_path / "cfg.json", json.dumps({"flag-curve": {"outcomes": outcomes}}))
+            argv += ["--config", cfg]
+        assert main(argv) == 2
+        assert "--shares" in capsys.readouterr().err
+        assert calls == []
 
     def test_config_file_supplies_settings(self, tmp_path):
         cfg = tmp_path / "cfg.json"

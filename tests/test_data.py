@@ -13,7 +13,6 @@ from ssdiag.data import draw_treatment
 def _valid_arrays(n=4, f=2):
     rng = np.random.default_rng(0)
     return {
-        "region_ids": [f"r{i}" for i in range(n)],
         "y": rng.standard_normal(n),
         "shares": rng.uniform(0.1, 1.0, size=(n, f)),
     }
@@ -34,35 +33,30 @@ class TestValidateDataset:
         shares = raw["shares"].copy()
         shares[2] = 0.0
         with pytest.raises(ValidationError, match="degenerate exposure row"):
-            validate_dataset(raw["region_ids"], raw["y"], shares)
+            validate_dataset(raw["y"], shares)
 
     def test_nan_outcome_rejected(self):
         raw = _valid_arrays()
         y = raw["y"].copy()
         y[1] = np.nan
         with pytest.raises(ValidationError, match="non-finite outcome"):
-            validate_dataset(raw["region_ids"], y, raw["shares"])
+            validate_dataset(y, raw["shares"])
 
     def test_negative_share_rejected(self):
         raw = _valid_arrays()
         shares = raw["shares"].copy()
         shares[0, 0] = -0.5
         with pytest.raises(ValidationError, match="negative share"):
-            validate_dataset(raw["region_ids"], raw["y"], shares)
+            validate_dataset(raw["y"], shares)
 
     def test_dimension_mismatch(self):
         raw = _valid_arrays()
         with pytest.raises(ValidationError, match="do not match"):
-            validate_dataset(raw["region_ids"], raw["y"][:3], raw["shares"])
-
-    def test_duplicate_region_id(self):
-        raw = _valid_arrays()
-        with pytest.raises(ValidationError, match="duplicate region id"):
-            validate_dataset(["a", "a", "b", "c"], raw["y"], raw["shares"])
+            validate_dataset(raw["y"][:3], raw["shares"])
 
     def test_too_small(self):
         with pytest.raises(ValidationError):
-            validate_dataset(None, [1.0, 2.0], np.ones((2, 2)))
+            validate_dataset([1.0, 2.0], np.ones((2, 2)))
 
     def test_idempotent(self):
         raw = _valid_arrays()
@@ -70,9 +64,8 @@ class TestValidateDataset:
             **raw, clusters=[5, 2, 2, 5], y_placebo=raw["y"] * 2, x_realized=raw["y"] + 1
         )
         twice = validate_dataset(
-            once.region_ids, once.y, once.shares, once.clusters, once.y_placebo, once.x_realized
+            once.y, once.shares, once.clusters, once.y_placebo, once.x_realized
         )
-        assert once.region_ids == twice.region_ids
         np.testing.assert_array_equal(once.y, twice.y)
         np.testing.assert_array_equal(once.shares, twice.shares)
         np.testing.assert_array_equal(once.clusters, twice.clusters)

@@ -41,9 +41,9 @@ class TestDrawGrouped:
         dgp = GroupedDGP(n_states=10, per_state=3)
         draw = draw_grouped(dgp, np.random.default_rng(2))
         # 5 of the 10 states treated, every unit of a state alike
-        treated_units = np.bincount(draw.design.group_of, weights=draw.x)
+        treated_units = np.bincount(dgp.design.group_of, weights=draw.x)
         assert sorted(treated_units) == [0.0] * 5 + [3.0] * 5
-        assert draw.design.group_size == 3
+        assert dgp.design.group_size == 3
 
     def test_within_state_correlation(self):
         # analytic moment: corr = omega^2 / (omega^2 + 1) among untreated units
@@ -90,7 +90,6 @@ class TestGroupedExperiment:
         (r,) = results[0]
         for value in (r.size, r.pr_flag_y, r.pr_flag_eps):
             assert 0.0 <= value <= 1.0
-        assert r.outer_reps == 96
 
     def test_zero_threshold_flags_every_draw(self):
         # every rejection rate reaches a zero threshold, a zero rate included
@@ -117,7 +116,7 @@ class TestGroupedExperiment:
         draw = draw_grouped(dgp, substream(seed, 0, 0))
         slope = ols_simple(draw.y, draw.x).slope
         reports = run_partition_permutation(
-            [draw.y, draw.y - slope * draw.x], draw.design,
+            [draw.y, draw.y - slope * draw.x], dgp.design,
             replace(cfg, seed=derive_seed(seed, 0, 1)),
         )
         # a threshold at the block's eps-fixed rate: another block flags only
@@ -252,3 +251,26 @@ class TestFlaggingCurve:
             run_flagging_curve(shares, design.group_of, [0.0], 0, cfg)
         with pytest.raises(ValidationError, match="do not match shares"):
             run_flagging_curve(shares, design.group_of[:-1], [0.0], 10, cfg)
+
+
+def _grouped_rows(estimators):
+    dgp = GroupedDGP(n_states=6, per_state=2, omega=0.5)
+    return run_grouped_experiment([(dgp, SimConfig(40, seed=3, estimators=estimators))], 24)
+
+
+def _flagging_rows(estimators):
+    shares, clusters = crossed_shares(4, 3)
+    cfg = SimConfig(40, seed=3, estimators=estimators)
+    return run_flagging_curve(shares, clusters, [0.0, 1.0], 24, cfg)
+
+
+@pytest.mark.parametrize(
+    "rows, own, other",
+    [(_grouped_rows, "robust-hc1", "crve"), (_flagging_rows, "crve", "robust-hc1")],
+    ids=["grouped", "flagging"],
+)
+def test_experiment_tests_with_its_own_estimator(rows, own, other):
+    # mc-table flags with robust-hc1 and flag-curve with crve, whatever the menu names
+    mine = rows((own,))
+    assert rows((other,)) == mine
+    assert any(0.0 < r.pr_flag_y < 1.0 for r in mine)

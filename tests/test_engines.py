@@ -78,7 +78,6 @@ def _dataset(seed=0, n=16, f=4, placebo=False):
     shares = rng.uniform(0.05, 1.0, size=(n, f))
     y = rng.standard_normal(n)
     return validate_dataset(
-        None,
         y,
         shares,
         clusters=np.arange(n) % 4,
@@ -109,7 +108,7 @@ class TestDeterminism:
 
     def test_placebo_equals_y_fixed_when_identical(self):
         data = _dataset(3)
-        twin = validate_dataset(None, data.y, data.shares, data.clusters, y_placebo=data.y)
+        twin = validate_dataset(data.y, data.shares, data.clusters, y_placebo=data.y)
         cfg = SimConfig(replications=250, seed=11, estimators=("robust-hc1",))
         (placebo,) = run_outcome_fixed([twin.y_placebo], twin.shares, twin.clusters, cfg)
         assert placebo.rejections == run_y_fixed(twin, cfg)[0].rejections
@@ -118,7 +117,7 @@ class TestDeterminism:
 class TestReportInvariants:
     def test_constant_outcome_never_rejects(self):
         data = validate_dataset(
-            None, np.full(12, 4.0), np.random.default_rng(0).uniform(0.1, 1, (12, 3)),
+            np.full(12, 4.0), np.random.default_rng(0).uniform(0.1, 1, (12, 3)),
             clusters=np.arange(12) % 3,
         )
         cfg = SimConfig(replications=150, seed=1, estimators=FULL_MENU)
@@ -143,7 +142,6 @@ class TestReportInvariants:
 
     def test_constant_placebo(self):
         data = validate_dataset(
-            None,
             np.random.default_rng(1).standard_normal(9),
             np.random.default_rng(2).uniform(0.1, 1, (9, 3)),
             y_placebo=np.zeros(9),
@@ -157,7 +155,6 @@ class TestReportInvariants:
 class TestValidation:
     def test_crve_requires_clusters(self):
         data = validate_dataset(
-            None,
             np.random.default_rng(0).standard_normal(8),
             np.random.default_rng(1).uniform(0.1, 1, (8, 2)),
         )
@@ -386,7 +383,7 @@ class TestCellKernel:
         n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
         rng = np.random.default_rng(13)
         data = validate_dataset(
-            None, rng.standard_normal(n), rng.uniform(0.05, 1.0, (n, 6)), clusters=np.arange(n) % 7
+            rng.standard_normal(n), rng.uniform(0.05, 1.0, (n, 6)), clusters=np.arange(n) % 7
         )
         blocks = []
         real = engines._block_counts
