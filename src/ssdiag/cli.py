@@ -539,8 +539,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
     threshold = settings.get("threshold", 0.1, float)
     outer_reps = settings.get("reps", 500, int)
     perms = settings.get("perms", 200, int)
-    gammas = settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float)
-    gammas = sorted(set(gammas))
+    gammas = sorted(settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float, distinct=True))
     workers = settings.workers()
     out = settings.out()
 

@@ -18,10 +18,12 @@ group-level assignments, whose groups are its sectors.  The test kernel maps
 it to cells, sets of units that share one regressor value: a unit for
 shift-share data, a group for a partition design, so a permutation draw
 costs O(groups) rather than O(units).  It makes one pass per block of draws
-for all K outcomes, forms each outcome's cell scores once for all its
-estimators, and sums cluster scores over the cells sorted by cluster.  It
-walks a block in row sub-blocks of bounded size, so beyond the block's
-(draws, cells) regressors its memory stays bounded as the cell count grows.
+for all K outcomes and forms each outcome's cell scores once for all its
+estimators.  Cluster scores are sums over the cells sorted by cluster, or,
+for crve on shift-share data with sectors * clusters <= cells, sector-space
+products that skip the cell scores.  It walks a block in row sub-blocks of
+bounded size, so beyond the block's (draws, cells) regressors its memory
+stays bounded as the cell count grows.
 
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
@@ -162,6 +164,15 @@ class _Outcome:
     # score-agg-null in sector space: shares' diag(S) shares (F, F) and S @ shares (F,);
     # None unless the menu holds score-agg-null and the design has shares
     null: tuple[np.ndarray, np.ndarray] | None
+    # crve in sector form: cluster sums of S * shares (F, G) and of S (G,); None unless
+    # the menu holds crve and the design has shares with sectors * clusters <= cells
+    crve: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def cell_scores(self) -> bool:
+        """Whether a test of the menu reads the (draws, cells) scores rather than sector terms."""
+        sector = ("score-agg-null", "crve") if self.crve is not None else ("score-agg-null",)
+        return any(est not in sector for est in self.estimators)
 
 
 @dataclass(frozen=True)
@@ -195,7 +206,9 @@ def _make_kernel(ys, menus, alpha, clusters, shares, cells=None) -> _Kernel:
     ``cells`` maps each unit to its cell (None: every unit is a cell);
     ``clusters`` labels and ``shares`` rows are given per cell.  The
     cluster count is the number of distinct labels.  The design is built
-    once, and each distinct menu's factors and critical values once.
+    once, and each distinct menu's factors and critical values once.  Each
+    crve outcome gets its sector terms (Q, s) here when the design has
+    shares and sectors * clusters <= cells (see _kernel_counts).
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[1]
@@ -220,20 +233,43 @@ def _make_kernel(ys, menus, alpha, clusters, shares, cells=None) -> _Kernel:
             conventions.append(small_sample(est, n, n_clusters, n_sectors))
         factors = tuple(factor for factor, _ in conventions)
         tests[menu] = factors, np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
-    outcomes = []
-    for y, menu in zip(ys, menus, strict=True):
+    sums = []  # (S, W) per outcome
+    for y in ys:
         yc = y - y.mean()
         if cells is None:
-            S, W = yc, None
+            sums.append((yc, None))
         else:
             S = np.bincount(cells, weights=yc)
-            W = np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)
+            sums.append((S, np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)))
+    # crve in sector form takes sectors * clusters multiply-adds per draw, the cell form
+    # several passes over the cells, so the sector form serves designs with F*G <= N
+    crve = [None] * len(menus)  # (Q, s) per outcome
+    crve_rows = [i for i, menu in enumerate(menus) if "crve" in menu]
+    if crve_rows and shares is not None and n_sectors * starts.size <= m.size:
+        sorted_shares = shares if order is None else shares[order]
+        # one reduceat over the cells sorted by cluster for as many crve outcomes as
+        # keep its (cells, outcomes, sectors) product within _KERNEL_BYTES, at least one
+        batch = max(1, _KERNEL_BYTES // (8 * shares.size))
+        for lo in range(0, len(crve_rows), batch):
+            rows = crve_rows[lo : lo + batch]
+            S = np.array([sums[i][0] for i in rows])  # (K, C)
+            if order is not None:
+                S = S[:, order]
+            Q = np.add.reduceat(S.T[:, :, None] * sorted_shares[:, None, :], starts, axis=0)
+            Q = Q.transpose(1, 2, 0).copy()  # (K, F, G)
+            s = np.add.reduceat(S, starts, axis=1)
+            for k, i in enumerate(rows):
+                crve[i] = Q[k], s[k]
+    outcomes = []
+    for (S, W), menu, crve_terms in zip(sums, menus, crve, strict=True):
         factors, crits = tests[menu]
         null = None
         if "score-agg-null" in menu and shares is not None:
             null = shares.T @ (S[:, None] * shares), S @ shares
         outcomes.append(
-            _Outcome(S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null)
+            _Outcome(
+                S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null, crve=crve_terms
+            )
         )
     design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
     return _Kernel(design=design, outcomes=tuple(outcomes))
@@ -253,9 +289,14 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     estimators, and cluster scores are segment sums over the cells sorted by
     cluster.  score-agg-null's sector scores sum_c shares_cf*xc_c*S_c are
     (Z @ H)_f - xbar*(S @ shares)_f with H = shares' diag(S) shares, so they
-    cost O(sectors**2) per draw, not O(cells*sectors).  tests/oracles.py
-    keeps the unit-level form and the scalar forms of the menu, and the
-    engine tests pin agreement with both.
+    cost O(sectors**2) per draw, not O(cells*sectors).  Likewise crve's
+    cluster score sum_{c in g} xc_c*(S_c - slope*m_c*xc_c) is
+    (Z @ Q)_g - xbar*s_g - slope*B_g, with Q and s the cluster sums of
+    S*shares and of S, and B_g = sum_{c in g} m_c*xc_c**2 formed once per
+    sub-block for every outcome.  The kernel takes this form when sectors *
+    clusters <= cells, so an outcome tested by crve and score-agg-null alone
+    forms no cell scores.  tests/oracles.py keeps the unit-level form and the scalar
+    forms of the menu, and the engine tests pin agreement with both.
     """
     shares = kernel.design.shares
     X = Z if shares is None else Z @ shares.T
@@ -285,13 +326,20 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
             deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
             leverage_ok = ~np.any(deflate >= 1.0 - 1e-12, axis=1)
             np.divide(1.0, 1.0 - deflate, out=deflate)
+        if any(outcome.crve is not None for outcome in kernel.outcomes):
+            B = X2 if m.size == n else X2 * m  # B_g = sum_{c in g} m_c * xc_c**2
+            if d.order is not None:
+                B = B[:, d.order]
+            B = np.add.reduceat(B, d.starts, axis=1)
 
         for i, outcome in enumerate(kernel.outcomes):
             slope = np.where(usable, (Xc @ outcome.S) / ssq, 0.0)
-            P = slope[:, None] * m  # becomes the cell scores xc * (S - slope*m*xc)
-            P *= Xc
-            np.subtract(outcome.S, P, out=P)
-            P *= Xc
+            P = None  # the (draws, cells) scores, formed only for a test that reads them
+            if outcome.cell_scores:
+                P = slope[:, None] * m  # becomes the cell scores xc * (S - slope*m*xc)
+                P *= Xc
+                np.subtract(outcome.S, P, out=P)
+                P *= Xc
             ok = usable
             if any(est in _DEFLATED for est in outcome.estimators):
                 ok = usable & leverage_ok
@@ -306,6 +354,10 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
                     value = (scores * scores) @ (1.0 / m)
                     if outcome.W is not None:
                         value += (X2 * deflate * deflate if deflated else X2) @ outcome.W
+                elif est == "crve" and outcome.crve is not None:
+                    Q, s = outcome.crve
+                    scores = Z @ Q - xbar[:, None] * s - slope[:, None] * B
+                    value = np.einsum("bg,bg->b", scores, scores)
                 elif est in _CLUSTERED:
                     if d.order is not None:
                         scores = scores[:, d.order]

@@ -592,6 +592,24 @@ class TestTableAndCurve:
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_curve_repeated_gammas_exit_before_any_simulation(
+        self, source, tmp_path, monkeypatch, capsys
+    ):
+        # a repeated gamma used to be dropped without a word
+        calls = []
+        monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "curve.csv"
+        argv = ["flag-curve", "--seed", "1", "--reps", "2", "--perms", "10", "--out", str(out)]
+        if source == "flag":
+            argv += ["--gammas", "0,0.5,0.0"]
+        else:
+            cfg = _write(tmp_path / "cfg.json", json.dumps({"flag-curve": {"gammas": [0, 0.5, 0.0]}}))
+            argv += ["--config", cfg]
+        assert main(argv) == 2
+        assert "repeated gammas [0.0]" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_flag_curve_outcomes_without_shares_exit_2(
         self, source, tmp_path, monkeypatch, capsys
     ):

@@ -17,6 +17,7 @@ from ssdiag import (
     SimConfig,
     ValidationError,
     contiguous_partition,
+    crossed_shares,
     ols_simple,
     run_outcome_fixed,
     run_partition_permutation,
@@ -434,6 +435,93 @@ class TestCellKernel:
         want = oracles.unit_kernel_counts(y, Z @ shares.T, ("score-agg-null",), 0.3, shares=shares)
         assert (counts.tolist(), int(skipped[0])) == want
         assert want[0][0] > 0
+
+    @staticmethod
+    def _gapped_clusters(rng, n, n_clusters):
+        """Unsorted labels 3g + 2 naming every one of n_clusters clusters."""
+        return 3 * rng.permutation(np.arange(n) % n_clusters) + 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crve_scores_in_sector_space(self, seed):
+        # the kernel's sector terms give Z @ Q - xbar * s - slope * B, which equals the
+        # per-cell reduceat of the scores xc * (S - slope * xc) over the cells sorted
+        # by cluster, on share rows that do not sum to 1 and an outcome whose mean is not 0
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(20, 400)), int(rng.integers(2, 10))
+        g = int(rng.integers(2, n // f + 1))
+        clusters = self._gapped_clusters(rng, n, g)
+        shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
+        y = 5.0 + rng.standard_normal(n)
+        kernel = engines._make_kernel([y], [("crve",)], 0.05, clusters, shares)
+        (outcome,) = kernel.outcomes
+        order, starts = kernel.design.order, kernel.design.starts
+        assert order is not None and starts.size == g
+        Z = rng.standard_normal((64, f))
+        X = Z @ shares.T
+        xbar = X.mean(axis=1)
+        Xc = X - xbar[:, None]
+        slope = (Xc @ outcome.S) / np.einsum("bn,bn->b", Xc, Xc)
+        P = Xc * (outcome.S - slope[:, None] * Xc)
+        want = np.add.reduceat(P[:, order], starts, axis=1)
+        B = np.add.reduceat((Xc * Xc)[:, order], starts, axis=1)
+        Q, s = outcome.crve
+        got = Z @ Q - xbar[:, None] * s - slope[:, None] * B
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_crve_sector_form_matches_unit_oracle_over_sub_blocks(self, monkeypatch):
+        # a crve-only outcome and a mixed menu, at enough regions that a block spans
+        # several row pieces, on unsorted gapped labels, share rows that do not sum
+        # to 1 and outcomes whose mean is not 0
+        n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
+        rng = np.random.default_rng(18)
+        clusters = self._gapped_clusters(rng, n, 9)
+        shares = rng.uniform(0.0, 1.5, (n, 8)) * (rng.random((n, 8)) < 0.5)
+        ys = [3.0 + rng.standard_normal(n), -2.0 + rng.standard_normal(n)]
+        menus = [("crve",), ("robust-hc1", "crve", "crve-hc3")]
+        kernel = engines._make_kernel(ys, menus, 0.3, clusters, shares)
+        assert all(outcome.crve is not None for outcome in kernel.outcomes)
+        blocks = []
+        real = engines._block_counts
+        monkeypatch.setattr(
+            engines,
+            "_block_counts",
+            lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
+        )
+        Z = rng.standard_normal((300, 8))
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        assert len(blocks) >= 4
+        want = [
+            oracles.unit_kernel_counts(y, Z @ shares.T, menu, 0.3, clusters=clusters, shares=shares)
+            for y, menu in zip(ys, menus)
+        ]
+        got = [counts[:1].tolist(), counts[1:].tolist()]
+        assert list(zip(got, skipped.tolist())) == want
+        assert want[0][0][0] > 0
+
+    def test_crve_sector_form_applies_where_sectors_times_clusters_fit(self):
+        # F*G <= N takes the sector form; each case below pins one side of that rule
+        rng = np.random.default_rng(19)
+
+        def outcome(menu, clusters, shares, cells=None):
+            n = len(clusters) if cells is None else len(cells)
+            y = rng.standard_normal(n)
+            return engines._make_kernel([y], [menu], 0.05, clusters, shares, cells).outcomes[0]
+
+        shares, clusters = crossed_shares(25, 20)  # flag-curve's design, F*G = N = 500
+        crossed = outcome(("crve",), clusters, shares)
+        assert crossed.crve is not None and not crossed.cell_scores
+        # diagnose-large's shape, F*G = N = 10,000
+        large = outcome(("crve",), np.arange(10_000) // 100, rng.uniform(0, 1, (10_000, 100)))
+        assert large.crve is not None and large.crve[0].shape == (100, 100)
+        mixed = outcome(("robust-hc1", "crve"), clusters, shares)
+        assert mixed.crve is not None and mixed.cell_scores
+        # singleton clusters: F*G = 3N
+        assert outcome(("crve",), np.arange(12), rng.uniform(0, 1, (12, 3))).crve is None
+        # a partition design has no shares
+        design = contiguous_partition(6, 3)
+        assert outcome(("crve",), np.arange(6), None, design.group_of).crve is None
+        assert outcome(("robust-hc1", "score-agg"), clusters, shares).crve is None
 
 
 class TestStreamLayout:
