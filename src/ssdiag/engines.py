@@ -295,8 +295,8 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     S*shares and of S, and B_g = sum_{c in g} m_c*xc_c**2 formed once per
     sub-block for every outcome.  The kernel takes this form when sectors *
     clusters <= cells, so an outcome tested by crve and score-agg-null alone
-    forms no cell scores.  tests/oracles.py keeps the unit-level form and the scalar
-    forms of the menu, and the engine tests pin agreement with both.
+    forms no cell scores.  tests/oracles.py keeps the unit-level form and the
+    scalar forms of the menu, and the engine tests pin agreement with both.
     """
     shares = kernel.design.shares
     X = Z if shares is None else Z @ shares.T
