@@ -28,11 +28,13 @@ from .dgp import (
 )
 from .engines import (
     ESTIMATORS,
+    ShareDesign,
     SimConfig,
     SimReport,
     run_outcome_fixed,
     run_partition_permutation,
     run_y_fixed,
+    share_design,
 )
 from .errors import BudgetError, DegeneracyError, SsdiagError, ValidationError
 from .estimators import (

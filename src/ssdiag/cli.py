@@ -38,7 +38,15 @@ from .dgp import (
     run_flagging_curve,
     run_grouped_experiment,
 )
-from .engines import SimConfig, SimReport, flagged, mc_se, run_outcome_fixed, run_y_fixed
+from .engines import (
+    SimConfig,
+    SimReport,
+    flagged,
+    mc_se,
+    run_outcome_fixed,
+    run_y_fixed,
+    share_design,
+)
 from .errors import BudgetError, DegeneracyError, ValidationError
 from .estimators import ols_simple
 from .parallel import resolve_workers
@@ -443,14 +451,13 @@ def cmd_diagnose(settings: _Settings) -> None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
             crve_outcomes[mode] = data.y_placebo
     names = list(crve_outcomes)
+    design = share_design(data.shares, data.clusters)
     if "y-fixed" in modes:
         names.insert(0, "y-fixed")
-        reports = run_y_fixed(data, cfg, workers, crve=crve_outcomes.values())
+        reports = run_y_fixed(data.y, design, cfg, workers, crve=crve_outcomes.values())
     else:
         crve_cfg = replace(cfg, estimators=("crve",))
-        reports = run_outcome_fixed(
-            list(crve_outcomes.values()), data.shares, data.clusters, crve_cfg, workers
-        )
+        reports = run_outcome_fixed(list(crve_outcomes.values()), design, crve_cfg, workers)
     blocks = {mode: _report_block(report, threshold) for mode, report in zip(names, reports)}
     if "eps-fixed" in blocks:
         blocks["eps-fixed"]["beta_hat"] = beta_hat

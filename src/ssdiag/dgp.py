@@ -17,7 +17,14 @@ from functools import partial
 import numpy as np
 
 from .data import PartitionDesign, contiguous_labels, contiguous_partition, draw_treatment
-from .engines import SimConfig, flagged, mc_se, run_outcome_fixed, run_partition_permutation
+from .engines import (
+    SimConfig,
+    flagged,
+    mc_se,
+    run_outcome_fixed,
+    run_partition_permutation,
+    share_design,
+)
 from .errors import ValidationError
 from .estimators import ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
@@ -206,11 +213,11 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
     return FlaggingDraw(z=z, confound=confound, x=x)
 
 
-def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
+def _flagging_chunk(design, clusters, gammas, cfg, bounds) -> np.ndarray:
     lo, hi = bounds
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
     for j in range(lo, hi):
-        draw = draw_flagging(shares, substream(cfg.seed, j, 0))
+        draw = draw_flagging(design.shares, substream(cfg.seed, j, 0))
         ys, ydots = [], []
         for gi, gamma in enumerate(gammas):
             y_star = draw.outcome(gamma)
@@ -221,7 +228,7 @@ def _flagging_chunk(shares, clusters, gammas, cfg, bounds) -> np.ndarray:
         # one shock block, drawn from derive_seed(cfg.seed, j, 1), tests every
         # gamma in both modes: y-fixed fills column 1 and eps-fixed column 2
         block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("crve",))
-        reports = run_outcome_fixed(ys + ydots, shares, clusters, block_cfg)
+        reports = run_outcome_fixed(ys + ydots, design, block_cfg)
         flags = [flagged(r.rates["crve"], cfg.flag_threshold) for r in reports]
         counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
@@ -245,21 +252,21 @@ def run_flagging_curve(
     every gamma in both modes), so curve differences and the y-versus-eps
     contrast are low-noise.  Cluster
     labels count only the clusters they name: they are relabeled 0..G-1 in
-    order of first appearance.  Returns one row per gamma, in grid order.
+    order of first appearance.  The shares' design terms are built once, for
+    every simulation of the command.  Returns one row per gamma, in grid
+    order.
     """
-    shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 2:
-        raise ValidationError("shares must be a matrix")
-    if np.shape(clusters) != (shares.shape[0],):
-        raise ValidationError("cluster labels do not match shares")
-    clusters = contiguous_labels(clusters)
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValidationError("gamma grid is empty")
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
+    if clusters is None:
+        raise ValidationError("cluster labels do not match shares")
+    design = share_design(shares, clusters)
+    clusters = contiguous_labels(clusters)
     parts = map_chunks(
-        partial(_flagging_chunk, shares, clusters, gammas, cfg),
+        partial(_flagging_chunk, design, clusters, gammas, cfg),
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )

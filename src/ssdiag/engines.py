@@ -3,27 +3,35 @@
 Both engines hold K outcome vectors fixed and test every outcome, each with
 its own estimator menu, against the same block of resampled regressors; the
 caller forms the outcomes.  The outcome-fixed engine for shift-share data
-resamples iid standard normal sector shocks: one block tests the realized y
-(y-fixed) with the requested menu and the residualized y - beta_hat*x
-(eps-fixed) and the pre-treatment outcome (placebo) with crve, and the
-flagging experiment both modes at every confound strength.  The
-treatment-permutation engine resamples the balanced assignment of a
+resamples iid standard normal sector shocks on a ShareDesign, whose terms
+are built once per experiment and shared by all its simulations: one block
+tests the realized y (y-fixed) with the requested menu and the residualized
+y - beta_hat*x (eps-fixed) and the pre-treatment outcome (placebo) with
+crve, and the flagging experiment both modes at every confound strength.
+The treatment-permutation engine resamples the balanced assignment of a
 partition design, for the grouped experiment's y-fixed and eps-fixed
 outcomes.  Each replication refits the bivariate OLS and tests a zero slope
 with every requested variance estimator; reports carry rejection
 frequencies.
 
 A draw is a (draws, sectors) block: sector shocks, or a partition design's
-group-level assignments, whose groups are its sectors.  The test kernel maps
-it to cells, sets of units that share one regressor value: a unit for
-shift-share data, a group for a partition design, so a permutation draw
-costs O(groups) rather than O(units).  It makes one pass per block of draws
-for all K outcomes and forms each outcome's cell scores once for all its
-estimators.  Cluster scores are sums over the cells sorted by cluster, or,
-for crve on shift-share data with sectors * clusters <= cells, sector-space
-products that skip the cell scores.  It walks a block in row sub-blocks of
-bounded size, so beyond the block's (draws, cells) regressors its memory
-stays bounded as the cell count grows.
+group-level assignments, whose groups are its sectors.  On a shift-share
+design with sectors * clusters <= units, crve and score-agg-null have
+sector forms, and a simulation whose every test is one of them runs in
+sector space: the test kernel works on (draws, F) and (draws, F(F+1)/2)
+arrays alone and never forms the regressors.  That covers all of
+flag-curve's simulations and diagnose's with a crve-only menu.  A menu with
+any other test (a mixed menu, such as diagnose's default y-fixed menu)
+keeps the cell path, which maps the block to cells, sets of units that
+share one regressor value: a unit for shift-share data, a group for a
+partition design, so a permutation draw costs O(groups) rather than
+O(units).  It makes one pass per block of draws for all K outcomes and
+forms each outcome's cell scores once for all its estimators.  Cluster
+scores are sums over the cells sorted by cluster, or, for crve where the
+sector form applies, the same sector-space products as in sector space.
+Both paths walk a block in row sub-blocks of bounded size, so beyond the
+cell path's (draws, cells) regressors their memory stays bounded as the
+unit count grows.
 
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
@@ -38,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, PartitionDesign
+from .data import PartitionDesign
 from .errors import ValidationError
 from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
@@ -137,19 +145,85 @@ ESTIMATORS = (
 
 
 @dataclass(frozen=True)
-class _Design:
-    """Cell-level terms shared by every outcome tested on one design.
+class ShareDesign:
+    """The terms of a fixed design that every simulation on it shares, built once.
 
     A cell is a set of units that share one regressor value in every draw:
-    a unit for shift-share data, a group for a partition design.  Cells nest
-    in clusters, and every unit of a cell has the same shares.
+    a unit of a shift-share design, a group of a partition design.  Cells
+    nest in clusters.  Where a shift-share design (cells are units) has
+    sectors * clusters <= units, the design also holds the test kernel's
+    sector-space terms.  With w_c a share row, ubar the mean share row and
+    w~_c = w_c - ubar, a draw z of sector shocks has mean regressor z.ubar,
+    centred regressors xc_c = w~_c.z and ssq = z'Cz with the centred Gram
+    C = sum_c w~_c w~_c', and crve's B_g = sum_{c in g} xc_c**2 = z'C_g z
+    with C_g the same sum over the cells of cluster g.  Construct through
+    :func:`share_design`.
     """
 
     n: int  # units
     m: np.ndarray  # (C,) cell sizes
+    cells: np.ndarray | None  # (N,) cell of each unit; None: each unit is a cell
     shares: np.ndarray | None  # (C, F); None: each cell is its own sector
     order: np.ndarray | None  # cells sorted by cluster; None: already sorted
-    starts: np.ndarray | None  # (G,) first sorted cell of each cluster
+    starts: np.ndarray | None  # (G,) first sorted cell of each cluster; None: no clusters
+    # the sector-space terms, None unless the design has shares, clusters and F*G <= N:
+    segments: tuple[slice | np.ndarray, ...] | None  # the cells of each cluster
+    ubar: np.ndarray | None  # (F,)
+    gram: np.ndarray | None  # (F, F) C
+    # (G, F(F+1)/2) upper triangles of the C_g, off-diagonal entries doubled, so that
+    # B = cluster_grams @ (z_i z_j)_{i<=j}
+    cluster_grams: np.ndarray | None
+
+
+def share_design(shares, clusters=None) -> ShareDesign:
+    """Validating constructor: the design terms of a fixed share matrix.
+
+    ``clusters`` labels the share rows (None: no cluster-robust test); the
+    cluster count is the number of distinct labels.  Build the design once
+    and pass it to every simulation on the same shares.
+    """
+    shares = np.asarray(shares, dtype=float)
+    if shares.ndim != 2:
+        raise ValidationError("shares must be a matrix")
+    if clusters is not None and np.shape(clusters) != (shares.shape[0],):
+        raise ValidationError("cluster labels do not match shares")
+    return _make_design(clusters, shares)
+
+
+def _make_design(clusters, shares, cells=None) -> ShareDesign:
+    """Design of the rows of ``shares``, or, with shares None, of the groups in ``cells``.
+
+    The Grams take one F x F product per cluster, so no (units, F**2)
+    temporary is formed; with G <= N/F their (G, F, F) stack holds at most
+    as many numbers as the shares.
+    """
+    if cells is None:
+        n, m = shares.shape[0], np.ones(shares.shape[0])
+    else:
+        n, m = cells.size, np.bincount(cells).astype(float)
+    order = starts = segments = ubar = gram = cluster_grams = None
+    if clusters is not None:
+        order, starts = _cluster_segments(np.asarray(clusters))
+    # the sector form costs F(F+1)/2 * G multiply-adds per draw for B, less than the
+    # F * N of forming the regressors where F*G <= N
+    if shares is not None and starts is not None and shares.shape[1] * starts.size <= n:
+        n_sectors = shares.shape[1]
+        ends = [*starts[1:], n]
+        segments = tuple(
+            slice(a, b) if order is None else order[a:b] for a, b in zip(starts, ends)
+        )
+        ubar = shares.mean(axis=0)
+        grams = np.empty((len(segments), n_sectors, n_sectors))
+        for C_g, segment in zip(grams, segments):
+            w = shares[segment] - ubar
+            np.matmul(w.T, w, out=C_g)
+        gram = grams.sum(axis=0)
+        iu, ju = np.triu_indices(n_sectors)
+        cluster_grams = grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+    return ShareDesign(
+        n=n, m=m, cells=cells, shares=shares, order=order, starts=starts,
+        segments=segments, ubar=ubar, gram=gram, cluster_grams=cluster_grams,
+    )
 
 
 @dataclass(frozen=True)
@@ -164,21 +238,20 @@ class _Outcome:
     # score-agg-null in sector space: shares' diag(S) shares (F, F) and S @ shares (F,);
     # None unless the menu holds score-agg-null and the design has shares
     null: tuple[np.ndarray, np.ndarray] | None
-    # crve in sector form: cluster sums of S * shares (F, G) and of S (G,); None unless
-    # the menu holds crve and the design has shares with sectors * clusters <= cells
-    crve: tuple[np.ndarray, np.ndarray] | None
-
-    @property
-    def cell_scores(self) -> bool:
-        """Whether a test of the menu reads the (draws, cells) scores rather than sector terms."""
-        sector = ("score-agg-null", "crve") if self.crve is not None else ("score-agg-null",)
-        return any(est not in sector for est in self.estimators)
+    cell_scores: bool  # whether a test of the menu reads the (draws, cells) scores
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    design: _Design
+    design: ShareDesign
     outcomes: tuple[_Outcome, ...]
+    # crve in sector form: Q~, the cluster sums of w~_c * S_c, of each outcome whose menu
+    # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
+    # cluster Grams
+    crve: np.ndarray | None
+    # every outcome's W~'S, (K, F); None unless every test of every outcome has a sector
+    # form, so that the kernel never forms the (draws, cells) regressors
+    slopes: np.ndarray | None
 
     @property
     def estimators(self) -> tuple[str, ...]:
@@ -200,140 +273,166 @@ def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
     return order, starts
 
 
-def _make_kernel(ys, menus, alpha, clusters, shares, cells=None) -> _Kernel:
-    """Kernel testing each outcome in ``ys`` with its own menu in ``menus``.
+def _make_kernel(ys, menus, alpha, design: ShareDesign) -> _Kernel:
+    """Kernel testing each outcome in ``ys`` with its own menu in ``menus`` on ``design``.
 
-    ``cells`` maps each unit to its cell (None: every unit is a cell);
-    ``clusters`` labels and ``shares`` rows are given per cell.  The
-    cluster count is the number of distinct labels.  The design is built
-    once, and each distinct menu's factors and critical values once.  Each
-    crve outcome gets its sector terms (Q, s) here when the design has
-    shares and sectors * clusters <= cells (see _kernel_counts).
+    Outcomes are given per unit.  Each distinct menu's factors and critical
+    values are built once.  Where the design holds sector terms, each crve
+    outcome gets its Q~ here, in one product per cluster, and the
+    kernel every outcome's W~'S if every test of every outcome has a sector
+    form (see _kernel_counts).
     """
-    ys = np.asarray(ys, dtype=float)
-    n = ys.shape[1]
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if any(y.shape != (design.n,) for y in ys):
+        raise ValidationError("outcome length does not match the design")
+    n, shares, cells = design.n, design.shares, design.cells
+    yc = np.array(ys).reshape(len(ys), n)  # becomes the centred outcomes
+    if not np.isfinite(yc).all():
+        raise ValidationError("non-finite outcome")
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    m = np.ones(n) if cells is None else np.bincount(cells).astype(float)
-    n_sectors = m.size if shares is None else shares.shape[1]
+    n_sectors = design.m.size if shares is None else shares.shape[1]
+    n_clusters = 0 if design.starts is None else design.starts.size
     menus = [tuple(menu) for menu in menus]
-    order = starts = None
     tests = {}  # menu -> (factors, crits); menus checked in order, each in menu order
     for menu in menus:
         if menu in tests:
             continue
         conventions = []  # (factor, dof) per estimator
         for est in menu:
-            if est in _CLUSTERED:
-                if clusters is None:
-                    raise ValidationError(f"{est} requires cluster labels")
-                if starts is None:
-                    order, starts = _cluster_segments(clusters)
-            n_clusters = 0 if starts is None else starts.size
+            if est in _CLUSTERED and design.starts is None:
+                raise ValidationError(f"{est} requires cluster labels")
             conventions.append(small_sample(est, n, n_clusters, n_sectors))
         factors = tuple(factor for factor, _ in conventions)
         tests[menu] = factors, np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
-    sums = []  # (S, W) per outcome
-    for y in ys:
-        yc = y - y.mean()
-        if cells is None:
-            sums.append((yc, None))
-        else:
-            S = np.bincount(cells, weights=yc)
-            sums.append((S, np.bincount(cells, weights=(yc - (S / m)[cells]) ** 2)))
-    # crve in sector form takes sectors * clusters multiply-adds per draw, the cell form
-    # several passes over the cells, so the sector form serves designs with F*G <= N
-    crve = [None] * len(menus)  # (Q, s) per outcome
+    yc -= yc.mean(axis=1, keepdims=True)
+    sums, within = yc, [None] * len(yc)  # S and W per outcome
+    if cells is not None:
+        sums = np.array([np.bincount(cells, weights=y) for y in yc])
+        within = [
+            np.bincount(cells, weights=(y - (S / design.m)[cells]) ** 2)
+            for y, S in zip(yc, sums)
+        ]
+    crve = None
     crve_rows = [i for i, menu in enumerate(menus) if "crve" in menu]
-    if crve_rows and shares is not None and n_sectors * starts.size <= m.size:
-        sorted_shares = shares if order is None else shares[order]
-        # one reduceat over the cells sorted by cluster for as many crve outcomes as
-        # keep its (cells, outcomes, sectors) product within _KERNEL_BYTES, at least one
-        batch = max(1, _KERNEL_BYTES // (8 * shares.size))
-        for lo in range(0, len(crve_rows), batch):
-            rows = crve_rows[lo : lo + batch]
-            S = np.array([sums[i][0] for i in rows])  # (K, C)
-            if order is not None:
-                S = S[:, order]
-            Q = np.add.reduceat(S.T[:, :, None] * sorted_shares[:, None, :], starts, axis=0)
-            Q = Q.transpose(1, 2, 0).copy()  # (K, F, G)
-            s = np.add.reduceat(S, starts, axis=1)
-            for k, i in enumerate(rows):
-                crve[i] = Q[k], s[k]
+    if crve_rows and design.cluster_grams is not None:
+        S = sums if len(crve_rows) == len(sums) else sums[crve_rows]
+        crve = np.empty((n_clusters, len(crve_rows), n_sectors))
+        for Q, segment in zip(crve, design.segments):
+            np.matmul(S[:, segment], shares[segment] - design.ubar, out=Q)
+        crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
+    sector = ("score-agg-null", "crve") if crve is not None else ("score-agg-null",)
     outcomes = []
-    for (S, W), menu, crve_terms in zip(sums, menus, crve, strict=True):
+    for S, W, menu in zip(sums, within, menus, strict=True):
         factors, crits = tests[menu]
         null = None
         if "score-agg-null" in menu and shares is not None:
             null = shares.T @ (S[:, None] * shares), S @ shares
+        cell_scores = any(est not in sector for est in menu)
         outcomes.append(
             _Outcome(
-                S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null, crve=crve_terms
+                S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null,
+                cell_scores=cell_scores,
             )
         )
-    design = _Design(n=n, m=m, shares=shares, order=order, starts=starts)
-    return _Kernel(design=design, outcomes=tuple(outcomes))
+    slopes = None
+    if design.gram is not None and not any(outcome.cell_scores for outcome in outcomes):
+        slopes = sums @ shares - np.outer(sums.sum(axis=1), design.ubar)
+    return _Kernel(design=design, outcomes=tuple(outcomes), crve=crve, slopes=slopes)
 
 
 def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rejection counts per test in ``kernel.estimators``, and skipped draws per outcome.
 
-    ``Z`` is (draws, sectors), mapped once to the (draws, cells) regressors
-    X = Z @ shares.T; with no shares each cell is its own sector and Z is X.
-    X is tested in row sub-blocks whose (rows, cells) temporaries stay within
-    _KERNEL_BYTES.  With xc a cell's centred regressor and e = S - slope*m*xc
-    the sum of its residuals, a cell's residual sum of squares is W + e**2/m,
-    its score is xc*e, and its leverage 1/n + xc**2/ssq is shared by its
-    units, so each draw costs O(cells).  The regressor terms of a sub-block
-    are formed once for all outcomes, an outcome's scores once for all its
-    estimators, and cluster scores are segment sums over the cells sorted by
-    cluster.  score-agg-null's sector scores sum_c shares_cf*xc_c*S_c are
-    (Z @ H)_f - xbar*(S @ shares)_f with H = shares' diag(S) shares, so they
-    cost O(sectors**2) per draw, not O(cells*sectors).  Likewise crve's
-    cluster score sum_{c in g} xc_c*(S_c - slope*m_c*xc_c) is
-    (Z @ Q)_g - xbar*s_g - slope*B_g, with Q and s the cluster sums of
-    S*shares and of S, and B_g = sum_{c in g} m_c*xc_c**2 formed once per
-    sub-block for every outcome.  The kernel takes this form when sectors *
-    clusters <= cells, so an outcome tested by crve and score-agg-null alone
-    forms no cell scores.  tests/oracles.py keeps the unit-level form and the
-    scalar forms of the menu, and the engine tests pin agreement with both.
+    ``Z`` is (draws, sectors).  When the design holds sector terms (see
+    ShareDesign) and every test of every outcome is crve or score-agg-null,
+    the kernel works on (draws, F) and (draws, F(F+1)/2) arrays alone.  Per
+    draw z: xbar = z.ubar and ssq = z'Cz; a draw is usable when
+    ssq > tol * (ssq + n*xbar**2); every outcome's slope is z'(W~'S)/ssq, in
+    one product for all outcomes; and every crve outcome's cluster scores
+    sum_{c in g} xc_c*(S_c - slope*xc_c) are (z'Q~)_g - slope*B_g, in one
+    product for all outcomes, with Q~_g = sum_{c in g} w~_c*S_c and
+    B_g = (z_i z_j)_{i<=j} . C_g.  A menu with any other test keeps the cell
+    path: Z is mapped once to the (draws, cells) regressors X = Z @ shares.T
+    (with no shares each cell is its own sector and Z is X).  With xc a
+    cell's centred regressor and e = S - slope*m*xc the sum of its
+    residuals, a cell's residual sum of squares is W + e**2/m, its score is
+    xc*e, and its leverage 1/n + xc**2/ssq is shared by its units, so each
+    draw costs O(cells).  The regressor terms are formed once for all
+    outcomes, an outcome's scores once for all its estimators, and cluster
+    scores are segment sums over the cells sorted by cluster.  crve there
+    takes the same Q~, with B_g = sum_{c in g} m_c*xc_c**2 summed from the
+    cells, where the design holds sector terms.  score-agg-null's sector
+    scores sum_c shares_cf*xc_c*S_c are (Z @ H)_f - xbar*(S @ shares)_f with
+    H = shares' diag(S) shares in either path, O(sectors**2) per draw.  Both
+    paths walk the block in row sub-blocks whose widest temporary stays
+    within _KERNEL_BYTES.  tests/oracles.py keeps the unit-level form and
+    the scalar forms of the menu, and the engine tests pin agreement with
+    both.
     """
-    shares = kernel.design.shares
-    X = Z if shares is None else Z @ shares.T
-    rows = max(1, _KERNEL_BYTES // (8 * X.shape[1]))
+    d = kernel.design
+    X = None
+    if kernel.slopes is None:
+        X = Z if d.shares is None else Z @ d.shares.T
+        width = X.shape[1]
+    elif kernel.crve is None:
+        width = Z.shape[1]
+    else:
+        width = max(d.cluster_grams.shape[1], kernel.crve.shape[0])
+    rows = max(1, _KERNEL_BYTES // (8 * width))
     blocks = [
-        _block_counts(kernel, X[lo : lo + rows], Z[lo : lo + rows])
-        for lo in range(0, X.shape[0], rows)
+        _block_counts(kernel, None if X is None else X[lo : lo + rows], Z[lo : lo + rows])
+        for lo in range(0, Z.shape[0], rows)
     ]
     return sum(c for c, _ in blocks), sum(s for _, s in blocks)
 
 
 def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of one row sub-block; X is None in sector space."""
     d = kernel.design
     n, m = d.n, d.m
-    xbar = (X @ m) / n
-    Xc = X - xbar[:, None]
-    X2 = Xc * Xc
-    ssq = X2 @ m
-    usable = ssq > DEGENERATE_TOL * ((X * X) @ m)
+    if X is None:
+        xbar = Z @ d.ubar
+        ssq = np.einsum("bf,bf->b", Z @ d.gram, Z)
+        usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
+    else:
+        xbar = (X @ m) / n
+        Xc = X - xbar[:, None]
+        X2 = Xc * Xc
+        ssq = X2 @ m
+        usable = ssq > DEGENERATE_TOL * ((X * X) @ m)
     ssq2 = ssq * ssq
 
     counts = np.zeros(len(kernel.estimators), dtype=np.int64)
     skipped = np.zeros(len(kernel.outcomes), dtype=np.int64)
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        if X is None:
+            slopes = kernel.slopes @ Z.T
+        else:
+            slopes = np.array([Xc @ outcome.S for outcome in kernel.outcomes])
+        slopes = np.where(usable, slopes / ssq, 0.0)  # (outcomes, rows)
         if any(est in _DEFLATED for est in kernel.estimators):
             deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
             leverage_ok = ~np.any(deflate >= 1.0 - 1e-12, axis=1)
             np.divide(1.0, 1.0 - deflate, out=deflate)
-        if any(outcome.crve is not None for outcome in kernel.outcomes):
-            B = X2 if m.size == n else X2 * m  # B_g = sum_{c in g} m_c * xc_c**2
-            if d.order is not None:
-                B = B[:, d.order]
-            B = np.add.reduceat(B, d.starts, axis=1)
+        if kernel.crve is not None:  # (G, draws) B, then (K_crve, G, draws) scores
+            if X is None:
+                Zt = np.ascontiguousarray(Z.T)
+                iu, ju = np.triu_indices(Z.shape[1])
+                B = d.cluster_grams @ (Zt[iu] * Zt[ju])
+            else:
+                B = X2 if m.size == n else X2 * m  # B_g = sum_{c in g} m_c * xc_c**2
+                if d.order is not None:
+                    B = B[:, d.order]
+                B = np.add.reduceat(B, d.starts, axis=1).T
+            rows = [i for i, outcome in enumerate(kernel.outcomes) if "crve" in outcome.estimators]
+            scores = (kernel.crve @ Z.T).reshape(len(rows), B.shape[0], -1)
+            scores -= slopes[rows][:, None, :] * B
+            crve_values = iter(np.einsum("kgb,kgb->kb", scores, scores))
 
         for i, outcome in enumerate(kernel.outcomes):
-            slope = np.where(usable, (Xc @ outcome.S) / ssq, 0.0)
+            slope = slopes[i]
             P = None  # the (draws, cells) scores, formed only for a test that reads them
             if outcome.cell_scores:
                 P = slope[:, None] * m  # becomes the cell scores xc * (S - slope*m*xc)
@@ -354,10 +453,8 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
                     value = (scores * scores) @ (1.0 / m)
                     if outcome.W is not None:
                         value += (X2 * deflate * deflate if deflated else X2) @ outcome.W
-                elif est == "crve" and outcome.crve is not None:
-                    Q, s = outcome.crve
-                    scores = Z @ Q - xbar[:, None] * s - slope[:, None] * B
-                    value = np.einsum("bg,bg->b", scores, scores)
+                elif est == "crve" and kernel.crve is not None:
+                    value = next(crve_values)
                 elif est in _CLUSTERED:
                     if d.order is not None:
                         scores = scores[:, d.order]
@@ -393,9 +490,9 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(ys, menus, cfg, workers, draw, clusters, shares, cells=None) -> _Reports:
-    """One report per outcome in ``ys``, each tested with its menu in ``menus``."""
-    kernel = _make_kernel(ys, menus, cfg.alpha, clusters, shares, cells)
+def _run_sim(ys, menus, cfg, workers, draw, design) -> _Reports:
+    """One report per outcome in ``ys``, each tested on ``design`` with its menu in ``menus``."""
+    kernel = _make_kernel(ys, menus, cfg.alpha, design)
     n_reps = cfg.replications
     results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
     counts = iter(sum(c for c, _ in results).tolist())  # outcome by outcome, menu order
@@ -425,34 +522,34 @@ def _run_sim(ys, menus, cfg, workers, draw, clusters, shares, cells=None) -> _Re
 
 
 def run_outcome_fixed(
-    outcomes, shares, clusters, cfg: SimConfig, workers: int = 1
+    outcomes, design: ShareDesign, cfg: SimConfig, workers: int = 1
 ) -> tuple[SimReport, ...]:
-    """Hold each outcome vector fixed and resample sector shocks.
+    """Hold each outcome vector fixed and resample sector shocks on ``design``.
 
     Every outcome is tested against the same shock draws, so each report
     equals that of a run on its outcome alone.
     """
-    draw = partial(_shares_regressors, shares, cfg.seed)
+    draw = partial(_shares_regressors, design.shares, cfg.seed)
     menus = [cfg.estimators] * len(outcomes)
-    return _run_sim(outcomes, menus, cfg, workers, draw, clusters, shares).reports
+    return _run_sim(outcomes, menus, cfg, workers, draw, design).reports
 
 
 def run_y_fixed(
-    data: Dataset, cfg: SimConfig, workers: int = 1, crve=()
+    y, design: ShareDesign, cfg: SimConfig, workers: int = 1, crve=()
 ) -> tuple[SimReport, ...]:
-    """Hold the realized outcomes fixed and resample sector shocks.
+    """Hold the realized outcome fixed and resample sector shocks on ``design``.
 
-    Returns the report of ``data.y`` tested with the menu of ``cfg``, then
-    one report per outcome in ``crve`` tested with crve alone.  Every
-    outcome is tested against the same shock draws, so each report equals
-    that of a run on its outcome alone; ``diagnose`` tests all its modes in
-    this one call.  bench/child.py ends a ``diagnose`` command's set-up at
-    this name, so it stays until ROADMAP item 2 re-pins the benchmark hooks.
+    Returns the report of ``y`` tested with the menu of ``cfg``, then one
+    report per outcome in ``crve`` tested with crve alone.  Every outcome is
+    tested against the same shock draws, so each report equals that of a
+    run on its outcome alone; ``diagnose`` tests all its modes in this one
+    call.  bench/child.py ends a ``diagnose`` command's set-up at this name,
+    so it stays until ROADMAP item 2 re-pins the benchmark hooks.
     """
-    ys = [data.y, *crve]
+    ys = [y, *crve]
     menus = [cfg.estimators] + [("crve",)] * (len(ys) - 1)
-    draw = partial(_shares_regressors, data.shares, cfg.seed)
-    return _run_sim(ys, menus, cfg, workers, draw, data.clusters, data.shares).reports
+    draw = partial(_shares_regressors, design.shares, cfg.seed)
+    return _run_sim(ys, menus, cfg, workers, draw, design).reports
 
 
 def run_partition_permutation(
@@ -466,11 +563,8 @@ def run_partition_permutation(
     every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.
     """
-    ys = np.asarray(outcomes, dtype=float)
-    if ys.ndim != 2 or ys.shape[1] != design.n_units:
-        raise ValidationError("outcome length does not match the design")
     # cells are groups, which double as the clusters and the sectors (shares None)
     draw = partial(_partition_regressors, design.n_groups, cfg.seed)
-    groups = np.arange(design.n_groups)
-    menus = [cfg.estimators] * len(ys)
-    return _run_sim(ys, menus, cfg, workers, draw, groups, None, cells=design.group_of).reports
+    groups = _make_design(np.arange(design.n_groups), None, cells=design.group_of)
+    menus = [cfg.estimators] * len(outcomes)
+    return _run_sim(outcomes, menus, cfg, workers, draw, groups).reports

@@ -31,6 +31,7 @@ from ssdiag import (
     run_flagging_curve,
     run_grouped_experiment,
     run_y_fixed,
+    share_design,
     validate_dataset,
     var_cluster,
     y_fixed_variance_ratio_limit,
@@ -213,7 +214,8 @@ def test_criterion_6_null_calibration():
     n = 1000
     y = substream(2, 0).standard_normal(n)
     data = validate_dataset(y, np.eye(n))
-    (report,) = run_y_fixed(data, SimConfig(replications=10_000, seed=77), workers=WORKERS)
+    cfg = SimConfig(replications=10_000, seed=77)
+    (report,) = run_y_fixed(data.y, share_design(data.shares), cfg, workers=WORKERS)
     count = report.rejections["robust-hc1"]
     lo = int(stats.binom.ppf(0.005, 10_000, 0.05))
     hi = int(stats.binom.ppf(0.995, 10_000, 0.05))

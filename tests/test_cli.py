@@ -17,6 +17,7 @@ from ssdiag import (
     draw_grouped,
     engines,
     run_outcome_fixed,
+    share_design,
 )
 from ssdiag import cli
 from ssdiag.cli import _report_block, ingest, main
@@ -343,7 +344,7 @@ class TestDiagnose:
         beta_hat = blocks["eps-fixed"].pop("beta_hat")
         ydot = data.y - beta_hat * data.x_realized
         for mode, y in (("eps-fixed", ydot), ("placebo", data.y_placebo)):
-            (alone,) = run_outcome_fixed([y], data.shares, data.clusters, cfg)
+            (alone,) = run_outcome_fixed([y], share_design(data.shares, data.clusters), cfg)
             assert blocks[mode] == _report_block(alone, 0.1)
 
     @pytest.mark.parametrize(
@@ -590,6 +591,27 @@ class TestTableAndCurve:
         assert out1.read_bytes() == out2.read_bytes()
         rows = [line.split(",") for line in out1.read_text().strip().splitlines()[2:]]
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+    def test_flag_curve_builds_its_design_once(self, tmp_path, monkeypatch):
+        # 17 outer draws make two outer chunks and 17 simulations, which share one
+        # design: its clusters are sorted once per command, in this process even at
+        # 2 workers, where the pool runs the simulations
+        calls = []
+        real = engines._cluster_segments
+        monkeypatch.setattr(
+            engines, "_cluster_segments", lambda labels: calls.append(1) or real(labels)
+        )
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"curve-{workers}.csv"
+            assert main([
+                "flag-curve", "--seed", "4", "--reps", "17", "--perms", "30",
+                "--clusters", "5", "--sectors", "4", "--workers", workers, "--out", str(out),
+            ]) == 0
+            reports.append(out.read_bytes())
+            assert len(calls) == 1
+            calls.clear()
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_flag_curve_repeated_gammas_exit_before_any_simulation(

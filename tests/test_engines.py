@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ssdiag import (
     run_outcome_fixed,
     run_partition_permutation,
     run_y_fixed,
+    share_design,
     validate_dataset,
     var_cluster,
     var_robust,
@@ -74,6 +76,10 @@ def _diagonal_shares(rng, n):
     return np.diag(2.0 ** rng.integers(-2, 3, n))
 
 
+def _design(data):
+    return share_design(data.shares, data.clusters)
+
+
 def _dataset(seed=0, n=16, f=4, placebo=False):
     rng = np.random.default_rng(seed)
     shares = rng.uniform(0.05, 1.0, size=(n, f))
@@ -90,29 +96,29 @@ class TestDeterminism:
     def test_same_seed_same_report(self):
         data = _dataset()
         cfg = SimConfig(replications=300, seed=99, estimators=FULL_MENU)
-        a, b = run_y_fixed(data, cfg), run_y_fixed(data, cfg)
+        a, b = run_y_fixed(data.y, _design(data), cfg), run_y_fixed(data.y, _design(data), cfg)
         assert a == b
 
     def test_worker_count_invariance(self):
         data = _dataset(1)
         cfg = SimConfig(replications=700, seed=5, estimators=FULL_MENU)
-        reports = [run_y_fixed(data, cfg, workers=w) for w in (1, 2, 4)]
+        reports = [run_y_fixed(data.y, _design(data), cfg, workers=w) for w in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
 
     def test_eps_fixed_with_zero_beta_matches_y_fixed(self):
         data = _dataset(2)
         cfg = SimConfig(replications=250, seed=7, estimators=("robust-hc1", "crve"))
         x = data.shares @ np.ones(data.n_sectors)
-        (y_report,) = run_y_fixed(data, cfg)
-        (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], data.shares, data.clusters, cfg)
+        (y_report,) = run_y_fixed(data.y, _design(data), cfg)
+        (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], _design(data), cfg)
         assert eps_report.rejections == y_report.rejections
 
     def test_placebo_equals_y_fixed_when_identical(self):
         data = _dataset(3)
         twin = validate_dataset(data.y, data.shares, data.clusters, y_placebo=data.y)
         cfg = SimConfig(replications=250, seed=11, estimators=("robust-hc1",))
-        (placebo,) = run_outcome_fixed([twin.y_placebo], twin.shares, twin.clusters, cfg)
-        assert placebo.rejections == run_y_fixed(twin, cfg)[0].rejections
+        (placebo,) = run_outcome_fixed([twin.y_placebo], _design(twin), cfg)
+        assert placebo.rejections == run_y_fixed(twin.y, _design(twin), cfg)[0].rejections
 
 
 class TestReportInvariants:
@@ -122,13 +128,13 @@ class TestReportInvariants:
             clusters=np.arange(12) % 3,
         )
         cfg = SimConfig(replications=150, seed=1, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data.y, _design(data), cfg)
         assert all(rate == 0.0 for rate in report.rates.values())
 
     def test_rates_are_count_ratios(self):
         data = _dataset(4)
         cfg = SimConfig(replications=173, seed=13, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data.y, _design(data), cfg)
         assert report.b_effective + report.skipped_degenerate == 173
         for est, rate in report.rates.items():
             assert 0.0 <= rate <= 1.0
@@ -148,7 +154,7 @@ class TestReportInvariants:
             y_placebo=np.zeros(9),
         )
         (report,) = run_outcome_fixed(
-            [data.y_placebo], data.shares, data.clusters, SimConfig(replications=100, seed=2)
+            [data.y_placebo], _design(data), SimConfig(replications=100, seed=2)
         )
         assert report.rates["robust-hc1"] == 0.0
 
@@ -159,8 +165,28 @@ class TestValidation:
             np.random.default_rng(0).standard_normal(8),
             np.random.default_rng(1).uniform(0.1, 1, (8, 2)),
         )
+        cfg = SimConfig(replications=5, seed=1, estimators=("crve",))
         with pytest.raises(ValidationError, match="cluster labels"):
-            run_y_fixed(data, SimConfig(replications=5, seed=1, estimators=("crve",)))
+            run_y_fixed(data.y, _design(data), cfg)
+
+    def test_cluster_labels_must_match_share_rows(self):
+        # 10 labels for 12 share rows used to run and report crve from the wrong clusters
+        with pytest.raises(ValidationError, match="cluster labels do not match shares"):
+            share_design(np.ones((12, 3)), np.arange(10) % 3)
+
+    @pytest.mark.parametrize("fault", ["length", "non-finite"])
+    def test_outcomes_checked_against_the_design(self, fault):
+        # an outcome of 10 values on 12 share rows ended in a numpy error, and a NaN
+        # outcome rejected every draw
+        rng = np.random.default_rng(0)
+        design = share_design(rng.uniform(0.1, 1.0, (12, 3)), np.arange(12) % 3)
+        y = rng.standard_normal(10 if fault == "length" else 12)
+        message = "outcome length does not match the design"
+        if fault == "non-finite":
+            y[4], message = np.nan, "non-finite outcome"
+        cfg = SimConfig(replications=5, seed=1, estimators=("crve",))
+        with pytest.raises(ValidationError, match=message):
+            run_outcome_fixed([rng.standard_normal(12), y], design, cfg)
 
     def test_two_unit_design_rejected(self):
         design = contiguous_partition(2, 1)
@@ -219,7 +245,7 @@ class TestAgainstScalarPath:
     def test_engine_matches_scalar_replications(self, law):
         data = _dataset(8, n=14, f=4)
         cfg = SimConfig(replications=300, seed=21, alpha=0.1, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data.y, _design(data), cfg)
         draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.skipped_degenerate == 0
         assert report.rejections == self._scalar_counts(data.y, data, cfg, draws)
@@ -231,7 +257,7 @@ class TestAgainstScalarPath:
         beta_hat = ols_simple(data.y, x_realized).slope
         cfg = SimConfig(replications=300, seed=33, estimators=("robust-hc1", "crve"))
         ydot = data.y - beta_hat * x_realized
-        (report,) = run_outcome_fixed([ydot], data.shares, data.clusters, cfg)
+        (report,) = run_outcome_fixed([ydot], _design(data), cfg)
         draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.rejections == self._scalar_counts(ydot, data, cfg, draws)
 
@@ -273,9 +299,8 @@ class TestCellKernel:
         design = contiguous_partition(6, 3)
         y = self._grouped_outcome(design, 5)
         X = np.array([np.isin(np.arange(6), t) for t in combinations(range(6), 3)], dtype=float)
-        kernel = engines._make_kernel(
-            [y], [FULL_MENU], 0.3, np.arange(6), None, cells=design.group_of
-        )
+        groups = engines._make_design(np.arange(6), None, cells=design.group_of)
+        kernel = engines._make_kernel([y], [FULL_MENU], 0.3, groups)
         rejections, skipped = engines._kernel_counts(kernel, X)
         counts, want_skipped = oracles.unit_kernel_counts(
             y, X[:, design.group_of], FULL_MENU, 0.3,
@@ -287,7 +312,7 @@ class TestCellKernel:
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data.y, _design(data), cfg)
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
             data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
@@ -306,7 +331,7 @@ class TestCellKernel:
         assert np.all(X[-2:] == 1.0)
         menus = [("robust-hc1", "crve", "score-agg"), ("robust-hc3", "crve-hc3", "score-agg-null")]
         ys = [rng.standard_normal(n), rng.standard_normal(n)]
-        kernel = engines._make_kernel(ys, menus, 0.3, clusters, shares)
+        kernel = engines._make_kernel(ys, menus, 0.3, share_design(shares, clusters))
         counts, skipped = engines._kernel_counts(kernel, Z)
         want = [
             oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
@@ -315,7 +340,8 @@ class TestCellKernel:
         assert list(zip(counts.reshape(2, 3).tolist(), skipped.tolist())) == want
         assert want[0][1] == 2 and want[1][1] == 7
         # gapped labels name the same 6 clusters
-        gapped = engines._make_kernel([ys[0]], menus[:1], 0.3, 2 * clusters + 1, shares)
+        gapped_design = share_design(shares, 2 * clusters + 1)
+        gapped = engines._make_kernel([ys[0]], menus[:1], 0.3, gapped_design)
         assert engines._kernel_counts(gapped, Z)[0].tolist() == want[0][0]
 
     def test_design_and_conventions_built_once(self, monkeypatch):
@@ -334,7 +360,8 @@ class TestCellKernel:
         clusters = np.arange(12) % 4
         ys = rng.standard_normal((3, 12))
         menus = [FULL_MENU, ("crve",), FULL_MENU]
-        kernel = engines._make_kernel(ys, menus, 0.05, clusters, rng.uniform(0.1, 1.0, (12, 3)))
+        design = share_design(rng.uniform(0.1, 1.0, (12, 3)), clusters)
+        kernel = engines._make_kernel(ys, menus, 0.05, design)
         assert segments == [1] and conventions == [*FULL_MENU, "crve"]
         assert [o.estimators for o in kernel.outcomes] == menus
         assert kernel.estimators == (*FULL_MENU, "crve", *FULL_MENU)
@@ -358,7 +385,7 @@ class TestCellKernel:
 
         ydot = rng.standard_normal(12)
         cfg = SimConfig(replications=len(Z), seed=3, alpha=0.2, estimators=FULL_MENU)
-        rest = (cfg, workers, draw, data.clusters, shares)
+        rest = (cfg, workers, draw, share_design(shares, data.clusters))
         both = engines._run_sim([data.y, ydot], [FULL_MENU, ("crve",)], *rest).reports
         (y_alone,) = engines._run_sim([data.y], [FULL_MENU], *rest).reports
         (crve_alone,) = engines._run_sim([ydot], [("crve",)], *rest).reports
@@ -372,11 +399,9 @@ class TestCellKernel:
         ydot = np.random.default_rng(16).standard_normal(20)
         cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
         crve_cfg = SimConfig(replications=600, seed=19, estimators=("crve",))
-        (y_alone,) = run_y_fixed(data, cfg, workers)
-        crve_alone = run_outcome_fixed(
-            [ydot, data.y_placebo], data.shares, data.clusters, crve_cfg, workers
-        )
-        both = run_y_fixed(data, cfg, workers, crve=[ydot, data.y_placebo])
+        (y_alone,) = run_y_fixed(data.y, _design(data), cfg, workers)
+        crve_alone = run_outcome_fixed([ydot, data.y_placebo], _design(data), crve_cfg, workers)
+        both = run_y_fixed(data.y, _design(data), cfg, workers, crve=[ydot, data.y_placebo])
         assert both == (y_alone, *crve_alone)
 
     def test_sub_blocks_match_unit_oracle(self, monkeypatch):
@@ -394,7 +419,7 @@ class TestCellKernel:
             lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
         )
         cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data, cfg)
+        (report,) = run_y_fixed(data.y, _design(data), cfg)
         assert len(blocks) >= 4 and max(blocks) < 256 and sum(blocks) == 300
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
@@ -412,7 +437,7 @@ class TestCellKernel:
         n, f = int(rng.integers(3, 300)), int(rng.integers(2, 60))
         shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
         y = 5.0 + rng.standard_normal(n)
-        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.05, None, shares)
+        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.05, share_design(shares))
         (outcome,) = kernel.outcomes
         Z = rng.standard_normal((64, f))
         X = Z @ shares.T
@@ -429,7 +454,7 @@ class TestCellKernel:
         rng = np.random.default_rng(17)
         shares = rng.uniform(0.0, 1.5, (n, 20)) * (rng.random((n, 20)) < 0.05)
         y = 2.0 + rng.standard_normal(n)
-        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.3, None, shares)
+        kernel = engines._make_kernel([y], [("score-agg-null",)], 0.3, share_design(shares))
         Z = rng.standard_normal((300, 20))
         counts, skipped = engines._kernel_counts(kernel, Z)
         want = oracles.unit_kernel_counts(y, Z @ shares.T, ("score-agg-null",), 0.3, shares=shares)
@@ -443,85 +468,160 @@ class TestCellKernel:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_crve_scores_in_sector_space(self, seed):
-        # the kernel's sector terms give Z @ Q - xbar * s - slope * B, which equals the
-        # per-cell reduceat of the scores xc * (S - slope * xc) over the cells sorted
-        # by cluster, on share rows that do not sum to 1 and an outcome whose mean is not 0
+        # the design's terms give xbar = z.ubar, ssq = z'Cz and B = C_g . (z_i z_j)_{i<=j},
+        # and the kernel's give the slope z'(W~'S) / ssq and the scores z'Q~ - slope * B;
+        # each equals its unit-level form, the scores the per-cell reduceat of
+        # xc * (S - slope * xc) over the cells sorted by cluster, on share rows that do
+        # not sum to 1 and an outcome whose mean is not 0
         rng = np.random.default_rng(seed)
         n, f = int(rng.integers(20, 400)), int(rng.integers(2, 10))
         g = int(rng.integers(2, n // f + 1))
         clusters = self._gapped_clusters(rng, n, g)
         shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
         y = 5.0 + rng.standard_normal(n)
-        kernel = engines._make_kernel([y], [("crve",)], 0.05, clusters, shares)
+        design = share_design(shares, clusters)
+        kernel = engines._make_kernel([y], [("crve",)], 0.05, design)
         (outcome,) = kernel.outcomes
-        order, starts = kernel.design.order, kernel.design.starts
+        order, starts = design.order, design.starts
         assert order is not None and starts.size == g
         Z = rng.standard_normal((64, f))
         X = Z @ shares.T
         xbar = X.mean(axis=1)
         Xc = X - xbar[:, None]
-        slope = (Xc @ outcome.S) / np.einsum("bn,bn->b", Xc, Xc)
-        P = Xc * (outcome.S - slope[:, None] * Xc)
-        want = np.add.reduceat(P[:, order], starts, axis=1)
+        ssq = np.einsum("bn,bn->b", Xc, Xc)
+        slope = (Xc @ outcome.S) / ssq
+        want = np.add.reduceat((Xc * (outcome.S - slope[:, None] * Xc))[:, order], starts, axis=1)
         B = np.add.reduceat((Xc * Xc)[:, order], starts, axis=1)
-        Q, s = outcome.crve
-        got = Z @ Q - xbar[:, None] * s - slope[:, None] * B
-        scale = np.abs(want).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        iu, ju = np.triu_indices(f)
+        got_B = (Z[:, iu] * Z[:, ju]) @ design.cluster_grams.T
+        got_ssq = np.einsum("bf,bf->b", Z @ design.gram, Z)
+        got_slope = (Z @ kernel.slopes[0]) / got_ssq
+        got = Z @ kernel.crve.T - got_slope[:, None] * got_B
+        for got_terms, want_terms in ((Z @ design.ubar, xbar), (got_ssq, ssq), (got_slope, slope)):
+            assert np.all(np.abs(got_terms - want_terms) <= 1e-12 * np.abs(want_terms).max())
+        for got_terms, want_terms in ((got_B, B), (got, want)):
+            scale = np.abs(want_terms).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got_terms - want_terms) <= 1e-12 * scale)
 
-    def test_crve_sector_form_matches_unit_oracle_over_sub_blocks(self, monkeypatch):
-        # a crve-only outcome and a mixed menu, at enough regions that a block spans
-        # several row pieces, on unsorted gapped labels, share rows that do not sum
-        # to 1 and outcomes whose mean is not 0
-        n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
+    # each case: (units, sectors, clusters) and one menu per outcome; F*G = N in all but
+    # the last, whose F*G > N leaves its crve to the cell form
+    SECTOR_CASES = {
+        "crve-only": ((360, 8, 45), [("crve",), ("crve",)]),
+        "crve-and-null": ((360, 8, 45), [("crve",), ("crve", "score-agg-null")]),
+        "mixed": ((360, 8, 45), [("crve",), ("robust-hc1", "crve", "crve-hc3")]),
+        "cell-form": ((360, 8, 46), [("crve",), ("crve",)]),
+    }
+
+    def _matches_unit_oracle_over_sub_blocks(self, case, monkeypatch):
+        # each case over at least 4 row pieces, on unsorted gapped labels, share rows that
+        # do not sum to 1 and outcomes whose mean is not 0: menus of crve and
+        # score-agg-null alone run in sector space, any other menu on the cells
+        (n, f, g), menus = self.SECTOR_CASES[case]
         rng = np.random.default_rng(18)
-        clusters = self._gapped_clusters(rng, n, 9)
-        shares = rng.uniform(0.0, 1.5, (n, 8)) * (rng.random((n, 8)) < 0.5)
+        clusters = self._gapped_clusters(rng, n, g)
+        shares = rng.uniform(0.0, 1.5, (n, f)) * (rng.random((n, f)) < 0.5)
         ys = [3.0 + rng.standard_normal(n), -2.0 + rng.standard_normal(n)]
-        menus = [("crve",), ("robust-hc1", "crve", "crve-hc3")]
-        kernel = engines._make_kernel(ys, menus, 0.3, clusters, shares)
-        assert all(outcome.crve is not None for outcome in kernel.outcomes)
+        design = share_design(shares, clusters)
+        kernel = engines._make_kernel(ys, menus, 0.3, design)
+        sector = case in ("crve-only", "crve-and-null")
+        assert (kernel.slopes is not None) == sector
+        assert (kernel.crve is not None) == (case != "cell-form")
         blocks = []
         real = engines._block_counts
         monkeypatch.setattr(
             engines,
             "_block_counts",
-            lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
+            lambda kernel, X, Z: blocks.append(X is None) or real(kernel, X, Z),
         )
-        Z = rng.standard_normal((300, 8))
+        monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * 64 * (f * (f + 1) // 2 if sector else n))
+        Z = rng.standard_normal((300, f))
         counts, skipped = engines._kernel_counts(kernel, Z)
-        assert len(blocks) >= 4
+        assert len(blocks) >= 4 and set(blocks) == {sector}
         want = [
             oracles.unit_kernel_counts(y, Z @ shares.T, menu, 0.3, clusters=clusters, shares=shares)
             for y, menu in zip(ys, menus)
         ]
-        got = [counts[:1].tolist(), counts[1:].tolist()]
+        got = [counts[: len(menus[0])].tolist(), counts[len(menus[0]) :].tolist()]
         assert list(zip(got, skipped.tolist())) == want
         assert want[0][0][0] > 0
 
+    def test_crve_sector_form_matches_unit_oracle_over_sub_blocks(self, monkeypatch):
+        self._matches_unit_oracle_over_sub_blocks("mixed", monkeypatch)
+
+    @pytest.mark.parametrize("case", ["crve-only", "crve-and-null", "cell-form"])
+    def test_sector_menus_match_unit_oracle_over_sub_blocks(self, case, monkeypatch):
+        self._matches_unit_oracle_over_sub_blocks(case, monkeypatch)
+
+    def test_sector_space_skips_constant_regressors(self):
+        # on flag-curve's crossed design equal shocks give every unit the same regressor,
+        # a degenerate draw that sector space must skip as the unit-level oracle does
+        shares, clusters = crossed_shares(25, 20)
+        rng = np.random.default_rng(20)
+        ys = [1.0 + rng.standard_normal(500), rng.standard_normal(500)]
+        kernel = engines._make_kernel(ys, [("crve",)] * 2, 0.3, share_design(shares, clusters))
+        assert kernel.slopes is not None
+        Z = np.vstack([rng.standard_normal((50, 20)), np.outer([0.0, 1.0, -3.5], np.ones(20))])
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        want = [
+            oracles.unit_kernel_counts(y, Z @ shares.T, ("crve",), 0.3, clusters=clusters)
+            for y in ys
+        ]
+        assert list(zip([[c] for c in counts.tolist()], skipped.tolist())) == want
+        assert skipped.tolist() == [3, 3]
+
     def test_crve_sector_form_applies_where_sectors_times_clusters_fit(self):
-        # F*G <= N takes the sector form; each case below pins one side of that rule
+        # F*G <= N gives the design its sector terms; each case below pins one side of
+        # that rule
         rng = np.random.default_rng(19)
 
-        def outcome(menu, clusters, shares, cells=None):
-            n = len(clusters) if cells is None else len(cells)
-            y = rng.standard_normal(n)
-            return engines._make_kernel([y], [menu], 0.05, clusters, shares, cells).outcomes[0]
+        def kernel(menu, design):
+            y = rng.standard_normal(design.n)
+            return engines._make_kernel([y], [menu], 0.05, design)
 
         shares, clusters = crossed_shares(25, 20)  # flag-curve's design, F*G = N = 500
-        crossed = outcome(("crve",), clusters, shares)
-        assert crossed.crve is not None and not crossed.cell_scores
+        crossed = share_design(shares, clusters)
+        crve_only = kernel(("crve",), crossed)
+        assert crve_only.crve is not None and crve_only.slopes is not None
         # diagnose-large's shape, F*G = N = 10,000
-        large = outcome(("crve",), np.arange(10_000) // 100, rng.uniform(0, 1, (10_000, 100)))
-        assert large.crve is not None and large.crve[0].shape == (100, 100)
-        mixed = outcome(("robust-hc1", "crve"), clusters, shares)
-        assert mixed.crve is not None and mixed.cell_scores
+        large = share_design(rng.uniform(0, 1, (10_000, 100)), np.arange(10_000) // 100)
+        assert large.cluster_grams.shape == (100, 5050)
+        assert kernel(("crve",), large).crve.shape == (100, 100)
+        # a mixed menu keeps the cell path, with crve in sector form
+        mixed = kernel(("robust-hc1", "crve"), crossed)
+        assert mixed.crve is not None and mixed.slopes is None
         # singleton clusters: F*G = 3N
-        assert outcome(("crve",), np.arange(12), rng.uniform(0, 1, (12, 3))).crve is None
+        assert share_design(rng.uniform(0, 1, (12, 3)), np.arange(12)).cluster_grams is None
         # a partition design has no shares
         design = contiguous_partition(6, 3)
-        assert outcome(("crve",), np.arange(6), None, design.group_of).crve is None
-        assert outcome(("robust-hc1", "score-agg"), clusters, shares).crve is None
+        groups = engines._make_design(np.arange(6), None, design.group_of)
+        assert groups.cluster_grams is None and kernel(("crve",), groups).crve is None
+        assert kernel(("robust-hc1", "score-agg"), crossed).crve is None
+
+
+class TestMemory:
+    @staticmethod
+    def _traced_peak(n):
+        """Traced peak of a crve-only simulation (F = 10, G = 20, 512 draws) at n units,
+        design build included, and the bytes of its inputs."""
+        rng = np.random.default_rng(n)
+        shares = rng.uniform(0.0, 1.0, (n, 10))
+        clusters = np.arange(n) // (n // 20)
+        ys = rng.standard_normal((2, n))
+        cfg = SimConfig(replications=512, seed=3, estimators=("crve",))
+        tracemalloc.start()
+        try:
+            run_outcome_fixed(ys, share_design(shares, clusters), cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, shares.nbytes + clusters.nbytes + ys.nbytes
+
+    def test_crve_only_peak_grows_no_more_than_the_inputs(self):
+        # a (256, N) regressor block per chunk would add 60 MiB from 10,000 to 40,000
+        # units, and an (N, F**2) temporary in the design build 23 MiB; the inputs add 3 MiB
+        small, small_inputs = self._traced_peak(10_000)
+        large, large_inputs = self._traced_peak(40_000)
+        assert large - small <= large_inputs - small_inputs
 
 
 class TestStreamLayout:
@@ -561,7 +661,7 @@ class TestStreamLayout:
             if engine == "partition":
                 run_partition_permutation([y], design, cfg)
             else:
-                run_y_fixed(data, cfg)
+                run_y_fixed(data.y, _design(data), cfg)
             firsts.append(blocks[0])
         assert firsts[0].shape[0] == firsts[1].shape[0] == 256
         assert np.array_equal(firsts[0], firsts[1])

@@ -215,12 +215,15 @@ class TestSmallSample:
     def test_kernel_checks_in_menu_order(self, menu, clusters, message):
         # one sector: the first estimator of the menu names the fault
         with pytest.raises(ValidationError, match=message):
-            engines._make_kernel([np.arange(6.0)], [menu], 0.05, clusters, np.ones((6, 1)))
+            engines._make_kernel(
+                [np.arange(6.0)], [menu], 0.05, engines.share_design(np.ones((6, 1)), clusters)
+            )
 
     def test_kernel_and_realized_tests_read_it(self):
         y, x, clusters = _random_case(4, n=12, n_clusters=3)
         shares = np.random.default_rng(4).uniform(0.05, 1.0, (12, 4))
-        kernel = engines._make_kernel([y], [engines.ESTIMATORS], 0.05, clusters, shares)
+        design = engines.share_design(shares, clusters)
+        kernel = engines._make_kernel([y], [engines.ESTIMATORS], 0.05, design)
         (outcome,) = kernel.outcomes
         conventions = [small_sample(est, 12, 3, 4) for est in engines.ESTIMATORS]
         assert outcome.factors == tuple(factor for factor, _ in conventions)
