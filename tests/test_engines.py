@@ -170,7 +170,7 @@ class TestValidation:
             run_y_fixed(data.y, _design(data), cfg)
 
     def test_cluster_labels_must_match_share_rows(self):
-        # 10 labels for 12 share rows used to run and report crve from the wrong clusters
+        # 10 labels for 12 share rows used to run and report no crve rejection at all
         with pytest.raises(ValidationError, match="cluster labels do not match shares"):
             share_design(np.ones((12, 3)), np.arange(10) % 3)
 
