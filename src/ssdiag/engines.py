@@ -14,24 +14,17 @@ outcomes.  Each replication refits the bivariate OLS and tests a zero slope
 with every requested variance estimator; reports carry rejection
 frequencies.
 
-A draw is a (draws, sectors) block: sector shocks, or a partition design's
-group-level assignments, whose groups are its sectors.  On a shift-share
-design with sectors * clusters <= units, crve and score-agg-null have
-sector forms, and a simulation whose every test is one of them runs in
-sector space: the test kernel works on (draws, F) and (draws, F(F+1)/2)
-arrays alone and never forms the regressors.  That covers all of
-flag-curve's simulations and diagnose's with a crve-only menu.  A menu with
-any other test (a mixed menu, such as diagnose's default y-fixed menu)
-keeps the cell path, which maps the block to cells, sets of units that
-share one regressor value: a unit for shift-share data, a group for a
-partition design, so a permutation draw costs O(groups) rather than
-O(units).  It makes one pass per block of draws for all K outcomes and
-forms each outcome's cell scores once for all its estimators.  Cluster
-scores are sums over the cells sorted by cluster, or, for crve where the
-sector form applies, the same sector-space products as in sector space.
-Both paths walk a block in row sub-blocks of bounded size, so beyond the
-cell path's (draws, cells) regressors their memory stays bounded as the
-unit count grows.
+A draw is a (draws, F) block: sector shocks, or a partition design's
+group-level assignments.  On a partition design every test is one
+threshold on the treated-minus-control contrast of the outcome, so a draw
+costs one (draws, F) @ (F, K) product and a comparison.  On a shift-share
+design with sectors * clusters <= units, crve and score-agg-null have sector
+forms, and a simulation whose every test is one of them runs in sector
+space on (draws, F) and (draws, F(F+1)/2) arrays and never forms the
+regressors: all of flag-curve's simulations, and diagnose's with a
+crve-only menu.  A menu with any other test keeps the unit path, which
+forms the (draws, N) regressors once per block for all K outcomes.  Both
+shift-share paths walk a block in row sub-blocks of bounded size.
 
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
@@ -53,8 +46,8 @@ from .parallel import chunk_bounds, map_chunks
 from .rng import substream
 
 _CHUNK = 256
-# Byte budget of one (rows, cells) temporary of the test kernel: a whole chunk
-# up to 512 cells, 13 rows at 10,000 cells.
+# Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
+# chunk up to 512 units, 13 rows at 10,000 units.
 _KERNEL_BYTES = 1 << 20
 
 
@@ -124,7 +117,7 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cell-level test kernel
+# test kernel
 
 # The estimator menu of the test kernel.  Every variance targets the slope of
 # y = b0 + b1*x; estimators.small_sample gives each one's finite-sample factor
@@ -146,32 +139,27 @@ ESTIMATORS = (
 
 @dataclass(frozen=True)
 class ShareDesign:
-    """The terms of a fixed design that every simulation on it shares, built once.
+    """The terms of a fixed share matrix that every simulation on it shares, built once.
 
-    A cell is a set of units that share one regressor value in every draw:
-    a unit of a shift-share design, a group of a partition design.  Cells
-    nest in clusters.  Where a shift-share design (cells are units) has
-    sectors * clusters <= units, the design also holds the test kernel's
-    sector-space terms.  With w_c a share row, ubar the mean share row and
-    w~_c = w_c - ubar, a draw z of sector shocks has mean regressor z.ubar,
-    centred regressors xc_c = w~_c.z and ssq = z'Cz with the centred Gram
-    C = sum_c w~_c w~_c', and crve's B_g = sum_{c in g} xc_c**2 = z'C_g z
-    with C_g the same sum over the cells of cluster g.  Construct through
-    :func:`share_design`.
+    Units nest in clusters.  Where sectors * clusters <= units, the design
+    also holds the test kernel's sector-space terms.  With w_i a share row,
+    ubar the mean share row and w~_i = w_i - ubar, a draw z of sector shocks
+    has mean regressor z.ubar, centred regressors xc_i = w~_i.z and
+    ssq = z'Cz with the centred Gram C = sum_i w~_i w~_i', and crve's
+    B_g = sum_{i in g} xc_i**2 = z'C_g z with C_g the same sum over the
+    units of cluster g.  Construct through :func:`share_design`.
     """
 
     n: int  # units
-    m: np.ndarray  # (C,) cell sizes
-    cells: np.ndarray | None  # (N,) cell of each unit; None: each unit is a cell
-    shares: np.ndarray | None  # (C, F); None: each cell is its own sector
-    order: np.ndarray | None  # cells sorted by cluster; None: already sorted
-    starts: np.ndarray | None  # (G,) first sorted cell of each cluster; None: no clusters
-    # the sector-space terms, None unless the design has shares, clusters and F*G <= N:
-    segments: tuple[slice | np.ndarray, ...] | None  # the cells of each cluster
+    shares: np.ndarray  # (N, F)
+    order: np.ndarray | None  # units sorted by cluster; None: already sorted
+    starts: np.ndarray | None  # (G,) first sorted unit of each cluster; None: no clusters
+    # the sector-space terms, None unless the design has clusters and F*G <= N:
+    segments: tuple[slice | np.ndarray, ...] | None  # the units of each cluster
     ubar: np.ndarray | None  # (F,)
     gram: np.ndarray | None  # (F, F) C
     # (G, F(F+1)/2) upper triangles of the C_g, off-diagonal entries doubled, so that
-    # B = cluster_grams @ (z_i z_j)_{i<=j}
+    # B = cluster_grams @ (z_e z_f)_{e<=f}
     cluster_grams: np.ndarray | None
 
 
@@ -180,34 +168,23 @@ def share_design(shares, clusters=None) -> ShareDesign:
 
     ``clusters`` labels the share rows (None: no cluster-robust test); the
     cluster count is the number of distinct labels.  Build the design once
-    and pass it to every simulation on the same shares.
+    and pass it to every simulation on the same shares.  The Grams take one
+    F x F product per cluster, so no (units, F**2) temporary is formed; with
+    G <= N/F their (G, F, F) stack holds at most as many numbers as the
+    shares.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
         raise ValidationError("shares must be a matrix")
     if clusters is not None and np.shape(clusters) != (shares.shape[0],):
         raise ValidationError("cluster labels do not match shares")
-    return _make_design(clusters, shares)
-
-
-def _make_design(clusters, shares, cells=None) -> ShareDesign:
-    """Design of the rows of ``shares``, or, with shares None, of the groups in ``cells``.
-
-    The Grams take one F x F product per cluster, so no (units, F**2)
-    temporary is formed; with G <= N/F their (G, F, F) stack holds at most
-    as many numbers as the shares.
-    """
-    if cells is None:
-        n, m = shares.shape[0], np.ones(shares.shape[0])
-    else:
-        n, m = cells.size, np.bincount(cells).astype(float)
+    n, n_sectors = shares.shape
     order = starts = segments = ubar = gram = cluster_grams = None
     if clusters is not None:
         order, starts = _cluster_segments(np.asarray(clusters))
     # the sector form costs F(F+1)/2 * G multiply-adds per draw for B, less than the
     # F * N of forming the regressors where F*G <= N
-    if shares is not None and starts is not None and shares.shape[1] * starts.size <= n:
-        n_sectors = shares.shape[1]
+    if starts is not None and n_sectors * starts.size <= n:
         ends = [*starts[1:], n]
         segments = tuple(
             slice(a, b) if order is None else order[a:b] for a, b in zip(starts, ends)
@@ -221,36 +198,40 @@ def _make_design(clusters, shares, cells=None) -> ShareDesign:
         iu, ju = np.triu_indices(n_sectors)
         cluster_grams = grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
     return ShareDesign(
-        n=n, m=m, cells=cells, shares=shares, order=order, starts=starts,
+        n=n, shares=shares, order=order, starts=starts,
         segments=segments, ubar=ubar, gram=gram, cluster_grams=cluster_grams,
     )
 
 
 @dataclass(frozen=True)
 class _Outcome:
-    """One fixed outcome: its cell terms, estimator menu, factors and critical values."""
+    """One fixed outcome: its centred terms, estimator menu, factors and critical values."""
 
-    S: np.ndarray  # (C,) cell sums of the centred outcome
-    W: np.ndarray | None  # (C,) within-cell sums of squares; None: one unit per cell
+    S: np.ndarray  # (N,) the centred outcome; on a partition design, (F,) its group sums
     estimators: tuple[str, ...]
     factors: tuple[float, ...]  # finite-sample factor per estimator
     crits: np.ndarray  # t critical value per estimator
     # score-agg-null in sector space: shares' diag(S) shares (F, F) and S @ shares (F,);
-    # None unless the menu holds score-agg-null and the design has shares
+    # None unless the menu holds score-agg-null on a shift-share design
     null: tuple[np.ndarray, np.ndarray] | None
-    cell_scores: bool  # whether a test of the menu reads the (draws, cells) scores
+    unit_scores: bool  # whether a test of the menu reads the (draws, N) unit scores
+    # on a partition design, the treated-sum threshold of each estimator; else None
+    thresholds: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    design: ShareDesign
+    """One block's tests; a partition design reads only slopes and thresholds."""
+
+    design: ShareDesign | PartitionDesign
     outcomes: tuple[_Outcome, ...]
-    # crve in sector form: Q~, the cluster sums of w~_c * S_c, of each outcome whose menu
+    # crve in sector form: Q~, the cluster sums of w~_i * S_i, of each outcome whose menu
     # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
     # cluster Grams
     crve: np.ndarray | None
-    # every outcome's W~'S, (K, F); None unless every test of every outcome has a sector
-    # form, so that the kernel never forms the (draws, cells) regressors
+    # (K, F) rows v: on a partition design each outcome's group sums S, slope = (z - 1/2).v / q;
+    # on a shift-share design its W~'S, slope = z.v / ssq, None unless every test of every
+    # outcome has a sector form, so that the kernel never forms the regressors
     slopes: np.ndarray | None
 
     @property
@@ -264,7 +245,7 @@ _DEFLATED = ("robust-hc3", "crve-hc3")
 
 
 def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
-    """Cells stably sorted by cluster label (None if already sorted), and segment starts."""
+    """Units stably sorted by cluster label (None if already sorted), and segment starts."""
     order = np.argsort(clusters, kind="stable")
     ordered = clusters[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -273,26 +254,31 @@ def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
     return order, starts
 
 
-def _make_kernel(ys, menus, alpha, design: ShareDesign) -> _Kernel:
+def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Kernel:
     """Kernel testing each outcome in ``ys`` with its own menu in ``menus`` on ``design``.
 
-    Outcomes are given per unit.  Each distinct menu's factors and critical
-    values are built once.  Where the design holds sector terms, each crve
-    outcome gets its Q~ here, in one product per cluster, and the
-    kernel every outcome's W~'S if every test of every outcome has a sector
-    form (see _kernel_counts).
+    Outcomes are given per unit; a partition design's groups are both its
+    clusters and its sectors.  Each distinct menu's factors and critical
+    values are built once.  On a partition design each test gets its
+    treated-sum threshold here.  Where a shift-share design holds sector
+    terms, each crve outcome gets its Q~ here, in one product per cluster,
+    and the kernel every outcome's W~'S if every test of every outcome has
+    a sector form (see _kernel_counts).
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
-    if any(y.shape != (design.n,) for y in ys):
+    partition = isinstance(design, PartitionDesign)
+    if partition:
+        n, n_sectors, n_clusters = design.n_units, design.n_groups, design.n_groups
+    else:
+        (n, n_sectors), shares = design.shares.shape, design.shares
+        n_clusters = 0 if design.starts is None else design.starts.size
+    if any(y.shape != (n,) for y in ys):
         raise ValidationError("outcome length does not match the design")
-    n, shares, cells = design.n, design.shares, design.cells
     yc = np.array(ys).reshape(len(ys), n)  # becomes the centred outcomes
     if not np.isfinite(yc).all():
         raise ValidationError("non-finite outcome")
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    n_sectors = design.m.size if shares is None else shares.shape[1]
-    n_clusters = 0 if design.starts is None else design.starts.size
     menus = [tuple(menu) for menu in menus]
     tests = {}  # menu -> (factors, crits); menus checked in order, each in menu order
     for menu in menus:
@@ -300,80 +286,102 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign) -> _Kernel:
             continue
         conventions = []  # (factor, dof) per estimator
         for est in menu:
-            if est in _CLUSTERED and design.starts is None:
+            if est in _CLUSTERED and not n_clusters:
                 raise ValidationError(f"{est} requires cluster labels")
             conventions.append(small_sample(est, n, n_clusters, n_sectors))
         factors = tuple(factor for factor, _ in conventions)
         tests[menu] = factors, np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
     yc -= yc.mean(axis=1, keepdims=True)
-    sums, within = yc, [None] * len(yc)  # S and W per outcome
-    if cells is not None:
-        sums = np.array([np.bincount(cells, weights=y) for y in yc])
-        within = [
-            np.bincount(cells, weights=(y - (S / design.m)[cells]) ** 2)
-            for y, S in zip(yc, sums)
-        ]
-    crve = None
+    sums, crve, sector = yc, None, ("score-agg-null",)
     crve_rows = [i for i, menu in enumerate(menus) if "crve" in menu]
-    if crve_rows and design.cluster_grams is not None:
-        S = sums if len(crve_rows) == len(sums) else sums[crve_rows]
+    if partition:
+        q, m, deflation = n / 4, design.group_size, (1.0 - 2.0 / n) ** -2
+        sums = np.array([np.bincount(design.group_of, weights=y, minlength=n_sectors) for y in yc])
+    elif crve_rows and design.cluster_grams is not None:
+        S = yc if len(crve_rows) == len(yc) else yc[crve_rows]
         crve = np.empty((n_clusters, len(crve_rows), n_sectors))
         for Q, segment in zip(crve, design.segments):
             np.matmul(S[:, segment], shares[segment] - design.ubar, out=Q)
         crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
-    sector = ("score-agg-null", "crve") if crve is not None else ("score-agg-null",)
+        sector = ("score-agg-null", "crve")
     outcomes = []
-    for S, W, menu in zip(sums, within, menus, strict=True):
+    for y, S, menu in zip(yc, sums, menus, strict=True):
         factors, crits = tests[menu]
-        null = None
-        if "score-agg-null" in menu and shares is not None:
+        null = thresholds = None
+        if partition:
+            # Every draw z treats F/2 of the F groups of m units, so xbar = 1/2, every
+            # centred regressor is +-1/2, ssq = n/4 =: q, every leverage is 2/n and no
+            # draw is degenerate.  With S the group sums of the centred outcome,
+            # A = sum yc**2 and T = (z - 1/2).S the treated-minus-control contrast,
+            # the slope is T/q and each variance is factor * (a - b*T**2) / (4q**2),
+            # (a, b) = (A, 1/q) for the robust pair, (sum S**2, m/q) for crve, crve-hc3
+            # and score-agg and (sum S**2, 0) for score-agg-null, and hc3's deflation
+            # multiplies both, and so k below, by (1 - 2/n)**-2.  So a test rejects
+            # exactly when |T| >= c with c = sqrt(k*a / (1 + k*b)), k = crit**2 *
+            # factor / 4.  A zero variance (c = 0) rejects iff T != 0, as
+            # estimators.rejects does: c becomes the least positive float.  T is not the
+            # treated sum z.S: rounding can leave sum S != 0 (say, a constant 0.1), and
+            # then z.S rejects draws whose contrast, as the unit-level slope, is 0.
+            thresholds = []
+            for est, factor, crit in zip(menu, factors, crits):
+                k = crit * crit * factor / 4 * (deflation if est in _DEFLATED else 1.0)
+                a, b = (y @ y, 1.0 / q) if est.startswith("robust") else (S @ S, m / q)
+                b = 0.0 if est == "score-agg-null" else b
+                thresholds.append(max(math.sqrt(k * a / (1.0 + k * b)), math.ulp(0.0)))
+            thresholds = np.array(thresholds)
+        elif "score-agg-null" in menu:
             null = shares.T @ (S[:, None] * shares), S @ shares
-        cell_scores = any(est not in sector for est in menu)
+        unit_scores = not partition and any(est not in sector for est in menu)
         outcomes.append(
             _Outcome(
-                S=S, W=W, estimators=menu, factors=factors, crits=crits, null=null,
-                cell_scores=cell_scores,
+                S=S, estimators=menu, factors=factors, crits=crits, null=null,
+                unit_scores=unit_scores, thresholds=thresholds,
             )
         )
-    slopes = None
-    if design.gram is not None and not any(outcome.cell_scores for outcome in outcomes):
-        slopes = sums @ shares - np.outer(sums.sum(axis=1), design.ubar)
+    slopes = sums if partition else None
+    if not partition and design.gram is not None and not any(o.unit_scores for o in outcomes):
+        slopes = yc @ shares - np.outer(yc.sum(axis=1), design.ubar)
     return _Kernel(design=design, outcomes=tuple(outcomes), crve=crve, slopes=slopes)
 
 
 def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rejection counts per test in ``kernel.estimators``, and skipped draws per outcome.
 
-    ``Z`` is (draws, sectors).  When the design holds sector terms (see
-    ShareDesign) and every test of every outcome is crve or score-agg-null,
-    the kernel works on (draws, F) and (draws, F(F+1)/2) arrays alone.  Per
-    draw z: xbar = z.ubar and ssq = z'Cz; a draw is usable when
-    ssq > tol * (ssq + n*xbar**2); every outcome's slope is z'(W~'S)/ssq, in
-    one product for all outcomes; and every crve outcome's cluster scores
-    sum_{c in g} xc_c*(S_c - slope*xc_c) are (z'Q~)_g - slope*B_g, in one
-    product for all outcomes, with Q~_g = sum_{c in g} w~_c*S_c and
-    B_g = (z_i z_j)_{i<=j} . C_g.  A menu with any other test keeps the cell
-    path: Z is mapped once to the (draws, cells) regressors X = Z @ shares.T
-    (with no shares each cell is its own sector and Z is X).  With xc a
-    cell's centred regressor and e = S - slope*m*xc the sum of its
-    residuals, a cell's residual sum of squares is W + e**2/m, its score is
-    xc*e, and its leverage 1/n + xc**2/ssq is shared by its units, so each
-    draw costs O(cells).  The regressor terms are formed once for all
-    outcomes, an outcome's scores once for all its estimators, and cluster
-    scores are segment sums over the cells sorted by cluster.  crve there
-    takes the same Q~, with B_g = sum_{c in g} m_c*xc_c**2 summed from the
-    cells, where the design holds sector terms.  score-agg-null's sector
-    scores sum_c shares_cf*xc_c*S_c are (Z @ H)_f - xbar*(S @ shares)_f with
-    H = shares' diag(S) shares in either path, O(sectors**2) per draw.  Both
-    paths walk the block in row sub-blocks whose widest temporary stays
-    within _KERNEL_BYTES.  tests/oracles.py keeps the unit-level form and
-    the scalar forms of the menu, and the engine tests pin agreement with
-    both.
+    ``Z`` is (draws, F): a partition design's group assignments, or sector
+    shocks.  On a partition design a test counts the draws whose contrast
+    |(z - 1/2).S| reaches its threshold (see _make_kernel), and skips none.  On
+    a shift-share design that holds sector terms (see ShareDesign), where
+    every test is crve or score-agg-null, the kernel works in sector space.
+    Per draw z: xbar = z.ubar and ssq = z'Cz; a draw is usable when
+    ssq > tol * (ssq + n*xbar**2); every outcome's slope is z'(W~'S)/ssq;
+    and every crve outcome's cluster scores
+    sum_{i in g} xc_i*(S_i - slope*xc_i) are (z'Q~)_g - slope*B_g, with
+    Q~_g = sum_{i in g} w~_i*S_i and B_g = (z_e z_f)_{e<=f} . C_g, each in
+    one product for all outcomes.  A menu with any other test keeps the
+    unit path: Z is mapped once to the (draws, N) regressors X = Z @
+    shares.T; with xc a unit's centred regressor, its score is
+    xc*(S - slope*xc) and its leverage 1/n + xc**2/ssq.  The regressor
+    terms are formed once for all outcomes, an outcome's scores once for
+    all its estimators, and cluster scores are segment sums over the units
+    sorted by cluster, or, for crve where the design holds sector terms,
+    z'Q~ less the slope times B_g summed from the units.  score-agg-null's
+    sector scores sum_i shares_if*xc_i*S_i are (Z @ H)_f - xbar*(S @ shares)_f
+    with H = shares' diag(S) shares on either path.  Both paths walk the
+    block in row sub-blocks whose widest temporary stays within
+    _KERNEL_BYTES.  tests/oracles.py keeps a dense unit-level form and the
+    scalar forms of the menu, and the engine tests pin agreement with both.
     """
     d = kernel.design
+    if isinstance(d, PartitionDesign):
+        T = np.abs((Z - 0.5) @ kernel.slopes.T)  # (draws, K)
+        counts = [
+            np.count_nonzero(T[:, [i]] >= outcome.thresholds, axis=0)
+            for i, outcome in enumerate(kernel.outcomes)
+        ]
+        return np.concatenate(counts), np.zeros(len(kernel.outcomes), dtype=np.int64)
     X = None
     if kernel.slopes is None:
-        X = Z if d.shares is None else Z @ d.shares.T
+        X = Z @ d.shares.T
         width = X.shape[1]
     elif kernel.crve is None:
         width = Z.shape[1]
@@ -388,19 +396,19 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of one row sub-block; X is None in sector space."""
+    """Counts of one row sub-block of a shift-share design; X is None in sector space."""
     d = kernel.design
-    n, m = d.n, d.m
+    n = d.n
     if X is None:
         xbar = Z @ d.ubar
         ssq = np.einsum("bf,bf->b", Z @ d.gram, Z)
         usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
     else:
-        xbar = (X @ m) / n
+        xbar = X.mean(axis=1)
         Xc = X - xbar[:, None]
         X2 = Xc * Xc
-        ssq = X2 @ m
-        usable = ssq > DEGENERATE_TOL * ((X * X) @ m)
+        ssq = X2.sum(axis=1)
+        usable = ssq > DEGENERATE_TOL * np.einsum("bn,bn->b", X, X)
     ssq2 = ssq * ssq
 
     counts = np.zeros(len(kernel.estimators), dtype=np.int64)
@@ -422,9 +430,7 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
                 iu, ju = np.triu_indices(Z.shape[1])
                 B = d.cluster_grams @ (Zt[iu] * Zt[ju])
             else:
-                B = X2 if m.size == n else X2 * m  # B_g = sum_{c in g} m_c * xc_c**2
-                if d.order is not None:
-                    B = B[:, d.order]
+                B = X2 if d.order is None else X2[:, d.order]
                 B = np.add.reduceat(B, d.starts, axis=1).T
             rows = [i for i, outcome in enumerate(kernel.outcomes) if "crve" in outcome.estimators]
             scores = (kernel.crve @ Z.T).reshape(len(rows), B.shape[0], -1)
@@ -433,10 +439,9 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
 
         for i, outcome in enumerate(kernel.outcomes):
             slope = slopes[i]
-            P = None  # the (draws, cells) scores, formed only for a test that reads them
-            if outcome.cell_scores:
-                P = slope[:, None] * m  # becomes the cell scores xc * (S - slope*m*xc)
-                P *= Xc
+            P = None  # the (draws, N) scores, formed only for a test that reads them
+            if outcome.unit_scores:
+                P = slope[:, None] * Xc  # becomes the unit scores xc * (S - slope*xc)
                 np.subtract(outcome.S, P, out=P)
                 P *= Xc
             ok = usable
@@ -446,13 +451,9 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
             skipped[i] = np.count_nonzero(~ok)
 
             for est, factor, crit in zip(outcome.estimators, outcome.factors, outcome.crits):
-                deflated = est in _DEFLATED
-                scores = P_deflated if deflated else P
+                scores = P_deflated if est in _DEFLATED else P
                 if est in ("robust-hc1", "robust-hc3"):
-                    # sum of xc**2 * (W + e**2/m), each unit deflated for hc3
-                    value = (scores * scores) @ (1.0 / m)
-                    if outcome.W is not None:
-                        value += (X2 * deflate * deflate if deflated else X2) @ outcome.W
+                    value = np.einsum("bn,bn->b", scores, scores)
                 elif est == "crve" and kernel.crve is not None:
                     value = next(crve_values)
                 elif est in _CLUSTERED:
@@ -460,13 +461,11 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
                         scores = scores[:, d.order]
                     scores = np.add.reduceat(scores, d.starts, axis=1)
                     value = np.einsum("bg,bg->b", scores, scores)
-                else:  # score-agg / score-agg-null; null residuals sum to S per cell
-                    if est == "score-agg-null" and outcome.null is None:
-                        scores = Xc * outcome.S  # each cell its own sector
-                    elif est == "score-agg-null":
+                else:  # score-agg / score-agg-null; null residuals are the outcome
+                    if est == "score-agg-null":
                         H, s = outcome.null
                         scores = Z @ H - xbar[:, None] * s
-                    elif d.shares is not None:
+                    else:
                         scores = scores @ d.shares
                     value = np.einsum("bf,bf->b", scores, scores)
                 value = factor * value / ssq2
@@ -563,8 +562,6 @@ def run_partition_permutation(
     every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.
     """
-    # cells are groups, which double as the clusters and the sectors (shares None)
     draw = partial(_partition_regressors, design.n_groups, cfg.seed)
-    groups = _make_design(np.arange(design.n_groups), None, cells=design.group_of)
     menus = [cfg.estimators] * len(outcomes)
-    return _run_sim(outcomes, menus, cfg, workers, draw, groups).reports
+    return _run_sim(outcomes, menus, cfg, workers, draw, design).reports

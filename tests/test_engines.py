@@ -76,6 +76,12 @@ def _diagonal_shares(rng, n):
     return np.diag(2.0 ** rng.integers(-2, 3, n))
 
 
+def _balanced_assignments(n_groups):
+    """Every assignment treating half of ``n_groups`` groups, one 0/1 row each."""
+    treated = combinations(range(n_groups), n_groups // 2)
+    return np.array([np.isin(np.arange(n_groups), t) for t in treated], dtype=float)
+
+
 def _design(data):
     return share_design(data.shares, data.clusters)
 
@@ -263,7 +269,7 @@ class TestAgainstScalarPath:
 
 
 class TestCellKernel:
-    """The cell-level kernel counts what the unit-level oracle kernel counts, draw by draw."""
+    """The test kernel counts what the dense unit-level oracle kernel counts, draw by draw."""
 
     @staticmethod
     def _grouped_outcome(design, seed):
@@ -295,19 +301,37 @@ class TestCellKernel:
         assert sum(counts) > 0
 
     def test_exhaustive_matches_unit_oracle(self):
-        # every balanced assignment of 6 groups, tested once at group level
-        design = contiguous_partition(6, 3)
-        y = self._grouped_outcome(design, 5)
-        X = np.array([np.isin(np.arange(6), t) for t in combinations(range(6), 3)], dtype=float)
-        groups = engines._make_design(np.arange(6), None, cells=design.group_of)
-        kernel = engines._make_kernel([y], [FULL_MENU], 0.3, groups)
-        rejections, skipped = engines._kernel_counts(kernel, X)
-        counts, want_skipped = oracles.unit_kernel_counts(
-            y, X[:, design.group_of], FULL_MENU, 0.3,
-            clusters=design.group_of, shares=oracles.partition_to_shares(design),
-        )
-        assert len(X) == 20 and skipped.tolist() == [want_skipped]
-        assert rejections.tolist() == counts
+        # every balanced assignment, tested once at group level, on outcomes that probe
+        # the treated-sum threshold: 1.7 * (first half treated) has zero variance on two
+        # assignments whose treated sum is not 0, which must reject; a constant outcome
+        # has zero variance and a zero treated sum on all, which must not, also where its
+        # mean does not round back to it (0.1); and centring 3 + 0.5 * (first half
+        # treated) leaves rounding in the residuals
+        for n_groups, group_size in [(4, 1), (4, 2), (6, 3)]:
+            design = contiguous_partition(n_groups, group_size)
+            first_half = oracles.first_half_treated(design)
+            X = _balanced_assignments(n_groups)
+            ys = {
+                "grouped": self._grouped_outcome(design, 5),
+                "pure effect": 1.7 * first_half,
+                "constant": np.full(design.n_units, 2.0),
+                "inexact constant": np.full(design.n_units, 0.1),
+                "shifted effect": 3.0 + 0.5 * first_half,
+            }
+            for name, y in ys.items():
+                kernel = engines._make_kernel([y], [FULL_MENU], 0.3, design)
+                rejections, skipped = engines._kernel_counts(kernel, X)
+                counts, want_skipped = oracles.unit_kernel_counts(
+                    y, X[:, design.group_of], FULL_MENU, 0.3,
+                    clusters=design.group_of, shares=oracles.partition_to_shares(design),
+                )
+                case = (n_groups, group_size, name)
+                assert skipped.tolist() == [want_skipped] == [0], case
+                assert rejections.tolist() == counts, case
+                if name == "pure effect":
+                    assert min(counts) >= 2, case
+                if name.endswith("constant"):
+                    assert max(counts) == 0, case
 
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
@@ -405,7 +429,7 @@ class TestCellKernel:
         assert both == (y_alone, *crve_alone)
 
     def test_sub_blocks_match_unit_oracle(self, monkeypatch):
-        # enough cells that a 256-row chunk is tested in several row sub-blocks
+        # enough units that a 256-row chunk is tested in several row sub-blocks
         n = 3 * engines._KERNEL_BYTES // (8 * 256) + 1
         rng = np.random.default_rng(13)
         data = validate_dataset(
@@ -470,8 +494,8 @@ class TestCellKernel:
     def test_crve_scores_in_sector_space(self, seed):
         # the design's terms give xbar = z.ubar, ssq = z'Cz and B = C_g . (z_i z_j)_{i<=j},
         # and the kernel's give the slope z'(W~'S) / ssq and the scores z'Q~ - slope * B;
-        # each equals its unit-level form, the scores the per-cell reduceat of
-        # xc * (S - slope * xc) over the cells sorted by cluster, on share rows that do
+        # each equals its unit-level form, the scores the reduceat of
+        # xc * (S - slope * xc) over the units sorted by cluster, on share rows that do
         # not sum to 1 and an outcome whose mean is not 0
         rng = np.random.default_rng(seed)
         n, f = int(rng.integers(20, 400)), int(rng.integers(2, 10))
@@ -504,7 +528,7 @@ class TestCellKernel:
             assert np.all(np.abs(got_terms - want_terms) <= 1e-12 * scale)
 
     # each case: (units, sectors, clusters) and one menu per outcome; F*G = N in all but
-    # the last, whose F*G > N leaves its crve to the cell form
+    # the last, whose F*G > N leaves its crve to the unit path
     SECTOR_CASES = {
         "crve-only": ((360, 8, 45), [("crve",), ("crve",)]),
         "crve-and-null": ((360, 8, 45), [("crve",), ("crve", "score-agg-null")]),
@@ -515,7 +539,7 @@ class TestCellKernel:
     def _matches_unit_oracle_over_sub_blocks(self, case, monkeypatch):
         # each case over at least 4 row pieces, on unsorted gapped labels, share rows that
         # do not sum to 1 and outcomes whose mean is not 0: menus of crve and
-        # score-agg-null alone run in sector space, any other menu on the cells
+        # score-agg-null alone run in sector space, any other menu on the units
         (n, f, g), menus = self.SECTOR_CASES[case]
         rng = np.random.default_rng(18)
         clusters = self._gapped_clusters(rng, n, g)
@@ -586,15 +610,16 @@ class TestCellKernel:
         large = share_design(rng.uniform(0, 1, (10_000, 100)), np.arange(10_000) // 100)
         assert large.cluster_grams.shape == (100, 5050)
         assert kernel(("crve",), large).crve.shape == (100, 100)
-        # a mixed menu keeps the cell path, with crve in sector form
+        # a mixed menu keeps the unit path, with crve in sector form
         mixed = kernel(("robust-hc1", "crve"), crossed)
         assert mixed.crve is not None and mixed.slopes is None
         # singleton clusters: F*G = 3N
         assert share_design(rng.uniform(0, 1, (12, 3)), np.arange(12)).cluster_grams is None
-        # a partition design has no shares
-        design = contiguous_partition(6, 3)
-        groups = engines._make_design(np.arange(6), None, design.group_of)
-        assert groups.cluster_grams is None and kernel(("crve",), groups).crve is None
+        # a partition design is tested by one treated-sum threshold per test instead
+        partition = engines._make_kernel(
+            [rng.standard_normal(18)], [("crve",)], 0.05, contiguous_partition(6, 3)
+        )
+        assert partition.crve is None and partition.outcomes[0].thresholds.shape == (1,)
         assert kernel(("robust-hc1", "score-agg"), crossed).crve is None
 
 
@@ -736,6 +761,42 @@ class TestPermutationEngine:
         both = run_partition_permutation(ys, design, cfg)
         assert both == tuple(run_partition_permutation([o], design, cfg)[0] for o in ys)
         assert both[0] != both[1]
+
+    # The designs of the exact-rate test.  It makes one comparison per design and
+    # estimator, and each band holds all but EXACT_FAMILY_TAIL / comparisons of its
+    # mass, so a correct engine fails it on at most one seed in a thousand.
+    EXACT_DESIGNS = [(6, 1), (6, 3), (10, 1), (10, 3), (16, 1), (16, 3)]
+    EXACT_FAMILY_TAIL = 1e-3
+
+    def test_rates_within_exact_binomial_bands(self):
+        # each estimator's count over B draws lies in the binomial band of B at its
+        # exact rate over all C(F, F/2) balanced assignments, which the dense unit-level
+        # oracle computes without the engine: across 79 chunks, the draw is uniform over
+        # the balanced assignments up to complement (an assignment and its complement
+        # give every test the same verdict), for every test
+        replications = 20_000
+        tail = self.EXACT_FAMILY_TAIL / (len(self.EXACT_DESIGNS) * len(FULL_MENU))
+        for n_groups, group_size in self.EXACT_DESIGNS:
+            design = contiguous_partition(n_groups, group_size)
+            rng = np.random.default_rng([n_groups, group_size])
+            y = 0.7 * rng.standard_normal(n_groups)[design.group_of] + rng.standard_normal(
+                design.n_units
+            )
+            X = _balanced_assignments(n_groups)
+            exact, _ = oracles.unit_kernel_counts(
+                y, X[:, design.group_of], FULL_MENU, 0.05,
+                clusters=design.group_of, shares=oracles.partition_to_shares(design),
+            )
+            seed = n_groups + group_size
+            cfg = SimConfig(replications=replications, seed=seed, estimators=FULL_MENU)
+            (report,) = run_partition_permutation([y], design, cfg)
+            assert report.b_effective == replications
+            for est, count in zip(FULL_MENU, exact):
+                rate = count / len(X)
+                lo = stats.binom.ppf(tail / 2, replications, rate)
+                hi = stats.binom.isf(tail / 2, replications, rate)
+                got = report.rejections[est]
+                assert lo <= got <= hi, (n_groups, group_size, est, got, rate * replications)
 
     def test_outcome_length_checked(self):
         design = contiguous_partition(4, 2)
