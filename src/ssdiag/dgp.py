@@ -26,7 +26,7 @@ from .engines import (
     share_design,
 )
 from .errors import ValidationError
-from .estimators import ols_simple, t_test, var_cluster, var_robust
+from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
@@ -215,16 +215,16 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
 
 def _flagging_chunk(design, clusters, gammas, cfg, bounds) -> np.ndarray:
     lo, hi = bounds
+    n_clusters = design.starts.size  # clusters are labelled 0..G-1
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
     for j in range(lo, hi):
         draw = draw_flagging(design.shares, substream(cfg.seed, j, 0))
-        ys, ydots = [], []
-        for gi, gamma in enumerate(gammas):
-            y_star = draw.outcome(gamma)
-            fit = ols_simple(y_star, draw.x)
-            counts[gi, 0] += t_test(fit.slope, 0.0, var_cluster(fit, clusters), cfg.alpha)
-            ys.append(y_star)
-            ydots.append(y_star - fit.slope * draw.x)
+        ys = [draw.outcome(gamma) for gamma in gammas]
+        fits = ols_fits(ys, draw.x)
+        for gi, fit in enumerate(fits):
+            variance = var_cluster(fit, clusters, n_clusters)
+            counts[gi, 0] += t_test(fit.slope, 0.0, variance, cfg.alpha)
+        ydots = [y_star - fit.slope * draw.x for y_star, fit in zip(ys, fits)]
         # one shock block, drawn from derive_seed(cfg.seed, j, 1), tests every
         # gamma in both modes: y-fixed fills column 1 and eps-fixed column 2
         block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("crve",))

@@ -26,6 +26,15 @@ crve-only menu.  A menu with any other test keeps the unit path, which
 forms the (draws, N) regressors once per block for all K outcomes.  Both
 shift-share paths walk a block in row sub-blocks of bounded size.
 
+A simulation pays only for what its outcomes change.  What the share matrix
+fixes is built once per experiment (ShareDesign; its Grams on first read, by
+sector space alone), and what a list of menus fixes at one level and design
+size once per process (_menu_terms): each test's factor and critical value
+and, on a partition design, its threshold constants.  A kernel then forms
+its outcomes' terms, and every test of a block is decided in one step:
+over a (tests, draws) array of variances, or of contrasts on a partition
+design.
+
 Determinism contract: replications are drawn in fixed chunks of 256, chunk c
 draws from substream(seed, c) only, and rejection counts are integers, so
 reports are identical for any worker count or execution order.
@@ -35,11 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .data import PartitionDesign
+from .data import PartitionDesign, _frozen_array
 from .errors import ValidationError
 from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
@@ -155,12 +164,34 @@ class ShareDesign:
     order: np.ndarray | None  # units sorted by cluster; None: already sorted
     starts: np.ndarray | None  # (G,) first sorted unit of each cluster; None: no clusters
     # the sector-space terms, None unless the design has clusters and F*G <= N:
-    segments: tuple[slice | np.ndarray, ...] | None  # the units of each cluster
     ubar: np.ndarray | None  # (F,)
-    gram: np.ndarray | None  # (F, F) C
-    # (G, F(F+1)/2) upper triangles of the C_g, off-diagonal entries doubled, so that
-    # B = cluster_grams @ (z_e z_f)_{e<=f}
-    cluster_grams: np.ndarray | None
+    # the clusters of each size n_g, in order of size and in pieces whose centred share
+    # rows fit in _KERNEL_BYTES, so that Q~ takes one batched product per piece: their
+    # positions (b,), their units (b, n_g) and, where the shares fit in that budget, the
+    # rows w~_i themselves (b, n_g, F), else None
+    pieces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...] | None
+
+    @cached_property
+    def grams(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+        """C, the packed C_g and their pair indices; None without sector-space terms.
+
+        The packed C_g are (G, F(F+1)/2): the upper triangles of the C_g at
+        the pair indices (e, f), e <= f, off-diagonal entries doubled, so that
+        B = packed @ (z_e z_f)_{e<=f}.  Only sector space reads them, so they
+        are built on first read, once per process: one F x F product per
+        cluster, and no (units, F**2) temporary.  With G <= N/F their
+        (G, F, F) stack holds at most as many numbers as the shares.
+        """
+        if self.ubar is None:
+            return None
+        n_sectors = self.shares.shape[1]
+        grams = np.empty((self.starts.size, n_sectors, n_sectors))
+        for members, units, rows in self.pieces:
+            for i, g in enumerate(members):
+                w = self.shares[units[i]] - self.ubar if rows is None else rows[i]
+                np.matmul(w.T, w, out=grams[g])
+        iu, ju = np.triu_indices(n_sectors)
+        return grams.sum(axis=0), grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0), (iu, ju)
 
 
 def share_design(shares, clusters=None) -> ShareDesign:
@@ -168,10 +199,7 @@ def share_design(shares, clusters=None) -> ShareDesign:
 
     ``clusters`` labels the share rows (None: no cluster-robust test); the
     cluster count is the number of distinct labels.  Build the design once
-    and pass it to every simulation on the same shares.  The Grams take one
-    F x F product per cluster, so no (units, F**2) temporary is formed; with
-    G <= N/F their (G, F, F) stack holds at most as many numbers as the
-    shares.
+    and pass it to every simulation on the same shares.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
@@ -179,69 +207,158 @@ def share_design(shares, clusters=None) -> ShareDesign:
     if clusters is not None and np.shape(clusters) != (shares.shape[0],):
         raise ValidationError("cluster labels do not match shares")
     n, n_sectors = shares.shape
-    order = starts = segments = ubar = gram = cluster_grams = None
+    order = starts = ubar = pieces = None
     if clusters is not None:
         order, starts = _cluster_segments(np.asarray(clusters))
     # the sector form costs F(F+1)/2 * G multiply-adds per draw for B, less than the
     # F * N of forming the regressors where F*G <= N
     if starts is not None and n_sectors * starts.size <= n:
-        ends = [*starts[1:], n]
-        segments = tuple(
-            slice(a, b) if order is None else order[a:b] for a, b in zip(starts, ends)
-        )
         ubar = shares.mean(axis=0)
-        grams = np.empty((len(segments), n_sectors, n_sectors))
-        for C_g, segment in zip(grams, segments):
-            w = shares[segment] - ubar
-            np.matmul(w.T, w, out=C_g)
-        gram = grams.sum(axis=0)
-        iu, ju = np.triu_indices(n_sectors)
-        cluster_grams = grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-    return ShareDesign(
-        n=n, shares=shares, order=order, starts=starts,
-        segments=segments, ubar=ubar, gram=gram, cluster_grams=cluster_grams,
-    )
-
-
-@dataclass(frozen=True)
-class _Outcome:
-    """One fixed outcome: its centred terms, estimator menu, factors and critical values."""
-
-    S: np.ndarray  # (N,) the centred outcome; on a partition design, (F,) its group sums
-    estimators: tuple[str, ...]
-    factors: tuple[float, ...]  # finite-sample factor per estimator
-    crits: np.ndarray  # t critical value per estimator
-    # score-agg-null in sector space: shares' diag(S) shares (F, F) and S @ shares (F,);
-    # None unless the menu holds score-agg-null on a shift-share design
-    null: tuple[np.ndarray, np.ndarray] | None
-    unit_scores: bool  # whether a test of the menu reads the (draws, N) unit scores
-    # on a partition design, the treated-sum threshold of each estimator; else None
-    thresholds: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """One block's tests; a partition design reads only slopes and thresholds."""
-
-    design: ShareDesign | PartitionDesign
-    outcomes: tuple[_Outcome, ...]
-    # crve in sector form: Q~, the cluster sums of w~_i * S_i, of each outcome whose menu
-    # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
-    # cluster Grams
-    crve: np.ndarray | None
-    # (K, F) rows v: on a partition design each outcome's group sums S, slope = (z - 1/2).v / q;
-    # on a shift-share design its W~'S, slope = z.v / ssq, None unless every test of every
-    # outcome has a sector form, so that the kernel never forms the regressors
-    slopes: np.ndarray | None
-
-    @property
-    def estimators(self) -> tuple[str, ...]:
-        """The tests made on one draw, over all outcomes."""
-        return tuple(est for outcome in self.outcomes for est in outcome.estimators)
+        sizes = np.diff(starts, append=n)
+        sorted_units = np.arange(n) if order is None else order
+        pieces = []
+        for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+            of_size = np.flatnonzero(sizes == size)
+            batch = max(1, _KERNEL_BYTES // (8 * size * n_sectors))
+            for lo in range(0, of_size.size, batch):
+                members = of_size[lo : lo + batch]
+                units = sorted_units[starts[members, None] + np.arange(size)]
+                rows = shares[units] - ubar if shares.nbytes <= _KERNEL_BYTES else None
+                pieces.append((members, units, rows))
+        pieces = tuple(pieces)
+    return ShareDesign(n=n, shares=shares, order=order, starts=starts, ubar=ubar, pieces=pieces)
 
 
 _CLUSTERED = ("crve", "crve-hc3")
 _DEFLATED = ("robust-hc3", "crve-hc3")
+
+
+@dataclass(frozen=True)
+class _Tests:
+    """What a kernel's menus fix on a design of one kind and size, whatever its outcomes.
+
+    The kernel's tests run outcome by outcome, each outcome's in menu order.
+    """
+
+    menus: tuple[tuple[str, ...], ...]  # one per outcome
+    estimators: tuple[str, ...]  # every test
+    outcome: np.ndarray  # (tests,) the outcome each test reads
+    factors: np.ndarray  # (tests, 1) finite-sample factor
+    crits: np.ndarray  # (tests, 1) t critical value
+    # (outcomes, 1): whether the menu holds an hc3 test, whose leverage guard then skips
+    # a draw for every test of the outcome; None if no menu does
+    guarded: np.ndarray | None
+    # the crve tests in sector form, one per outcome whose menu holds crve: their
+    # positions and their outcomes; empty unless the design holds sector-space terms
+    crve: np.ndarray
+    crve_rows: np.ndarray
+    # per outcome whose menu holds another test: its position, whether a test reads the
+    # (draws, N) unit scores, and its other tests as (position, estimator) pairs, whose
+    # variances _block_counts forms one by one
+    scored: tuple[tuple[int, bool, tuple[tuple[int, str], ...]], ...]
+    sector_space: bool  # whether every test has a sector form (see _kernel_counts)
+    # on a partition design, per test: k, b and whether a = sum yc**2 (see _make_kernel)
+    k: np.ndarray | None
+    b: np.ndarray | None
+    robust: np.ndarray | None
+
+
+@lru_cache(maxsize=64)
+def _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector) -> _Tests:
+    """The _Tests of ``menus`` at level ``alpha`` on a design of ``n`` units.
+
+    ``partition`` names a partition design of ``n_clusters`` groups and
+    ``sector`` a shift-share design that holds sector-space terms.  Built
+    once per key and kept, so a kernel pays only for its outcomes.  Menus
+    are checked in order, each in menu order, and each distinct menu's
+    factors and critical values are built once.
+    """
+    conventions = {}  # menu -> ((factor, dof) per estimator, crits)
+    for menu in menus:
+        if menu in conventions:
+            continue
+        terms = []
+        for est in menu:
+            if est in _CLUSTERED and not n_clusters:
+                raise ValidationError(f"{est} requires cluster labels")
+            terms.append(small_sample(est, n, n_clusters, n_sectors))
+        conventions[menu] = terms, t_crits(alpha, tuple(dof for _, dof in terms))
+    estimators = tuple(est for menu in menus for est in menu)
+    factors = [factor for menu in menus for factor, _ in conventions[menu][0]]
+    crits = [crit for menu in menus for crit in conventions[menu][1]]
+    guarded = [[any(est in _DEFLATED for est in menu)] for menu in menus]
+    crve_sector = sector and "crve" in estimators
+    sector_forms = ("score-agg-null", "crve") if crve_sector else ("score-agg-null",)
+    crve, crve_rows, scored, position = [], [], [], 0
+    for i, menu in enumerate(menus):
+        rest = []
+        for j, est in enumerate(menu, position):
+            if est == "crve" and crve_sector:
+                crve.append(j)
+                crve_rows.append(i)
+            else:
+                rest.append((j, est))
+        position += len(menu)
+        if rest:
+            unit_scores = not partition and any(est not in sector_forms for est in menu)
+            scored.append((i, unit_scores, tuple(rest)))
+    k = b = robust = None
+    if partition:  # see _make_kernel
+        q, m, deflation = n / 4, n // n_clusters, (1.0 - 2.0 / n) ** -2
+        k = _frozen_array([
+            crit * crit * factor / 4 * (deflation if est in _DEFLATED else 1.0)
+            for est, factor, crit in zip(estimators, factors, crits)
+        ])
+        robust = _frozen_array([est.startswith("robust") for est in estimators], bool)
+        b = _frozen_array([
+            1.0 / q if est.startswith("robust") else 0.0 if est == "score-agg-null" else m / q
+            for est in estimators
+        ])
+    # every kernel on these menus shares the arrays, so they are read-only
+    return _Tests(
+        menus=menus,
+        estimators=estimators,
+        outcome=_frozen_array(
+            np.repeat(np.arange(len(menus)), [len(menu) for menu in menus]), np.intp
+        ),
+        factors=_frozen_array(np.reshape(factors, (-1, 1))),
+        crits=_frozen_array(np.reshape(crits, (-1, 1))),
+        guarded=_frozen_array(guarded, bool) if any(g for g, in guarded) else None,
+        crve=_frozen_array(crve, np.intp),
+        crve_rows=_frozen_array(crve_rows, np.intp),
+        scored=tuple(scored),
+        sector_space=sector and not any(unit_scores for _, unit_scores, _ in scored),
+        k=k,
+        b=b,
+        robust=robust,
+    )
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """One block's tests: what the menus fix, and the terms of each outcome."""
+
+    design: ShareDesign | PartitionDesign
+    tests: _Tests
+    # (K, N) the centred outcomes; on a partition design (K, F), their group sums
+    S: np.ndarray
+    # per outcome, score-agg-null in sector space: shares' diag(S) shares (F, F) and
+    # S @ shares (F,); None unless the menu holds score-agg-null on a shift-share design
+    null: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    # crve in sector form: Q~, the cluster sums of w~_i * S_i, of each outcome whose menu
+    # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
+    # sector-space terms
+    crve: np.ndarray | None
+    # (K, F) each outcome's W~'S, slope = z.(W~'S) / ssq; None unless every test of every
+    # outcome has a sector form, so that the kernel never forms the regressors
+    slopes: np.ndarray | None
+    grams: tuple | None  # ShareDesign.grams where the kernel works in sector space
+    thresholds: np.ndarray | None  # on a partition design, the contrast threshold per test
+
+    @property
+    def estimators(self) -> tuple[str, ...]:
+        """The tests made on one draw, over all outcomes."""
+        return self.tests.estimators
 
 
 def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
@@ -258,12 +375,14 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     """Kernel testing each outcome in ``ys`` with its own menu in ``menus`` on ``design``.
 
     Outcomes are given per unit; a partition design's groups are both its
-    clusters and its sectors.  Each distinct menu's factors and critical
-    values are built once.  On a partition design each test gets its
-    treated-sum threshold here.  Where a shift-share design holds sector
-    terms, each crve outcome gets its Q~ here, in one product per cluster,
-    and the kernel every outcome's W~'S if every test of every outcome has
-    a sector form (see _kernel_counts).
+    clusters and its sectors.  Only the outcomes' own terms are built here:
+    what the menus fix comes from _menu_terms and what the shares fix from
+    the ShareDesign, each built once.  On a partition design each test gets
+    its contrast threshold.  Where a shift-share design holds sector terms,
+    each crve outcome gets its Q~, in one batched product per piece of
+    equal-size clusters (ShareDesign.pieces), and the kernel every outcome's
+    W~'S if every test of every outcome has a sector form (see
+    _kernel_counts).
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
     partition = isinstance(design, PartitionDesign)
@@ -279,69 +398,59 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
         raise ValidationError("non-finite outcome")
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    menus = [tuple(menu) for menu in menus]
-    tests = {}  # menu -> (factors, crits); menus checked in order, each in menu order
-    for menu in menus:
-        if menu in tests:
-            continue
-        conventions = []  # (factor, dof) per estimator
-        for est in menu:
-            if est in _CLUSTERED and not n_clusters:
-                raise ValidationError(f"{est} requires cluster labels")
-            conventions.append(small_sample(est, n, n_clusters, n_sectors))
-        factors = tuple(factor for factor, _ in conventions)
-        tests[menu] = factors, np.array(t_crits(alpha, tuple(dof for _, dof in conventions)))
+    sector = not partition and design.ubar is not None
+    menus = tuple(tuple(menu) for menu in menus)
+    tests = _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector)
     yc -= yc.mean(axis=1, keepdims=True)
-    sums, crve, sector = yc, None, ("score-agg-null",)
-    crve_rows = [i for i, menu in enumerate(menus) if "crve" in menu]
+    null = [None] * len(menus)
+    sums = yc
+    crve = slopes = grams = thresholds = None
     if partition:
-        q, m, deflation = n / 4, design.group_size, (1.0 - 2.0 / n) ** -2
-        sums = np.array([np.bincount(design.group_of, weights=y, minlength=n_sectors) for y in yc])
-    elif crve_rows and design.cluster_grams is not None:
-        S = yc if len(crve_rows) == len(yc) else yc[crve_rows]
-        crve = np.empty((n_clusters, len(crve_rows), n_sectors))
-        for Q, segment in zip(crve, design.segments):
-            np.matmul(S[:, segment], shares[segment] - design.ubar, out=Q)
-        crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
-        sector = ("score-agg-null", "crve")
-    outcomes = []
-    for y, S, menu in zip(yc, sums, menus, strict=True):
-        factors, crits = tests[menu]
-        null = thresholds = None
-        if partition:
-            # Every draw z treats F/2 of the F groups of m units, so xbar = 1/2, every
-            # centred regressor is +-1/2, ssq = n/4 =: q, every leverage is 2/n and no
-            # draw is degenerate.  With S the group sums of the centred outcome,
-            # A = sum yc**2 and T = (z - 1/2).S the treated-minus-control contrast,
-            # the slope is T/q and each variance is factor * (a - b*T**2) / (4q**2),
-            # (a, b) = (A, 1/q) for the robust pair, (sum S**2, m/q) for crve, crve-hc3
-            # and score-agg and (sum S**2, 0) for score-agg-null, and hc3's deflation
-            # multiplies both, and so k below, by (1 - 2/n)**-2.  So a test rejects
-            # exactly when |T| >= c with c = sqrt(k*a / (1 + k*b)), k = crit**2 *
-            # factor / 4.  A zero variance (c = 0) rejects iff T != 0, as
-            # estimators.rejects does: c becomes the least positive float.  T is not the
-            # treated sum z.S: rounding can leave sum S != 0 (say, a constant 0.1), and
-            # then z.S rejects draws whose contrast, as the unit-level slope, is 0.
-            thresholds = []
-            for est, factor, crit in zip(menu, factors, crits):
-                k = crit * crit * factor / 4 * (deflation if est in _DEFLATED else 1.0)
-                a, b = (y @ y, 1.0 / q) if est.startswith("robust") else (S @ S, m / q)
-                b = 0.0 if est == "score-agg-null" else b
-                thresholds.append(max(math.sqrt(k * a / (1.0 + k * b)), math.ulp(0.0)))
-            thresholds = np.array(thresholds)
-        elif "score-agg-null" in menu:
-            null = shares.T @ (S[:, None] * shares), S @ shares
-        unit_scores = not partition and any(est not in sector for est in menu)
-        outcomes.append(
-            _Outcome(
-                S=S, estimators=menu, factors=factors, crits=crits, null=null,
-                unit_scores=unit_scores, thresholds=thresholds,
-            )
+        # Every draw z treats F/2 of the F groups of m units, so xbar = 1/2, every
+        # centred regressor is +-1/2, ssq = n/4 =: q, every leverage is 2/n and no
+        # draw is degenerate.  With S the group sums of the centred outcome,
+        # A = sum yc**2 and T = (z - 1/2).S the treated-minus-control contrast,
+        # the slope is T/q and each variance is factor * (a - b*T**2) / (4q**2),
+        # (a, b) = (A, 1/q) for the robust pair, (sum S**2, m/q) for crve, crve-hc3
+        # and score-agg and (sum S**2, 0) for score-agg-null, and hc3's deflation
+        # multiplies both, and so k below, by (1 - 2/n)**-2.  So a test rejects
+        # exactly when |T| >= c with c = sqrt(k*a / (1 + k*b)), k = crit**2 *
+        # factor / 4.  A zero variance (c = 0) rejects iff T != 0, as
+        # estimators.rejects does: c becomes the least positive float.  T is not the
+        # treated sum z.S: rounding can leave sum S != 0 (say, a constant 0.1), and
+        # then z.S rejects draws whose contrast, as the unit-level slope, is 0.
+        sums = np.array(
+            [np.bincount(design.group_of, weights=y, minlength=n_sectors) for y in yc]
         )
-    slopes = sums if partition else None
-    if not partition and design.gram is not None and not any(o.unit_scores for o in outcomes):
-        slopes = yc @ shares - np.outer(yc.sum(axis=1), design.ubar)
-    return _Kernel(design=design, outcomes=tuple(outcomes), crve=crve, slopes=slopes)
+        a = np.array([[y @ y, S @ S] for y, S in zip(yc, sums)])
+        a = np.where(tests.robust, a[tests.outcome, 0], a[tests.outcome, 1])
+        thresholds = np.maximum(np.sqrt(tests.k * a / (1.0 + tests.k * tests.b)), math.ulp(0.0))
+    else:
+        if tests.crve.size:
+            S = yc if tests.crve_rows.size == len(yc) else yc[tests.crve_rows]
+            crve = np.empty((n_clusters, len(S), n_sectors))
+            for members, units, rows in design.pieces:
+                if rows is None:
+                    rows = shares[units] - design.ubar
+                # (clusters, K, n_g) @ (clusters, n_g, F); each cluster's outcome rows are
+                # laid out as those of one product over its units would be, row-major in a
+                # slice of sorted units, column-major in a gather, so its bits are that
+                # product's
+                S_piece = S[:, units].transpose(1, 0, 2)
+                if design.order is None:
+                    S_piece = np.ascontiguousarray(S_piece)
+                crve[members] = np.matmul(S_piece, rows)
+            crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
+        for i, (S, menu) in enumerate(zip(yc, menus)):
+            if "score-agg-null" in menu:
+                null[i] = shares.T @ (S[:, None] * shares), S @ shares
+        if tests.sector_space:
+            slopes = yc @ shares - yc.sum(axis=1)[:, None] * design.ubar
+            grams = design.grams
+    return _Kernel(
+        design=design, tests=tests, S=sums, null=tuple(null), crve=crve, slopes=slopes,
+        grams=grams, thresholds=thresholds,
+    )
 
 
 def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,19 +475,18 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     sorted by cluster, or, for crve where the design holds sector terms,
     z'Q~ less the slope times B_g summed from the units.  score-agg-null's
     sector scores sum_i shares_if*xc_i*S_i are (Z @ H)_f - xbar*(S @ shares)_f
-    with H = shares' diag(S) shares on either path.  Both paths walk the
-    block in row sub-blocks whose widest temporary stays within
-    _KERNEL_BYTES.  tests/oracles.py keeps a dense unit-level form and the
-    scalar forms of the menu, and the engine tests pin agreement with both.
+    with H = shares' diag(S) shares on either path.  On either design every
+    test is decided in one step over a (draws, tests) or (tests, draws)
+    array.  Both shift-share paths walk the block in row sub-blocks whose
+    widest temporary stays within _KERNEL_BYTES.  tests/oracles.py keeps a
+    dense unit-level form and the scalar forms of the menu, and the engine
+    tests pin agreement with both.
     """
-    d = kernel.design
+    d, tests = kernel.design, kernel.tests
     if isinstance(d, PartitionDesign):
-        T = np.abs((Z - 0.5) @ kernel.slopes.T)  # (draws, K)
-        counts = [
-            np.count_nonzero(T[:, [i]] >= outcome.thresholds, axis=0)
-            for i, outcome in enumerate(kernel.outcomes)
-        ]
-        return np.concatenate(counts), np.zeros(len(kernel.outcomes), dtype=np.int64)
+        T = np.abs((Z - 0.5) @ kernel.S.T)  # (draws, K)
+        counts = (T[:, tests.outcome] >= kernel.thresholds).sum(axis=0)
+        return counts, np.zeros(len(tests.menus), dtype=np.int64)
     X = None
     if kernel.slopes is None:
         X = Z @ d.shares.T
@@ -386,7 +494,7 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     elif kernel.crve is None:
         width = Z.shape[1]
     else:
-        width = max(d.cluster_grams.shape[1], kernel.crve.shape[0])
+        width = max(kernel.grams[1].shape[1], kernel.crve.shape[0])
     rows = max(1, _KERNEL_BYTES // (8 * width))
     blocks = [
         _block_counts(kernel, None if X is None else X[lo : lo + rows], Z[lo : lo + rows])
@@ -396,12 +504,18 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of one row sub-block of a shift-share design; X is None in sector space."""
-    d = kernel.design
+    """Counts of one row sub-block of a shift-share design; X is None in sector space.
+
+    Each test's variance fills one row of a (tests, draws) array, and one
+    step applies the factors, the rejection rule and the usable and
+    leverage masks to all of them.
+    """
+    d, tests = kernel.design, kernel.tests
     n = d.n
     if X is None:
+        gram, cluster_grams, (iu, ju) = kernel.grams
         xbar = Z @ d.ubar
-        ssq = np.einsum("bf,bf->b", Z @ d.gram, Z)
+        ssq = np.einsum("bf,bf->b", Z @ gram, Z)
         usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
     else:
         xbar = X.mean(axis=1)
@@ -411,67 +525,56 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
         usable = ssq > DEGENERATE_TOL * np.einsum("bn,bn->b", X, X)
     ssq2 = ssq * ssq
 
-    counts = np.zeros(len(kernel.estimators), dtype=np.int64)
-    skipped = np.zeros(len(kernel.outcomes), dtype=np.int64)
-    k = 0
+    values = np.empty((len(tests.estimators), Z.shape[0]))
+    ok = usable[None, :].repeat(len(tests.menus), axis=0)  # (outcomes, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         if X is None:
             slopes = kernel.slopes @ Z.T
         else:
-            slopes = np.array([Xc @ outcome.S for outcome in kernel.outcomes])
+            slopes = np.array([Xc @ S for S in kernel.S])
         slopes = np.where(usable, slopes / ssq, 0.0)  # (outcomes, rows)
-        if any(est in _DEFLATED for est in kernel.estimators):
+        if tests.guarded is not None:
             deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
             leverage_ok = ~np.any(deflate >= 1.0 - 1e-12, axis=1)
             np.divide(1.0, 1.0 - deflate, out=deflate)
+            ok &= leverage_ok | ~tests.guarded
         if kernel.crve is not None:  # (G, draws) B, then (K_crve, G, draws) scores
             if X is None:
                 Zt = np.ascontiguousarray(Z.T)
-                iu, ju = np.triu_indices(Z.shape[1])
-                B = d.cluster_grams @ (Zt[iu] * Zt[ju])
+                B = cluster_grams @ (Zt[iu] * Zt[ju])
             else:
                 B = X2 if d.order is None else X2[:, d.order]
                 B = np.add.reduceat(B, d.starts, axis=1).T
-            rows = [i for i, outcome in enumerate(kernel.outcomes) if "crve" in outcome.estimators]
-            scores = (kernel.crve @ Z.T).reshape(len(rows), B.shape[0], -1)
-            scores -= slopes[rows][:, None, :] * B
-            crve_values = iter(np.einsum("kgb,kgb->kb", scores, scores))
+            scores = (kernel.crve @ Z.T).reshape(tests.crve.size, B.shape[0], -1)
+            scores -= slopes[tests.crve_rows][:, None, :] * B
+            values[tests.crve] = np.einsum("kgb,kgb->kb", scores, scores)
 
-        for i, outcome in enumerate(kernel.outcomes):
+        for i, unit_scores, rest in tests.scored:
             slope = slopes[i]
             P = None  # the (draws, N) scores, formed only for a test that reads them
-            if outcome.unit_scores:
+            if unit_scores:
                 P = slope[:, None] * Xc  # becomes the unit scores xc * (S - slope*xc)
-                np.subtract(outcome.S, P, out=P)
+                np.subtract(kernel.S[i], P, out=P)
                 P *= Xc
-            ok = usable
-            if any(est in _DEFLATED for est in outcome.estimators):
-                ok = usable & leverage_ok
+            if tests.guarded is not None and tests.guarded[i, 0]:
                 P_deflated = P * deflate
-            skipped[i] = np.count_nonzero(~ok)
-
-            for est, factor, crit in zip(outcome.estimators, outcome.factors, outcome.crits):
-                scores = P_deflated if est in _DEFLATED else P
-                if est in ("robust-hc1", "robust-hc3"):
-                    value = np.einsum("bn,bn->b", scores, scores)
-                elif est == "crve" and kernel.crve is not None:
-                    value = next(crve_values)
-                elif est in _CLUSTERED:
+            for j, est in rest:
+                scores = P_deflated if est in _DEFLATED else P  # robust: the unit scores
+                if est in _CLUSTERED:
                     if d.order is not None:
                         scores = scores[:, d.order]
                     scores = np.add.reduceat(scores, d.starts, axis=1)
-                    value = np.einsum("bg,bg->b", scores, scores)
-                else:  # score-agg / score-agg-null; null residuals are the outcome
-                    if est == "score-agg-null":
-                        H, s = outcome.null
-                        scores = Z @ H - xbar[:, None] * s
-                    else:
-                        scores = scores @ d.shares
-                    value = np.einsum("bf,bf->b", scores, scores)
-                value = factor * value / ssq2
-                counts[k] = np.count_nonzero(rejects(slope, value, crit) & ok)
-                k += 1
-    return counts, skipped
+                elif est == "score-agg-null":  # null residuals are the outcome
+                    H, s = kernel.null[i]
+                    scores = Z @ H - xbar[:, None] * s
+                elif est == "score-agg":
+                    scores = scores @ d.shares
+                values[j] = np.einsum("bk,bk->b", scores, scores)
+        np.multiply(tests.factors, values, out=values)
+        values /= ssq2
+    reject = rejects(slopes[tests.outcome], values, tests.crits)
+    reject &= ok[tests.outcome]
+    return reject.sum(axis=1), (~ok).sum(axis=1)
 
 
 def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -495,11 +598,11 @@ def _run_sim(ys, menus, cfg, workers, draw, design) -> _Reports:
     n_reps = cfg.replications
     results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
     counts = iter(sum(c for c, _ in results).tolist())  # outcome by outcome, menu order
-    skipped = sum(s for _, s in results)
+    skipped = sum(s for _, s in results).tolist()
     reports = []
-    for outcome, outcome_skipped in zip(kernel.outcomes, skipped):
-        b_effective = n_reps - int(outcome_skipped)
-        rejections = {est: next(counts) for est in outcome.estimators}
+    for menu, outcome_skipped in zip(kernel.tests.menus, skipped):
+        b_effective = n_reps - outcome_skipped
+        rejections = {est: next(counts) for est in menu}
         rates = {
             est: (c / b_effective if b_effective else 0.0) for est, c in rejections.items()
         }
@@ -508,7 +611,7 @@ def _run_sim(ys, menus, cfg, workers, draw, design) -> _Reports:
                 seed=cfg.seed,
                 replications=n_reps,
                 b_effective=b_effective,
-                skipped_degenerate=int(outcome_skipped),
+                skipped_degenerate=outcome_skipped,
                 rejections=rejections,
                 rates=rates,
             )

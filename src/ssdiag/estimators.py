@@ -161,28 +161,39 @@ def rejects(diff, value, crit) -> np.ndarray:
 
 def ols_simple(y, x) -> RegressionFit:
     """Least-squares fit of y on an intercept and a single regressor."""
-    y = np.asarray(y, dtype=float)
+    (fit,) = ols_fits([y], x)
+    return fit
+
+
+def ols_fits(ys, x) -> list[RegressionFit]:
+    """The ols_simple fit of each outcome in ``ys`` on the one regressor ``x``.
+
+    The centred regressor and its sum of squares are formed once for all
+    outcomes; each fit equals ols_simple's bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if x.ndim != 1 or any(y.shape != x.shape for y in ys):
         raise ValidationError("y and x must be vectors of equal length")
-    n = y.shape[0]
-    if n < 3:
+    if x.shape[0] < 3:
         raise ValidationError("need at least 3 observations")
     xbar = x.mean()
     xt = x - xbar
     ssq = float(xt @ xt)
     if ssq <= DEGENERATE_TOL * float(x @ x):
         raise DegeneracyError("degenerate regressor (no variation)")
-    ybar = y.mean()
-    slope = float(xt @ (y - ybar)) / ssq
-    intercept = ybar - slope * xbar
-    residuals = y - intercept - slope * x
-    return RegressionFit(
-        slope=slope,
-        residuals=residuals,
-        regressor_demeaned_ssq=ssq,
-        x_demeaned=xt,
-    )
+    fits = []
+    for y in ys:
+        ybar = y.mean()
+        slope = float(xt @ (y - ybar)) / ssq
+        intercept = ybar - slope * xbar
+        residuals = y - intercept - slope * x
+        fits.append(
+            RegressionFit(
+                slope=slope, residuals=residuals, regressor_demeaned_ssq=ssq, x_demeaned=xt
+            )
+        )
+    return fits
 
 
 def var_robust(fit: RegressionFit) -> VarianceEstimate:
@@ -194,15 +205,22 @@ def var_robust(fit: RegressionFit) -> VarianceEstimate:
     return VarianceEstimate(value=value, dof=float(dof))
 
 
-def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
-    """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels."""
+def var_cluster(fit: RegressionFit, clusters, n_clusters: int | None = None) -> VarianceEstimate:
+    """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels.
+
+    Labels already numbered 0..n_clusters-1 (:func:`ssdiag.data.contiguous_labels`)
+    may come with that count, so that a caller testing many fits on one
+    clustering does not relabel them on every call.
+    """
     clusters = np.asarray(clusters)
     n = fit.n_obs
     if clusters.shape != (n,):
         raise ValidationError("cluster labels do not match the fit")
-    labels, index = np.unique(clusters, return_inverse=True)
-    factor, dof = small_sample("crve", n, labels.size, 0)
-    scores = np.bincount(index, weights=fit.x_demeaned * fit.residuals, minlength=labels.size)
+    if n_clusters is None:
+        labels, clusters = np.unique(clusters, return_inverse=True)
+        n_clusters = labels.size
+    factor, dof = small_sample("crve", n, n_clusters, 0)
+    scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
     return VarianceEstimate(value=value, dof=float(dof))
 

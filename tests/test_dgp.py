@@ -232,6 +232,31 @@ class TestFlaggingCurve:
         run_grouped_experiment([grouped], 5)
         assert calls == [2] * 5
 
+    def test_menu_terms_built_once_per_experiment(self, monkeypatch):
+        # every simulation of an experiment tests one menu, so its factors and critical
+        # values are built once per design size, not once per outer draw; the menu terms
+        # are kept across experiments, so start from none
+        engines._menu_terms.cache_clear()
+        calls = []
+        for name in ("small_sample", "t_crits"):
+            real = getattr(engines, name)
+            monkeypatch.setattr(
+                engines, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+            )
+        shares, clusters = crossed_shares(5, 4)
+        cfg = SimConfig(replications=30, seed=5)
+        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, cfg)
+        assert calls == ["small_sample", "t_crits"]
+        calls.clear()
+        # 3 cells on two partition designs of 12 units: 4 groups of 3 and 6 of 2
+        cells = [
+            (GroupedDGP(n_states=4, per_state=3), cfg),
+            (GroupedDGP(n_states=6, per_state=2, beta=0.5), cfg),
+            (GroupedDGP(n_states=4, per_state=3, omega=0.3), cfg),
+        ]
+        run_grouped_experiment(cells, 20)
+        assert calls == ["small_sample", "t_crits"] * 2
+
     def test_crossed_shares_shape(self):
         shares, clusters = crossed_shares(3, 4)
         assert shares.shape == (12, 4)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -369,7 +370,9 @@ class TestCellKernel:
         assert engines._kernel_counts(gapped, Z)[0].tolist() == want[0][0]
 
     def test_design_and_conventions_built_once(self, monkeypatch):
-        # three outcomes on two distinct menus: one cluster sort, each menu's factors once
+        # three outcomes on two distinct menus: one cluster sort, each menu's factors once,
+        # in menu order; the menu terms are kept across kernels, so start from none
+        engines._menu_terms.cache_clear()
         segments, conventions = [], []
         real_segments, real_small_sample = engines._cluster_segments, engines.small_sample
         monkeypatch.setattr(
@@ -387,9 +390,13 @@ class TestCellKernel:
         design = share_design(rng.uniform(0.1, 1.0, (12, 3)), clusters)
         kernel = engines._make_kernel(ys, menus, 0.05, design)
         assert segments == [1] and conventions == [*FULL_MENU, "crve"]
-        assert [o.estimators for o in kernel.outcomes] == menus
+        assert list(kernel.tests.menus) == menus
         assert kernel.estimators == (*FULL_MENU, "crve", *FULL_MENU)
-        assert kernel.outcomes[0].crits is kernel.outcomes[2].crits
+        crits = kernel.tests.crits.ravel()
+        assert crits[:6].tolist() == crits[7:].tolist()
+        # a second kernel on the same menus and design size builds nothing again
+        engines._make_kernel(ys[::-1], menus, 0.05, design)
+        assert conventions == [*FULL_MENU, "crve"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_menus_of_lengths_6_and_1_in_one_sim(self, workers):
@@ -462,12 +469,11 @@ class TestCellKernel:
         shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
         y = 5.0 + rng.standard_normal(n)
         kernel = engines._make_kernel([y], [("score-agg-null",)], 0.05, share_design(shares))
-        (outcome,) = kernel.outcomes
         Z = rng.standard_normal((64, f))
         X = Z @ shares.T
         xbar = X.mean(axis=1)
         want = ((X - xbar[:, None]) * (y - y.mean())) @ shares
-        H, s = outcome.null
+        ((H, s),) = kernel.null
         got = Z @ H - xbar[:, None] * s
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -505,7 +511,7 @@ class TestCellKernel:
         y = 5.0 + rng.standard_normal(n)
         design = share_design(shares, clusters)
         kernel = engines._make_kernel([y], [("crve",)], 0.05, design)
-        (outcome,) = kernel.outcomes
+        (S,) = kernel.S
         order, starts = design.order, design.starts
         assert order is not None and starts.size == g
         Z = rng.standard_normal((64, f))
@@ -513,12 +519,13 @@ class TestCellKernel:
         xbar = X.mean(axis=1)
         Xc = X - xbar[:, None]
         ssq = np.einsum("bn,bn->b", Xc, Xc)
-        slope = (Xc @ outcome.S) / ssq
-        want = np.add.reduceat((Xc * (outcome.S - slope[:, None] * Xc))[:, order], starts, axis=1)
+        slope = (Xc @ S) / ssq
+        want = np.add.reduceat((Xc * (S - slope[:, None] * Xc))[:, order], starts, axis=1)
         B = np.add.reduceat((Xc * Xc)[:, order], starts, axis=1)
-        iu, ju = np.triu_indices(f)
-        got_B = (Z[:, iu] * Z[:, ju]) @ design.cluster_grams.T
-        got_ssq = np.einsum("bf,bf->b", Z @ design.gram, Z)
+        gram, cluster_grams, (iu, ju) = design.grams
+        assert np.array_equal((iu, ju), np.triu_indices(f))
+        got_B = (Z[:, iu] * Z[:, ju]) @ cluster_grams.T
+        got_ssq = np.einsum("bf,bf->b", Z @ gram, Z)
         got_slope = (Z @ kernel.slopes[0]) / got_ssq
         got = Z @ kernel.crve.T - got_slope[:, None] * got_B
         for got_terms, want_terms in ((Z @ design.ubar, xbar), (got_ssq, ssq), (got_slope, slope)):
@@ -608,19 +615,140 @@ class TestCellKernel:
         assert crve_only.crve is not None and crve_only.slopes is not None
         # diagnose-large's shape, F*G = N = 10,000
         large = share_design(rng.uniform(0, 1, (10_000, 100)), np.arange(10_000) // 100)
-        assert large.cluster_grams.shape == (100, 5050)
+        assert large.grams[1].shape == (100, 5050)
         assert kernel(("crve",), large).crve.shape == (100, 100)
         # a mixed menu keeps the unit path, with crve in sector form
         mixed = kernel(("robust-hc1", "crve"), crossed)
         assert mixed.crve is not None and mixed.slopes is None
         # singleton clusters: F*G = 3N
-        assert share_design(rng.uniform(0, 1, (12, 3)), np.arange(12)).cluster_grams is None
+        assert share_design(rng.uniform(0, 1, (12, 3)), np.arange(12)).grams is None
         # a partition design is tested by one treated-sum threshold per test instead
         partition = engines._make_kernel(
             [rng.standard_normal(18)], [("crve",)], 0.05, contiguous_partition(6, 3)
         )
-        assert partition.crve is None and partition.outcomes[0].thresholds.shape == (1,)
+        assert partition.crve is None and partition.thresholds.shape == (1,)
         assert kernel(("robust-hc1", "score-agg"), crossed).crve is None
+
+
+class TestDesignOnce:
+    """What the design or the menus fix is built once; only the outcomes' terms per kernel."""
+
+    @staticmethod
+    def _three_size_design(rng, n_sectors=5):
+        """Unsorted labels 3g + 2 of 10 clusters of 10, 14 and 20 units, one share each."""
+        sizes = [10] * 4 + [14] * 3 + [20] * 3
+        labels = rng.permutation(np.repeat(3 * np.arange(len(sizes)) + 2, sizes))
+        shares = np.zeros((labels.size, n_sectors))
+        shares[np.arange(labels.size), rng.integers(0, n_sectors, labels.size)] = 1.0
+        shares += rng.uniform(0.0, 0.5, shares.shape) * (rng.random(shares.shape) < 0.3)
+        return shares, labels
+
+    def test_batched_cluster_sums_match_unit_oracle(self, monkeypatch):
+        # Q~ is built in one product per piece of equal-size clusters; a budget of two
+        # 20-unit clusters splits the 14- and 20-unit sizes, 5 pieces in all
+        rng = np.random.default_rng(23)
+        shares, labels = self._three_size_design(rng)
+        monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * 20 * 5 * 2)
+        design = share_design(shares, labels)
+        assert design.order is not None
+        assert [len(m) for m, _, _ in design.pieces] == [4, 2, 1, 2, 1]
+        assert [u.shape[1] for _, u, _ in design.pieces] == [10, 14, 14, 20, 20]
+        pieces = []
+        real_matmul = np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, **kw: pieces.append(np.ndim(a)) or real_matmul(a, b, **kw)
+        )
+        ys = [4.0 + rng.standard_normal(labels.size), rng.standard_normal(labels.size)]
+        menus = [("crve",), ("robust-hc1", "crve")]
+        for kernel_menus in (menus[:1] * 2, menus):  # sector space, then the unit path
+            pieces.clear()
+            kernel = engines._make_kernel(ys, kernel_menus, 0.3, design)
+            assert pieces.count(3) == 5
+            Z = rng.standard_normal((120, 5))
+            counts, skipped = engines._kernel_counts(kernel, Z)
+            want = [
+                oracles.unit_kernel_counts(y, Z @ shares.T, menu, 0.3, clusters=labels)
+                for y, menu in zip(ys, kernel_menus)
+            ]
+            got = np.split(counts, np.cumsum([len(m) for m in kernel_menus])[:-1])
+            assert [(c.tolist(), s) for c, s in zip(got, skipped.tolist())] == want
+            assert want[0][0][0] > 0
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_batched_cluster_sums_equal_per_cluster_products(self, shuffled):
+        # on flag-curve's crossed design, bit for bit what one product per cluster gives:
+        # over a slice of the units where clusters are sorted, else over their gather
+        shares, clusters = crossed_shares(25, 20)
+        rng = np.random.default_rng(24)
+        if shuffled:
+            units = rng.permutation(500)
+            shares, clusters = shares[units], clusters[units]
+        design = share_design(shares, clusters)
+        ys = rng.standard_normal((8, 500)) + np.arange(8)[:, None]
+        kernel = engines._make_kernel(ys, [("crve",)] * 8, 0.05, design)
+        Q = kernel.crve.reshape(8, 25, 20)
+        for g in range(25):
+            segment = np.flatnonzero(clusters == g) if shuffled else slice(20 * g, 20 * g + 20)
+            want = np.matmul(kernel.S[:, segment], shares[segment] - design.ubar)
+            assert np.array_equal(Q[:, g], want), g
+
+    @staticmethod
+    def _edge_case_block():
+        """16 units on 4 sectors, one share of 1.0 each, and sector 0 held by unit 0 alone.
+
+        Dyadic data make every term exact.  The block holds random integer draws
+        and, in that order, z0, whose regressor the first outcome equals up to a
+        shift (a zero-variance draw with slope 1), the unit vector of sector 0
+        (unit 0 at leverage 1) and two constant draws (degenerate).
+        """
+        rng = np.random.default_rng(25)
+        sector = np.r_[0, 1 + np.arange(15) % 3]
+        shares = np.eye(4)[sector]
+        z0 = np.array([1.0, 2.0, -1.0, 3.0])
+        ys = [shares @ z0 + 5.0, rng.integers(-4, 5, 16).astype(float)]
+        Z = np.vstack([
+            rng.integers(-3, 4, (30, 4)), z0, np.eye(4)[0], rng.integers(-3, 4, (20, 4)),
+            np.full(4, 2.0), np.zeros(4),
+        ]).astype(float)
+        return shares, np.arange(16) % 4, ys, Z, 30
+
+    @pytest.mark.parametrize(
+        "menus, sector",
+        [([FULL_MENU, ("crve",)], False), ([("crve",), ("crve", "score-agg-null")], True)],
+    )
+    def test_one_decision_step_keeps_the_edge_rules(self, menus, sector):
+        shares, clusters, ys, Z, zero_variance = self._edge_case_block()
+        X = Z @ shares.T
+        xc = X[zero_variance] - X[zero_variance].mean()
+        yc = ys[0] - ys[0].mean()
+        assert np.all(yc - (xc @ yc) / (xc @ xc) * xc == 0.0)  # no residual: zero variance
+        kernel = engines._make_kernel(ys, menus, 0.3, share_design(shares, clusters))
+        assert (kernel.slopes is not None) == sector
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        want = [
+            oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
+            for y, menu in zip(ys, menus)
+        ]
+        got = np.split(counts, [len(menus[0])])
+        assert [(c.tolist(), s) for c, s in zip(got, skipped.tolist())] == want
+        # the zero-variance draw rejects with crve, its slope being 1
+        row = Z[[zero_variance]]
+        crve_at = menus[0].index("crve")
+        assert engines._kernel_counts(kernel, row)[0][crve_at] == 1
+        # the leverage-1 unit is skipped by the hc3 guard only
+        lever = Z[[zero_variance + 1]]
+        assert engines._kernel_counts(kernel, lever)[1].tolist() == [int(not sector), 0]
+        assert skipped.tolist()[1] >= 2  # the constant draws
+
+    def test_grams_built_where_sector_space_reads_them(self):
+        # a mixed menu keeps the unit path, whose crve reads ubar and Q~ but no Gram
+        data = _dataset(26, n=40, f=4, placebo=True)
+        design = _design(data)
+        cfg = SimConfig(replications=300, seed=26, estimators=FULL_MENU)
+        run_y_fixed(data.y, design, cfg, crve=[data.y_placebo])
+        assert design.ubar is not None and "grams" not in vars(design)
+        run_outcome_fixed([data.y_placebo], design, replace(cfg, estimators=("crve",)))
+        assert "grams" in vars(design)
 
 
 class TestMemory:

@@ -20,7 +20,7 @@ from ssdiag import (
 from ssdiag import engines
 from ssdiag.data import contiguous_partition
 from ssdiag.errors import ValidationError
-from ssdiag.estimators import small_sample, t_crits
+from ssdiag.estimators import ols_fits, small_sample, t_crits
 
 
 def _random_case(seed, n=12, n_clusters=3):
@@ -71,6 +71,11 @@ class TestOlsSimple:
     def test_fit_invariants(self, seed):
         y, x, _ = _random_case(seed)
         fit = ols_simple(y, x)
+        # fits of several outcomes on one regressor share its centred terms, bit for bit
+        fits = ols_fits([y, 2.0 * y - 1.0], x)
+        for got, want in zip(fits, [fit, ols_simple(2.0 * y - 1.0, x)]):
+            assert got.slope == want.slope
+            assert np.array_equal(got.residuals, want.residuals)
         scale = max(1.0, float(np.abs(y).max()))
         assert abs(fit.residuals.sum()) <= 1e-10 * y.size * scale
         assert abs(fit.residuals @ x) <= 1e-10 * y.size * scale * max(1.0, np.abs(x).max())
@@ -170,6 +175,7 @@ class TestVarCluster:
         fit = ols_simple(y, x)
         contiguous = var_cluster(fit, clusters)
         assert var_cluster(fit, 2 * clusters) == contiguous
+        assert var_cluster(fit, clusters, 4) == contiguous  # labels 0..3 with their count
         assert contiguous.dof == 3.0
         assert oracles.var_cr3(fit, 2 * clusters) == oracles.var_cr3(fit, clusters)
 
@@ -224,10 +230,10 @@ class TestSmallSample:
         shares = np.random.default_rng(4).uniform(0.05, 1.0, (12, 4))
         design = engines.share_design(shares, clusters)
         kernel = engines._make_kernel([y], [engines.ESTIMATORS], 0.05, design)
-        (outcome,) = kernel.outcomes
         conventions = [small_sample(est, 12, 3, 4) for est in engines.ESTIMATORS]
-        assert outcome.factors == tuple(factor for factor, _ in conventions)
-        assert outcome.crits.tolist() == list(t_crits(0.05, tuple(d for _, d in conventions)))
+        assert kernel.tests.factors.ravel().tolist() == [factor for factor, _ in conventions]
+        crits = kernel.tests.crits.ravel().tolist()
+        assert crits == list(t_crits(0.05, tuple(d for _, d in conventions)))
         fit = ols_simple(y, x)
         assert var_robust(fit).dof == 10 and var_cluster(fit, clusters).dof == 2
 

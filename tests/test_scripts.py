@@ -10,6 +10,7 @@ them and says so in CHANGES.md:
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from test_acceptance import REFERENCE_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -32,14 +34,15 @@ CONVERGENCE = {
 TOY = {"toy-shares.csv": "shares.csv", "toy-outcomes.csv": "outcomes.csv"}
 
 
-def _run(args, cwd):
+def _run(args, cwd, stderr=False):
+    """The stdout of a successful run of ``args``, and its stderr if asked."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return (proc.stdout, proc.stderr) if stderr else proc.stdout
 
 
 def _csv_rows(text):
@@ -108,18 +111,30 @@ def test_run_convergence_grid_matches_golden(tmp_path, name):
 
 
 def test_run_full_table(tmp_path):
-    out = _run(
-        [
-            str(SCRIPTS / "run_full_table.py"), "--seed", "1", "--reps", "2", "--perms", "10",
-            "--states", "4", "--per-state", "2",
-        ],
-        tmp_path,
-    )
+    # the report bytes are mc-table's; stderr scores the 20-state cells, the ones the
+    # reference table holds, and the test recomputes that score from the report
+    args = ["--seed", "1", "--reps", "3", "--perms", "10", "--states", "4,20", "--per-state", "2"]
+    out, err = _run([str(SCRIPTS / "run_full_table.py"), *args], tmp_path, stderr=True)
+    assert out == _run(["-m", "ssdiag.cli", "mc-table", *args], tmp_path)
     comment, body = out.split("\n", 1)
-    assert comment.startswith("# ") and "reps=2" in comment and "perms=10" in comment
+    assert comment.startswith("# ") and "reps=3" in comment and "perms=10" in comment
     rows = _csv_rows(body)
-    assert [r["panel"] for r in rows] == ["A", "B", "C", "D", "E"]
-    assert all(0.0 <= float(r["size"]) <= 1.0 for r in rows)
+    assert [(r["panel"], r["n_states"]) for r in rows] == [
+        (panel, n) for panel in "ABCDE" for n in ("4", "20")
+    ]
+    columns = ("size", "pr_gamma_y", "pr_gamma_eps")
+    z = {
+        f"{r['panel']}/20 {column}": (float(r[column]) - ref) / math.sqrt(ref * (1 - ref) / 3)
+        for r in rows
+        if r["n_states"] == "20"
+        for column, ref in zip(columns, REFERENCE_TABLE[(r["panel"], 20)])
+    }
+    worst = max(z, key=lambda name: abs(z[name]))
+    chi2 = sum(v * v for v in z.values())
+    assert err == (
+        f"chi2(15) = {chi2:.1f} against the reference table; "
+        f"largest |z| = {abs(z[worst]):.2f} ({worst})\n"
+    )
 
 
 if __name__ == "__main__":
