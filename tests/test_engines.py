@@ -653,17 +653,17 @@ class TestDesignOnce:
         assert design.order is not None
         assert [len(m) for m, _, _ in design.pieces] == [4, 2, 1, 2, 1]
         assert [u.shape[1] for _, u, _ in design.pieces] == [10, 14, 14, 20, 20]
-        pieces = []
+        products = []  # the rank of each np.matmul operand: 3 for a batched product
         real_matmul = np.matmul
         monkeypatch.setattr(
-            np, "matmul", lambda a, b, **kw: pieces.append(np.ndim(a)) or real_matmul(a, b, **kw)
+            np, "matmul", lambda a, b, **kw: products.append(np.ndim(a)) or real_matmul(a, b, **kw)
         )
         ys = [4.0 + rng.standard_normal(labels.size), rng.standard_normal(labels.size)]
         menus = [("crve",), ("robust-hc1", "crve")]
         for kernel_menus in (menus[:1] * 2, menus):  # sector space, then the unit path
-            pieces.clear()
+            products.clear()
             kernel = engines._make_kernel(ys, kernel_menus, 0.3, design)
-            assert pieces.count(3) == 5
+            assert products.count(3) == 5
             Z = rng.standard_normal((120, 5))
             counts, skipped = engines._kernel_counts(kernel, Z)
             want = [
