@@ -56,7 +56,8 @@ from .rng import substream
 
 _CHUNK = 256
 # Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
-# chunk up to 512 units, 13 rows at 10,000 units.
+# chunk up to 512 units, 13 rows at 10,000 units.  It also bounds each piece of
+# centred share rows that builds Q~ (ShareDesign.pieces).
 _KERNEL_BYTES = 1 << 20
 
 
