@@ -64,9 +64,11 @@ def fit_line(report: str) -> str:
 def run(args: list[str]) -> int:
     argv = ["mc-table", "--reps", "20000", "--perms", "500", *args]
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(argv)
-    sys.stdout.write(stdout.getvalue())
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+    finally:  # --help, say, leaves main by SystemExit, and what it printed is output too
+        sys.stdout.write(stdout.getvalue())
     out = _OUT.parse_known_args(args)[0].out
     report = Path(out).read_text(encoding="utf-8") if code == 0 and out else stdout.getvalue()
     if code == 0 and report:

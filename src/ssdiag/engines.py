@@ -56,8 +56,8 @@ from .rng import substream
 
 _CHUNK = 256
 # Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
-# chunk up to 512 units, 13 rows at 10,000 units.  It also bounds each piece of
-# centred share rows that builds Q~ (ShareDesign.pieces).
+# chunk up to 512 units, 13 rows at 10,000 units.  It also bounds the centred
+# share rows of each piece of clusters that builds Q~ (ShareDesign.pieces).
 _KERNEL_BYTES = 1 << 20
 
 
@@ -168,9 +168,8 @@ class ShareDesign:
     ubar: np.ndarray | None  # (F,)
     # the clusters of each size n_g, in order of size and in pieces whose centred share
     # rows fit in _KERNEL_BYTES, so that Q~ takes one batched product per piece: their
-    # positions (b,), their units (b, n_g) and, where the shares fit in that budget, the
-    # rows w~_i themselves (b, n_g, F), else None
-    pieces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...] | None
+    # positions (b,) and their units (b, n_g)
+    pieces: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
     @cached_property
     def grams(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
@@ -187,9 +186,9 @@ class ShareDesign:
             return None
         n_sectors = self.shares.shape[1]
         grams = np.empty((self.starts.size, n_sectors, n_sectors))
-        for members, units, rows in self.pieces:
-            for i, g in enumerate(members):
-                w = self.shares[units[i]] - self.ubar if rows is None else rows[i]
+        for members, units in self.pieces:
+            for g, cluster in zip(members, units):
+                w = self.shares[cluster] - self.ubar
                 np.matmul(w.T, w, out=grams[g])
         iu, ju = np.triu_indices(n_sectors)
         return grams.sum(axis=0), grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0), (iu, ju)
@@ -223,9 +222,7 @@ def share_design(shares, clusters=None) -> ShareDesign:
             batch = max(1, _KERNEL_BYTES // (8 * size * n_sectors))
             for lo in range(0, of_size.size, batch):
                 members = of_size[lo : lo + batch]
-                units = sorted_units[starts[members, None] + np.arange(size)]
-                rows = shares[units] - ubar if shares.nbytes <= _KERNEL_BYTES else None
-                pieces.append((members, units, rows))
+                pieces.append((members, sorted_units[starts[members, None] + np.arange(size)]))
         pieces = tuple(pieces)
     return ShareDesign(n=n, shares=shares, order=order, starts=starts, ubar=ubar, pieces=pieces)
 
@@ -353,7 +350,6 @@ class _Kernel:
     # (K, F) each outcome's W~'S, slope = z.(W~'S) / ssq; None unless every test of every
     # outcome has a sector form, so that the kernel never forms the regressors
     slopes: np.ndarray | None
-    grams: tuple | None  # ShareDesign.grams where the kernel works in sector space
     thresholds: np.ndarray | None  # on a partition design, the contrast threshold per test
 
     @property
@@ -405,7 +401,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     yc -= yc.mean(axis=1, keepdims=True)
     null = [None] * len(menus)
     sums = yc
-    crve = slopes = grams = thresholds = None
+    crve = slopes = thresholds = None
     if partition:
         # Every draw z treats F/2 of the F groups of m units, so xbar = 1/2, every
         # centred regressor is +-1/2, ssq = n/4 =: q, every leverage is 2/n and no
@@ -430,9 +426,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
         if tests.crve.size:
             S = yc if tests.crve_rows.size == len(yc) else yc[tests.crve_rows]
             crve = np.empty((n_clusters, len(S), n_sectors))
-            for members, units, rows in design.pieces:
-                if rows is None:
-                    rows = shares[units] - design.ubar
+            for members, units in design.pieces:
                 # (clusters, K, n_g) @ (clusters, n_g, F); each cluster's outcome rows are
                 # laid out as those of one product over its units would be, row-major in a
                 # slice of sorted units, column-major in a gather, so its bits are that
@@ -440,6 +434,8 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
                 S_piece = S[:, units].transpose(1, 0, 2)
                 if design.order is None:
                     S_piece = np.ascontiguousarray(S_piece)
+                rows = shares[units]  # becomes the centred rows w~_i, in place
+                rows -= design.ubar
                 crve[members] = np.matmul(S_piece, rows)
             crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
         for i, (S, menu) in enumerate(zip(yc, menus)):
@@ -447,10 +443,10 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
                 null[i] = shares.T @ (S[:, None] * shares), S @ shares
         if tests.sector_space:
             slopes = yc @ shares - yc.sum(axis=1)[:, None] * design.ubar
-            grams = design.grams
+            design.grams  # built here, so that a kernel sent to the workers carries them
     return _Kernel(
         design=design, tests=tests, S=sums, null=tuple(null), crve=crve, slopes=slopes,
-        grams=grams, thresholds=thresholds,
+        thresholds=thresholds,
     )
 
 
@@ -495,7 +491,7 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     elif kernel.crve is None:
         width = Z.shape[1]
     else:
-        width = max(kernel.grams[1].shape[1], kernel.crve.shape[0])
+        width = max(d.grams[1].shape[1], kernel.crve.shape[0])
     rows = max(1, _KERNEL_BYTES // (8 * width))
     blocks = [
         _block_counts(kernel, None if X is None else X[lo : lo + rows], Z[lo : lo + rows])
@@ -514,7 +510,7 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
     d, tests = kernel.design, kernel.tests
     n = d.n
     if X is None:
-        gram, cluster_grams, (iu, ju) = kernel.grams
+        gram, cluster_grams, (iu, ju) = d.grams
         xbar = Z @ d.ubar
         ssq = np.einsum("bf,bf->b", Z @ gram, Z)
         usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)

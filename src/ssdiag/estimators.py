@@ -210,7 +210,8 @@ def var_cluster(fit: RegressionFit, clusters, n_clusters: int | None = None) -> 
 
     Labels already numbered 0..n_clusters-1 (:func:`ssdiag.data.contiguous_labels`)
     may come with that count, so that a caller testing many fits on one
-    clustering does not relabel them on every call.
+    clustering does not relabel them on every call.  The count is checked:
+    the labels must be integers that use each of 0..n_clusters-1 and no other.
     """
     clusters = np.asarray(clusters)
     n = fit.n_obs
@@ -219,6 +220,11 @@ def var_cluster(fit: RegressionFit, clusters, n_clusters: int | None = None) -> 
     if n_clusters is None:
         labels, clusters = np.unique(clusters, return_inverse=True)
         n_clusters = labels.size
+    else:
+        numbered = clusters.dtype.kind in "iu" and clusters.min() >= 0
+        used = np.bincount(clusters) if numbered else None
+        if used is None or used.size != n_clusters or not used.all():
+            raise ValidationError(f"cluster labels are not 0..{n_clusters - 1}, each in use")
     factor, dof = small_sample("crve", n, n_clusters, 0)
     scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2

@@ -651,8 +651,8 @@ class TestDesignOnce:
         monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * 20 * 5 * 2)
         design = share_design(shares, labels)
         assert design.order is not None
-        assert [len(m) for m, _, _ in design.pieces] == [4, 2, 1, 2, 1]
-        assert [u.shape[1] for _, u, _ in design.pieces] == [10, 14, 14, 20, 20]
+        assert [len(m) for m, _ in design.pieces] == [4, 2, 1, 2, 1]
+        assert [u.shape[1] for _, u in design.pieces] == [10, 14, 14, 20, 20]
         products = []  # the rank of each np.matmul operand: 3 for a batched product
         real_matmul = np.matmul
         monkeypatch.setattr(

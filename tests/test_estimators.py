@@ -176,6 +176,11 @@ class TestVarCluster:
         contiguous = var_cluster(fit, clusters)
         assert var_cluster(fit, 2 * clusters) == contiguous
         assert var_cluster(fit, clusters, 4) == contiguous  # labels 0..3 with their count
+        # a count that does not number the labels in use would change CR1's factor and dof
+        wrong = [(clusters, 3), (clusters, 5), (2 * clusters, 4), (clusters - 1, 4)]
+        for labels, count in [*wrong, (clusters.astype(float), 4)]:
+            with pytest.raises(ValidationError, match="not 0.."):
+                var_cluster(fit, labels, count)
         assert contiguous.dof == 3.0
         assert oracles.var_cr3(fit, 2 * clusters) == oracles.var_cr3(fit, clusters)
 

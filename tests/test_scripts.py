@@ -122,6 +122,7 @@ def test_run_full_table(tmp_path):
     assert [(r["panel"], r["n_states"]) for r in rows] == [
         (panel, n) for panel in "ABCDE" for n in ("4", "20")
     ]
+    assert all(0.0 <= float(r["size"]) <= 1.0 for r in rows)
     columns = ("size", "pr_gamma_y", "pr_gamma_eps")
     z = {
         f"{r['panel']}/20 {column}": (float(r[column]) - ref) / math.sqrt(ref * (1 - ref) / 3)
@@ -135,6 +136,9 @@ def test_run_full_table(tmp_path):
         f"chi2(15) = {chi2:.1f} against the reference table; "
         f"largest |z| = {abs(z[worst]):.2f} ({worst})\n"
     )
+    # --help leaves by SystemExit from inside mc-table; its text still reaches stdout
+    out, err = _run([str(SCRIPTS / "run_full_table.py"), "--help"], tmp_path, stderr=True)
+    assert out == _run(["-m", "ssdiag.cli", "mc-table", "--help"], tmp_path) and not err
 
 
 if __name__ == "__main__":
