@@ -221,8 +221,10 @@ def var_cluster(fit: RegressionFit, clusters, n_clusters: int | None = None) -> 
         labels, clusters = np.unique(clusters, return_inverse=True)
         n_clusters = labels.size
     else:
-        numbered = clusters.dtype.kind in "iu" and clusters.min() >= 0
-        used = np.bincount(clusters) if numbered else None
+        try:
+            used = np.bincount(clusters)  # refuses negative and non-integer labels
+        except (TypeError, ValueError):
+            used = None
         if used is None or used.size != n_clusters or not used.all():
             raise ValidationError(f"cluster labels are not 0..{n_clusters - 1}, each in use")
     factor, dof = small_sample("crve", n, n_clusters, 0)
