@@ -32,7 +32,6 @@ from .engines import (
     SimConfig,
     SimReport,
     run_outcome_fixed,
-    run_partition_permutation,
     run_y_fixed,
     share_design,
 )

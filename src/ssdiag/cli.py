@@ -41,6 +41,7 @@ from .dgp import (
 from .engines import (
     SimConfig,
     SimReport,
+    check_threshold,
     flagged,
     mc_se,
     run_outcome_fixed,
@@ -401,7 +402,7 @@ class _Settings:
 def cmd_diagnose(settings: _Settings) -> None:
     seed = settings.require_seed()
     alpha = settings.get("alpha", 0.05, float)
-    threshold = settings.get("threshold", 0.1, float)
+    threshold = check_threshold(settings.get("threshold", 0.1, float))
     perms = settings.get("perms", 2000, int)
     workers = settings.workers()
     out = settings.out()
@@ -412,13 +413,7 @@ def cmd_diagnose(settings: _Settings) -> None:
         menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
         if data.clusters is not None:
             menu[2:2] = ["crve", "crve-hc3"]
-    cfg = SimConfig(
-        replications=perms,
-        seed=seed,
-        alpha=alpha,
-        estimators=tuple(menu),
-        flag_threshold=threshold,
-    )
+    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha, estimators=tuple(menu))
 
     modes = settings.get_list("modes", distinct=True)
     if modes is None:
@@ -501,15 +496,10 @@ def cmd_mc_table(settings: _Settings) -> None:
     labels, cells = [], []
     for panel, params in PANEL_PARAMS.items():
         for n_states in states:
-            cfg = SimConfig(
-                replications=perms,
-                seed=derive_seed(seed, len(cells)),
-                alpha=alpha,
-                flag_threshold=threshold,
-            )
+            dgp = GroupedDGP(n_states=n_states, per_state=per_state, **params)
             labels.append([panel, n_states])
-            cells.append((GroupedDGP(n_states=n_states, per_state=per_state, **params), cfg))
-    results = run_grouped_experiment(cells, outer_reps, workers)
+            cells.append((dgp, derive_seed(seed, len(cells))))
+    results = run_grouped_experiment(cells, outer_reps, perms, alpha, threshold, workers)
 
     comment = _echo(
         {
@@ -565,8 +555,9 @@ def cmd_flag_curve(settings: _Settings) -> None:
         shares, clusters = crossed_shares(n_clusters, n_sectors)
         source = f"synthetic-crossed:{n_clusters}x{n_sectors}"
 
-    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha, flag_threshold=threshold)
-    rows = run_flagging_curve(shares, clusters, gammas, outer_reps, cfg, workers)
+    rows = run_flagging_curve(
+        shares, clusters, gammas, outer_reps, perms, seed, alpha, threshold, workers
+    )
 
     comment = _echo(
         {

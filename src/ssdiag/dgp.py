@@ -17,14 +17,7 @@ from functools import partial
 import numpy as np
 
 from .data import PartitionDesign, contiguous_labels, contiguous_partition, draw_treatment
-from .engines import (
-    SimConfig,
-    flagged,
-    mc_se,
-    run_outcome_fixed,
-    run_partition_permutation,
-    share_design,
-)
+from .engines import SimConfig, check_threshold, flagged, mc_se, run_outcome_fixed, share_design
 from .errors import ValidationError
 from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
@@ -115,51 +108,55 @@ class ExperimentRow:
         )
 
 
-def _grouped_chunk(cells, outer_reps, bounds) -> np.ndarray:
+def _grouped_chunk(cells, outer_reps, threshold, bounds) -> np.ndarray:
     """(cells, 3) tallies of the cell-draw pairs lo..hi-1.
 
-    Pair g is draw g % outer_reps of cell g // outer_reps.
+    Pair g is draw g % outer_reps of cell g // outer_reps.  A cell is a
+    (GroupedDGP, SimConfig) pair: the block configuration at the cell's seed.
     """
     lo, hi = bounds
     counts = np.zeros((len(cells), 3), dtype=np.int64)
     for g in range(lo, hi):
         k, j = divmod(g, outer_reps)
-        dgp, cfg = cells[k]
-        draw = draw_grouped(dgp, substream(cfg.seed, j, 0))
+        dgp, block = cells[k]
+        draw = draw_grouped(dgp, substream(block.seed, j, 0))
         fit = ols_simple(draw.y, draw.x)
         # size column: test the true effect with plain robust inference
-        counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), cfg.alpha)
+        counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), block.alpha)
         # one assignment block tests y-fixed (column 1) and eps-fixed (column 2)
         # with the size column's estimator
         ydot = draw.y - fit.slope * draw.x
-        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("robust-hc1",))
-        reports = run_partition_permutation([draw.y, ydot], dgp.design, block_cfg)
-        rates = [r.rates["robust-hc1"] for r in reports]
-        counts[k, 1:] += [flagged(rate, cfg.flag_threshold) for rate in rates]
+        block_j = replace(block, seed=derive_seed(block.seed, j, 1))
+        reports = run_outcome_fixed([draw.y, ydot], dgp.design, block_j)
+        counts[k, 1:] += [flagged(r.rates["robust-hc1"], threshold) for r in reports]
     return counts
 
 
-def run_grouped_experiment(cells, outer_reps: int, workers: int = 1) -> list[ExperimentRow]:
+def run_grouped_experiment(
+    cells, outer_reps: int, perms: int, alpha=0.05, threshold=0.1, workers: int = 1
+) -> list[ExperimentRow]:
     """Distribution of the simulation diagnostics across repeated samples.
 
-    ``cells`` is a sequence of (GroupedDGP, SimConfig) pairs, one row each.
-    Per cell and outer draw: (a) one realized-data test of the true effect
-    with robust-hc1 (size tally); (b) one permutation simulation testing
-    y-fixed and eps-fixed (y - beta_hat * treatment, beta_hat the realized
-    OLS slope) on the same draws, so their contrast is paired; a mode flags
-    when its robust-hc1 rejection rate reaches cfg.flag_threshold, whatever
-    cfg.estimators names.  Every cell-draw pair runs through one
+    ``cells`` is a sequence of (GroupedDGP, seed) pairs, one row each.  Per
+    cell and outer draw: (a) one realized-data test of the true effect with
+    robust-hc1 at level ``alpha`` (size tally); (b) one permutation
+    simulation of ``perms`` draws testing y-fixed and eps-fixed (y - beta_hat
+    * treatment, beta_hat the realized OLS slope) on the same draws, so
+    their contrast is paired; a mode flags when its robust-hc1 rejection
+    rate reaches ``threshold``.  Every cell-draw pair runs through one
     map_chunks call, and draw j of a cell keys its own streams
-    (substream(cfg.seed, j, 0), derive_seed(cfg.seed, j, 1)), so a row does
-    not depend on the other cells.
+    (substream(seed, j, 0), derive_seed(seed, j, 1)), so a row does not
+    depend on the other cells.
     """
     cells = list(cells)
     if not cells:
         raise ValidationError("need at least 1 experiment cell")
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
+    check_threshold(threshold)
+    blocks = [(dgp, SimConfig(perms, seed, alpha, ("robust-hc1",))) for dgp, seed in cells]
     parts = map_chunks(
-        partial(_grouped_chunk, cells, outer_reps),
+        partial(_grouped_chunk, blocks, outer_reps, threshold),
         chunk_bounds(len(cells) * outer_reps, _OUTER_CHUNK),
         workers,
     )
@@ -213,60 +210,58 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
     return FlaggingDraw(z=z, confound=confound, x=x)
 
 
-def _flagging_chunk(design, clusters, gammas, cfg, bounds) -> np.ndarray:
+def _flagging_chunk(design, clusters, gammas, block, threshold, bounds) -> np.ndarray:
+    """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed."""
     lo, hi = bounds
     n_clusters = design.starts.size  # clusters are labelled 0..G-1
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
     for j in range(lo, hi):
-        draw = draw_flagging(design.shares, substream(cfg.seed, j, 0))
+        draw = draw_flagging(design.shares, substream(block.seed, j, 0))
         ys = [draw.outcome(gamma) for gamma in gammas]
         fits = ols_fits(ys, draw.x)
         for gi, fit in enumerate(fits):
             variance = var_cluster(fit, clusters, n_clusters)
-            counts[gi, 0] += t_test(fit.slope, 0.0, variance, cfg.alpha)
+            counts[gi, 0] += t_test(fit.slope, 0.0, variance, block.alpha)
         ydots = [y_star - fit.slope * draw.x for y_star, fit in zip(ys, fits)]
-        # one shock block, drawn from derive_seed(cfg.seed, j, 1), tests every
-        # gamma in both modes: y-fixed fills column 1 and eps-fixed column 2
-        block_cfg = replace(cfg, seed=derive_seed(cfg.seed, j, 1), estimators=("crve",))
-        reports = run_outcome_fixed(ys + ydots, design, block_cfg)
-        flags = [flagged(r.rates["crve"], cfg.flag_threshold) for r in reports]
+        # one shock block, drawn from derive_seed(seed, j, 1), tests every gamma in
+        # both modes: y-fixed fills column 1 and eps-fixed column 2
+        block_j = replace(block, seed=derive_seed(block.seed, j, 1))
+        reports = run_outcome_fixed(ys + ydots, design, block_j)
+        flags = [flagged(r.rates["crve"], threshold) for r in reports]
         counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
 
 
 def run_flagging_curve(
-    shares,
-    clusters,
-    gamma_grid,
-    outer_reps: int,
-    cfg: SimConfig,
-    workers: int = 1,
+    shares, clusters, gamma_grid, outer_reps: int, perms: int, seed: int,
+    alpha=0.05, threshold=0.1, workers: int = 1,
 ) -> list[ExperimentRow]:
     """Flagging probabilities and test size along a confound-strength grid.
 
     Per gamma and outer draw: test a zero slope with cluster-robust inference
-    (size tally) and test y-fixed and eps-fixed with crve, whatever
-    cfg.estimators names, flagging when the rejection rate reaches the
-    threshold.  Draws are paired across gamma values and modes (same
+    at level ``alpha`` (size tally) and test y-fixed and eps-fixed with crve
+    over ``perms`` shock draws, flagging when the rejection rate reaches
+    ``threshold``.  Draws are paired across gamma values and modes (same
     substream per outer index, and one shock simulation per outer draw tests
     every gamma in both modes), so curve differences and the y-versus-eps
-    contrast are low-noise.  Cluster
-    labels count only the clusters they name: they are relabeled 0..G-1 in
-    order of first appearance.  The shares' design terms are built once, for
-    every simulation of the command.  Returns one row per gamma, in grid
-    order.
+    contrast are low-noise.  Cluster labels count only the clusters they
+    name: they are relabeled 0..G-1 in order of first appearance.  The
+    shares' design terms are built once, for every simulation of the
+    command.  Returns one row per gamma, in grid order.
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValidationError("gamma grid is empty")
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
+    check_threshold(threshold)
+    block = SimConfig(perms, seed, alpha, ("crve",))
     if clusters is None:
         raise ValidationError("cluster labels do not match shares")
     design = share_design(shares, clusters)
     clusters = contiguous_labels(clusters)
     parts = map_chunks(
-        partial(_flagging_chunk, design, clusters, gammas, cfg),
+        partial(_flagging_chunk, design, clusters, gammas, block, threshold),
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )

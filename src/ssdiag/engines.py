@@ -1,18 +1,18 @@
 """Design-based simulation engines.
 
-Both engines hold K outcome vectors fixed and test every outcome, each with
-its own estimator menu, against the same block of resampled regressors; the
-caller forms the outcomes.  The outcome-fixed engine for shift-share data
-resamples iid standard normal sector shocks on a ShareDesign, whose terms
-are built once per experiment and shared by all its simulations: one block
-tests the realized y (y-fixed) with the requested menu and the residualized
-y - beta_hat*x (eps-fixed) and the pre-treatment outcome (placebo) with
-crve, and the flagging experiment both modes at every confound strength.
-The treatment-permutation engine resamples the balanced assignment of a
-partition design, for the grouped experiment's y-fixed and eps-fixed
-outcomes.  Each replication refits the bivariate OLS and tests a zero slope
-with every requested variance estimator; reports carry rejection
-frequencies.
+One outcome-fixed engine holds K outcome vectors fixed and tests every
+outcome, each with its own estimator menu, against the same block of
+resampled regressors; the caller forms the outcomes.  Its draw follows the
+design: iid standard normal sector shocks on a ShareDesign, whose terms are
+built once per experiment and shared by all its simulations, and balanced
+group-level assignments on a partition design.  On shift-share data one
+block tests the realized y (y-fixed) with the requested menu and the
+residualized y - beta_hat*x (eps-fixed) and the pre-treatment outcome
+(placebo) with crve, and the flagging experiment both modes at every
+confound strength; on a partition design one block tests the grouped
+experiment's y-fixed and eps-fixed outcomes.  Each replication refits the
+bivariate OLS and tests a zero slope with every requested variance
+estimator; reports carry rejection frequencies.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
 group-level assignments.  On a partition design every test is one
@@ -63,21 +63,18 @@ _KERNEL_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication budget and test menu for one simulation run."""
+    """Replication budget, seed, level and test menu of one simulation run."""
 
     replications: int
     seed: int
     alpha: float = 0.05
     estimators: tuple[str, ...] = ("robust-hc1",)
-    flag_threshold: float = 0.1
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValidationError("need at least 1 replication")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-        if not 0.0 <= self.flag_threshold <= 1.0:
-            raise ValidationError("flag threshold must be in [0, 1]")
         if not self.estimators:
             raise ValidationError("estimator menu is empty")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
@@ -86,6 +83,13 @@ class SimConfig:
         repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
         if repeated:
             raise ValidationError(f"repeated estimators {repeated}")
+
+
+def check_threshold(threshold: float) -> float:
+    """``threshold``, refused unless it lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError("flag threshold must be in [0, 1]")
+    return threshold
 
 
 def flagged(rate: float, threshold: float) -> bool:
@@ -104,10 +108,19 @@ class SimReport:
 
     seed: int
     replications: int
-    b_effective: int
     skipped_degenerate: int
     rejections: dict[str, int]
-    rates: dict[str, float]
+
+    @property
+    def b_effective(self) -> int:
+        """The draws every test counted: the replications less the skipped ones."""
+        return self.replications - self.skipped_degenerate
+
+    @property
+    def rates(self) -> dict[str, float]:
+        """Each estimator's rejections over ``b_effective`` (0.0 when no draw was usable)."""
+        b = self.b_effective
+        return {est: (c / b if b else 0.0) for est, c in self.rejections.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +593,10 @@ def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Reports:
-    """The reports of one simulation, one per fixed outcome."""
+    """The reports of one simulation, one per fixed outcome.
+
+    bench/tracer.py reads its ``skipped_degenerate``.
+    """
 
     reports: tuple[SimReport, ...]
 
@@ -589,30 +605,25 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(ys, menus, cfg, workers, draw, design) -> _Reports:
-    """One report per outcome in ``ys``, each tested on ``design`` with its menu in ``menus``."""
+def _run_sim(ys, menus, cfg, workers, design) -> _Reports:
+    """One report per outcome in ``ys``, each tested on ``design`` with its menu in ``menus``.
+
+    The draw follows the design: balanced group-level assignments on a
+    PartitionDesign, sector shocks on a ShareDesign.
+    """
     kernel = _make_kernel(ys, menus, cfg.alpha, design)
-    n_reps = cfg.replications
-    results = map_chunks(partial(_sim_chunk, kernel, draw), chunk_bounds(n_reps, _CHUNK), workers)
+    if isinstance(design, PartitionDesign):
+        draw = partial(_partition_regressors, design.n_groups, cfg.seed)
+    else:
+        draw = partial(_shares_regressors, design.shares, cfg.seed)
+    bounds = chunk_bounds(cfg.replications, _CHUNK)
+    results = map_chunks(partial(_sim_chunk, kernel, draw), bounds, workers)
     counts = iter(sum(c for c, _ in results).tolist())  # outcome by outcome, menu order
     skipped = sum(s for _, s in results).tolist()
     reports = []
     for menu, outcome_skipped in zip(kernel.tests.menus, skipped):
-        b_effective = n_reps - outcome_skipped
         rejections = {est: next(counts) for est in menu}
-        rates = {
-            est: (c / b_effective if b_effective else 0.0) for est, c in rejections.items()
-        }
-        reports.append(
-            SimReport(
-                seed=cfg.seed,
-                replications=n_reps,
-                b_effective=b_effective,
-                skipped_degenerate=outcome_skipped,
-                rejections=rejections,
-                rates=rates,
-            )
-        )
+        reports.append(SimReport(cfg.seed, cfg.replications, outcome_skipped, rejections))
     return _Reports(tuple(reports))
 
 
@@ -621,16 +632,18 @@ def _run_sim(ys, menus, cfg, workers, draw, design) -> _Reports:
 
 
 def run_outcome_fixed(
-    outcomes, design: ShareDesign, cfg: SimConfig, workers: int = 1
+    outcomes, design: ShareDesign | PartitionDesign, cfg: SimConfig, workers: int = 1
 ) -> tuple[SimReport, ...]:
-    """Hold each outcome vector fixed and resample sector shocks on ``design``.
+    """Hold each outcome vector fixed and resample the draw of ``design``.
 
-    Every outcome is tested against the same shock draws, so each report
-    equals that of a run on its outcome alone.
+    On a ShareDesign each of the ``cfg.replications`` draws is a vector of
+    sector shocks.  On a PartitionDesign each treats a random half of the
+    groups; the exact distribution over every balanced assignment is
+    :func:`ssdiag.analytics.enumerate_assignment_variance`.  Every outcome
+    is tested against the same draws, so each report equals that of a run
+    on its outcome alone.
     """
-    draw = partial(_shares_regressors, design.shares, cfg.seed)
-    menus = [cfg.estimators] * len(outcomes)
-    return _run_sim(outcomes, menus, cfg, workers, draw, design).reports
+    return _run_sim(outcomes, [cfg.estimators] * len(outcomes), cfg, workers, design).reports
 
 
 def run_y_fixed(
@@ -647,21 +660,4 @@ def run_y_fixed(
     """
     ys = [y, *crve]
     menus = [cfg.estimators] + [("crve",)] * (len(ys) - 1)
-    draw = partial(_shares_regressors, design.shares, cfg.seed)
-    return _run_sim(ys, menus, cfg, workers, draw, design).reports
-
-
-def run_partition_permutation(
-    outcomes, design: PartitionDesign, cfg: SimConfig, workers: int = 1
-) -> tuple[SimReport, ...]:
-    """Hold each outcome vector fixed and resample balanced group-level assignments.
-
-    Every outcome is tested against the same draws, so each report equals
-    that of a run on its outcome alone.  Each of the ``cfg.replications``
-    draws treats a random half of the groups; the exact distribution over
-    every balanced assignment is
-    :func:`ssdiag.analytics.enumerate_assignment_variance`.
-    """
-    draw = partial(_partition_regressors, design.n_groups, cfg.seed)
-    menus = [cfg.estimators] * len(outcomes)
-    return _run_sim(outcomes, menus, cfg, workers, draw, design).reports
+    return _run_sim(ys, menus, cfg, workers, design).reports

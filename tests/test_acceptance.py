@@ -174,11 +174,11 @@ def test_criterion_5_reference_table_at_desk_scale():
     cells = [
         (
             GroupedDGP(n_states=n_states, per_state=10, **PANEL_PARAMS[panel]),
-            SimConfig(replications=perms, seed=derive_seed(master, cell), alpha=0.05),
+            derive_seed(master, cell),
         )
         for cell, (panel, n_states) in enumerate(keys)
     ]
-    rows = run_grouped_experiment(cells, outer, workers=WORKERS)
+    rows = run_grouped_experiment(cells, outer, perms, alpha=0.05, workers=WORKERS)
     for (panel, n_states), r in zip(keys, rows):
         got = (r.size, r.pr_flag_y, r.pr_flag_eps)
         ses = (r.size_se, r.pr_flag_y_se, r.pr_flag_eps_se)
@@ -313,8 +313,7 @@ def test_criterion_9_flagging_curve_sanity():
     t0 = time.perf_counter()
     shares, clusters = crossed_shares(25, 20)
     outer = 500
-    cfg = SimConfig(replications=200, seed=909, estimators=("crve",))
-    points = run_flagging_curve(shares, clusters, [0.0, 1.0], outer, cfg, workers=WORKERS)
+    points = run_flagging_curve(shares, clusters, [0.0, 1.0], outer, 200, 909, workers=WORKERS)
     base, top = points[0], points[-1]
     size_count = round(base.size * outer)
     lo = int(stats.binom.ppf(0.005, outer, 0.05))

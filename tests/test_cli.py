@@ -806,9 +806,19 @@ class TestBadNumbers:
                  "--sectors", "2", "--threshold", "7"],
                 "flag threshold must be in [0, 1]",
             ),
+            (
+                ["diagnose", "--shares", "{golden}/shares.csv", "--outcomes",
+                 "{golden}/outcomes.csv", "--seed", "1", "--perms", "10", "--threshold", "1.5"],
+                "flag threshold must be in [0, 1]",
+            ),
+            (
+                ["mc-table", "--seed", "1", "--reps", "2", "--perms", "10", "--states", "4",
+                 "--per-state", "2", "--threshold", "-0.1"],
+                "flag threshold must be in [0, 1]",
+            ),
         ],
         ids=["diagnose-threshold-nan", "flag-curve-gamma-nan", "analytic-beta-inf",
-             "flag-curve-threshold-7"],
+             "flag-curve-threshold-7", "diagnose-threshold-1.5", "mc-table-threshold--0.1"],
     )
     def test_non_finite_or_out_of_range(self, argv, message, tmp_path, capsys):
         # each wrote a report and exited 0 before the check

@@ -1,7 +1,5 @@
 """Tests for the Monte Carlo experiment generators."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,15 +10,18 @@ from ssdiag import (
     SimConfig,
     ValidationError,
     crossed_shares,
+    dgp as dgp_module,
     draw_flagging,
     draw_grouped,
     engines,
     ols_simple,
     run_flagging_curve,
     run_grouped_experiment,
-    run_partition_permutation,
+    run_outcome_fixed,
+    share_design,
 )
 from ssdiag.data import contiguous_partition
+from ssdiag.estimators import ols_fits
 from ssdiag.rng import derive_seed, substream
 
 
@@ -84,8 +85,7 @@ class TestDrawGrouped:
 class TestGroupedExperiment:
     def test_report_shape_and_determinism(self):
         dgp = GroupedDGP(n_states=8, per_state=3, beta=0.5)
-        cfg = SimConfig(replications=40, seed=11)
-        results = [run_grouped_experiment([(dgp, cfg)], 96, workers=w) for w in (1, 2)]
+        results = [run_grouped_experiment([(dgp, 11)], 96, 40, workers=w) for w in (1, 2)]
         assert results[0] == results[1]
         (r,) = results[0]
         for value in (r.size, r.pr_flag_y, r.pr_flag_eps):
@@ -94,44 +94,41 @@ class TestGroupedExperiment:
     def test_zero_threshold_flags_every_draw(self):
         # every rejection rate reaches a zero threshold, a zero rate included
         dgp = GroupedDGP(n_states=4, per_state=2)
-        cfg = SimConfig(replications=8, seed=5, flag_threshold=0.0)
-        (r,) = run_grouped_experiment([(dgp, cfg)], 32)
+        (r,) = run_grouped_experiment([(dgp, 5)], 32, 8, threshold=0.0)
         assert r.pr_flag_y == 1.0 and r.pr_flag_eps == 1.0
 
     def test_cell_row_independent_of_other_cells(self):
         # 21 draws per cell, so chunks of 16 cell-draw pairs span two cells
         cells = [
-            (GroupedDGP(n_states=n, per_state=2, omega=0.3), SimConfig(replications=20, seed=seed))
+            (GroupedDGP(n_states=n, per_state=2, omega=0.3), seed)
             for n, seed in ((4, 1), (6, 2), (4, 3))
         ]
-        batched = run_grouped_experiment(cells, 21, workers=2)
-        assert batched == [run_grouped_experiment([cell], 21)[0] for cell in cells]
+        batched = run_grouped_experiment(cells, 21, 20, workers=2)
+        assert batched == [run_grouped_experiment([cell], 21, 20)[0] for cell in cells]
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24])
     def test_one_block_tests_both_modes(self, seed):
         # draw 0 keys substream(seed, 0, 0) for the data and derive_seed(seed, 0, 1)
         # for the one assignment block that tests y-fixed and eps-fixed
         dgp = GroupedDGP(n_states=20, per_state=3, beta=0.5, omega=0.6)
-        cfg = SimConfig(replications=400, seed=seed)
         draw = draw_grouped(dgp, substream(seed, 0, 0))
         slope = ols_simple(draw.y, draw.x).slope
-        reports = run_partition_permutation(
+        reports = run_outcome_fixed(
             [draw.y, draw.y - slope * draw.x], dgp.design,
-            replace(cfg, seed=derive_seed(seed, 0, 1)),
+            SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),
         )
         # a threshold at the block's eps-fixed rate: another block flags only
         # when its rate is at least as high
         threshold = reports[1].rates["robust-hc1"]
-        (row,) = run_grouped_experiment([(dgp, replace(cfg, flag_threshold=threshold))], 1)
+        (row,) = run_grouped_experiment([(dgp, seed)], 1, 400, threshold=threshold)
         y_flag = reports[0].rates["robust-hc1"] >= threshold
         assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), 1.0)
 
     def test_validation(self):
-        cfg = SimConfig(replications=5, seed=1)
         with pytest.raises(ValidationError, match="experiment cell"):
-            run_grouped_experiment([], 10)
+            run_grouped_experiment([], 10, 5)
         with pytest.raises(ValidationError, match="outer replication"):
-            run_grouped_experiment([(GroupedDGP(n_states=4), cfg)], 0)
+            run_grouped_experiment([(GroupedDGP(n_states=4), 1)], 0, 5)
 
     def test_panel_params_table(self):
         assert set(PANEL_PARAMS) == {"A", "B", "C", "D", "E"}
@@ -172,9 +169,8 @@ class TestFlaggingCurve:
     def test_points_and_determinism(self):
         design = contiguous_partition(8, 4)
         shares = oracles.partition_to_shares(design)
-        cfg = SimConfig(replications=30, seed=3, estimators=("crve",))
         runs = [
-            run_flagging_curve(shares, design.group_of, [0.0, 1.0], 64, cfg, workers=w)
+            run_flagging_curve(shares, design.group_of, [0.0, 1.0], 64, 30, 3, workers=w)
             for w in (1, 2)
         ]
         assert runs[0] == runs[1]
@@ -187,30 +183,26 @@ class TestFlaggingCurve:
         # sector confounds cut across clusters in the crossed design, so a
         # strong one must push the size and both flag probabilities up
         shares, clusters = crossed_shares(10, 8)
-        cfg = SimConfig(replications=100, seed=13, estimators=("crve",))
-        points = run_flagging_curve(shares, clusters, [0.0, 2.0], 80, cfg)
+        points = run_flagging_curve(shares, clusters, [0.0, 2.0], 80, 100, 13)
         assert points[1].pr_flag_y > points[0].pr_flag_y
         assert points[1].size > points[0].size
 
     def test_zero_threshold_flags_every_draw(self):
         shares, clusters = crossed_shares(3, 4)
-        cfg = SimConfig(replications=8, seed=7, estimators=("crve",), flag_threshold=0.0)
-        (point,) = run_flagging_curve(shares, clusters, [0.0], 32, cfg)
+        (point,) = run_flagging_curve(shares, clusters, [0.0], 32, 8, 7, threshold=0.0)
         assert point.pr_flag_y == 1.0 and point.pr_flag_eps == 1.0
 
     def test_gamma_row_independent_of_grid(self):
         shares, clusters = crossed_shares(5, 4)
-        cfg = SimConfig(replications=60, seed=9, estimators=("crve",))
-        (alone,) = run_flagging_curve(shares, clusters, [0.5], 20, cfg)
-        batched = run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, cfg)
+        (alone,) = run_flagging_curve(shares, clusters, [0.5], 20, 60, 9)
+        batched = run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, 60, 9)
         assert batched[1] == alone
 
     def test_gapped_cluster_labels(self):
         # labels 0, 2, ..., 10 name the same 6 clusters as 0..5, not 11
         shares, clusters = crossed_shares(6, 4)
-        cfg = SimConfig(replications=200, seed=3, estimators=("crve",))
-        contiguous = run_flagging_curve(shares, clusters, [0.0, 1.0], 40, cfg)
-        gapped = run_flagging_curve(shares, 2 * clusters, [0.0, 1.0], 40, cfg)
+        contiguous = run_flagging_curve(shares, clusters, [0.0, 1.0], 40, 200, 3)
+        gapped = run_flagging_curve(shares, 2 * clusters, [0.0, 1.0], 40, 200, 3)
         assert gapped == contiguous
 
     def test_one_simulation_per_outer_draw(self, monkeypatch):
@@ -224,12 +216,10 @@ class TestFlaggingCurve:
 
         monkeypatch.setattr(engines, "_run_sim", counting)
         shares, clusters = crossed_shares(4, 3)
-        cfg = SimConfig(replications=20, seed=5, estimators=("crve",))
-        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 7, cfg)
+        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 7, 20, 5)
         assert calls == [6] * 7  # 3 gammas x 2 modes
         calls.clear()
-        grouped = (GroupedDGP(n_states=4, per_state=2), SimConfig(replications=20, seed=5))
-        run_grouped_experiment([grouped], 5)
+        run_grouped_experiment([(GroupedDGP(n_states=4, per_state=2), 5)], 5, 20)
         assert calls == [2] * 5
 
     def test_menu_terms_built_once_per_experiment(self, monkeypatch):
@@ -244,17 +234,16 @@ class TestFlaggingCurve:
                 engines, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
             )
         shares, clusters = crossed_shares(5, 4)
-        cfg = SimConfig(replications=30, seed=5)
-        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, cfg)
+        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, 30, 5)
         assert calls == ["small_sample", "t_crits"]
         calls.clear()
         # 3 cells on two partition designs of 12 units: 4 groups of 3 and 6 of 2
         cells = [
-            (GroupedDGP(n_states=4, per_state=3), cfg),
-            (GroupedDGP(n_states=6, per_state=2, beta=0.5), cfg),
-            (GroupedDGP(n_states=4, per_state=3, omega=0.3), cfg),
+            (GroupedDGP(n_states=4, per_state=3), 5),
+            (GroupedDGP(n_states=6, per_state=2, beta=0.5), 5),
+            (GroupedDGP(n_states=4, per_state=3, omega=0.3), 5),
         ]
-        run_grouped_experiment(cells, 20)
+        run_grouped_experiment(cells, 20, 30)
         assert calls == ["small_sample", "t_crits"] * 2
 
     def test_crossed_shares_shape(self):
@@ -269,33 +258,64 @@ class TestFlaggingCurve:
     def test_validation(self):
         design = contiguous_partition(4, 2)
         shares = oracles.partition_to_shares(design)
-        cfg = SimConfig(replications=5, seed=1)
         with pytest.raises(ValidationError):
-            run_flagging_curve(shares, design.group_of, [], 10, cfg)
+            run_flagging_curve(shares, design.group_of, [], 10, 5, 1)
         with pytest.raises(ValidationError):
-            run_flagging_curve(shares, design.group_of, [0.0], 0, cfg)
+            run_flagging_curve(shares, design.group_of, [0.0], 0, 5, 1)
         with pytest.raises(ValidationError, match="do not match shares"):
-            run_flagging_curve(shares, design.group_of[:-1], [0.0], 10, cfg)
+            run_flagging_curve(shares, design.group_of[:-1], [0.0], 10, 5, 1)
+
+    @pytest.mark.parametrize("seed", [31, 32, 33, 34])
+    def test_one_block_tests_both_modes(self, seed):
+        # draw 0 keys substream(seed, 0, 0) for the data and derive_seed(seed, 0, 1)
+        # for the one crve shock block that tests y-fixed and eps-fixed
+        shares, clusters = crossed_shares(6, 4)
+        draw = draw_flagging(shares, substream(seed, 0, 0))
+        y = draw.outcome(1.0)
+        (fit,) = ols_fits([y], draw.x)
+        reports = run_outcome_fixed(
+            [y, y - fit.slope * draw.x], share_design(shares, clusters),
+            SimConfig(replications=400, seed=derive_seed(seed, 0, 1), estimators=("crve",)),
+        )
+        # thresholds at the block's eps-fixed crve rate and just above it: a block
+        # flags at both only if its eps-fixed rate is that rate exactly
+        rate = reports[1].rates["crve"]
+        for threshold in (rate, np.nextafter(rate, 1.0)):
+            (row,) = run_flagging_curve(shares, clusters, [1.0], 1, 400, seed, threshold=threshold)
+            y_flag = reports[0].rates["crve"] >= threshold
+            assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), float(rate >= threshold))
 
 
-def _grouped_rows(estimators):
-    dgp = GroupedDGP(n_states=6, per_state=2, omega=0.5)
-    return run_grouped_experiment([(dgp, SimConfig(40, seed=3, estimators=estimators))], 24)
+def _grouped(perms, alpha, threshold):
+    cells = [(GroupedDGP(n_states=4, per_state=2), 1)]
+    return run_grouped_experiment(cells, 4, perms, alpha, threshold)
 
 
-def _flagging_rows(estimators):
-    shares, clusters = crossed_shares(4, 3)
-    cfg = SimConfig(40, seed=3, estimators=estimators)
-    return run_flagging_curve(shares, clusters, [0.0, 1.0], 24, cfg)
+def _flagging(perms, alpha, threshold):
+    shares, clusters = crossed_shares(3, 2)
+    return run_flagging_curve(shares, clusters, [0.0], 4, perms, 1, alpha, threshold)
 
 
+@pytest.mark.parametrize("run", [_grouped, _flagging], ids=["grouped", "flagging"])
 @pytest.mark.parametrize(
-    "rows, own, other",
-    [(_grouped_rows, "robust-hc1", "crve"), (_flagging_rows, "crve", "robust-hc1")],
-    ids=["grouped", "flagging"],
+    "perms, alpha, threshold, message",
+    [
+        (0, 0.05, 0.1, "at least 1 replication"),
+        (5, 0.0, 0.1, r"alpha must be in \(0, 1\)"),
+        (5, 1.0, 0.1, r"alpha must be in \(0, 1\)"),
+        (5, float("nan"), 0.1, r"alpha must be in \(0, 1\)"),
+        (5, 0.05, -0.1, r"flag threshold must be in \[0, 1\]"),
+        (5, 0.05, 1.5, r"flag threshold must be in \[0, 1\]"),
+        (5, 0.05, float("nan"), r"flag threshold must be in \[0, 1\]"),
+    ],
 )
-def test_experiment_tests_with_its_own_estimator(rows, own, other):
-    # mc-table flags with robust-hc1 and flag-curve with crve, whatever the menu names
-    mine = rows((own,))
-    assert rows((other,)) == mine
-    assert any(0.0 < r.pr_flag_y < 1.0 for r in mine)
+def test_experiment_settings_checked_before_any_draw(
+    run, perms, alpha, threshold, message, monkeypatch
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("map_chunks ran")
+
+    monkeypatch.setattr(dgp_module, "map_chunks", no_draws)
+    with pytest.raises(ValidationError, match=message):
+        run(perms, alpha, threshold)
+

@@ -22,7 +22,6 @@ from ssdiag import (
     crossed_shares,
     ols_simple,
     run_outcome_fixed,
-    run_partition_permutation,
     run_y_fixed,
     share_design,
     validate_dataset,
@@ -38,14 +37,14 @@ from ssdiag.rng import substream
 _FAULTS_SCRIPT = """
 import resource
 import numpy as np
-from ssdiag import SimConfig, contiguous_partition, run_partition_permutation
+from ssdiag import SimConfig, contiguous_partition, run_outcome_fixed
 from ssdiag.parallel import keep_freed_memory
 
 design = contiguous_partition(100, 10)
 y = np.random.default_rng(0).standard_normal(design.n_units)
 
 def run(seed):
-    run_partition_permutation([y], design, SimConfig(replications=512, seed=seed))
+    run_outcome_fixed([y], design, SimConfig(replications=512, seed=seed))
 
 run(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -151,7 +150,7 @@ class TestReportInvariants:
         design = contiguous_partition(6, 2)
         y = np.random.default_rng(0).standard_normal(12)
         cfg = SimConfig(replications=400, seed=3)
-        (report,) = run_partition_permutation([y], design, cfg)
+        (report,) = run_outcome_fixed([y], design, cfg)
         assert report.skipped_degenerate == 0
 
     def test_constant_placebo(self):
@@ -198,7 +197,7 @@ class TestValidation:
     def test_two_unit_design_rejected(self):
         design = contiguous_partition(2, 1)
         with pytest.raises(ValidationError, match="at least 3 observations"):
-            run_partition_permutation(
+            run_outcome_fixed(
                 [np.array([1.0, 2.0])], design, SimConfig(replications=5, seed=1)
             )
 
@@ -215,12 +214,11 @@ class TestValidation:
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
     def test_flag_threshold_outside_unit_interval(self, threshold):
         with pytest.raises(ValidationError, match=r"flag threshold must be in \[0, 1\]"):
-            SimConfig(replications=5, seed=1, flag_threshold=threshold)
+            engines.check_threshold(threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0])
     def test_flag_threshold_bounds_accepted(self, threshold):
-        cfg = SimConfig(replications=5, seed=1, flag_threshold=threshold)
-        assert cfg.flag_threshold == threshold
+        assert engines.check_threshold(threshold) == threshold
 
 
 class TestAgainstScalarPath:
@@ -286,7 +284,7 @@ class TestCellKernel:
         design = contiguous_partition(n_groups, group_size)
         y = self._grouped_outcome(design, n_groups + group_size)
         cfg = SimConfig(replications=500, seed=41, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_partition_permutation([y], design, cfg)
+        (report,) = run_outcome_fixed([y], design, cfg)
         X = np.vstack(
             [
                 engines._partition_regressors(n_groups, cfg.seed, lo, hi)
@@ -399,7 +397,7 @@ class TestCellKernel:
         assert conventions == [*FULL_MENU, "crve"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_menus_of_lengths_6_and_1_in_one_sim(self, workers):
+    def test_menus_of_lengths_6_and_1_in_one_sim(self, workers, monkeypatch):
         # unit-vector rows put a unit at leverage 1, which the full menu's hc3 guard
         # skips and crve does not; constant rows are degenerate for both
         data = _dataset(14, n=12, f=5)
@@ -411,12 +409,10 @@ class TestCellKernel:
             rng.standard_normal((40, 12)),
         ])
 
-        def draw(lo, hi):
-            return Z[lo:hi]
-
+        monkeypatch.setattr(engines, "_shares_regressors", lambda shares, seed, lo, hi: Z[lo:hi])
         ydot = rng.standard_normal(12)
         cfg = SimConfig(replications=len(Z), seed=3, alpha=0.2, estimators=FULL_MENU)
-        rest = (cfg, workers, draw, share_design(shares, data.clusters))
+        rest = (cfg, workers, share_design(shares, data.clusters))
         both = engines._run_sim([data.y, ydot], [FULL_MENU, ("crve",)], *rest).reports
         (y_alone,) = engines._run_sim([data.y], [FULL_MENU], *rest).reports
         (crve_alone,) = engines._run_sim([ydot], [("crve",)], *rest).reports
@@ -812,7 +808,7 @@ class TestStreamLayout:
             blocks.clear()
             cfg = SimConfig(replications=replications, seed=17)
             if engine == "partition":
-                run_partition_permutation([y], design, cfg)
+                run_outcome_fixed([y], design, cfg)
             else:
                 run_y_fixed(data.y, _design(data), cfg)
             firsts.append(blocks[0])
@@ -855,7 +851,7 @@ class TestPool:
 class TestPermutationEngine:
     def test_constant_outcome(self):
         design = contiguous_partition(4, 2)
-        (report,) = run_partition_permutation(
+        (report,) = run_outcome_fixed(
             [np.full(8, 2.0)], design, SimConfig(replications=50, seed=9)
         )
         assert report.rates["robust-hc1"] == 0.0
@@ -867,7 +863,7 @@ class TestPermutationEngine:
         y = beta * x  # pure effect, no noise
         cfg = SimConfig(replications=60, seed=2)
         # residualizing with the true slope leaves a constant outcome
-        (report,) = run_partition_permutation([y - beta * x], design, cfg)
+        (report,) = run_outcome_fixed([y - beta * x], design, cfg)
         assert report.rates["robust-hc1"] == 0.0
 
     def test_worker_invariance(self):
@@ -875,7 +871,7 @@ class TestPermutationEngine:
         y = np.random.default_rng(7).standard_normal(24)
         cfg = SimConfig(replications=600, seed=77, estimators=("robust-hc1", "crve"))
         reports = [
-            run_partition_permutation([y], design, cfg, workers=w) for w in (1, 3)
+            run_outcome_fixed([y], design, cfg, workers=w) for w in (1, 3)
         ]
         assert reports[0] == reports[1]
 
@@ -886,8 +882,8 @@ class TestPermutationEngine:
         y = rng.standard_normal(24)
         ys = [y, y - 0.8 * rng.standard_normal(8)[design.group_of]]
         cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
-        both = run_partition_permutation(ys, design, cfg)
-        assert both == tuple(run_partition_permutation([o], design, cfg)[0] for o in ys)
+        both = run_outcome_fixed(ys, design, cfg)
+        assert both == tuple(run_outcome_fixed([o], design, cfg)[0] for o in ys)
         assert both[0] != both[1]
 
     # The designs of the exact-rate test.  It makes one comparison per design and
@@ -917,7 +913,7 @@ class TestPermutationEngine:
             )
             seed = n_groups + group_size
             cfg = SimConfig(replications=replications, seed=seed, estimators=FULL_MENU)
-            (report,) = run_partition_permutation([y], design, cfg)
+            (report,) = run_outcome_fixed([y], design, cfg)
             assert report.b_effective == replications
             for est, count in zip(FULL_MENU, exact):
                 rate = count / len(X)
@@ -930,4 +926,4 @@ class TestPermutationEngine:
         design = contiguous_partition(4, 2)
         for outcomes in (np.zeros(8), [np.zeros(6)]):
             with pytest.raises(ValidationError, match="does not match the design"):
-                run_partition_permutation(outcomes, design, SimConfig(replications=5, seed=1))
+                run_outcome_fixed(outcomes, design, SimConfig(replications=5, seed=1))
