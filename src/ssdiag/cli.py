@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +40,15 @@ from .dgp import (
 from .engines import (
     SimConfig,
     SimReport,
+    check_menu,
     check_threshold,
     flagged,
     mc_se,
-    run_outcome_fixed,
-    run_y_fixed,
     share_design,
 )
+# bench/child.py ends a diagnose command's set-up at this name; it stays until
+# ROADMAP item 2 re-pins the benchmark hooks
+from .engines import run_outcome_fixed as run_y_fixed
 from .errors import BudgetError, DegeneracyError, ValidationError
 from .estimators import ols_simple
 from .parallel import resolve_workers
@@ -409,11 +410,13 @@ def cmd_diagnose(settings: _Settings) -> None:
     data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
 
     menu = settings.get_list("estimators")
+    menu_given = menu is not None
     if menu is None:
         menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
         if data.clusters is not None:
             menu[2:2] = ["crve", "crve-hc3"]
-    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha, estimators=tuple(menu))
+    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha)
+    check_menu(menu)
 
     modes = settings.get_list("modes", distinct=True)
     if modes is None:
@@ -427,33 +430,32 @@ def cmd_diagnose(settings: _Settings) -> None:
     unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
     if unknown_modes:
         raise ValidationError(f"unknown modes {unknown_modes}")
+    if menu_given and "y-fixed" not in modes:
+        raise ValidationError("diagnose reads --estimators only with the y-fixed mode")
 
     # every mode's columns are checked before the simulation; one shock block
     # tests y-fixed with the menu and eps-fixed and placebo with crve
-    crve_outcomes: dict[str, np.ndarray] = {}
+    outcomes, menus = [], []
     for mode in modes:
-        if mode == "eps-fixed":
+        if mode == "y-fixed":
+            outcomes.append(data.y)
+        elif mode == "eps-fixed":
             if data.x_realized is None:
                 raise ValidationError("missing realized shocks (x_realized column)")
             if data.clusters is None:
                 raise ValidationError("eps-fixed diagnosis assesses crve; cluster column required")
             beta_hat = ols_simple(data.y, data.x_realized).slope
-            crve_outcomes[mode] = data.y - beta_hat * data.x_realized
-        elif mode == "placebo":
+            outcomes.append(data.y - beta_hat * data.x_realized)
+        else:
             if data.y_placebo is None:
                 raise ValidationError("placebo outcome missing (y_placebo column)")
             if data.clusters is None:
                 raise ValidationError("placebo diagnosis assesses crve; cluster column required")
-            crve_outcomes[mode] = data.y_placebo
-    names = list(crve_outcomes)
+            outcomes.append(data.y_placebo)
+        menus.append(tuple(menu) if mode == "y-fixed" else ("crve",))
     design = share_design(data.shares, data.clusters)
-    if "y-fixed" in modes:
-        names.insert(0, "y-fixed")
-        reports = run_y_fixed(data.y, design, cfg, workers, crve=crve_outcomes.values())
-    else:
-        crve_cfg = replace(cfg, estimators=("crve",))
-        reports = run_outcome_fixed(list(crve_outcomes.values()), design, crve_cfg, workers)
-    blocks = {mode: _report_block(report, threshold) for mode, report in zip(names, reports)}
+    reports = run_y_fixed(outcomes, menus, design, cfg, workers)
+    blocks = {mode: _report_block(report, threshold) for mode, report in zip(modes, reports)}
     if "eps-fixed" in blocks:
         blocks["eps-fixed"]["beta_hat"] = beta_hat
 
@@ -665,9 +667,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, simulation: bool = True):
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--workers", type=int, help="worker processes (or SSDIAG_WORKERS)")
         p.add_argument("--out", help="output path (default: stdout)")
         if simulation:
+            p.add_argument("--workers", type=int, help="worker processes (or SSDIAG_WORKERS)")
             p.add_argument("--seed", type=int, help="RNG seed (required)")
             p.add_argument("--alpha", type=float, help="test level (default 0.05)")
             p.add_argument("--threshold", type=float, help="flag a simulation whose rejection rate reaches this value (default 0.1)")

@@ -127,7 +127,7 @@ def _grouped_chunk(cells, outer_reps, threshold, bounds) -> np.ndarray:
         # with the size column's estimator
         ydot = draw.y - fit.slope * draw.x
         block_j = replace(block, seed=derive_seed(block.seed, j, 1))
-        reports = run_outcome_fixed([draw.y, ydot], dgp.design, block_j)
+        reports = run_outcome_fixed([draw.y, ydot], [("robust-hc1",)] * 2, dgp.design, block_j)
         counts[k, 1:] += [flagged(r.rates["robust-hc1"], threshold) for r in reports]
     return counts
 
@@ -154,7 +154,7 @@ def run_grouped_experiment(
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
     check_threshold(threshold)
-    blocks = [(dgp, SimConfig(perms, seed, alpha, ("robust-hc1",))) for dgp, seed in cells]
+    blocks = [(dgp, SimConfig(perms, seed, alpha)) for dgp, seed in cells]
     parts = map_chunks(
         partial(_grouped_chunk, blocks, outer_reps, threshold),
         chunk_bounds(len(cells) * outer_reps, _OUTER_CHUNK),
@@ -213,20 +213,19 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
 def _flagging_chunk(design, clusters, gammas, block, threshold, bounds) -> np.ndarray:
     """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed."""
     lo, hi = bounds
-    n_clusters = design.starts.size  # clusters are labelled 0..G-1
     counts = np.zeros((len(gammas), 3), dtype=np.int64)
     for j in range(lo, hi):
         draw = draw_flagging(design.shares, substream(block.seed, j, 0))
         ys = [draw.outcome(gamma) for gamma in gammas]
         fits = ols_fits(ys, draw.x)
         for gi, fit in enumerate(fits):
-            variance = var_cluster(fit, clusters, n_clusters)
+            variance = var_cluster(fit, clusters)
             counts[gi, 0] += t_test(fit.slope, 0.0, variance, block.alpha)
         ydots = [y_star - fit.slope * draw.x for y_star, fit in zip(ys, fits)]
         # one shock block, drawn from derive_seed(seed, j, 1), tests every gamma in
         # both modes: y-fixed fills column 1 and eps-fixed column 2
         block_j = replace(block, seed=derive_seed(block.seed, j, 1))
-        reports = run_outcome_fixed(ys + ydots, design, block_j)
+        reports = run_outcome_fixed(ys + ydots, [("crve",)] * (2 * len(gammas)), design, block_j)
         flags = [flagged(r.rates["crve"], threshold) for r in reports]
         counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
@@ -255,7 +254,7 @@ def run_flagging_curve(
     if outer_reps < 1:
         raise ValidationError("need at least 1 outer replication")
     check_threshold(threshold)
-    block = SimConfig(perms, seed, alpha, ("crve",))
+    block = SimConfig(perms, seed, alpha)
     if clusters is None:
         raise ValidationError("cluster labels do not match shares")
     design = share_design(shares, clusters)

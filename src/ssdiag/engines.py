@@ -1,18 +1,20 @@
-"""Design-based simulation engines.
+"""The design-based simulation engine.
 
-One outcome-fixed engine holds K outcome vectors fixed and tests every
-outcome, each with its own estimator menu, against the same block of
-resampled regressors; the caller forms the outcomes.  Its draw follows the
-design: iid standard normal sector shocks on a ShareDesign, whose terms are
-built once per experiment and shared by all its simulations, and balanced
-group-level assignments on a partition design.  On shift-share data one
+One outcome-fixed engine, run_outcome_fixed, holds K outcome vectors fixed
+and tests each outcome with its own estimator menu, one menu per outcome,
+against the same block of resampled regressors; the caller forms the
+outcomes and picks their menus.  Its draw follows the design: iid standard
+normal sector shocks on a ShareDesign, whose terms are built once per
+experiment and shared by all its simulations, and balanced group-level
+assignments on a partition design.  On shift-share data diagnose's one
 block tests the realized y (y-fixed) with the requested menu and the
 residualized y - beta_hat*x (eps-fixed) and the pre-treatment outcome
-(placebo) with crve, and the flagging experiment both modes at every
-confound strength; on a partition design one block tests the grouped
-experiment's y-fixed and eps-fixed outcomes.  Each replication refits the
-bivariate OLS and tests a zero slope with every requested variance
-estimator; reports carry rejection frequencies.
+(placebo) with crve, and the flagging experiment's block tests both modes
+at every confound strength with crve; on a partition design one block
+tests the grouped experiment's y-fixed and eps-fixed outcomes with
+robust-hc1.  Each replication refits the bivariate OLS and tests a zero
+slope with every requested variance estimator; reports carry rejection
+frequencies.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
 group-level assignments.  On a partition design every test is one
@@ -63,26 +65,29 @@ _KERNEL_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication budget, seed, level and test menu of one simulation run."""
+    """Replication budget, seed and level of one simulation run."""
 
     replications: int
     seed: int
     alpha: float = 0.05
-    estimators: tuple[str, ...] = ("robust-hc1",)
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValidationError("need at least 1 replication")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-        if not self.estimators:
-            raise ValidationError("estimator menu is empty")
-        unknown = [e for e in self.estimators if e not in ESTIMATORS]
-        if unknown:
-            raise ValidationError(f"unknown estimators {unknown}")
-        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
-        if repeated:
-            raise ValidationError(f"repeated estimators {repeated}")
+
+
+def check_menu(menu) -> None:
+    """Refuse an estimator menu that is empty, names an unknown estimator or repeats one."""
+    if not menu:
+        raise ValidationError("estimator menu is empty")
+    unknown = [e for e in menu if e not in ESTIMATORS]
+    if unknown:
+        raise ValidationError(f"unknown estimators {unknown}")
+    repeated = sorted({e for e in menu if menu.count(e) > 1})
+    if repeated:
+        raise ValidationError(f"repeated estimators {repeated}")
 
 
 def check_threshold(threshold: float) -> float:
@@ -280,14 +285,16 @@ def _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector) -> _T
 
     ``partition`` names a partition design of ``n_clusters`` groups and
     ``sector`` a shift-share design that holds sector-space terms.  Built
-    once per key and kept, so a kernel pays only for its outcomes.  Menus
-    are checked in order, each in menu order, and each distinct menu's
-    factors and critical values are built once.
+    once per key and kept, so a kernel pays only for its outcomes and its
+    menus are checked (check_menu) once per process.  Menus are checked in
+    order, each in menu order, and each distinct menu's factors and critical
+    values are built once.
     """
     conventions = {}  # menu -> ((factor, dof) per estimator, crits)
     for menu in menus:
         if menu in conventions:
             continue
+        check_menu(menu)
         terms = []
         for est in menu:
             if est in _CLUSTERED and not n_clusters:
@@ -395,6 +402,9 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     _kernel_counts).
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
+    menus = tuple(tuple(menu) for menu in menus)
+    if len(menus) != len(ys):
+        raise ValidationError("need one estimator menu per outcome")
     partition = isinstance(design, PartitionDesign)
     if partition:
         n, n_sectors, n_clusters = design.n_units, design.n_groups, design.n_groups
@@ -409,7 +419,6 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     if n < 3:
         raise ValidationError("need at least 3 observations")
     sector = not partition and design.ubar is not None
-    menus = tuple(tuple(menu) for menu in menus)
     tests = _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector)
     yc -= yc.mean(axis=1, keepdims=True)
     null = [None] * len(menus)
@@ -628,36 +637,20 @@ def _run_sim(ys, menus, cfg, workers, design) -> _Reports:
 
 
 # ---------------------------------------------------------------------------
-# public engines
+# public engine
 
 
 def run_outcome_fixed(
-    outcomes, design: ShareDesign | PartitionDesign, cfg: SimConfig, workers: int = 1
+    outcomes, menus, design: ShareDesign | PartitionDesign, cfg: SimConfig, workers: int = 1
 ) -> tuple[SimReport, ...]:
-    """Hold each outcome vector fixed and resample the draw of ``design``.
+    """Hold each outcome vector fixed, resample the draw of ``design`` and test it with its menu.
 
-    On a ShareDesign each of the ``cfg.replications`` draws is a vector of
-    sector shocks.  On a PartitionDesign each treats a random half of the
-    groups; the exact distribution over every balanced assignment is
+    ``menus`` holds one estimator menu per outcome.  On a ShareDesign each
+    of the ``cfg.replications`` draws is a vector of sector shocks.  On a
+    PartitionDesign each treats a random half of the groups; the exact
+    distribution over every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.  Every outcome
     is tested against the same draws, so each report equals that of a run
     on its outcome alone.
     """
-    return _run_sim(outcomes, [cfg.estimators] * len(outcomes), cfg, workers, design).reports
-
-
-def run_y_fixed(
-    y, design: ShareDesign, cfg: SimConfig, workers: int = 1, crve=()
-) -> tuple[SimReport, ...]:
-    """Hold the realized outcome fixed and resample sector shocks on ``design``.
-
-    Returns the report of ``y`` tested with the menu of ``cfg``, then one
-    report per outcome in ``crve`` tested with crve alone.  Every outcome is
-    tested against the same shock draws, so each report equals that of a
-    run on its outcome alone; ``diagnose`` tests all its modes in this one
-    call.  bench/child.py ends a ``diagnose`` command's set-up at this name,
-    so it stays until ROADMAP item 2 re-pins the benchmark hooks.
-    """
-    ys = [y, *crve]
-    menus = [cfg.estimators] + [("crve",)] * (len(ys) - 1)
-    return _run_sim(ys, menus, cfg, workers, design).reports
+    return _run_sim(outcomes, menus, cfg, workers, design).reports

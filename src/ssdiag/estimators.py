@@ -205,28 +205,26 @@ def var_robust(fit: RegressionFit) -> VarianceEstimate:
     return VarianceEstimate(value=value, dof=float(dof))
 
 
-def var_cluster(fit: RegressionFit, clusters, n_clusters: int | None = None) -> VarianceEstimate:
+def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
     """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels.
 
-    Labels already numbered 0..n_clusters-1 (:func:`ssdiag.data.contiguous_labels`)
-    may come with that count, so that a caller testing many fits on one
-    clustering does not relabel them on every call.  The count is checked:
-    the labels must be integers that use each of 0..n_clusters-1 and no other.
+    Labels numbered 0..G-1, each in use (:func:`ssdiag.data.contiguous_labels`),
+    are counted by one bincount; any others are first renumbered by np.unique.
     """
     clusters = np.asarray(clusters)
     n = fit.n_obs
     if clusters.shape != (n,):
         raise ValidationError("cluster labels do not match the fit")
-    if n_clusters is None:
+    try:
+        # labels 0..G-1 lie below n; bincount refuses negative and non-integer labels
+        used = np.bincount(clusters) if clusters.max() < n else None
+    except (TypeError, ValueError):
+        used = None
+    if used is None or not used.all():
         labels, clusters = np.unique(clusters, return_inverse=True)
         n_clusters = labels.size
     else:
-        try:
-            used = np.bincount(clusters)  # refuses negative and non-integer labels
-        except (TypeError, ValueError):
-            used = None
-        if used is None or used.size != n_clusters or not used.all():
-            raise ValidationError(f"cluster labels are not 0..{n_clusters - 1}, each in use")
+        n_clusters = used.size
     factor, dof = small_sample("crve", n, n_clusters, 0)
     scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2

@@ -30,7 +30,7 @@ from ssdiag import (
     ratio_convergence_experiment,
     run_flagging_curve,
     run_grouped_experiment,
-    run_y_fixed,
+    run_outcome_fixed,
     share_design,
     validate_dataset,
     var_cluster,
@@ -215,7 +215,8 @@ def test_criterion_6_null_calibration():
     y = substream(2, 0).standard_normal(n)
     data = validate_dataset(y, np.eye(n))
     cfg = SimConfig(replications=10_000, seed=77)
-    (report,) = run_y_fixed(data.y, share_design(data.shares), cfg, workers=WORKERS)
+    design = share_design(data.shares)
+    (report,) = run_outcome_fixed([data.y], [("robust-hc1",)], design, cfg, workers=WORKERS)
     count = report.rejections["robust-hc1"]
     lo = int(stats.binom.ppf(0.005, 10_000, 0.05))
     hi = int(stats.binom.ppf(0.995, 10_000, 0.05))
@@ -257,7 +258,7 @@ def test_criterion_7_score_cluster_equivalence():
     )
 
 
-def test_criterion_8_command_determinism(tmp_path):
+def test_criterion_8_command_determinism(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     # small fixture files shared by the file-driven commands
     n_regions, n_sectors = 12, 4
@@ -297,7 +298,11 @@ def test_criterion_8_command_determinism(tmp_path):
             outputs = []
             for tag, workers in (("w1", 1), ("w4", 4), ("w8", 8), ("w4rerun", 4)):
                 out = tmp_path / f"{name}-{seed}-{tag}"
-                args = command(name, seed, str(out)) + ["--workers", str(workers)]
+                args = command(name, seed, str(out))
+                if name in ("analytic", "oracle"):  # they take no --workers flag
+                    monkeypatch.setenv("SSDIAG_WORKERS", str(workers))
+                else:
+                    args += ["--workers", str(workers)]
                 assert main(args) == 0, f"{name} failed"
                 outputs.append(out.read_bytes())
             ok &= all(blob == outputs[0] for blob in outputs[1:])

@@ -339,29 +339,32 @@ class TestDiagnose:
         assert calls == [(3, [tuple(report["config"]["estimators"]), ("crve",), ("crve",)])]
 
         data = ingest(GOLDEN / "shares.csv", GOLDEN / "outcomes.csv")
-        cfg = SimConfig(replications=300, seed=7, estimators=("crve",))
+        cfg = SimConfig(replications=300, seed=7)
         blocks = report["modes"]
         beta_hat = blocks["eps-fixed"].pop("beta_hat")
         ydot = data.y - beta_hat * data.x_realized
         for mode, y in (("eps-fixed", ydot), ("placebo", data.y_placebo)):
-            (alone,) = run_outcome_fixed([y], share_design(data.shares, data.clusters), cfg)
+            design = share_design(data.shares, data.clusters)
+            (alone,) = run_outcome_fixed([y], [("crve",)], design, cfg)
             assert blocks[mode] == _report_block(alone, 0.1)
 
     @pytest.mark.parametrize(
         "modes, sims", [("y-fixed,eps-fixed,placebo", 1), ("eps-fixed,placebo", 1)]
     )
     def test_one_simulation_per_command(self, modes, sims, tmp_path, monkeypatch):
-        # every requested mode is tested in one simulation: one kernel, one map_chunks
-        # call and so one pool at 2 workers
-        calls = {"_run_sim": 0, "_make_kernel": 0, "map_chunks": 0}
+        # every requested mode is tested in one simulation: one engine call, one kernel,
+        # one map_chunks call and so one pool at 2 workers; bench/child.py ends set-up
+        # at the engine's name in cli, so every mode set calls it
+        calls = {"run_y_fixed": 0, "_run_sim": 0, "_make_kernel": 0, "map_chunks": 0}
         for name in calls:
-            real = getattr(engines, name)
+            module = cli if name == "run_y_fixed" else engines
+            real = getattr(module, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(engines, name, counting)
+            monkeypatch.setattr(module, name, counting)
         out = tmp_path / "r.json"
         assert main([
             "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
@@ -414,6 +417,29 @@ class TestDiagnose:
             "--seed", "7", "--perms", "30", *extra,
         ]) == 2
         assert message in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_menu_without_y_fixed_exits_before_any_simulation(
+        self, source, tmp_path, monkeypatch, capsys
+    ):
+        # the menu tests y-fixed alone, so a menu given for eps-fixed and placebo,
+        # which crve tests, used to be echoed in a report that never ran it
+        argv = [
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "30",
+            "--modes", "eps-fixed,placebo",
+        ]
+        if source == "flag":
+            argv += ["--estimators", "robust-hc1"]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"diagnose": {"estimators": ["robust-hc1"]}}))
+            argv += ["--config", str(config)]
+        calls = []
+        monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
+        assert main(argv) == 2
+        assert "diagnose reads --estimators only with the y-fixed mode" in capsys.readouterr().err
         assert calls == []
 
     def test_missing_file(self, tmp_path):
@@ -738,6 +764,8 @@ class TestUnreadFlags:
              "{golden}/outcomes.csv", "--seed", "7", "--perms", "30", "--reps", "5"],
             ["analytic", "--seed", "1"],
             ["oracle", "--outcomes", "{golden}/oracle.csv", "--seed", "1"],
+            ["analytic", "--beta", "1", "--workers", "2"],
+            ["oracle", "--outcomes", "{golden}/oracle.csv", "--workers", "2"],
         ],
     )
     def test_exits_2(self, argv, tmp_path, capsys):

@@ -114,7 +114,7 @@ class TestGroupedExperiment:
         draw = draw_grouped(dgp, substream(seed, 0, 0))
         slope = ols_simple(draw.y, draw.x).slope
         reports = run_outcome_fixed(
-            [draw.y, draw.y - slope * draw.x], dgp.design,
+            [draw.y, draw.y - slope * draw.x], [("robust-hc1",)] * 2, dgp.design,
             SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),
         )
         # a threshold at the block's eps-fixed rate: another block flags only
@@ -274,8 +274,8 @@ class TestFlaggingCurve:
         y = draw.outcome(1.0)
         (fit,) = ols_fits([y], draw.x)
         reports = run_outcome_fixed(
-            [y, y - fit.slope * draw.x], share_design(shares, clusters),
-            SimConfig(replications=400, seed=derive_seed(seed, 0, 1), estimators=("crve",)),
+            [y, y - fit.slope * draw.x], [("crve",)] * 2, share_design(shares, clusters),
+            SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),
         )
         # thresholds at the block's eps-fixed crve rate and just above it: a block
         # flags at both only if its eps-fixed rate is that rate exactly

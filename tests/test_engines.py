@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from ssdiag import (
     crossed_shares,
     ols_simple,
     run_outcome_fixed,
-    run_y_fixed,
     share_design,
     validate_dataset,
     var_cluster,
@@ -44,7 +42,7 @@ design = contiguous_partition(100, 10)
 y = np.random.default_rng(0).standard_normal(design.n_units)
 
 def run(seed):
-    run_outcome_fixed([y], design, SimConfig(replications=512, seed=seed))
+    run_outcome_fixed([y], [("robust-hc1",)], design, SimConfig(replications=512, seed=seed))
 
 run(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -55,6 +53,7 @@ print(*keep_freed_memory(), faults / 100)
 """
 
 FULL_MENU = ("robust-hc1", "robust-hc3", "crve", "crve-hc3", "score-agg", "score-agg-null")
+HC1 = ("robust-hc1",)
 
 
 def _chunked_shocks(seed, replications, n):
@@ -101,30 +100,34 @@ def _dataset(seed=0, n=16, f=4, placebo=False):
 class TestDeterminism:
     def test_same_seed_same_report(self):
         data = _dataset()
-        cfg = SimConfig(replications=300, seed=99, estimators=FULL_MENU)
-        a, b = run_y_fixed(data.y, _design(data), cfg), run_y_fixed(data.y, _design(data), cfg)
-        assert a == b
+        cfg = SimConfig(replications=300, seed=99)
+        a = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
+        assert a == run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
 
     def test_worker_count_invariance(self):
         data = _dataset(1)
-        cfg = SimConfig(replications=700, seed=5, estimators=FULL_MENU)
-        reports = [run_y_fixed(data.y, _design(data), cfg, workers=w) for w in (1, 2, 4)]
+        cfg = SimConfig(replications=700, seed=5)
+        reports = [
+            run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg, workers=w)
+            for w in (1, 2, 4)
+        ]
         assert reports[0] == reports[1] == reports[2]
 
     def test_eps_fixed_with_zero_beta_matches_y_fixed(self):
         data = _dataset(2)
-        cfg = SimConfig(replications=250, seed=7, estimators=("robust-hc1", "crve"))
+        cfg, menus = SimConfig(replications=250, seed=7), [("robust-hc1", "crve")]
         x = data.shares @ np.ones(data.n_sectors)
-        (y_report,) = run_y_fixed(data.y, _design(data), cfg)
-        (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], _design(data), cfg)
+        (y_report,) = run_outcome_fixed([data.y], menus, _design(data), cfg)
+        (eps_report,) = run_outcome_fixed([data.y - 0.0 * x], menus, _design(data), cfg)
         assert eps_report.rejections == y_report.rejections
 
     def test_placebo_equals_y_fixed_when_identical(self):
         data = _dataset(3)
         twin = validate_dataset(data.y, data.shares, data.clusters, y_placebo=data.y)
-        cfg = SimConfig(replications=250, seed=11, estimators=("robust-hc1",))
-        (placebo,) = run_outcome_fixed([twin.y_placebo], _design(twin), cfg)
-        assert placebo.rejections == run_y_fixed(twin.y, _design(twin), cfg)[0].rejections
+        cfg = SimConfig(replications=250, seed=11)
+        (placebo,) = run_outcome_fixed([twin.y_placebo], [HC1], _design(twin), cfg)
+        (y_fixed,) = run_outcome_fixed([twin.y], [HC1], _design(twin), cfg)
+        assert placebo.rejections == y_fixed.rejections
 
 
 class TestReportInvariants:
@@ -133,14 +136,14 @@ class TestReportInvariants:
             np.full(12, 4.0), np.random.default_rng(0).uniform(0.1, 1, (12, 3)),
             clusters=np.arange(12) % 3,
         )
-        cfg = SimConfig(replications=150, seed=1, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data.y, _design(data), cfg)
+        cfg = SimConfig(replications=150, seed=1)
+        (report,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
         assert all(rate == 0.0 for rate in report.rates.values())
 
     def test_rates_are_count_ratios(self):
         data = _dataset(4)
-        cfg = SimConfig(replications=173, seed=13, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data.y, _design(data), cfg)
+        cfg = SimConfig(replications=173, seed=13)
+        (report,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
         assert report.b_effective + report.skipped_degenerate == 173
         for est, rate in report.rates.items():
             assert 0.0 <= rate <= 1.0
@@ -150,7 +153,7 @@ class TestReportInvariants:
         design = contiguous_partition(6, 2)
         y = np.random.default_rng(0).standard_normal(12)
         cfg = SimConfig(replications=400, seed=3)
-        (report,) = run_outcome_fixed([y], design, cfg)
+        (report,) = run_outcome_fixed([y], [HC1], design, cfg)
         assert report.skipped_degenerate == 0
 
     def test_constant_placebo(self):
@@ -160,7 +163,7 @@ class TestReportInvariants:
             y_placebo=np.zeros(9),
         )
         (report,) = run_outcome_fixed(
-            [data.y_placebo], _design(data), SimConfig(replications=100, seed=2)
+            [data.y_placebo], [HC1], _design(data), SimConfig(replications=100, seed=2)
         )
         assert report.rates["robust-hc1"] == 0.0
 
@@ -171,9 +174,9 @@ class TestValidation:
             np.random.default_rng(0).standard_normal(8),
             np.random.default_rng(1).uniform(0.1, 1, (8, 2)),
         )
-        cfg = SimConfig(replications=5, seed=1, estimators=("crve",))
+        cfg = SimConfig(replications=5, seed=1)
         with pytest.raises(ValidationError, match="cluster labels"):
-            run_y_fixed(data.y, _design(data), cfg)
+            run_outcome_fixed([data.y], [("crve",)], _design(data), cfg)
 
     def test_cluster_labels_must_match_share_rows(self):
         # 10 labels for 12 share rows used to run and report no crve rejection at all
@@ -190,15 +193,55 @@ class TestValidation:
         message = "outcome length does not match the design"
         if fault == "non-finite":
             y[4], message = np.nan, "non-finite outcome"
-        cfg = SimConfig(replications=5, seed=1, estimators=("crve",))
+        cfg = SimConfig(replications=5, seed=1)
         with pytest.raises(ValidationError, match=message):
-            run_outcome_fixed([rng.standard_normal(12), y], design, cfg)
+            run_outcome_fixed([rng.standard_normal(12), y], [("crve",)] * 2, design, cfg)
 
     def test_two_unit_design_rejected(self):
         design = contiguous_partition(2, 1)
         with pytest.raises(ValidationError, match="at least 3 observations"):
             run_outcome_fixed(
-                [np.array([1.0, 2.0])], design, SimConfig(replications=5, seed=1)
+                [np.array([1.0, 2.0])], [HC1], design, SimConfig(replications=5, seed=1)
+            )
+
+    @staticmethod
+    def _no_simulation(monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(engines, "map_chunks", simulated)
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize("n_menus", [0, 1, 3])
+    def test_one_menu_per_outcome(self, monkeypatch, kind, n_menus):
+        self._no_simulation(monkeypatch)
+        rng = np.random.default_rng(0)
+        if kind == "partition":
+            design = contiguous_partition(6, 2)
+        else:
+            design = share_design(rng.uniform(0.1, 1.0, (12, 3)), np.arange(12) % 3)
+        ys = rng.standard_normal((2, 12))
+        with pytest.raises(ValidationError, match="need one estimator menu per outcome"):
+            run_outcome_fixed(ys, [HC1] * n_menus, design, SimConfig(replications=5, seed=1))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "menu, message",
+        [
+            ((), "estimator menu is empty"),
+            (("crve", "nope"), r"unknown estimators \['nope'\]"),
+            (("crve", "robust-hc1", "crve"), r"repeated estimators \['crve'\]"),
+        ],
+    )
+    def test_every_menu_checked_before_the_simulation(self, monkeypatch, position, menu, message):
+        self._no_simulation(monkeypatch)
+        rng = np.random.default_rng(1)
+        design = share_design(rng.uniform(0.1, 1.0, (12, 3)), np.arange(12) % 3)
+        menus = [("crve",), FULL_MENU, HC1]
+        menus[position] = menu
+        with pytest.raises(ValidationError, match=message):
+            run_outcome_fixed(
+                rng.standard_normal((3, 12)), menus, design, SimConfig(replications=5, seed=1)
             )
 
     def test_bad_config(self):
@@ -207,9 +250,9 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SimConfig(replications=5, seed=1, alpha=1.5)
         with pytest.raises(ValidationError):
-            SimConfig(replications=5, seed=1, estimators=())
+            engines.check_menu(())
         with pytest.raises(ValidationError):
-            SimConfig(replications=5, seed=1, estimators=("nope",))
+            engines.check_menu(("nope",))
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
     def test_flag_threshold_outside_unit_interval(self, threshold):
@@ -224,12 +267,12 @@ class TestValidation:
 class TestAgainstScalarPath:
     """The vectorized kernel agrees, draw by draw, with the scalar estimators and p-value rule."""
 
-    def _scalar_counts(self, y, data, cfg, draws):
-        counts = dict.fromkeys(cfg.estimators, 0)
+    def _scalar_counts(self, y, menu, data, cfg, draws):
+        counts = dict.fromkeys(menu, 0)
         for shocks in draws:
             x = data.shares @ shocks
             fit = ols_simple(y, x)
-            for est in cfg.estimators:
+            for est in menu:
                 if est == "robust-hc1":
                     v = var_robust(fit)
                 elif est == "robust-hc3":
@@ -249,22 +292,22 @@ class TestAgainstScalarPath:
     @pytest.mark.parametrize("law", ["iid-standard-normal"])
     def test_engine_matches_scalar_replications(self, law):
         data = _dataset(8, n=14, f=4)
-        cfg = SimConfig(replications=300, seed=21, alpha=0.1, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data.y, _design(data), cfg)
+        cfg = SimConfig(replications=300, seed=21, alpha=0.1)
+        (report,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
         draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
         assert report.skipped_degenerate == 0
-        assert report.rejections == self._scalar_counts(data.y, data, cfg, draws)
+        assert report.rejections == self._scalar_counts(data.y, FULL_MENU, data, cfg, draws)
 
     def test_eps_fixed_matches_scalar(self):
         data = _dataset(9, n=12, f=4)
         rng = np.random.default_rng(3)
         x_realized = data.shares @ rng.standard_normal(data.n_sectors)
         beta_hat = ols_simple(data.y, x_realized).slope
-        cfg = SimConfig(replications=300, seed=33, estimators=("robust-hc1", "crve"))
+        cfg, menu = SimConfig(replications=300, seed=33), ("robust-hc1", "crve")
         ydot = data.y - beta_hat * x_realized
-        (report,) = run_outcome_fixed([ydot], _design(data), cfg)
+        (report,) = run_outcome_fixed([ydot], [menu], _design(data), cfg)
         draws = _chunked_shocks(cfg.seed, cfg.replications, data.n_sectors)
-        assert report.rejections == self._scalar_counts(ydot, data, cfg, draws)
+        assert report.rejections == self._scalar_counts(ydot, menu, data, cfg, draws)
 
 
 class TestCellKernel:
@@ -283,8 +326,8 @@ class TestCellKernel:
     def test_partition_matches_unit_oracle(self, n_groups, group_size):
         design = contiguous_partition(n_groups, group_size)
         y = self._grouped_outcome(design, n_groups + group_size)
-        cfg = SimConfig(replications=500, seed=41, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_outcome_fixed([y], design, cfg)
+        cfg = SimConfig(replications=500, seed=41, alpha=0.2)
+        (report,) = run_outcome_fixed([y], [FULL_MENU], design, cfg)
         X = np.vstack(
             [
                 engines._partition_regressors(n_groups, cfg.seed, lo, hi)
@@ -334,8 +377,8 @@ class TestCellKernel:
 
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
-        cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data.y, _design(data), cfg)
+        cfg = SimConfig(replications=300, seed=8, alpha=0.2)
+        (report,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
             data.y, X, FULL_MENU, cfg.alpha, clusters=data.clusters, shares=data.shares
@@ -411,7 +454,7 @@ class TestCellKernel:
 
         monkeypatch.setattr(engines, "_shares_regressors", lambda shares, seed, lo, hi: Z[lo:hi])
         ydot = rng.standard_normal(12)
-        cfg = SimConfig(replications=len(Z), seed=3, alpha=0.2, estimators=FULL_MENU)
+        cfg = SimConfig(replications=len(Z), seed=3, alpha=0.2)
         rest = (cfg, workers, share_design(shares, data.clusters))
         both = engines._run_sim([data.y, ydot], [FULL_MENU, ("crve",)], *rest).reports
         (y_alone,) = engines._run_sim([data.y], [FULL_MENU], *rest).reports
@@ -424,11 +467,13 @@ class TestCellKernel:
     def test_y_fixed_with_crve_outcomes_matches_separate_runs(self, workers):
         data = _dataset(16, n=20, f=5, placebo=True)
         ydot = np.random.default_rng(16).standard_normal(20)
-        cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
-        crve_cfg = SimConfig(replications=600, seed=19, estimators=("crve",))
-        (y_alone,) = run_y_fixed(data.y, _design(data), cfg, workers)
-        crve_alone = run_outcome_fixed([ydot, data.y_placebo], _design(data), crve_cfg, workers)
-        both = run_y_fixed(data.y, _design(data), cfg, workers, crve=[ydot, data.y_placebo])
+        cfg = SimConfig(replications=600, seed=19)
+        crve_outcomes, crve_menus = [ydot, data.y_placebo], [("crve",)] * 2
+        (y_alone,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg, workers)
+        crve_alone = run_outcome_fixed(crve_outcomes, crve_menus, _design(data), cfg, workers)
+        both = run_outcome_fixed(
+            [data.y, *crve_outcomes], [FULL_MENU, *crve_menus], _design(data), cfg, workers
+        )
         assert both == (y_alone, *crve_alone)
 
     def test_sub_blocks_match_unit_oracle(self, monkeypatch):
@@ -445,8 +490,8 @@ class TestCellKernel:
             "_block_counts",
             lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
         )
-        cfg = SimConfig(replications=300, seed=8, alpha=0.2, estimators=FULL_MENU)
-        (report,) = run_y_fixed(data.y, _design(data), cfg)
+        cfg = SimConfig(replications=300, seed=8, alpha=0.2)
+        (report,) = run_outcome_fixed([data.y], [FULL_MENU], _design(data), cfg)
         assert len(blocks) >= 4 and max(blocks) < 256 and sum(blocks) == 300
         X = _chunked_shocks(cfg.seed, cfg.replications, 6) @ data.shares.T
         counts, skipped = oracles.unit_kernel_counts(
@@ -740,10 +785,10 @@ class TestDesignOnce:
         # a mixed menu keeps the unit path, whose crve reads ubar and Q~ but no Gram
         data = _dataset(26, n=40, f=4, placebo=True)
         design = _design(data)
-        cfg = SimConfig(replications=300, seed=26, estimators=FULL_MENU)
-        run_y_fixed(data.y, design, cfg, crve=[data.y_placebo])
+        cfg = SimConfig(replications=300, seed=26)
+        run_outcome_fixed([data.y, data.y_placebo], [FULL_MENU, ("crve",)], design, cfg)
         assert design.ubar is not None and "grams" not in vars(design)
-        run_outcome_fixed([data.y_placebo], design, replace(cfg, estimators=("crve",)))
+        run_outcome_fixed([data.y_placebo], [("crve",)], design, cfg)
         assert "grams" in vars(design)
 
 
@@ -756,10 +801,10 @@ class TestMemory:
         shares = rng.uniform(0.0, 1.0, (n, 10))
         clusters = np.arange(n) // (n // 20)
         ys = rng.standard_normal((2, n))
-        cfg = SimConfig(replications=512, seed=3, estimators=("crve",))
+        cfg = SimConfig(replications=512, seed=3)
         tracemalloc.start()
         try:
-            run_outcome_fixed(ys, share_design(shares, clusters), cfg, workers=1)
+            run_outcome_fixed(ys, [("crve",)] * 2, share_design(shares, clusters), cfg, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -808,9 +853,9 @@ class TestStreamLayout:
             blocks.clear()
             cfg = SimConfig(replications=replications, seed=17)
             if engine == "partition":
-                run_outcome_fixed([y], design, cfg)
+                run_outcome_fixed([y], [HC1], design, cfg)
             else:
-                run_y_fixed(data.y, _design(data), cfg)
+                run_outcome_fixed([data.y], [HC1], _design(data), cfg)
             firsts.append(blocks[0])
         assert firsts[0].shape[0] == firsts[1].shape[0] == 256
         assert np.array_equal(firsts[0], firsts[1])
@@ -852,7 +897,7 @@ class TestPermutationEngine:
     def test_constant_outcome(self):
         design = contiguous_partition(4, 2)
         (report,) = run_outcome_fixed(
-            [np.full(8, 2.0)], design, SimConfig(replications=50, seed=9)
+            [np.full(8, 2.0)], [HC1], design, SimConfig(replications=50, seed=9)
         )
         assert report.rates["robust-hc1"] == 0.0
 
@@ -863,15 +908,15 @@ class TestPermutationEngine:
         y = beta * x  # pure effect, no noise
         cfg = SimConfig(replications=60, seed=2)
         # residualizing with the true slope leaves a constant outcome
-        (report,) = run_outcome_fixed([y - beta * x], design, cfg)
+        (report,) = run_outcome_fixed([y - beta * x], [HC1], design, cfg)
         assert report.rates["robust-hc1"] == 0.0
 
     def test_worker_invariance(self):
         design = contiguous_partition(8, 3)
         y = np.random.default_rng(7).standard_normal(24)
-        cfg = SimConfig(replications=600, seed=77, estimators=("robust-hc1", "crve"))
+        cfg, menus = SimConfig(replications=600, seed=77), [("robust-hc1", "crve")]
         reports = [
-            run_outcome_fixed([y], design, cfg, workers=w) for w in (1, 3)
+            run_outcome_fixed([y], menus, design, cfg, workers=w) for w in (1, 3)
         ]
         assert reports[0] == reports[1]
 
@@ -881,9 +926,9 @@ class TestPermutationEngine:
         rng = np.random.default_rng(9)
         y = rng.standard_normal(24)
         ys = [y, y - 0.8 * rng.standard_normal(8)[design.group_of]]
-        cfg = SimConfig(replications=600, seed=19, estimators=FULL_MENU)
-        both = run_outcome_fixed(ys, design, cfg)
-        assert both == tuple(run_outcome_fixed([o], design, cfg)[0] for o in ys)
+        cfg = SimConfig(replications=600, seed=19)
+        both = run_outcome_fixed(ys, [FULL_MENU] * 2, design, cfg)
+        assert both == tuple(run_outcome_fixed([o], [FULL_MENU], design, cfg)[0] for o in ys)
         assert both[0] != both[1]
 
     # The designs of the exact-rate test.  It makes one comparison per design and
@@ -912,8 +957,8 @@ class TestPermutationEngine:
                 clusters=design.group_of, shares=oracles.partition_to_shares(design),
             )
             seed = n_groups + group_size
-            cfg = SimConfig(replications=replications, seed=seed, estimators=FULL_MENU)
-            (report,) = run_outcome_fixed([y], design, cfg)
+            cfg = SimConfig(replications=replications, seed=seed)
+            (report,) = run_outcome_fixed([y], [FULL_MENU], design, cfg)
             assert report.b_effective == replications
             for est, count in zip(FULL_MENU, exact):
                 rate = count / len(X)
@@ -926,4 +971,5 @@ class TestPermutationEngine:
         design = contiguous_partition(4, 2)
         for outcomes in (np.zeros(8), [np.zeros(6)]):
             with pytest.raises(ValidationError, match="does not match the design"):
-                run_outcome_fixed(outcomes, design, SimConfig(replications=5, seed=1))
+                cfg = SimConfig(replications=5, seed=1)
+                run_outcome_fixed(outcomes, [HC1] * len(outcomes), design, cfg)
