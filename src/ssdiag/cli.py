@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .analytics import (
 )
 from .data import Dataset, contiguous_partition, validate_dataset
 from .dgp import (
-    ExperimentRow,
     GroupedDGP,
     PANEL_PARAMS,
     crossed_shares,
@@ -74,26 +74,18 @@ def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return [h.strip() for h in header], body
 
 
-def _parse_float(path: Path, lineno: int, value: str) -> float:
+def _parse_number(path: Path, lineno: int, value: str, cast):
     try:
-        return float(value)
+        return cast(value)
     except ValueError:
+        kind = "an integer" if cast is int else "a number"
         raise ValidationError(
-            f"{path} line {lineno}: could not parse {value!r} as a number"
+            f"{path} line {lineno}: could not parse {value!r} as {kind}"
         ) from None
 
 
-def _parse_int(path: Path, lineno: int, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(
-            f"{path} line {lineno}: could not parse {value!r} as an integer"
-        ) from None
-
-
-def _keyed_rows(path: Path, header: list[str], body, parsers) -> tuple[list[str], list[list]]:
-    """Region ids and the parsed fields after region_id of each row of a CSV, in file order.
+def _keyed_rows(path: Path, header: list[str], body, casts) -> tuple[list[str], list[list]]:
+    """Region ids and the fields after region_id of each row of a CSV, each cast, in file order.
 
     Checks, row by row, the field count, region id uniqueness and the numbers.
     """
@@ -110,7 +102,7 @@ def _keyed_rows(path: Path, header: list[str], body, parsers) -> tuple[list[str]
             raise ValidationError(f"{path} line {lineno}: duplicate region id {region!r}")
         seen.add(region)
         region_ids.append(region)
-        rows.append([parse(path, lineno, value) for parse, value in zip(parsers, row[1:])])
+        rows.append([_parse_number(path, lineno, v, cast) for cast, v in zip(casts, row[1:])])
     return region_ids, rows
 
 
@@ -131,8 +123,8 @@ def _read_outcomes(path: Path) -> tuple[list[str], dict[str, list]]:
             f"{path}: optional columns must be among "
             f"{', '.join(_OUTCOME_OPTIONAL_COLUMNS)} (got {','.join(extras)})"
         )
-    parsers = [_parse_int if name == "cluster" else _parse_float for name in header[1:]]
-    region_ids, rows = _keyed_rows(path, header, body, parsers)
+    casts = [int if name == "cluster" else float for name in header[1:]]
+    region_ids, rows = _keyed_rows(path, header, body, casts)
     return region_ids, {name: [row[k] for row in rows] for k, name in enumerate(header[1:])}
 
 
@@ -199,7 +191,7 @@ def _read_shares(path: Path) -> tuple[list[str], np.ndarray]:
         raise ValidationError(
             f"{path}: header must be region_id,s_1,...,s_F (got {','.join(header)})"
         )
-    region_ids, rows = _keyed_rows(path, header, body, [_parse_float] * (len(header) - 1))
+    region_ids, rows = _keyed_rows(path, header, body, [float] * (len(header) - 1))
     return region_ids, np.array(rows, dtype=float)
 
 
@@ -252,15 +244,20 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _emit_csv(comment: str, columns: list[str], rows: list[list], out: str | None) -> None:
-    lines = [f"# {comment}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
+def _emit_csv(echo: dict, labels: list[str], prefix: str, rows, out: str | None) -> None:
+    """Write an experiment CSV: a ``# k=v ...`` line echoing ``echo``, a header, one line per row.
+
+    ``rows`` holds (label values, ExperimentRow) pairs.  The columns are the
+    ``labels`` names, then size, ``{prefix}_y`` and ``{prefix}_eps``, each
+    followed by its ``_mc_se``; a line is its label values, then the row's
+    fields in that order.
+    """
+    rates = ["size", f"{prefix}_y", f"{prefix}_eps"]
+    columns = labels + [name for rate in rates for name in (rate, f"{rate}_mc_se")]
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in echo.items()), ",".join(columns)]
+    for label, row in rows:
+        lines.append(",".join(str(v) for v in [*label, *astuple(row)]))
     _emit_text("\n".join(lines) + "\n", out)
-
-
-def _echo(pairs: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs.items())
 
 
 def _report_block(report: SimReport, threshold: float) -> dict:
@@ -279,17 +276,6 @@ def _report_block(report: SimReport, threshold: float) -> dict:
         "skipped_degenerate": report.skipped_degenerate,
         "estimators": estimators,
     }
-
-
-def _rate_columns(row: ExperimentRow) -> list:
-    return [
-        row.size,
-        row.size_se,
-        row.pr_flag_y,
-        row.pr_flag_y_se,
-        row.pr_flag_eps,
-        row.pr_flag_eps_se,
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +337,8 @@ class _Settings:
             value = _cast(key, value, cast)
         return value
 
-    def get_list(self, key: str, default=None, cast=str, distinct=False):
-        """A comma-separated flag or a config list, each item cast (and named once if distinct)."""
+    def get_list(self, key: str, default=None, cast=str):
+        """A comma-separated flag or a config list, each item cast and named once."""
         value = self.get(key, default)
         if value is None:
             return None
@@ -362,7 +348,7 @@ class _Settings:
             items = _cast(key, value, list)
         items = [_cast(key, v, cast) for v in items]
         repeated = sorted({v for v in items if items.count(v) > 1})
-        if distinct and repeated:
+        if repeated:
             raise ValidationError(f"repeated {key} {repeated}")
         return items
 
@@ -418,7 +404,7 @@ def cmd_diagnose(settings: _Settings) -> None:
     cfg = SimConfig(replications=perms, seed=seed, alpha=alpha)
     check_menu(menu)
 
-    modes = settings.get_list("modes", distinct=True)
+    modes = settings.get_list("modes")
     if modes is None:
         modes = ["y-fixed"]
         if data.x_realized is not None:
@@ -491,7 +477,7 @@ def cmd_mc_table(settings: _Settings) -> None:
     outer_reps = settings.get("reps", 2000, int)
     perms = settings.get("perms", 200, int)
     per_state = settings.get("per_state", 10, int)
-    states = settings.get_list("states", [20, 100], int, distinct=True)
+    states = settings.get_list("states", [20, 100], int)
     workers = settings.workers()
     out = settings.out()
 
@@ -503,7 +489,7 @@ def cmd_mc_table(settings: _Settings) -> None:
             cells.append((dgp, derive_seed(seed, len(cells))))
     results = run_grouped_experiment(cells, outer_reps, perms, alpha, threshold, workers)
 
-    comment = _echo(
+    _emit_csv(
         {
             "ssdiag": __version__,
             "command": "mc-table",
@@ -513,21 +499,10 @@ def cmd_mc_table(settings: _Settings) -> None:
             "alpha": alpha,
             "threshold": threshold,
             "per_state": per_state,
-        }
-    )
-    _emit_csv(
-        comment,
-        [
-            "panel",
-            "n_states",
-            "size",
-            "size_mc_se",
-            "pr_gamma_y",
-            "pr_gamma_y_mc_se",
-            "pr_gamma_eps",
-            "pr_gamma_eps_mc_se",
-        ],
-        [label + _rate_columns(r) for label, r in zip(labels, results)],
+        },
+        ["panel", "n_states"],
+        "pr_gamma",
+        zip(labels, results),
         out,
     )
 
@@ -538,7 +513,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
     threshold = settings.get("threshold", 0.1, float)
     outer_reps = settings.get("reps", 500, int)
     perms = settings.get("perms", 200, int)
-    gammas = sorted(settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float, distinct=True))
+    gammas = sorted(settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float))
     workers = settings.workers()
     out = settings.out()
 
@@ -561,7 +536,7 @@ def cmd_flag_curve(settings: _Settings) -> None:
         shares, clusters, gammas, outer_reps, perms, seed, alpha, threshold, workers
     )
 
-    comment = _echo(
+    _emit_csv(
         {
             "ssdiag": __version__,
             "command": "flag-curve",
@@ -571,20 +546,10 @@ def cmd_flag_curve(settings: _Settings) -> None:
             "alpha": alpha,
             "threshold": threshold,
             "shares": source,
-        }
-    )
-    _emit_csv(
-        comment,
-        [
-            "gamma",
-            "size",
-            "size_mc_se",
-            "pr_flag_y",
-            "pr_flag_y_mc_se",
-            "pr_flag_eps",
-            "pr_flag_eps_mc_se",
-        ],
-        [[gamma] + _rate_columns(r) for gamma, r in zip(gammas, rows)],
+        },
+        ["gamma"],
+        "pr_flag",
+        [([gamma], row) for gamma, row in zip(gammas, rows)],
         out,
     )
 
@@ -601,12 +566,7 @@ def cmd_analytic(settings: _Settings) -> None:
         {
             "version": __version__,
             "command": "analytic",
-            "params": {
-                "beta": params.beta,
-                "sigma2": params.sigma2,
-                "rho": params.rho,
-                "group_size": params.group_size,
-            },
+            "params": asdict(params),
             "y_fixed_limit": y_fixed_variance_ratio_limit(params),
             "eps_fixed_limit": eps_fixed_variance_ratio_limit(params),
         },
@@ -637,11 +597,7 @@ def cmd_oracle(settings: _Settings) -> None:
             "version": __version__,
             "command": "oracle",
             "config": {"group_size": group_size, "n_groups": n_groups, "n_units": n},
-            "enumeration": {
-                "mean": enum.mean,
-                "variance": enum.variance,
-                "n_assignments": enum.n_assignments,
-            },
+            "enumeration": asdict(enum),
             "formula_true": formula_true,
             "formula_robust": formula_robust,
             "ratio_formula_to_enumeration": (

@@ -72,7 +72,11 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.replications < 1:
+        # bool is an int to Python; a count takes neither it nor a float, as the CLI does
+        count = self.replications
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValidationError(f"replications: could not parse {count!r} as an integer")
+        if count < 1:
             raise ValidationError("need at least 1 replication")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
@@ -222,6 +226,10 @@ def share_design(shares, clusters=None) -> ShareDesign:
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
         raise ValidationError("shares must be a matrix")
+    if shares.shape[1] == 0:
+        raise ValidationError("need at least 1 sector")
+    if not np.isfinite(shares).all():
+        raise ValidationError("non-finite share")
     if clusters is not None and np.shape(clusters) != (shares.shape[0],):
         raise ValidationError("cluster labels do not match shares")
     n, n_sectors = shares.shape
@@ -403,6 +411,8 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
     menus = tuple(tuple(menu) for menu in menus)
+    if not ys:
+        raise ValidationError("need at least 1 outcome")
     if len(menus) != len(ys):
         raise ValidationError("need one estimator menu per outcome")
     partition = isinstance(design, PartitionDesign)

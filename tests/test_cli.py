@@ -399,6 +399,8 @@ class TestDiagnose:
             (["--modes", "y-fixed,eps-fixed"], "missing realized shocks"),
             (["--modes", ""], "need at least 1 mode"),
             (["--modes", ","], "need at least 1 mode"),
+            ({"modes": ["y-fixed", "placebo", "y-fixed"]}, "repeated modes ['y-fixed']"),
+            ({"estimators": ["crve", "robust-hc1", "crve"]}, "repeated estimators ['crve']"),
         ],
     )
     def test_repeats_exit_before_any_simulation(
@@ -410,6 +412,8 @@ class TestDiagnose:
         outcomes = _write(
             tmp_path / "outcomes.csv", "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
         )
+        if isinstance(extra, dict):  # config keys
+            extra = ["--config", _write(tmp_path / "cfg.json", json.dumps({"diagnose": extra}))]
         calls = []
         monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
         assert main([
@@ -567,17 +571,22 @@ class TestTableAndCurve:
         assert lines[1].split(",")[:3] == ["panel", "n_states", "size"]
         assert len(lines) == 2 + 10  # comment + header + 5 panels x 2 sizes
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_mc_table_repeated_states_exit_before_any_simulation(
-        self, tmp_path, monkeypatch, capsys
+        self, source, tmp_path, monkeypatch, capsys
     ):
         # a repeated size wrote two rows per panel under one label, with different numbers
         calls = []
         monkeypatch.setattr(engines, "_run_sim", lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "table.csv"
-        assert main([
-            "mc-table", "--seed", "1", "--reps", "4", "--perms", "10",
-            "--states", "4,4", "--per-state", "2", "--out", str(out),
-        ]) == 2
+        argv = ["mc-table", "--seed", "1", "--reps", "4", "--perms", "10", "--per-state", "2",
+                "--out", str(out)]
+        if source == "flag":
+            argv += ["--states", "4,4"]
+        else:
+            cfg = _write(tmp_path / "cfg.json", json.dumps({"mc-table": {"states": [4, 4]}}))
+            argv += ["--config", cfg]
+        assert main(argv) == 2
         assert "repeated states [4]" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 

@@ -211,18 +211,71 @@ class TestValidation:
 
         monkeypatch.setattr(engines, "map_chunks", simulated)
 
+    @staticmethod
+    def _twelve_units(kind):
+        """A design on 12 units: 6 groups of 2, or 3 sectors in 3 clusters."""
+        if kind == "partition":
+            return contiguous_partition(6, 2)
+        rng = np.random.default_rng(0)
+        return share_design(rng.uniform(0.1, 1.0, (12, 3)), np.arange(12) % 3)
+
     @pytest.mark.parametrize("kind", ["shift-share", "partition"])
     @pytest.mark.parametrize("n_menus", [0, 1, 3])
     def test_one_menu_per_outcome(self, monkeypatch, kind, n_menus):
         self._no_simulation(monkeypatch)
-        rng = np.random.default_rng(0)
-        if kind == "partition":
-            design = contiguous_partition(6, 2)
-        else:
-            design = share_design(rng.uniform(0.1, 1.0, (12, 3)), np.arange(12) % 3)
-        ys = rng.standard_normal((2, 12))
+        design = self._twelve_units(kind)
+        ys = np.random.default_rng(0).standard_normal((2, 12))
         with pytest.raises(ValidationError, match="need one estimator menu per outcome"):
             run_outcome_fixed(ys, [HC1] * n_menus, design, SimConfig(replications=5, seed=1))
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    def test_no_outcomes_refused(self, monkeypatch, kind):
+        # a partition design raised IndexError and a share design returned ()
+        self._no_simulation(monkeypatch)
+        with pytest.raises(ValidationError, match="need at least 1 outcome"):
+            run_outcome_fixed([], [], self._twelve_units(kind), SimConfig(replications=5, seed=1))
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize("count", [True, 2.5, 3.0, "5"])
+    def test_replication_count_must_be_an_integer(self, monkeypatch, kind, count):
+        # True ran one replication and reported "replications: True"; 2.5 ended in a TypeError
+        self._no_simulation(monkeypatch)
+        design = self._twelve_units(kind)
+        y = np.random.default_rng(0).standard_normal(12)
+        with pytest.raises(ValidationError, match=r"replications: could not parse .* as an integer"):
+            run_outcome_fixed([y], [HC1], design, SimConfig(replications=count, seed=1))
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize("count", [5, np.int64(5), np.int32(5)])
+    def test_integer_replication_counts_accepted(self, kind, count):
+        y = np.random.default_rng(0).standard_normal(12)
+        (report,) = run_outcome_fixed(
+            [y], [HC1], self._twelve_units(kind), SimConfig(replications=count, seed=1)
+        )
+        assert report.replications == 5 and report.b_effective == 5
+
+    # 3 sectors x 4 clusters <= 12 units: a crve menu runs in sector space, a mixed
+    # menu on the per-unit path
+    @pytest.mark.parametrize("menu", [("crve",), ("robust-hc1", "crve")], ids=["sector", "unit"])
+    def test_non_finite_share_refused(self, monkeypatch, menu):
+        # a NaN share skipped all draws as degenerate and reported rates of 0.0
+        self._no_simulation(monkeypatch)
+        rng = np.random.default_rng(0)
+        shares = rng.uniform(0.1, 1.0, (12, 3))
+        shares[4, 1] = np.nan
+        y = rng.standard_normal(12)
+        with pytest.raises(ValidationError, match="non-finite share"):
+            design = share_design(shares, np.arange(12) % 4)
+            run_outcome_fixed([y], [menu], design, SimConfig(replications=5, seed=1))
+
+    @pytest.mark.parametrize("clusters", [None, np.arange(12) % 4], ids=["unclustered", "clustered"])
+    def test_no_sectors_refused(self, monkeypatch, clusters):
+        # an (N, 0) share matrix with clusters raised ZeroDivisionError
+        self._no_simulation(monkeypatch)
+        y = np.random.default_rng(0).standard_normal(12)
+        with pytest.raises(ValidationError, match="need at least 1 sector"):
+            design = share_design(np.empty((12, 0)), clusters)
+            run_outcome_fixed([y], [HC1], design, SimConfig(replications=5, seed=1))
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize(
