@@ -305,6 +305,18 @@ _KINDS = {int: "an integer", float: "a finite number", list: "a list"}
 
 
 def _cast(key: str, value, cast):
+    # a list setting [T] comes as a comma-separated string or a config list;
+    # each item is cast to T and named once
+    if isinstance(cast, list):
+        if isinstance(value, str):
+            items = [v for v in value.split(",") if v.strip()]
+        else:
+            items = _cast(key, value, list)
+        items = [_cast(key, v, cast[0]) for v in items]
+        repeated = sorted({v for v in items if items.count(v) > 1})
+        if repeated:
+            raise ValidationError(f"repeated {key} {repeated}")
+        return items
     # int() truncates 2.7 and bool is an int to Python; a number setting takes
     # neither, and a float setting takes no nan or infinity
     truncated = cast is int and isinstance(value, float) and not value.is_integer()
@@ -319,105 +331,79 @@ def _cast(key: str, value, cast):
     raise ValidationError(f"{key}: could not parse {value!r} as {_KINDS[cast]}")
 
 
-class _Settings:
-    """Flag > command section > config top level > default."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every setting of the command, cast and checked before any input is read.
 
-    def __init__(self, args: argparse.Namespace, command: str):
-        self.args = args
-        self.config = _load_config(args.config)
-        self.section = self.config.get(command, {})
-        if not isinstance(self.section, dict):
-            raise ValidationError(f"config section {command!r} must be an object")
-
-    def get(self, key: str, default=None, cast=None):
-        value = getattr(self.args, key.replace("-", "_"), None)
+    A setting comes from its flag, else the config file's command section,
+    else its top level, else the table's default.
+    """
+    config = _load_config(args.config)
+    section = config.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {args.command!r} must be an object")
+    settings = {}
+    for key, (kind, default, _) in _COMMANDS[args.command][2].items():
+        value = getattr(args, key)
         if value is None:
-            value = self.section.get(key, self.config.get(key, default))
-        if value is not None and cast is not None:
-            value = _cast(key, value, cast)
-        return value
-
-    def get_list(self, key: str, default=None, cast=str):
-        """A comma-separated flag or a config list, each item cast and named once."""
-        value = self.get(key, default)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            items = [v for v in value.split(",") if v.strip()]
-        else:
-            items = _cast(key, value, list)
-        items = [_cast(key, v, cast) for v in items]
-        repeated = sorted({v for v in items if items.count(v) > 1})
-        if repeated:
-            raise ValidationError(f"repeated {key} {repeated}")
-        return items
-
-    def require_seed(self) -> int:
-        seed = self.get("seed", cast=int)
-        if seed is None:
+            value = section.get(key, config.get(key, default))
+        settings[key] = value if value is None and default is None else _cast(key, value, kind)
+    if "seed" in settings:
+        if settings["seed"] is None:
             raise ValidationError("--seed is required for simulation commands")
-        return seed
+        # refuses a negative seed, a budget below 1 and a level outside (0, 1)
+        SimConfig(settings["perms"], settings["seed"], settings["alpha"])
+        check_threshold(settings["threshold"])
+        settings["workers"] = resolve_workers(settings["workers"])
+    out = settings["out"]
+    if out is not None:
+        # a report that cannot be written is refused before the command spends its time
+        path = Path(out)
+        if path.is_dir():
+            raise ValidationError(f"cannot write {out}: is a directory")
+        if not path.parent.is_dir():
+            raise ValidationError(f"cannot write {out}: no directory {path.parent}")
+    return settings
 
-    def workers(self) -> int:
-        return resolve_workers(self.get("workers", cast=int))
 
-    def out(self) -> str | None:
-        """The --out path, checked before any simulation runs for a report it cannot write."""
-        out = self.get("out")
-        if out is not None:
-            path = Path(out)
-            if path.is_dir():
-                raise ValidationError(f"cannot write {out}: is a directory")
-            if not path.parent.is_dir():
-                raise ValidationError(f"cannot write {out}: no directory {path.parent}")
-        return out
-
-    def require_path(self, key: str) -> Path:
-        value = self.get(key)
-        if value is None:
-            raise ValidationError(f"--{key} is required")
-        path = Path(value)
-        if not path.exists():
-            raise ValidationError(f"{key} file not found: {path}")
-        return path
+def _path(settings: dict, key: str) -> Path:
+    if settings[key] is None:
+        raise ValidationError(f"--{key} is required")
+    path = Path(settings[key])
+    if not path.exists():
+        raise ValidationError(f"{key} file not found: {path}")
+    return path
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_diagnose(settings: _Settings) -> None:
-    seed = settings.require_seed()
-    alpha = settings.get("alpha", 0.05, float)
-    threshold = check_threshold(settings.get("threshold", 0.1, float))
-    perms = settings.get("perms", 2000, int)
-    workers = settings.workers()
-    out = settings.out()
-    data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
-
-    menu = settings.get_list("estimators")
-    menu_given = menu is not None
+def cmd_diagnose(settings: dict) -> None:
+    # a given menu or mode list is checked before the input files are read
+    menu = settings["estimators"]
+    modes = settings["modes"]
+    if menu is not None:
+        check_menu(menu)
+    if modes is not None:
+        if not modes:
+            raise ValidationError("need at least 1 mode")
+        unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
+        if unknown_modes:
+            raise ValidationError(f"unknown modes {unknown_modes}")
+        if menu is not None and "y-fixed" not in modes:
+            raise ValidationError("diagnose reads --estimators only with the y-fixed mode")
+    data = ingest(_path(settings, "shares"), _path(settings, "outcomes"))
     if menu is None:
         menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
         if data.clusters is not None:
             menu[2:2] = ["crve", "crve-hc3"]
-    cfg = SimConfig(replications=perms, seed=seed, alpha=alpha)
-    check_menu(menu)
-
-    modes = settings.get_list("modes")
     if modes is None:
         modes = ["y-fixed"]
         if data.x_realized is not None:
             modes.append("eps-fixed")
         if data.y_placebo is not None:
             modes.append("placebo")
-    if not modes:
-        raise ValidationError("need at least 1 mode")
-    unknown_modes = [m for m in modes if m not in ("y-fixed", "eps-fixed", "placebo")]
-    if unknown_modes:
-        raise ValidationError(f"unknown modes {unknown_modes}")
-    if menu_given and "y-fixed" not in modes:
-        raise ValidationError("diagnose reads --estimators only with the y-fixed mode")
+    cfg = SimConfig(replications=settings["perms"], seed=settings["seed"], alpha=settings["alpha"])
 
     # every mode's columns are checked before the simulation; one shock block
     # tests y-fixed with the menu and eps-fixed and placebo with crve
@@ -440,7 +426,8 @@ def cmd_diagnose(settings: _Settings) -> None:
             outcomes.append(data.y_placebo)
         menus.append(tuple(menu) if mode == "y-fixed" else ("crve",))
     design = share_design(data.shares, data.clusters)
-    reports = run_y_fixed(outcomes, menus, design, cfg, workers)
+    reports = run_y_fixed(outcomes, menus, design, cfg, settings["workers"])
+    threshold = settings["threshold"]
     blocks = {mode: _report_block(report, threshold) for mode, report in zip(modes, reports)}
     if "eps-fixed" in blocks:
         blocks["eps-fixed"]["beta_hat"] = beta_hat
@@ -449,11 +436,11 @@ def cmd_diagnose(settings: _Settings) -> None:
         {
             "version": __version__,
             "command": "diagnose",
-            "seed": seed,
+            "seed": settings["seed"],
             "config": {
-                "alpha": alpha,
+                "alpha": settings["alpha"],
                 "threshold": threshold,
-                "perms": perms,
+                "perms": settings["perms"],
                 "estimators": menu,
                 "modes": modes,
             },
@@ -466,101 +453,85 @@ def cmd_diagnose(settings: _Settings) -> None:
             },
             "modes": blocks,
         },
-        out,
+        settings["out"],
     )
 
 
-def cmd_mc_table(settings: _Settings) -> None:
-    seed = settings.require_seed()
-    alpha = settings.get("alpha", 0.05, float)
-    threshold = settings.get("threshold", 0.1, float)
-    outer_reps = settings.get("reps", 2000, int)
-    perms = settings.get("perms", 200, int)
-    per_state = settings.get("per_state", 10, int)
-    states = settings.get_list("states", [20, 100], int)
-    workers = settings.workers()
-    out = settings.out()
-
+def cmd_mc_table(settings: dict) -> None:
     labels, cells = [], []
     for panel, params in PANEL_PARAMS.items():
-        for n_states in states:
-            dgp = GroupedDGP(n_states=n_states, per_state=per_state, **params)
+        for n_states in settings["states"]:
+            dgp = GroupedDGP(n_states=n_states, per_state=settings["per_state"], **params)
             labels.append([panel, n_states])
-            cells.append((dgp, derive_seed(seed, len(cells))))
-    results = run_grouped_experiment(cells, outer_reps, perms, alpha, threshold, workers)
+            cells.append((dgp, derive_seed(settings["seed"], len(cells))))
+    results = run_grouped_experiment(
+        cells, settings["reps"], settings["perms"], settings["alpha"], settings["threshold"],
+        settings["workers"],
+    )
 
     _emit_csv(
         {
             "ssdiag": __version__,
             "command": "mc-table",
-            "seed": seed,
-            "reps": outer_reps,
-            "perms": perms,
-            "alpha": alpha,
-            "threshold": threshold,
-            "per_state": per_state,
+            "seed": settings["seed"],
+            "reps": settings["reps"],
+            "perms": settings["perms"],
+            "alpha": settings["alpha"],
+            "threshold": settings["threshold"],
+            "per_state": settings["per_state"],
         },
         ["panel", "n_states"],
         "pr_gamma",
         zip(labels, results),
-        out,
+        settings["out"],
     )
 
 
-def cmd_flag_curve(settings: _Settings) -> None:
-    seed = settings.require_seed()
-    alpha = settings.get("alpha", 0.05, float)
-    threshold = settings.get("threshold", 0.1, float)
-    outer_reps = settings.get("reps", 500, int)
-    perms = settings.get("perms", 200, int)
-    gammas = sorted(settings.get_list("gammas", [0.0, 0.25, 0.5, 1.0], float))
-    workers = settings.workers()
-    out = settings.out()
-
-    shares_arg = settings.get("shares")
-    if shares_arg is not None:
-        data = ingest(settings.require_path("shares"), settings.require_path("outcomes"))
+def cmd_flag_curve(settings: dict) -> None:
+    if settings["shares"] is not None:
+        data = ingest(_path(settings, "shares"), _path(settings, "outcomes"))
         if data.clusters is None:
             raise ValidationError("flag-curve on user shares requires a cluster column")
         shares, clusters = data.shares, data.clusters
         source = "user"
-    elif settings.get("outcomes") is not None:
+    elif settings["outcomes"] is not None:
         raise ValidationError("flag-curve reads --outcomes only with --shares")
     else:
-        n_clusters = settings.get("clusters", 25, int)
-        n_sectors = settings.get("sectors", 20, int)
+        n_clusters = settings["clusters"]
+        n_sectors = settings["sectors"]
         shares, clusters = crossed_shares(n_clusters, n_sectors)
         source = f"synthetic-crossed:{n_clusters}x{n_sectors}"
 
+    gammas = sorted(settings["gammas"])
     rows = run_flagging_curve(
-        shares, clusters, gammas, outer_reps, perms, seed, alpha, threshold, workers
+        shares, clusters, gammas, settings["reps"], settings["perms"], settings["seed"],
+        settings["alpha"], settings["threshold"], settings["workers"],
     )
 
     _emit_csv(
         {
             "ssdiag": __version__,
             "command": "flag-curve",
-            "seed": seed,
-            "reps": outer_reps,
-            "perms": perms,
-            "alpha": alpha,
-            "threshold": threshold,
+            "seed": settings["seed"],
+            "reps": settings["reps"],
+            "perms": settings["perms"],
+            "alpha": settings["alpha"],
+            "threshold": settings["threshold"],
             "shares": source,
         },
         ["gamma"],
         "pr_flag",
         [([gamma], row) for gamma, row in zip(gammas, rows)],
-        out,
+        settings["out"],
     )
 
 
-def cmd_analytic(settings: _Settings) -> None:
-    out = settings.out()
+def cmd_analytic(settings: dict) -> None:
     params = StylizedParams(
-        beta=settings.get("beta", 0.0, float),
-        sigma2=settings.get("sigma2", 1.0, float),
-        rho=settings.get("rho", 0.0, float),
-        group_size=settings.get("group_size", 1, int),
+        beta=settings["beta"],
+        sigma2=settings["sigma2"],
+        rho=settings["rho"],
+        group_size=settings["group_size"],
     )
     _emit_json(
         {
@@ -570,15 +541,13 @@ def cmd_analytic(settings: _Settings) -> None:
             "y_fixed_limit": y_fixed_variance_ratio_limit(params),
             "eps_fixed_limit": eps_fixed_variance_ratio_limit(params),
         },
-        out,
+        settings["out"],
     )
 
 
-def cmd_oracle(settings: _Settings) -> None:
-    out = settings.out()
-    outcomes = settings.require_path("outcomes")
-    group_size = settings.get("group_size", 1, int)
-    _, columns = _read_outcomes(outcomes)
+def cmd_oracle(settings: dict) -> None:
+    group_size = settings["group_size"]
+    _, columns = _read_outcomes(_path(settings, "outcomes"))
     y = np.array(columns["y"])
     if not np.all(np.isfinite(y)):
         raise ValidationError("non-finite outcome")
@@ -605,12 +574,67 @@ def cmd_oracle(settings: _Settings) -> None:
             ),
             "finite_sample_factor": (n_groups - 1) / (n_groups - 2),
         },
-        out,
+        settings["out"],
     )
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# settings and argument parsing
+
+# each setting is name -> (type, default, help); its flag is the name with '-'
+# for '_', and a list type [T] takes comma-separated T items, as its default does
+_FILES = {
+    "config": (str, None, "JSON config file; flags override its keys"),
+    "out": (str, None, "output path (default: stdout)"),
+}
+_SIMULATION = {
+    **_FILES,
+    "workers": (int, None, "worker processes (or SSDIAG_WORKERS)"),
+    "seed": (int, None, "RNG seed (required)"),
+    "alpha": (float, 0.05, "test level"),
+    "threshold": (float, 0.1, "flag a simulation whose rejection rate reaches this value"),
+}
+
+# command -> (handler, help line, settings)
+_COMMANDS = {
+    "diagnose": (cmd_diagnose, "run the simulation diagnostics on a dataset", {
+        **_SIMULATION,
+        "perms": (int, 2000, "simulation replications per run"),
+        "shares": (str, None, "shares CSV (region_id,s_1,...,s_F)"),
+        "outcomes": (str, None, "outcomes CSV (region_id,y[,y_placebo][,cluster][,x_realized])"),
+        "estimators": ([str], None, "comma-separated estimator menu for the y-fixed run"),
+        "modes": ([str], None, "comma-separated subset of y-fixed,eps-fixed,placebo"),
+    }),
+    "mc-table": (cmd_mc_table, "grouped-scenario experiment table", {
+        **_SIMULATION,
+        "perms": (int, 200, "simulation replications per run"),
+        "reps": (int, 2000, "outer replications"),
+        "states": ([int], "20,100", "comma-separated state counts"),
+        "per_state": (int, 10, "units per state"),
+    }),
+    "flag-curve": (cmd_flag_curve, "flagging probability vs confound strength", {
+        **_SIMULATION,
+        "perms": (int, 200, "simulation replications per run"),
+        "reps": (int, 500, "outer replications"),
+        "gammas": ([float], "0.0,0.25,0.5,1.0", "comma-separated confound strengths"),
+        "shares": (str, None, "optional user shares CSV"),
+        "outcomes": (str, None, "outcomes CSV providing cluster labels (user shares)"),
+        "clusters": (int, 25, "synthetic crossed design: cluster count"),
+        "sectors": (int, 20, "synthetic crossed design: sector count"),
+    }),
+    "analytic": (cmd_analytic, "closed-form variance-ratio limits", {
+        **_FILES,
+        "beta": (float, 0.0, "treatment effect"),
+        "sigma2": (float, 1.0, "error variance"),
+        "rho": (float, 0.0, "within-group covariance"),
+        "group_size": (int, 1, "group size m"),
+    }),
+    "oracle": (cmd_oracle, "compare exact-form variance against enumeration", {
+        **_FILES,
+        "outcomes": (str, None, "outcomes CSV (region_id,y,...)"),
+        "group_size": (int, 1, "group size m"),
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -620,68 +644,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ssdiag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, simulation: bool = True):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if simulation:
-            p.add_argument("--workers", type=int, help="worker processes (or SSDIAG_WORKERS)")
-            p.add_argument("--seed", type=int, help="RNG seed (required)")
-            p.add_argument("--alpha", type=float, help="test level (default 0.05)")
-            p.add_argument("--threshold", type=float, help="flag a simulation whose rejection rate reaches this value (default 0.1)")
-            p.add_argument("--perms", type=int, help="simulation replications per run")
-
-    p = sub.add_parser("diagnose", help="run the simulation diagnostics on a dataset")
-    common(p)
-    p.add_argument("--shares", help="shares CSV (region_id,s_1,...,s_F)")
-    p.add_argument("--outcomes", help="outcomes CSV (region_id,y[,y_placebo][,cluster][,x_realized])")
-    p.add_argument("--estimators", help="comma-separated estimator menu for the y-fixed run")
-    p.add_argument("--modes", help="comma-separated subset of y-fixed,eps-fixed,placebo")
-
-    p = sub.add_parser("mc-table", help="grouped-scenario experiment table")
-    common(p)
-    p.add_argument("--reps", type=int, help="outer replications")
-    p.add_argument("--states", help="comma-separated state counts (default 20,100)")
-    p.add_argument("--per-state", type=int, dest="per_state", help="units per state (default 10)")
-
-    p = sub.add_parser("flag-curve", help="flagging probability vs confound strength")
-    common(p)
-    p.add_argument("--reps", type=int, help="outer replications")
-    p.add_argument("--gammas", help="comma-separated confound strengths")
-    p.add_argument("--shares", help="optional user shares CSV")
-    p.add_argument("--outcomes", help="outcomes CSV providing cluster labels (user shares)")
-    p.add_argument("--clusters", type=int, help="synthetic crossed design: cluster count (default 25)")
-    p.add_argument("--sectors", type=int, help="synthetic crossed design: sector count (default 20)")
-
-    p = sub.add_parser("analytic", help="closed-form variance-ratio limits")
-    common(p, simulation=False)
-    p.add_argument("--beta", type=float, help="treatment effect (default 0)")
-    p.add_argument("--sigma2", type=float, help="error variance (default 1)")
-    p.add_argument("--rho", type=float, help="within-group covariance (default 0)")
-    p.add_argument("--group-size", type=int, dest="group_size", help="group size m (default 1)")
-
-    p = sub.add_parser("oracle", help="compare exact-form variance against enumeration")
-    common(p, simulation=False)
-    p.add_argument("--outcomes", help="outcomes CSV (region_id,y,...)")
-    p.add_argument("--group-size", type=int, dest="group_size", help="group size m (default 1)")
-
+    for command, (_, summary, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, (kind, default, text) in table.items():
+            if default is not None:
+                text += f" (default {default})"
+            # a list flag stays a string for _cast to split
+            kind = None if isinstance(kind, list) else kind
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
-
-
-_DISPATCH = {
-    "diagnose": cmd_diagnose,
-    "mc-table": cmd_mc_table,
-    "flag-curve": cmd_flag_curve,
-    "analytic": cmd_analytic,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        settings = _Settings(args, args.command)
-        _DISPATCH[args.command](settings)
+        _COMMANDS[args.command][0](_resolve(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,12 +72,15 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        # bool is an int to Python; a count takes neither it nor a float, as the CLI does
-        count = self.replications
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValidationError(f"replications: could not parse {count!r} as an integer")
-        if count < 1:
+        # bool is an int to Python; a count or a seed takes neither it nor a float, as the CLI does
+        for key in ("replications", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{key}: could not parse {value!r} as an integer")
+        if self.replications < 1:
             raise ValidationError("need at least 1 replication")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be at least 0 (got {self.seed})")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
 

@@ -19,7 +19,7 @@ from ssdiag import (
     run_outcome_fixed,
     share_design,
 )
-from ssdiag import cli
+from ssdiag import cli, parallel
 from ssdiag.cli import _report_block, ingest, main
 from ssdiag.errors import ValidationError
 from ssdiag.rng import substream
@@ -925,6 +925,66 @@ class TestBadNumbers:
         else:
             assert code == 2 and calls == []
             assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+class TestSettingsCheckedFirst:
+    """Every setting of every command is cast and checked before any input is read."""
+
+    @pytest.fixture(autouse=True)
+    def _no_input_or_simulation(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("input read or simulation run before the settings were checked")
+
+        monkeypatch.setattr(cli, "ingest", refused)
+        monkeypatch.setattr(cli, "_read_outcomes", refused)
+        for module in (parallel, engines, dgp):
+            monkeypatch.setattr(module, "map_chunks", refused)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, (_, _, table) in cli._COMMANDS.items() for key in table],
+    )
+    def test_bad_config_value_exits_2(self, command, key, tmp_path, capsys):
+        # the top level makes every other setting good; the command's section makes
+        # `key` bad: a number that does not parse, a list that is not one, a file
+        # that does not exist or an --out in a missing directory
+        kind = cli._COMMANDS[command][2][key][0]
+        missing = str(tmp_path / "missing" / "file")
+        bad, message = {
+            int: ("x", f"{key}: could not parse 'x' as an integer"),
+            float: ("x", f"{key}: could not parse 'x' as a finite number"),
+            str: (missing, f"{key} file not found: {missing}"),
+            list: (5, f"{key}: could not parse 5 as a list"),
+        }[list if isinstance(kind, list) else kind]
+        if key == "out":
+            message = f"cannot write {missing}: no directory"
+        config = {
+            "seed": 1,
+            "shares": str(GOLDEN / "shares.csv"),
+            "outcomes": str(GOLDEN / "outcomes.csv"),
+            command: {key: bad},
+        }
+        path = _write(tmp_path / "cfg.json", json.dumps(config))
+        if key == "config":
+            path, message = missing, f"config file not found: {missing}"
+        assert main([command, "--config", path]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["diagnose", "mc-table", "flag-curve"])
+    def test_negative_seed_exits_2(self, command, source, tmp_path, capsys):
+        # each ended in numpy's "expected non-negative integer" traceback, diagnose
+        # after it had read both files
+        argv = [command, "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+                str(GOLDEN / "outcomes.csv")]
+        if command == "mc-table":
+            argv = argv[:1]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            argv += ["--config", _write(tmp_path / "cfg.json", json.dumps({"seed": -1}))]
+        assert main(argv) == 2
+        assert "error: seed must be at least 0 (got -1)" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

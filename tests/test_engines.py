@@ -254,6 +254,35 @@ class TestValidation:
         )
         assert report.replications == 5 and report.b_effective == 5
 
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, r"seed: could not parse True as an integer"),
+            (1.5, r"seed: could not parse 1.5 as an integer"),
+            ("1", r"seed: could not parse '1' as an integer"),
+            (-1, r"seed must be at least 0 \(got -1\)"),
+            (np.int64(-3), r"seed must be at least 0 \(got -3\)"),
+        ],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, kind, seed, message):
+        # -1 and 1.5 failed inside map_chunks with a ValueError and a TypeError, and
+        # True ran and reported "seed: True"
+        self._no_simulation(monkeypatch)
+        design = self._twelve_units(kind)
+        y = np.random.default_rng(0).standard_normal(12)
+        with pytest.raises(ValidationError, match=message):
+            run_outcome_fixed([y], [HC1], design, SimConfig(replications=5, seed=seed))
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2**64 - 1), 2**70])
+    def test_integer_seeds_accepted(self, kind, seed):
+        y = np.random.default_rng(0).standard_normal(12)
+        (report,) = run_outcome_fixed(
+            [y], [HC1], self._twelve_units(kind), SimConfig(replications=5, seed=seed)
+        )
+        assert report.seed == seed and report.b_effective == 5
+
     # 3 sectors x 4 clusters <= 12 units: a crve menu runs in sector space, a mixed
     # menu on the per-unit path
     @pytest.mark.parametrize("menu", [("crve",), ("robust-hc1", "crve")], ids=["sector", "unit"])
