@@ -33,6 +33,7 @@ from .data import Dataset, contiguous_partition, validate_dataset
 from .dgp import (
     GroupedDGP,
     PANEL_PARAMS,
+    check_flagging,
     crossed_shares,
     run_flagging_curve,
     run_grouped_experiment,
@@ -341,6 +342,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     section = config.get(args.command, {})
     if not isinstance(section, dict):
         raise ValidationError(f"config section {args.command!r} must be an object")
+    # a misspelt key would otherwise leave its setting at the default without a word;
+    # top-level keys are shared by every command, so only a command's section is checked
+    unknown = sorted(set(section) - set(_COMMANDS[args.command][2]))
+    if unknown:
+        raise ValidationError(f"config section {args.command!r} has unknown settings {unknown}")
     settings = {}
     for key, (kind, default, _) in _COMMANDS[args.command][2].items():
         value = getattr(args, key)
@@ -488,6 +494,8 @@ def cmd_mc_table(settings: dict) -> None:
 
 
 def cmd_flag_curve(settings: dict) -> None:
+    # the grid and the outer count are checked before the input files are read
+    gammas = sorted(check_flagging(settings["gammas"], settings["reps"]))
     if settings["shares"] is not None:
         data = ingest(_path(settings, "shares"), _path(settings, "outcomes"))
         if data.clusters is None:
@@ -502,7 +510,6 @@ def cmd_flag_curve(settings: dict) -> None:
         shares, clusters = crossed_shares(n_clusters, n_sectors)
         source = f"synthetic-crossed:{n_clusters}x{n_sectors}"
 
-    gammas = sorted(settings["gammas"])
     rows = run_flagging_curve(
         shares, clusters, gammas, settings["reps"], settings["perms"], settings["seed"],
         settings["alpha"], settings["threshold"], settings["workers"],

@@ -231,6 +231,16 @@ def _flagging_chunk(design, clusters, gammas, block, threshold, bounds) -> np.nd
     return counts
 
 
+def check_flagging(gamma_grid, outer_reps: int) -> list[float]:
+    """The confound strengths as floats, refused if there are none or outer_reps < 1."""
+    gammas = [float(g) for g in gamma_grid]
+    if not gammas:
+        raise ValidationError("gamma grid is empty")
+    if outer_reps < 1:
+        raise ValidationError("need at least 1 outer replication")
+    return gammas
+
+
 def run_flagging_curve(
     shares, clusters, gamma_grid, outer_reps: int, perms: int, seed: int,
     alpha=0.05, threshold=0.1, workers: int = 1,
@@ -248,11 +258,7 @@ def run_flagging_curve(
     shares' design terms are built once, for every simulation of the
     command.  Returns one row per gamma, in grid order.
     """
-    gammas = [float(g) for g in gamma_grid]
-    if not gammas:
-        raise ValidationError("gamma grid is empty")
-    if outer_reps < 1:
-        raise ValidationError("need at least 1 outer replication")
+    gammas = check_flagging(gamma_grid, outer_reps)
     check_threshold(threshold)
     block = SimConfig(perms, seed, alpha)
     if clusters is None:

@@ -17,9 +17,12 @@ slope with every requested variance estimator; reports carry rejection
 frequencies.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
-group-level assignments.  On a partition design every test is one
-threshold on the treated-minus-control contrast of the outcome, so a draw
-costs one (draws, F) @ (F, K) product and a comparison.  On a shift-share
+group-level assignments.  The assignments are the candidate rows of F raw
+stream bits that have exactly F/2 ones, in stream order, so each balanced
+assignment is equally likely and no row depends on how many candidates a
+call draws at once.  On a partition design every test is one threshold on
+the treated-minus-control contrast of the outcome, so a draw costs one
+(draws, F) @ (F, K) product and a comparison.  On a shift-share
 design with sectors * clusters <= units, crve and score-agg-null have sector
 forms, and a simulation whose every test is one of them runs in sector
 space on (draws, F) and (draws, F(F+1)/2) arrays and never forms the
@@ -59,7 +62,8 @@ from .rng import substream
 _CHUNK = 256
 # Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
 # chunk up to 512 units, 13 rows at 10,000 units.  It also bounds the centred
-# share rows of each piece of clusters that builds Q~ (ShareDesign.pieces).
+# share rows of each piece of clusters that builds Q~ (ShareDesign.pieces), and
+# the raw candidate rows of one batch of a balanced-assignment draw.
 _KERNEL_BYTES = 1 << 20
 
 
@@ -146,9 +150,28 @@ def _shares_regressors(shares, seed, lo, hi) -> np.ndarray:
 
 
 def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
-    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row (n_groups even)."""
-    half = np.tile(np.repeat([1.0, 0.0], n_groups // 2), (hi - lo, 1))
-    return substream(seed, lo // _CHUNK).permuted(half, axis=1)
+    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row (n_groups even).
+
+    Each candidate row is n_groups fair bits of the chunk's raw stream, and
+    the rows kept are the first hi - lo candidates with n_groups/2 ones:
+    uniform over the balanced assignments, and independent of the batch
+    size, which only sets how many candidates one call draws.
+    """
+    words = -(-n_groups // 64)
+    mask = np.uint64((1 << (n_groups - 64 * (words - 1))) - 1)
+    accept = math.sqrt(2 / (math.pi * n_groups))  # about C(F, F/2) / 2**F, the share kept
+    bits = substream(seed, lo // _CHUNK).bit_generator
+    kept, need = [], hi - lo
+    while need:
+        batch = max(1, min(_KERNEL_BYTES // (8 * words), int(1.2 * need / accept) + 64))
+        rows = bits.random_raw(batch * words).reshape(batch, words)
+        rows[:, -1] &= mask
+        # a product sums each row's counts several times faster than sum(axis=1)
+        hits = rows[np.bitwise_count(rows) @ np.ones(words) == n_groups // 2][:need]
+        kept.append(hits)
+        need -= len(hits)
+    block = np.concatenate(kept).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(block, axis=1, count=n_groups, bitorder="little").astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -986,6 +986,18 @@ class TestSettingsCheckedFirst:
         assert main(argv) == 2
         assert "error: seed must be at least 0 (got -1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(["--reps", "0"], "need at least 1 outer replication"),
+         (["--gammas", ""], "gamma grid is empty")],
+    )
+    def test_flag_curve_checks_its_grid_before_the_files(self, bad, message, capsys):
+        # these files do not join: read first, they hid the fault behind a join error
+        argv = ["flag-curve", "--seed", "1", "--shares", str(GOLDEN / "toy-shares.csv"),
+                "--outcomes", str(GOLDEN / "oracle.csv"), *bad]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestConsoleEntryPoint:
     def test_subprocess_smoke(self):

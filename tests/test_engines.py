@@ -901,12 +901,32 @@ class TestMemory:
 
 
 class TestStreamLayout:
-    @pytest.mark.parametrize("n_groups", [2, 4, 20, 100])
+    # 64, 66 and 128 groups fill one raw word, spill 2 bits into a second, and fill two
+    @pytest.mark.parametrize("n_groups", [2, 4, 20, 64, 66, 100, 128])
     def test_partition_rows_treat_half_the_groups(self, n_groups):
         X = engines._partition_regressors(n_groups, 3, 256, 512)
         assert X.shape == (256, n_groups)
         assert set(np.unique(X)) <= {0.0, 1.0}
         assert np.all(X.sum(axis=1) == n_groups // 2)
+
+    @pytest.mark.parametrize("n_groups", [20, 66])
+    def test_partition_rows_independent_of_batch_size(self, n_groups, monkeypatch):
+        X = engines._partition_regressors(n_groups, 5, 512, 700)
+        words = -(-n_groups // 64)
+        # 3 candidate rows a batch: about 360 batches at 20 groups and 640 at 66
+        monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * words * 3)
+        assert np.array_equal(engines._partition_regressors(n_groups, 5, 512, 700), X)
+
+    def test_every_group_treated_in_half_the_rows(self):
+        rows = 20_480
+        X = np.vstack(
+            [engines._partition_regressors(66, 8, lo, hi) for lo, hi in chunk_bounds(rows, 256)]
+        )
+        # each group is treated with probability 1/2 in every row, independently across rows;
+        # the band holds all 66 counts together with probability at least 1 - 1e-4
+        low, high = stats.binom.interval(1 - 1e-4 / 66, rows, 0.5)
+        treated = X.sum(axis=0)
+        assert np.all((low <= treated) & (treated <= high)), treated
 
     def test_balanced_assignments_equally_likely(self):
         X = np.vstack(

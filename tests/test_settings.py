@@ -1,4 +1,5 @@
-"""The CLI's settings table and its handlers agree, and --help shows every default.
+"""The CLI's settings table and its handlers agree, --help shows every default, and
+a config file's command section names only settings of its command.
 
 ``ssdiag/cli.py`` states each command's settings once, in ``_COMMANDS``, and
 its handler reads them from the resolved dict as ``settings["key"]`` or
@@ -8,6 +9,7 @@ resolver itself consumes ``config``, ``out``, ``seed`` and ``workers``.
 """
 
 import ast
+import json
 
 import pytest
 
@@ -55,3 +57,22 @@ def test_help_names_every_default(command, capsys):
         # the flag's entry runs from its name to the next flag
         entry = text[text.index(f"{flag} {key.upper()} "):].split(" --")[0]
         assert f"(default {default})" in entry
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unknown_key_in_a_command_section_exits_2(command, tmp_path, capsys):
+    # a misspelt "perms" used to run at the default without a word
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({command: {"perm": 10}}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config section {command!r} has unknown settings ['perm']" in err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_top_level_keys_are_shared_by_every_command(command, tmp_path):
+    # no command reads every top-level key, and none refuses one it does not read
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "perm": 10, "beta": 0.5, "gammas": "0.5"}))
+    settings = cli._resolve(cli._build_parser().parse_args([command, "--config", str(path)]))
+    assert set(settings) == set(cli._COMMANDS[command][2])
