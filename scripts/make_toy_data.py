@@ -3,16 +3,18 @@
 
 The data come from a grouped draw with a homogeneous effect, so the y-fixed
 diagnostic should flag cluster-robust inference while the eps-fixed one
-should not.
+should not.  Bad settings print ``error: ...`` to stderr and exit 2, as
+``ssdiag`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from ssdiag import GroupedDGP, draw_grouped
-from ssdiag.rng import substream
+from ssdiag import GroupedDGP, ValidationError, draw_grouped
+from ssdiag.rng import check_seed, substream
 
 
 def main() -> None:
@@ -24,6 +26,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
 
+    check_seed(args.seed)
     dgp = GroupedDGP(n_states=args.states, per_state=args.per_state, beta=args.beta)
     draw = draw_grouped(dgp, substream(args.seed, 0))
     placebo = draw_grouped(
@@ -50,4 +53,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -26,7 +26,7 @@ from .data import PartitionDesign, contiguous_partition, draw_treatment
 from .errors import BudgetError, ValidationError
 from .estimators import ols_simple
 from .parallel import chunk_bounds, map_chunks
-from .rng import substream
+from .rng import check_seed, substream
 
 ENUMERATION_CAP = 10**6
 
@@ -57,6 +57,15 @@ class StylizedParams:
             raise ValidationError("rho makes the within-group covariance indefinite")
 
 
+def _finite_ratio(num: float, denom: float) -> float:
+    """num / denom, refused unless both are finite and denom is positive."""
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValidationError("the parameters overflow the closed-form limit")
+    if not denom > 0.0:
+        raise ValidationError("nonpositive denominator")
+    return num / denom
+
+
 def y_fixed_variance_ratio_limit(p: StylizedParams) -> float:
     """Limit of the unit/group randomization-variance ratio, y-fixed case.
 
@@ -65,10 +74,14 @@ def y_fixed_variance_ratio_limit(p: StylizedParams) -> float:
     which is exactly when unit-level robust inference over-rejects in the
     simulations.
     """
-    denom = p.group_size * p.beta**2 + 4.0 * p.sigma2 + 4.0 * (p.group_size - 1) * p.rho
-    if not denom > 0.0:
-        raise ValidationError("nonpositive denominator")
-    return (p.beta**2 + 4.0 * p.sigma2) / denom
+    try:
+        beta2 = p.beta**2
+    except OverflowError:  # a float power raises where a product gives inf
+        beta2 = math.inf
+    return _finite_ratio(
+        beta2 + 4.0 * p.sigma2,
+        p.group_size * beta2 + 4.0 * p.sigma2 + 4.0 * (p.group_size - 1) * p.rho,
+    )
 
 
 def eps_fixed_variance_ratio_limit(p: StylizedParams) -> float:
@@ -77,10 +90,7 @@ def eps_fixed_variance_ratio_limit(p: StylizedParams) -> float:
     sigma^2 / (sigma^2 + (m-1) rho); free of beta, which is the point of
     residualizing the outcome before simulating.
     """
-    denom = p.sigma2 + (p.group_size - 1) * p.rho
-    if not denom > 0.0:
-        raise ValidationError("nonpositive denominator")
-    return p.sigma2 / denom
+    return _finite_ratio(p.sigma2, p.sigma2 + (p.group_size - 1) * p.rho)
 
 
 def _group_means(y: np.ndarray, design: PartitionDesign) -> np.ndarray:
@@ -184,19 +194,21 @@ def draw_equicorrelated_errors(
     return (rng.standard_normal((n_groups, m)) @ factor.T).ravel()
 
 
-def _ratio_chunk(p, n_groups, seed, f_index, mode, bounds) -> np.ndarray:
+def _ratio_chunk(p, designs, replications, seed, mode, bounds) -> np.ndarray:
+    # pair g is replication g % replications of grid point g // replications
     lo, hi = bounds
-    design = contiguous_partition(n_groups, p.group_size)
     out = np.empty(hi - lo)
-    for rep in range(lo, hi):
+    for g in range(lo, hi):
+        f_index, rep = divmod(g, replications)
+        design = designs[f_index]
         rng = substream(seed, f_index, rep)
         x = draw_treatment(design, rng)
-        errors = draw_equicorrelated_errors(rng, n_groups, p)
+        errors = draw_equicorrelated_errors(rng, design.n_groups, p)
         y = p.beta * x + errors
         if mode == "eps-fixed":
             y = y - ols_simple(y, x).slope * x
         v_robust = randomization_variance_robust(y, design)
-        out[rep - lo] = v_robust / randomization_variance_true(y, design)
+        out[g - lo] = v_robust / randomization_variance_true(y, design)
     return out
 
 
@@ -214,30 +226,33 @@ def ratio_convergence_experiment(
     the outcomes with the configured effect, evaluates both exact-form
     variances (on residualized outcomes in eps-fixed mode), and averages the
     ratio across replications next to the closed-form limit.  Every grid
-    entry is checked before the first simulation runs.
+    entry is checked before the first simulation runs, and every (grid
+    point, replication) pair runs through one map_chunks call.
     """
     if mode not in ("y-fixed", "eps-fixed"):
         raise ValidationError(f"unknown mode {mode!r}")
     if replications < 2:
         raise ValidationError("need at least 2 replications")
+    check_seed(seed)
     limit_fn = (
         y_fixed_variance_ratio_limit if mode == "y-fixed" else eps_fixed_variance_ratio_limit
     )
     limit = limit_fn(p)
     grid = [int(n_groups) for n_groups in f_grid]
+    if not grid:
+        raise ValidationError("group-count grid is empty")
     if any(n_groups % 2 or n_groups <= 2 for n_groups in grid):
         raise ValidationError("grid entries must be even group counts above 2")
-    rows = []
-    for f_index, n_groups in enumerate(grid):
-        chunk = partial(_ratio_chunk, p, n_groups, seed, f_index, mode)
-        parts = map_chunks(chunk, chunk_bounds(replications, _CONVERGENCE_CHUNK), workers)
-        ratios = np.concatenate(parts)
-        rows.append(
-            ConvergenceRow(
-                n_groups=n_groups,
-                mean_ratio=float(ratios.mean()),
-                se_ratio=float(ratios.std(ddof=1) / math.sqrt(replications)),
-                limit=limit,
-            )
+    designs = [contiguous_partition(n_groups, p.group_size) for n_groups in grid]
+    chunk = partial(_ratio_chunk, p, designs, replications, seed, mode)
+    bounds = chunk_bounds(len(grid) * replications, _CONVERGENCE_CHUNK)
+    ratios = np.concatenate(map_chunks(chunk, bounds, workers)).reshape(len(grid), -1)
+    return [
+        ConvergenceRow(
+            n_groups=n_groups,
+            mean_ratio=float(row.mean()),
+            se_ratio=float(row.std(ddof=1) / math.sqrt(replications)),
+            limit=limit,
         )
-    return rows
+        for n_groups, row in zip(grid, ratios)
+    ]

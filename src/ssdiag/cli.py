@@ -1,10 +1,10 @@
 """Command-line interface: ingestion, dispatch, and report serialization.
 
-Commands: diagnose, mc-table, flag-curve, analytic, oracle.  Every command
-is a pure function of (input files, config, seed); reports embed the
-effective configuration (never the worker count, which must not affect
-output bytes).  Exit codes: 0 success, 2 validation error, 3 numerical
-degeneracy, 4 budget exceeded.
+Commands: diagnose, mc-table, flag-curve, analytic, oracle, convergence.
+Every command is a pure function of (input files, config, seed); reports
+other than convergence's CSV embed the effective configuration (never the
+worker count, which must not affect output bytes).  Exit codes: 0 success,
+2 validation error, 3 numerical degeneracy, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .analytics import (
     eps_fixed_variance_ratio_limit,
     randomization_variance_robust,
     randomization_variance_true,
+    ratio_convergence_experiment,
     y_fixed_variance_ratio_limit,
 )
 from .data import Dataset, contiguous_partition, validate_dataset
@@ -53,7 +54,7 @@ from .engines import run_outcome_fixed as run_y_fixed
 from .errors import BudgetError, DegeneracyError, ValidationError
 from .estimators import ols_simple
 from .parallel import resolve_workers
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 
 _OUTCOME_OPTIONAL_COLUMNS = ("y_placebo", "cluster", "x_realized")
 
@@ -356,9 +357,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     if "seed" in settings:
         if settings["seed"] is None:
             raise ValidationError("--seed is required for simulation commands")
-        # refuses a negative seed, a budget below 1 and a level outside (0, 1)
-        SimConfig(settings["perms"], settings["seed"], settings["alpha"])
-        check_threshold(settings["threshold"])
+        check_seed(settings["seed"])
+        if "perms" in settings:
+            # refuses a budget below 1 and a level outside (0, 1)
+            SimConfig(settings["perms"], settings["seed"], settings["alpha"])
+            check_threshold(settings["threshold"])
         settings["workers"] = resolve_workers(settings["workers"])
     out = settings["out"]
     if out is not None:
@@ -585,6 +588,22 @@ def cmd_oracle(settings: dict) -> None:
     )
 
 
+def cmd_convergence(settings: dict) -> None:
+    params = StylizedParams(
+        beta=settings["beta"],
+        sigma2=settings["sigma2"],
+        rho=settings["rho"],
+        group_size=settings["group_size"],
+    )
+    rows = ratio_convergence_experiment(
+        params, settings["grid"], settings["reps"], settings["seed"], settings["mode"],
+        settings["workers"],
+    )
+    lines = ["n_groups,mean_ratio,se_ratio,limit"]
+    lines += [f"{r.n_groups},{r.mean_ratio!r},{r.se_ratio!r},{r.limit!r}" for r in rows]
+    _emit_text("\n".join(lines) + "\n", settings["out"])
+
+
 # ---------------------------------------------------------------------------
 # settings and argument parsing
 
@@ -594,10 +613,13 @@ _FILES = {
     "config": (str, None, "JSON config file; flags override its keys"),
     "out": (str, None, "output path (default: stdout)"),
 }
-_SIMULATION = {
+_SEEDED = {
     **_FILES,
     "workers": (int, None, "worker processes (or SSDIAG_WORKERS)"),
     "seed": (int, None, "RNG seed (required)"),
+}
+_SIMULATION = {
+    **_SEEDED,
     "alpha": (float, 0.05, "test level"),
     "threshold": (float, 0.1, "flag a simulation whose rejection rate reaches this value"),
 }
@@ -640,6 +662,16 @@ _COMMANDS = {
         **_FILES,
         "outcomes": (str, None, "outcomes CSV (region_id,y,...)"),
         "group_size": (int, 1, "group size m"),
+    }),
+    "convergence": (cmd_convergence, "Monte Carlo convergence of the ratio to its limit", {
+        **_SEEDED,
+        "beta": (float, 0.5, "treatment effect"),
+        "sigma2": (float, 1.0, "error variance"),
+        "rho": (float, 0.0, "within-group covariance"),
+        "group_size": (int, 2, "group size m"),
+        "mode": (str, "y-fixed", "y-fixed or eps-fixed"),
+        "grid": ([int], "10,50,200,1000,2000", "comma-separated even group counts above 2"),
+        "reps": (int, 200, "replications per group count"),
     }),
 }
 

@@ -57,7 +57,7 @@ from .data import PartitionDesign, _frozen_array
 from .errors import ValidationError
 from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
-from .rng import substream
+from .rng import check_seed, substream
 
 _CHUNK = 256
 # Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
@@ -83,8 +83,7 @@ class SimConfig:
                 raise ValidationError(f"{key}: could not parse {value!r} as an integer")
         if self.replications < 1:
             raise ValidationError("need at least 1 replication")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be at least 0 (got {self.seed})")
+        check_seed(self.seed)
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
 

@@ -17,6 +17,14 @@ import numpy as np
 # so the first substream of a command or of a forked worker does not pay it
 from numpy.random import Generator, Philox, SeedSequence
 
+from .errors import ValidationError
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed before any work, as SeedSequence would refuse it mid-run."""
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0 (got {seed})")
+
 
 def substream(seed: int, *path: int) -> Generator:
     """Generator for one chunk or outer draw, keyed by (seed, *path)."""

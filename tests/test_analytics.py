@@ -61,6 +61,21 @@ class TestRatioLimits:
         rhs = eps_fixed_variance_ratio_limit(zeroed)
         assert lhs == pytest.approx(rhs, rel=1e-15, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "limit, p",
+        [
+            # beta**2 raises OverflowError
+            (y_fixed_variance_ratio_limit, _params(beta=1e200, m=3)),
+            # 4 sigma2 overflows in both terms: inf / inf
+            (y_fixed_variance_ratio_limit, _params(sigma2=1e308, m=3)),
+            # the denominator alone overflows: a finite number over inf
+            (eps_fixed_variance_ratio_limit, _params(sigma2=1e308, rho=1e308, m=3)),
+        ],
+    )
+    def test_overflowing_terms_refused(self, limit, p):
+        with pytest.raises(ValidationError, match="overflow the closed-form limit"):
+            limit(p)
+
     def test_invalid_params(self):
         with pytest.raises(ValidationError):
             _params(sigma2=0.0)
@@ -198,11 +213,19 @@ class TestConvergenceExperiment:
             ratio_convergence_experiment(_params(), [10], replications=1, seed=1)
         with pytest.raises(ValidationError):
             ratio_convergence_experiment(_params(), [10], replications=10, seed=1, mode="x")
+        with pytest.raises(ValidationError, match="seed must be at least 0"):
+            ratio_convergence_experiment(_params(), [10], replications=10, seed=-1)
 
-    def test_grid_checked_before_any_simulation(self, monkeypatch):
-        # a bad entry after a good one exits before the good one's simulation runs
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([10, 7], "even group counts"), ([], "grid is empty")],
+        ids=["odd-entry", "empty"],
+    )
+    def test_grid_checked_before_any_simulation(self, grid, message, monkeypatch):
+        # a bad entry after a good one exits before the good one's simulation runs,
+        # and an empty grid is refused as flag-curve's empty gamma grid is
         calls = []
         monkeypatch.setattr(analytics, "map_chunks", lambda *args: calls.append(args))
-        with pytest.raises(ValidationError, match="even group counts"):
-            ratio_convergence_experiment(_params(), [10, 7], replications=10, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            ratio_convergence_experiment(_params(), grid, replications=10, seed=1)
         assert calls == []

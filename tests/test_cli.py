@@ -19,10 +19,11 @@ from ssdiag import (
     run_outcome_fixed,
     share_design,
 )
-from ssdiag import cli, parallel
+from ssdiag import analytics, cli, parallel
 from ssdiag.cli import _report_block, ingest, main
 from ssdiag.errors import ValidationError
 from ssdiag.rng import substream
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -491,6 +492,77 @@ class TestAnalytic:
         assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("flag", [["--beta", "1e200"], ["--sigma2", "1e308"]])
+    def test_overflowing_limit_exits_2(self, flag, tmp_path, capsys):
+        # the report would hold NaN, which is not JSON, or not be written at all
+        out = tmp_path / "a.json"
+        assert main(["analytic", *flag, "--group-size", "3", "--out", str(out)]) == 2
+        assert "error: the parameters overflow the closed-form limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConvergence:
+    """`ssdiag convergence` runs the Monte Carlo convergence experiment of ssdiag.analytics."""
+
+    @pytest.mark.parametrize(
+        "name, chunks", [("convergence-y-fixed.csv", 3), ("convergence-eps-fixed.csv", 1)]
+    )
+    def test_golden_at_two_workers_in_one_map_chunks_call(
+        self, name, chunks, tmp_path, monkeypatch
+    ):
+        # every (grid point, replication) pair goes through one map_chunks call, so
+        # one pool, and the report bytes do not depend on the worker count; the
+        # y-fixed golden's 150 pairs make 3 chunks of at most 64, so a chunk
+        # spans two grid points
+        calls = []
+        real = analytics.map_chunks
+        monkeypatch.setattr(
+            analytics, "map_chunks", lambda *a: calls.append(len(a[1])) or real(*a)
+        )
+        out = tmp_path / name
+        assert main([*GOLDEN_COMMANDS[name], "--workers", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+        assert calls == [chunks]
+
+    def test_config_file_supplies_settings(self, tmp_path):
+        # a list setting comes from the config as a JSON list
+        path = _write(tmp_path / "cfg.json", json.dumps({
+            "seed": 7, "rho": 0.3, "convergence": {"grid": [4, 8, 20], "reps": 50},
+        }))
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--config", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "convergence-y-fixed.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, env, message",
+        [
+            (["--reps", "1"], None, "need at least 2 replications"),
+            (["--seed", "-1"], None, "seed must be at least 0 (got -1)"),
+            (["--workers", "0"], None, "workers must be at least 1 (got 0)"),
+            ([], "0", "workers must be at least 1 (got 0)"),
+            (["--grid", "3"], None, "grid entries must be even group counts above 2"),
+            (["--grid", ""], None, "group-count grid is empty"),
+            (["--beta", "nan"], None, "beta: could not parse nan as a finite number"),
+            (["--rho", "2"], None, "rho cannot exceed sigma2"),
+            (["--grid", "10,10"], None, "repeated grid [10]"),
+            (["--mode", "placebo"], None, "unknown mode 'placebo'"),
+            (["--beta", "1e200"], None, "the parameters overflow the closed-form limit"),
+        ],
+    )
+    def test_bad_input_exits_2_before_any_simulation(
+        self, args, env, message, tmp_path, monkeypatch, capsys
+    ):
+        # every setting is checked before the first simulation, as for every command
+        def refused(*a, **kw):
+            raise AssertionError("simulation run before the settings were checked")
+
+        monkeypatch.setattr(analytics, "map_chunks", refused)
+        monkeypatch.setenv("SSDIAG_WORKERS", env or "")
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--seed", "1", *args, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracle:
     def _outcomes(self, tmp_path, values):
@@ -774,6 +846,7 @@ class TestUnreadFlags:
             ["analytic", "--seed", "1"],
             ["oracle", "--outcomes", "{golden}/oracle.csv", "--seed", "1"],
             ["analytic", "--beta", "1", "--workers", "2"],
+            ["convergence", "--seed", "1", "--perms", "5"],
             ["oracle", "--outcomes", "{golden}/oracle.csv", "--workers", "2"],
         ],
     )
@@ -937,7 +1010,7 @@ class TestSettingsCheckedFirst:
 
         monkeypatch.setattr(cli, "ingest", refused)
         monkeypatch.setattr(cli, "_read_outcomes", refused)
-        for module in (parallel, engines, dgp):
+        for module in (parallel, engines, dgp, analytics):
             monkeypatch.setattr(module, "map_chunks", refused)
 
     @pytest.mark.parametrize(
@@ -947,7 +1020,7 @@ class TestSettingsCheckedFirst:
     def test_bad_config_value_exits_2(self, command, key, tmp_path, capsys):
         # the top level makes every other setting good; the command's section makes
         # `key` bad: a number that does not parse, a list that is not one, a file
-        # that does not exist or an --out in a missing directory
+        # that does not exist, an --out in a missing directory or an unknown mode
         kind = cli._COMMANDS[command][2][key][0]
         missing = str(tmp_path / "missing" / "file")
         bad, message = {
@@ -958,6 +1031,8 @@ class TestSettingsCheckedFirst:
         }[list if isinstance(kind, list) else kind]
         if key == "out":
             message = f"cannot write {missing}: no directory"
+        if key == "mode":
+            message = f"unknown mode {missing!r}"
         config = {
             "seed": 1,
             "shares": str(GOLDEN / "shares.csv"),
@@ -971,13 +1046,13 @@ class TestSettingsCheckedFirst:
         assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["diagnose", "mc-table", "flag-curve"])
+    @pytest.mark.parametrize("command", ["diagnose", "mc-table", "flag-curve", "convergence"])
     def test_negative_seed_exits_2(self, command, source, tmp_path, capsys):
         # each ended in numpy's "expected non-negative integer" traceback, diagnose
         # after it had read both files
         argv = [command, "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
                 str(GOLDEN / "outcomes.csv")]
-        if command == "mc-table":
+        if command in ("mc-table", "convergence"):
             argv = argv[:1]
         if source == "flag":
             argv += ["--seed", "-1"]

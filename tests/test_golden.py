@@ -35,6 +35,13 @@ COMMANDS = {
         "analytic", "--beta", "0.5", "--sigma2", "1", "--rho", "0.2", "--group-size", "3",
     ],
     "oracle.json": ["oracle", "--outcomes", "{golden}/oracle.csv", "--group-size", "2"],
+    "convergence-y-fixed.csv": [
+        "convergence", "--seed", "7", "--grid", "4,8,20", "--reps", "50", "--rho", "0.3",
+    ],
+    "convergence-eps-fixed.csv": [
+        "convergence", "--seed", "7", "--mode", "eps-fixed", "--rho", "-0.2", "--grid", "4,8",
+        "--reps", "30",
+    ],
 }
 
 

@@ -1,8 +1,8 @@
 """Smoke tests of scripts/ and the README quick-start, each run as a subprocess.
 
-The convergence grid and the toy data are also pinned byte for byte against
-files in tests/golden/.  A change that alters them on purpose regenerates
-them and says so in CHANGES.md:
+The toy data are also pinned byte for byte against files in tests/golden/.
+A change that alters them on purpose regenerates them and says so in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_scripts.py
 """
@@ -25,23 +25,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 GOLDEN = ROOT / "tests" / "golden"
 
-CONVERGENCE = {
-    "convergence-y-fixed.csv": ["--seed", "7", "--grid", "4,8,20", "--reps", "50", "--rho", "0.3"],
-    "convergence-eps-fixed.csv": [
-        "--seed", "7", "--mode", "eps-fixed", "--rho", "-0.2", "--grid", "4,8", "--reps", "30",
-    ],
-}
 TOY = {"toy-shares.csv": "shares.csv", "toy-outcomes.csv": "outcomes.csv"}
 
 
-def _run(args, cwd, stderr=False):
-    """The stdout of a successful run of ``args``, and its stderr if asked."""
+def _run(args, cwd, stderr=False, code=0):
+    """The stdout of a run of ``args`` that exits with ``code``, and its stderr if asked."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return (proc.stdout, proc.stderr) if stderr else proc.stdout
 
 
@@ -70,6 +64,20 @@ def test_make_toy_data_matches_golden(toy_data, name):
     assert (data / TOY[name]).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--states", "3"], "balanced assignment requires an even group count"),
+     (["--seed", "-1"], "seed must be at least 0 (got -1)")],
+)
+def test_make_toy_data_bad_setting_exits_2(tmp_path, args, message):
+    # the script maps a ValidationError to exit code 2 before it writes anything, as ssdiag does
+    out, err = _run(
+        [str(SCRIPTS / "make_toy_data.py"), "--out-dir", "data", *args], tmp_path, True, 2
+    )
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "data").exists()
+
+
 def test_readme_diagnose(toy_data):
     cwd, data = toy_data
     out = _run(
@@ -95,19 +103,13 @@ def test_readme_oracle(toy_data):
     assert report["enumeration"]["n_assignments"] == 70
 
 
-def test_run_convergence_grid(tmp_path):
+def test_readme_convergence(tmp_path):
     out = _run(
-        [str(SCRIPTS / "run_convergence_grid.py"), "--grid", "10", "--reps", "3", "--seed", "1"],
+        ["-m", "ssdiag.cli", "convergence", "--grid", "10", "--reps", "3", "--seed", "1"],
         tmp_path,
     )
     (row,) = _csv_rows(out)
     assert row["n_groups"] == "10" and float(row["mean_ratio"]) > 0
-
-
-@pytest.mark.parametrize("name", sorted(CONVERGENCE))
-def test_run_convergence_grid_matches_golden(tmp_path, name):
-    out = _run([str(SCRIPTS / "run_convergence_grid.py"), *CONVERGENCE[name]], tmp_path)
-    assert out == (GOLDEN / name).read_text()
 
 
 def test_run_full_table(tmp_path):
@@ -142,9 +144,6 @@ def test_run_full_table(tmp_path):
 
 
 if __name__ == "__main__":
-    for name, args in CONVERGENCE.items():
-        (GOLDEN / name).write_text(_run([str(SCRIPTS / "run_convergence_grid.py"), *args], ROOT))
-        print(f"wrote {GOLDEN / name}")
     with tempfile.TemporaryDirectory() as tmp:
         _run([str(SCRIPTS / "make_toy_data.py"), "--out-dir", tmp], ROOT)
         for name, source in TOY.items():
