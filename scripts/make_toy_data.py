@@ -34,7 +34,10 @@ def main() -> None:
     )
     n = dgp.design.n_units
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out_dir}: {exc}") from exc
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, args.states + 1))
     lines = [header]
     for i in range(n):

@@ -4,13 +4,16 @@ Two data-generating processes drive the experiments:
 
 * a grouped DGP (states of equal size, balanced state-level treatment,
   optional state shocks and state-heterogeneous effects) used to study the
-  distribution of the simulation diagnostics across repeated draws;
+  distribution of the simulation diagnostics across repeated draws; each
+  chunk of up to 16 outer draws of a cell makes one permutation
+  simulation, one assignment block per draw;
 * a spatial-confound DGP over a fixed share matrix used to trace the
   probability of flagging a problem as the confound strength varies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -23,8 +26,10 @@ from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
-# outer draw j of a cell keys its own streams, so the chunk size changes no
-# report; a chunk of 16 cell-draw pairs may span two cells
+# outer draws per chunk.  A flag-curve draw keys its own streams, so there the
+# chunk size changes no report.  A grouped chunk holds draws of one cell, and its
+# one engine call tests their assignment blocks on one stream, keyed by the
+# chunk's first draw, so there the chunk size is part of the stream layout.
 _OUTER_CHUNK = 16
 
 # scenario panels for the grouped experiment table
@@ -55,6 +60,9 @@ class GroupedDGP:
 
     def __post_init__(self):
         design = contiguous_partition(self.n_states, self.per_state)
+        for key in ("omega", "beta", "het_loading"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite (got {getattr(self, key)!r})")
         if self.omega < 0 or self.het_loading < 0:
             raise ValidationError("loadings must be nonnegative")
         object.__setattr__(self, "design", design)
@@ -109,26 +117,29 @@ class ExperimentRow:
 
 
 def _grouped_chunk(cells, outer_reps, threshold, bounds) -> np.ndarray:
-    """(cells, 3) tallies of the cell-draw pairs lo..hi-1.
+    """(cells, 3) tallies of the cell-draw pairs lo..hi-1, all of one cell.
 
     Pair g is draw g % outer_reps of cell g // outer_reps.  A cell is a
     (GroupedDGP, SimConfig) pair: the block configuration at the cell's seed.
     """
     lo, hi = bounds
+    k, j0 = divmod(lo, outer_reps)
+    dgp, block = cells[k]
     counts = np.zeros((len(cells), 3), dtype=np.int64)
-    for g in range(lo, hi):
-        k, j = divmod(g, outer_reps)
-        dgp, block = cells[k]
+    ys = []
+    for j in range(j0, j0 + hi - lo):
         draw = draw_grouped(dgp, substream(block.seed, j, 0))
         fit = ols_simple(draw.y, draw.x)
         # size column: test the true effect with plain robust inference
         counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), block.alpha)
-        # one assignment block tests y-fixed (column 1) and eps-fixed (column 2)
-        # with the size column's estimator
-        ydot = draw.y - fit.slope * draw.x
-        block_j = replace(block, seed=derive_seed(block.seed, j, 1))
-        reports = run_outcome_fixed([draw.y, ydot], [("robust-hc1",)] * 2, dgp.design, block_j)
-        counts[k, 1:] += [flagged(r.rates["robust-hc1"], threshold) for r in reports]
+        ys += [draw.y, draw.y - fit.slope * draw.x]
+    # one engine call, keyed by the chunk's first draw, tests one assignment block per
+    # draw: its y-fixed (column 1) and eps-fixed (column 2) outcomes with the size
+    # column's estimator
+    sims = replace(block, seed=derive_seed(block.seed, j0, 1))
+    reports = run_outcome_fixed(ys, [("robust-hc1",)] * 2, dgp.design, sims, blocks=hi - lo)
+    flags = [flagged(r.rates["robust-hc1"], threshold) for r in reports]
+    counts[k, 1:] += np.reshape(flags, (-1, 2)).sum(axis=0)
     return counts
 
 
@@ -144,9 +155,11 @@ def run_grouped_experiment(
     * treatment, beta_hat the realized OLS slope) on the same draws, so
     their contrast is paired; a mode flags when its robust-hc1 rejection
     rate reaches ``threshold``.  Every cell-draw pair runs through one
-    map_chunks call, and draw j of a cell keys its own streams
-    (substream(seed, j, 0), derive_seed(seed, j, 1)), so a row does not
-    depend on the other cells.
+    map_chunks call, in chunks of at most _OUTER_CHUNK draws of one cell.
+    Draw j of a cell draws its data from substream(seed, j, 0), and a chunk
+    whose first draw is j0 makes one engine call keyed by
+    derive_seed(seed, j0, 1), in which draw j0 + b is block b.  So a row
+    does not depend on the other cells.
     """
     cells = list(cells)
     if not cells:
@@ -155,11 +168,12 @@ def run_grouped_experiment(
         raise ValidationError("need at least 1 outer replication")
     check_threshold(threshold)
     blocks = [(dgp, SimConfig(perms, seed, alpha)) for dgp, seed in cells]
-    parts = map_chunks(
-        partial(_grouped_chunk, blocks, outer_reps, threshold),
-        chunk_bounds(len(cells) * outer_reps, _OUTER_CHUNK),
-        workers,
-    )
+    bounds = [
+        (k * outer_reps + lo, k * outer_reps + hi)
+        for k in range(len(cells))
+        for lo, hi in chunk_bounds(outer_reps, _OUTER_CHUNK)
+    ]
+    parts = map_chunks(partial(_grouped_chunk, blocks, outer_reps, threshold), bounds, workers)
     return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]
 
 

@@ -3,18 +3,21 @@
 One outcome-fixed engine, run_outcome_fixed, holds K outcome vectors fixed
 and tests each outcome with its own estimator menu, one menu per outcome,
 against the same block of resampled regressors; the caller forms the
-outcomes and picks their menus.  Its draw follows the design: iid standard
-normal sector shocks on a ShareDesign, whose terms are built once per
-experiment and shared by all its simulations, and balanced group-level
-assignments on a partition design.  On shift-share data diagnose's one
-block tests the realized y (y-fixed) with the requested menu and the
-residualized y - beta_hat*x (eps-fixed) and the pre-treatment outcome
-(placebo) with crve, and the flagging experiment's block tests both modes
-at every confound strength with crve; on a partition design one block
-tests the grouped experiment's y-fixed and eps-fixed outcomes with
-robust-hc1.  Each replication refits the bivariate OLS and tests a zero
-slope with every requested variance estimator; reports carry rejection
-frequencies.
+outcomes and picks their menus.  One call can test B independent blocks of
+K outcomes with the same menus, each on its own stretch of the stream, so
+that many small simulations share one kernel build and one draw per chunk.
+Its draw follows the design: iid standard normal sector shocks on a
+ShareDesign, whose terms are built once per experiment and shared by all
+its simulations, and balanced group-level assignments on a partition
+design.  On shift-share data diagnose's one block tests the realized y
+(y-fixed) with the requested menu and the residualized y - beta_hat*x
+(eps-fixed) and the pre-treatment outcome (placebo) with crve, and the
+flagging experiment's block tests both modes at every confound strength
+with crve; on a partition design one call tests the y-fixed and eps-fixed
+outcomes of up to 16 outer draws of the grouped experiment with
+robust-hc1, one block per draw.  Each replication refits the bivariate OLS
+and tests a zero slope with every requested variance estimator; reports
+carry rejection frequencies.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
 group-level assignments.  The assignments are the candidate rows of F raw
@@ -40,15 +43,18 @@ its outcomes' terms, and every test of a block is decided in one step:
 over a (tests, draws) array of variances, or of contrasts on a partition
 design.
 
-Determinism contract: replications are drawn in fixed chunks of 256, chunk c
-draws from substream(seed, c) only, and rejection counts are integers, so
-reports are identical for any worker count or execution order.
+Determinism contract: a call's B * R draws, R = cfg.replications, are drawn in
+fixed chunks, of 256 rows on a shift-share design and _PARTITION_CHUNK on a
+partition design; the chunk whose first row is lo draws from substream(seed,
+lo // 256) only; block b is tested on draws b*R..(b+1)*R-1; and rejection
+counts are integers.  So reports are identical for any worker count or
+execution order, and block 0 is a one-block run at the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -60,6 +66,12 @@ from .parallel import chunk_bounds, map_chunks
 from .rng import check_seed, substream
 
 _CHUNK = 256
+# A partition design's chunk: its draw is (rows, F) bits, never a (rows, N) block,
+# so a chunk of several blocks' rows pays its stream and batch set-up once.  For an
+# engine call of 16 blocks of 500 rows (x86_64, 2 MiB of L2 per core), 1024 rows lost
+# 10% to 2048 at 20 groups, 4096 and 8192 lost 5-9% at 100, where the (rows, F) float
+# block outgrows L2, and 2048 ran whole mc-table commands fastest.
+_PARTITION_CHUNK = 2048
 # Byte budget of one (rows, units) temporary of the shift-share kernel: a whole
 # chunk up to 512 units, 13 rows at 10,000 units.  It also bounds the centred
 # share rows of each piece of clusters that builds Q~ (ShareDesign.pieces), and
@@ -139,8 +151,9 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# regressor draws; bounds come from chunk_bounds(replications, _CHUNK), so
-# lo // _CHUNK is the chunk index
+# regressor draws; a chunk's rows lo..hi-1 come from substream(seed, lo // _CHUNK),
+# keyed by the chunk index on a shift-share design (chunks of _CHUNK rows) and by
+# _PARTITION_CHUNK // _CHUNK times it on a partition design
 
 
 def _shares_regressors(shares, seed, lo, hi) -> np.ndarray:
@@ -165,11 +178,15 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
         batch = max(1, min(_KERNEL_BYTES // (8 * words), int(1.2 * need / accept) + 64))
         rows = bits.random_raw(batch * words).reshape(batch, words)
         rows[:, -1] &= mask
-        # a product sums each row's counts several times faster than sum(axis=1)
-        hits = rows[np.bitwise_count(rows) @ np.ones(words) == n_groups // 2][:need]
+        if words == 1:
+            ones = np.bitwise_count(rows[:, 0])
+        else:  # a product sums each row's counts several times faster than sum(axis=1)
+            ones = np.bitwise_count(rows) @ np.ones(words)
+        hits = rows[np.flatnonzero(ones == n_groups // 2)[:need]]
         kept.append(hits)
         need -= len(hits)
-    block = np.concatenate(kept).astype("<u8", copy=False).view(np.uint8)
+    block = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    block = block.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(block, axis=1, count=n_groups, bitorder="little").astype(float)
 
 
@@ -421,24 +438,26 @@ def _cluster_segments(clusters) -> tuple[np.ndarray | None, np.ndarray]:
     return order, starts
 
 
-def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Kernel:
-    """Kernel testing each outcome in ``ys`` with its own menu in ``menus`` on ``design``.
+def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks=1) -> _Kernel:
+    """Kernel testing ``blocks`` blocks of outcomes in ``ys``, each with ``menus`` on ``design``.
 
-    Outcomes are given per unit; a partition design's groups are both its
-    clusters and its sectors.  Only the outcomes' own terms are built here:
-    what the menus fix comes from _menu_terms and what the shares fix from
-    the ShareDesign, each built once.  On a partition design each test gets
-    its contrast threshold.  Where a shift-share design holds sector terms,
-    each crve outcome gets its Q~, in one batched product per piece of
-    equal-size clusters (ShareDesign.pieces), and the kernel every outcome's
-    W~'S if every test of every outcome has a sector form (see
-    _kernel_counts).
+    Block b's outcomes are ys[b*K:(b+1)*K], K = len(menus), and outcome k of
+    each block is tested with menus[k]; _kernel_blocks cuts the kernel into
+    one per block.  Outcomes are given per unit; a partition design's groups
+    are both its clusters and its sectors.  Only the outcomes' own terms are
+    built here, for every block at once: what the menus fix comes from
+    _menu_terms and what the shares fix from the ShareDesign, each built
+    once.  On a partition design each test gets its contrast threshold.
+    Where a shift-share design holds sector terms, each crve outcome gets its
+    Q~, in one batched product per piece of equal-size clusters
+    (ShareDesign.pieces), and the kernel every outcome's W~'S if every test
+    of every outcome has a sector form (see _kernel_counts).
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
     menus = tuple(tuple(menu) for menu in menus)
     if not ys:
         raise ValidationError("need at least 1 outcome")
-    if len(menus) != len(ys):
+    if len(menus) * blocks != len(ys):
         raise ValidationError("need one estimator menu per outcome")
     partition = isinstance(design, PartitionDesign)
     if partition:
@@ -456,7 +475,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
     sector = not partition and design.ubar is not None
     tests = _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector)
     yc -= yc.mean(axis=1, keepdims=True)
-    null = [None] * len(menus)
+    null = [None] * len(ys)
     sums = yc
     crve = slopes = thresholds = None
     if partition:
@@ -476,12 +495,15 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
         sums = np.array(
             [np.bincount(design.group_of, weights=y, minlength=n_sectors) for y in yc]
         )
-        a = np.array([[y @ y, S @ S] for y, S in zip(yc, sums)])
-        a = np.where(tests.robust, a[tests.outcome, 0], a[tests.outcome, 1])
-        thresholds = np.maximum(np.sqrt(tests.k * a / (1.0 + tests.k * tests.b)), math.ulp(0.0))
+        a = np.array([[y @ y, S @ S] for y, S in zip(yc, sums)]).reshape(blocks, -1, 2)
+        a = np.where(tests.robust, a[:, tests.outcome, 0], a[:, tests.outcome, 1])
+        c = np.sqrt(tests.k * a / (1.0 + tests.k * tests.b))  # (blocks, tests)
+        thresholds = np.maximum(c, math.ulp(0.0)).ravel()
     else:
         if tests.crve.size:
-            S = yc if tests.crve_rows.size == len(yc) else yc[tests.crve_rows]
+            S = yc  # each block's crve outcomes, block by block
+            if tests.crve_rows.size < len(menus):
+                S = yc.reshape(blocks, len(menus), n)[:, tests.crve_rows].reshape(-1, n)
             crve = np.empty((n_clusters, len(S), n_sectors))
             for members, units in design.pieces:
                 # (clusters, K, n_g) @ (clusters, n_g, F); each cluster's outcome rows are
@@ -495,7 +517,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
                 rows -= design.ubar
                 crve[members] = np.matmul(S_piece, rows)
             crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
-        for i, (S, menu) in enumerate(zip(yc, menus)):
+        for i, (S, menu) in enumerate(zip(yc, menus * blocks)):
             if "score-agg-null" in menu:
                 null[i] = shares.T @ (S[:, None] * shares), S @ shares
         if tests.sector_space:
@@ -505,6 +527,22 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign) -> _Ke
         design=design, tests=tests, S=sums, null=tuple(null), crve=crve, slopes=slopes,
         thresholds=thresholds,
     )
+
+
+def _kernel_blocks(kernel: _Kernel) -> list[_Kernel]:
+    """One kernel per block of ``kernel``'s outcomes, each holding views of its block's terms."""
+    n_blocks = len(kernel.S) // len(kernel.tests.menus)
+    if n_blocks == 1:
+        return [kernel]
+    terms = {
+        name: (value, len(value) // n_blocks)  # each term is laid out block by block
+        for name in ("S", "null", "crve", "slopes", "thresholds")
+        if (value := getattr(kernel, name)) is not None
+    }
+    return [
+        replace(kernel, **{name: v[b * size : (b + 1) * size] for name, (v, size) in terms.items()})
+        for b in range(n_blocks)
+    ]
 
 
 def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -631,8 +669,18 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
     return reject.sum(axis=1), (~ok).sum(axis=1)
 
 
-def _sim_chunk(kernel, draw, bounds) -> tuple[np.ndarray, np.ndarray]:
-    return _kernel_counts(kernel, draw(*bounds))
+def _sim_chunk(kernels, replications, draw, bounds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Counts of the chunk's rows lo..hi-1, one pair per block they reach, in block order.
+
+    Block b holds rows b*replications..(b+1)*replications-1 and is counted
+    with kernels[b].
+    """
+    lo, hi = bounds
+    Z = draw(lo, hi)
+    return [
+        _kernel_counts(kernels[b], Z[max(lo, b * replications) - lo : (b + 1) * replications - lo])
+        for b in range(lo // replications, (hi - 1) // replications + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -649,26 +697,35 @@ class _Reports:
         return sum(r.skipped_degenerate for r in self.reports)
 
 
-def _run_sim(ys, menus, cfg, workers, design) -> _Reports:
-    """One report per outcome in ``ys``, each tested on ``design`` with its menu in ``menus``.
+def _run_sim(ys, menus, cfg, workers, design, blocks=1) -> _Reports:
+    """One report per outcome in ``ys``: ``blocks`` blocks, each tested with ``menus`` on ``design``.
 
+    Block b's outcomes are ys[b*K:(b+1)*K], K = len(menus), and it is tested
+    on rows b*R..(b+1)*R-1 of the simulation's draws, R = cfg.replications.
     The draw follows the design: balanced group-level assignments on a
-    PartitionDesign, sector shocks on a ShareDesign.
+    PartitionDesign, in chunks of _PARTITION_CHUNK rows, and sector shocks on
+    a ShareDesign, in chunks of _CHUNK rows.
     """
-    kernel = _make_kernel(ys, menus, cfg.alpha, design)
+    if isinstance(blocks, bool) or not isinstance(blocks, (int, np.integer)) or blocks < 1:
+        raise ValidationError(f"blocks: need an integer of at least 1 (got {blocks!r})")
+    kernel = _make_kernel(ys, menus, cfg.alpha, design, blocks)
     if isinstance(design, PartitionDesign):
-        draw = partial(_partition_regressors, design.n_groups, cfg.seed)
+        draw, size = partial(_partition_regressors, design.n_groups, cfg.seed), _PARTITION_CHUNK
     else:
-        draw = partial(_shares_regressors, design.shares, cfg.seed)
-    bounds = chunk_bounds(cfg.replications, _CHUNK)
-    results = map_chunks(partial(_sim_chunk, kernel, draw), bounds, workers)
-    counts = iter(sum(c for c, _ in results).tolist())  # outcome by outcome, menu order
-    skipped = sum(s for _, s in results).tolist()
-    reports = []
-    for menu, outcome_skipped in zip(kernel.tests.menus, skipped):
-        rejections = {est: next(counts) for est in menu}
-        reports.append(SimReport(cfg.seed, cfg.replications, outcome_skipped, rejections))
-    return _Reports(tuple(reports))
+        draw, size = partial(_shares_regressors, design.shares, cfg.seed), _CHUNK
+    bounds = chunk_bounds(blocks * cfg.replications, size)
+    chunk = partial(_sim_chunk, _kernel_blocks(kernel), cfg.replications, draw)
+    counts = np.zeros((blocks, len(kernel.estimators)), dtype=np.int64)
+    skipped = np.zeros((blocks, len(kernel.tests.menus)), dtype=np.int64)
+    for (lo, _), parts in zip(bounds, map_chunks(chunk, bounds, workers)):
+        for b, (block_counts, block_skipped) in enumerate(parts, lo // cfg.replications):
+            counts[b] += block_counts
+            skipped[b] += block_skipped
+    counts = iter(counts.ravel().tolist())  # block by block, outcome by outcome, menu order
+    return _Reports(tuple(
+        SimReport(cfg.seed, cfg.replications, s, {est: next(counts) for est in menu})
+        for menu, s in zip(kernel.tests.menus * blocks, skipped.ravel().tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -676,16 +733,21 @@ def _run_sim(ys, menus, cfg, workers, design) -> _Reports:
 
 
 def run_outcome_fixed(
-    outcomes, menus, design: ShareDesign | PartitionDesign, cfg: SimConfig, workers: int = 1
+    outcomes, menus, design: ShareDesign | PartitionDesign, cfg: SimConfig, workers: int = 1,
+    blocks: int = 1,
 ) -> tuple[SimReport, ...]:
     """Hold each outcome vector fixed, resample the draw of ``design`` and test it with its menu.
 
-    ``menus`` holds one estimator menu per outcome.  On a ShareDesign each
-    of the ``cfg.replications`` draws is a vector of sector shocks.  On a
+    ``menus`` holds one estimator menu per outcome of a block, and
+    ``outcomes`` holds ``blocks`` blocks of len(menus) outcomes each, block
+    after block; the reports follow the outcomes.  On a ShareDesign each of
+    a block's ``cfg.replications`` draws is a vector of sector shocks.  On a
     PartitionDesign each treats a random half of the groups; the exact
     distribution over every balanced assignment is
     :func:`ssdiag.analytics.enumerate_assignment_variance`.  Every outcome
-    is tested against the same draws, so each report equals that of a run
-    on its outcome alone.
+    of a block is tested against the same draws, so each report equals that
+    of a run on its outcome alone; block b is tested on draws b*R..(b+1)*R-1
+    of the stream, R = cfg.replications, so block 0 is a one-block run and
+    blocks are independent simulations.
     """
-    return _run_sim(outcomes, menus, cfg, workers, design).reports
+    return _run_sim(outcomes, menus, cfg, workers, design, blocks).reports

@@ -22,6 +22,7 @@ from ssdiag import (
 )
 from ssdiag.data import contiguous_partition
 from ssdiag.estimators import ols_fits
+from ssdiag.parallel import chunk_bounds
 from ssdiag.rng import derive_seed, substream
 
 
@@ -81,6 +82,13 @@ class TestDrawGrouped:
         with pytest.raises(ValidationError):
             GroupedDGP(n_states=4, omega=-0.1)
 
+    @pytest.mark.parametrize("key", ["beta", "omega", "het_loading"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_refused(self, key, value):
+        # NaN passed the nonnegative-loading check, and a NaN beta made every outcome NaN
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            GroupedDGP(n_states=4, **{key: value})
+
 
 class TestGroupedExperiment:
     def test_report_shape_and_determinism(self):
@@ -106,23 +114,33 @@ class TestGroupedExperiment:
         batched = run_grouped_experiment(cells, 21, 20, workers=2)
         assert batched == [run_grouped_experiment([cell], 21, 20)[0] for cell in cells]
 
-    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
-    def test_one_block_tests_both_modes(self, seed):
-        # draw 0 keys substream(seed, 0, 0) for the data and derive_seed(seed, 0, 1)
-        # for the one assignment block that tests y-fixed and eps-fixed
+    @pytest.mark.parametrize("seed, outer_reps", [(21, 1), (22, 1), (23, 4), (24, 19)])
+    def test_one_block_tests_both_modes(self, seed, outer_reps):
+        # draw j keys substream(seed, j, 0) for the data, and is block j - j0 of the
+        # one engine call of its chunk, keyed by derive_seed(seed, j0, 1) for the
+        # chunk's first draw j0; that block tests y-fixed and eps-fixed.  The last
+        # draw is not first in its chunk unless outer_reps is 1, and at 19 draws
+        # it is in the second chunk
         dgp = GroupedDGP(n_states=20, per_state=3, beta=0.5, omega=0.6)
-        draw = draw_grouped(dgp, substream(seed, 0, 0))
-        slope = ols_simple(draw.y, draw.x).slope
-        reports = run_outcome_fixed(
-            [draw.y, draw.y - slope * draw.x], [("robust-hc1",)] * 2, dgp.design,
-            SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),
-        )
-        # a threshold at the block's eps-fixed rate: another block flags only
+        rates = []
+        for j0, hi in chunk_bounds(outer_reps, dgp_module._OUTER_CHUNK):
+            ys = []
+            for j in range(j0, hi):
+                draw = draw_grouped(dgp, substream(seed, j, 0))
+                slope = ols_simple(draw.y, draw.x).slope
+                ys += [draw.y, draw.y - slope * draw.x]
+            reports = run_outcome_fixed(
+                ys, [("robust-hc1",)] * 2, dgp.design,
+                SimConfig(replications=400, seed=derive_seed(seed, j0, 1)), blocks=hi - j0,
+            )
+            rates += [r.rates["robust-hc1"] for r in reports]
+        # a threshold at the last block's eps-fixed rate: another block flags only
         # when its rate is at least as high
-        threshold = reports[1].rates["robust-hc1"]
-        (row,) = run_grouped_experiment([(dgp, seed)], 1, 400, threshold=threshold)
-        y_flag = reports[0].rates["robust-hc1"] >= threshold
-        assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), 1.0)
+        threshold = rates[-1]
+        (row,) = run_grouped_experiment([(dgp, seed)], outer_reps, 400, threshold=threshold)
+        flags = np.reshape([rate >= threshold for rate in rates], (outer_reps, 2)).mean(axis=0)
+        assert (row.pr_flag_y, row.pr_flag_eps) == tuple(flags)
+        assert flags[1] > 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="experiment cell"):
@@ -219,8 +237,13 @@ class TestFlaggingCurve:
         run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 7, 20, 5)
         assert calls == [6] * 7  # 3 gammas x 2 modes
         calls.clear()
+        # the grouped experiment makes one per chunk of outer draws: 2 modes x 5 draws,
+        # then 2 x 16 and 2 x 4 at 20 draws
         run_grouped_experiment([(GroupedDGP(n_states=4, per_state=2), 5)], 5, 20)
-        assert calls == [2] * 5
+        assert calls == [10]
+        calls.clear()
+        run_grouped_experiment([(GroupedDGP(n_states=4, per_state=2), 5)], 20, 20)
+        assert calls == [32, 8]
 
     def test_menu_terms_built_once_per_experiment(self, monkeypatch):
         # every simulation of an experiment tests one menu, so its factors and critical

@@ -31,7 +31,7 @@ from ssdiag.parallel import chunk_bounds, map_chunks
 from ssdiag.rng import substream
 
 # A fresh process warms up with one 512-permutation run at 100 groups of 10,
-# then counts the minor page faults of 50 more runs (100 chunks of 256 rows).
+# then counts the minor page faults of 50 more runs, per 256 of their 25,600 rows.
 _FAULTS_SCRIPT = """
 import resource
 import numpy as np
@@ -413,7 +413,7 @@ class TestCellKernel:
         X = np.vstack(
             [
                 engines._partition_regressors(n_groups, cfg.seed, lo, hi)
-                for lo, hi in chunk_bounds(500, 256)
+                for lo, hi in chunk_bounds(500, engines._PARTITION_CHUNK)
             ]
         )
         counts, skipped = oracles.unit_kernel_counts(
@@ -950,8 +950,9 @@ class TestStreamLayout:
         design = contiguous_partition(10, 2)
         y = np.random.default_rng(0).standard_normal(design.n_units)
         data = _dataset(11)
+        chunk = engines._PARTITION_CHUNK if engine == "partition" else engines._CHUNK
         firsts = []
-        for replications in (300, 256):
+        for replications in (chunk + 44, chunk):
             blocks.clear()
             cfg = SimConfig(replications=replications, seed=17)
             if engine == "partition":
@@ -959,7 +960,7 @@ class TestStreamLayout:
             else:
                 run_outcome_fixed([data.y], [HC1], _design(data), cfg)
             firsts.append(blocks[0])
-        assert firsts[0].shape[0] == firsts[1].shape[0] == 256
+        assert firsts[0].shape[0] == firsts[1].shape[0] == chunk
         assert np.array_equal(firsts[0], firsts[1])
 
 
@@ -1042,7 +1043,7 @@ class TestPermutationEngine:
     def test_rates_within_exact_binomial_bands(self):
         # each estimator's count over B draws lies in the binomial band of B at its
         # exact rate over all C(F, F/2) balanced assignments, which the dense unit-level
-        # oracle computes without the engine: across 79 chunks, the draw is uniform over
+        # oracle computes without the engine: across 5 chunks, the draw is uniform over
         # the balanced assignments up to complement (an assignment and its complement
         # give every test the same verdict), for every test
         replications = 20_000
@@ -1075,3 +1076,84 @@ class TestPermutationEngine:
             with pytest.raises(ValidationError, match="does not match the design"):
                 cfg = SimConfig(replications=5, seed=1)
                 run_outcome_fixed(outcomes, [HC1] * len(outcomes), design, cfg)
+
+
+def _block_case(case):
+    """A three-block run's design, menus, config and outcomes, and its rows rebuilt.
+
+    The rows are the (draws, units) regressors of the whole stream, rebuilt from
+    the layout; each case's blocks of R draws cross a chunk boundary.
+    """
+    rng = np.random.default_rng(5)
+    if case == "partition":
+        design = contiguous_partition(10, 3)
+        menus, n = [FULL_MENU, HC1], design.n_units
+        cfg = SimConfig(replications=engines._PARTITION_CHUNK // 2 + 100, seed=23, alpha=0.2)
+        Z = np.vstack(
+            [
+                engines._partition_regressors(10, cfg.seed, lo, hi)
+                for lo, hi in chunk_bounds(3 * cfg.replications, engines._PARTITION_CHUNK)
+            ]
+        )
+        X = Z[:, design.group_of]
+        oracle = dict(clusters=design.group_of, shares=oracles.partition_to_shares(design))
+    else:
+        data = _dataset(5)
+        design, n = _design(data), data.n_regions
+        # the unit path's second outcome has no crve test, so each block's crve outcomes
+        # are a subset of its outcomes
+        if case == "unit-path":
+            menus = [FULL_MENU, HC1, ("crve",)]
+        else:
+            menus = [("crve",), ("crve", "score-agg-null")]
+        cfg = SimConfig(replications=100, seed=23, alpha=0.2)
+        X = _chunked_shocks(cfg.seed, 3 * cfg.replications, data.n_sectors) @ data.shares.T
+        oracle = dict(clusters=data.clusters, shares=data.shares)
+    ys = list(rng.standard_normal((3 * len(menus), n)))
+    return design, menus, cfg, ys, X, oracle
+
+
+class TestBlocks:
+    """A B-block run tests block b on draws b*R..(b+1)*R-1 of the simulation's stream."""
+
+    CASES = ["partition", "unit-path", "sector-space"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocks_match_unit_oracle(self, case):
+        design, menus, cfg, ys, X, oracle = _block_case(case)
+        reports = run_outcome_fixed(ys, menus, design, cfg, blocks=3)
+        assert len(reports) == len(ys)
+        R = cfg.replications
+        for i, (y, report) in enumerate(zip(ys, reports)):
+            b, k = divmod(i, len(menus))
+            counts, skipped = oracles.unit_kernel_counts(
+                y, X[b * R : (b + 1) * R], menus[k], cfg.alpha, **oracle
+            )
+            assert list(report.rejections.values()) == counts, (b, k)
+            assert report.skipped_degenerate == skipped
+            assert report.replications == R
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_block_0_is_a_one_block_run(self, case):
+        design, menus, cfg, ys, _, _ = _block_case(case)
+        reports = run_outcome_fixed(ys, menus, design, cfg, blocks=3)
+        assert reports[: len(menus)] == run_outcome_fixed(ys[: len(menus)], menus, design, cfg)
+        assert run_outcome_fixed(ys, menus, design, cfg, workers=2, blocks=3) == reports
+
+    @pytest.mark.parametrize("kind", ["shift-share", "partition"])
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (0, r"blocks: need an integer of at least 1 \(got 0\)"),
+            (-2, r"blocks: need an integer of at least 1 \(got -2\)"),
+            (1.0, r"blocks: need an integer of at least 1 \(got 1.0\)"),
+            (True, r"blocks: need an integer of at least 1 \(got True\)"),
+            (3, "need one estimator menu per outcome"),  # 4 outcomes are not 3 blocks of 1
+        ],
+    )
+    def test_bad_block_count_refused(self, monkeypatch, kind, blocks, message):
+        TestValidation._no_simulation(monkeypatch)
+        design = TestValidation._twelve_units(kind)
+        ys = np.random.default_rng(0).standard_normal((4, 12))
+        with pytest.raises(ValidationError, match=message):
+            run_outcome_fixed(ys, [HC1], design, SimConfig(replications=5, seed=1), blocks=blocks)

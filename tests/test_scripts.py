@@ -8,6 +8,7 @@ CHANGES.md:
 """
 
 import csv
+import errno
 import io
 import json
 import math
@@ -67,15 +68,21 @@ def test_make_toy_data_matches_golden(toy_data, name):
 @pytest.mark.parametrize(
     "args, message",
     [(["--states", "3"], "balanced assignment requires an even group count"),
-     (["--seed", "-1"], "seed must be at least 0 (got -1)")],
+     (["--seed", "-1"], "seed must be at least 0 (got -1)"),
+     (["--beta", "nan"], "beta must be finite (got nan)"),
+     # an --out-dir that is an existing file
+     (["--out-dir", "taken"],
+      f"cannot write taken: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'taken'")],
 )
 def test_make_toy_data_bad_setting_exits_2(tmp_path, args, message):
     # the script maps a ValidationError to exit code 2 before it writes anything, as ssdiag does
+    (tmp_path / "taken").write_text("kept\n")
     out, err = _run(
         [str(SCRIPTS / "make_toy_data.py"), "--out-dir", "data", *args], tmp_path, True, 2
     )
     assert (out, err) == ("", f"error: {message}\n")
     assert not (tmp_path / "data").exists()
+    assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 def test_readme_diagnose(toy_data):
