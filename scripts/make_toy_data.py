@@ -28,9 +28,9 @@ def main() -> None:
 
     check_seed(args.seed)
     dgp = GroupedDGP(n_states=args.states, per_state=args.per_state, beta=args.beta)
-    draw = draw_grouped(dgp, substream(args.seed, 0))
+    draw = draw_grouped(dgp, [substream(args.seed, 0)])
     placebo = draw_grouped(
-        GroupedDGP(n_states=args.states, per_state=args.per_state), substream(args.seed, 1)
+        GroupedDGP(n_states=args.states, per_state=args.per_state), [substream(args.seed, 1)]
     )
     n = dgp.design.n_units
 
@@ -48,8 +48,8 @@ def main() -> None:
     lines = ["region_id,y,y_placebo,cluster,x_realized"]
     for i in range(n):
         lines.append(
-            f"u{i},{float(draw.y[i])!r},{float(placebo.y[i])!r},"
-            f"{dgp.design.group_of[i]},{float(draw.x[i])!r}"
+            f"u{i},{float(draw.y[0, i])!r},{float(placebo.y[0, i])!r},"
+            f"{dgp.design.group_of[i]},{float(draw.x[0, i])!r}"
         )
     (args.out_dir / "outcomes.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out_dir}/shares.csv and {args.out_dir}/outcomes.csv ({n} regions)")

@@ -2,7 +2,7 @@
 """Grouped experiment table at the full reference budget (20,000 x 500).
 
 Thin wrapper over `ssdiag mc-table`; pass --seed, --out, --workers, etc.
-`--seed 7 --workers 2` took 37 s on a 2-core machine;
+`--seed 7 --workers 2` took 31 s on a 2-core machine;
 the desk-scale default (2,000 x 200) is what `ssdiag mc-table` runs without
 overrides.
 

@@ -41,7 +41,6 @@ from .estimators import (
     ols_simple,
     t_test,
     var_cluster,
-    var_robust,
 )
 
 __version__ = "0.1.0"

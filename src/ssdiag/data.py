@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """Copy into a read-only contiguous array (all domain types are immutable)."""
@@ -145,6 +145,8 @@ def validate_dataset(
 
 def contiguous_partition(n_groups: int, group_size: int) -> PartitionDesign:
     """Validating constructor: ``n_groups`` contiguous groups of ``group_size`` units."""
+    check_integer("n_groups", n_groups)
+    check_integer("group_size", group_size)
     if n_groups < 2:
         raise ValidationError("need at least 2 groups")
     if n_groups % 2:

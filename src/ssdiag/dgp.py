@@ -5,8 +5,9 @@ Two data-generating processes drive the experiments:
 * a grouped DGP (states of equal size, balanced state-level treatment,
   optional state shocks and state-heterogeneous effects) used to study the
   distribution of the simulation diagnostics across repeated draws; each
-  chunk of up to 16 outer draws of a cell makes one permutation
-  simulation, one assignment block per draw;
+  chunk of up to 16 outer draws of a cell is drawn as one (draws, units)
+  block, tested on its realized assignments by one kernel and resampled by
+  one permutation simulation, one assignment block per draw;
 * a spatial-confound DGP over a fixed share matrix used to trace the
   probability of flagging a problem as the confound strength varies.
 """
@@ -19,10 +20,15 @@ from functools import partial
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_labels, contiguous_partition, draw_treatment
-from .engines import SimConfig, check_threshold, flagged, mc_se, run_outcome_fixed, share_design
-from .errors import ValidationError
-from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust
+from .data import PartitionDesign, contiguous_labels, contiguous_partition
+from .engines import (
+    SimConfig, check_threshold, flagged, mc_se, realized_tests, run_outcome_fixed, share_design,
+)
+from .errors import ValidationError, check_integer
+# mc-table tests its realized draws in the kernel and reads neither ols_simple nor
+# var_robust, but bench/tracer.py wraps these four names in this module and raises
+# AttributeError if one is missing
+from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust  # noqa: F401
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
@@ -59,6 +65,8 @@ class GroupedDGP:
     design: PartitionDesign = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_integer("n_states", self.n_states)
+        check_integer("per_state", self.per_state)
         design = contiguous_partition(self.n_states, self.per_state)
         for key in ("omega", "beta", "het_loading"):
             if not math.isfinite(getattr(self, key)):
@@ -70,25 +78,36 @@ class GroupedDGP:
 
 @dataclass(frozen=True)
 class GroupedDraw:
-    """One realized sample over ``GroupedDGP.design``."""
+    """Realized samples over ``GroupedDGP.design``, one row per sample."""
 
-    y: np.ndarray
-    x: np.ndarray  # the realized unit-level 0/1 treatment
-    sate: float
+    y: np.ndarray  # (samples, units)
+    x: np.ndarray  # (samples, units) the realized unit-level 0/1 treatment
+    z: np.ndarray  # (samples, groups) the realized 0/1 group assignment
+    sate: np.ndarray  # (samples,) the realized SATE
 
 
-def draw_grouped(dgp: GroupedDGP, rng: np.random.Generator) -> GroupedDraw:
-    """One realized sample: outcomes, treatment and the realized SATE.
+def draw_grouped(dgp: GroupedDGP, rngs) -> GroupedDraw:
+    """One realized sample per generator in ``rngs``: outcomes, treatment and the realized SATE.
 
-    Draws the state shocks, the unit noise and the assignment, in that order.
+    Each generator draws its sample's state shocks, unit noise and
+    assignment, in that order, the assignment as one permutation of the
+    groups that treats its first half; the samples' arithmetic is then done
+    at once, element by element as for one sample.
     """
     design = dgp.design
-    state_shock = rng.standard_normal(dgp.n_states)[design.group_of]
-    noise = rng.standard_normal(design.n_units)
-    x = draw_treatment(design, rng)
+    rngs = list(rngs)
+    shocks = np.empty((len(rngs), design.n_groups))
+    noise = np.empty((len(rngs), design.n_units))
+    z = np.zeros((len(rngs), design.n_groups))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=shocks[b])
+        rng.standard_normal(out=noise[b])
+        z[b, rng.permutation(design.n_groups)[: design.n_groups // 2]] = 1.0
+    state_shock = shocks[:, design.group_of]
+    x = z[:, design.group_of]
     effect = dgp.beta + dgp.het_loading * state_shock
     y = dgp.omega * state_shock + noise + x * effect
-    return GroupedDraw(y=y, x=x, sate=float(effect.mean()))
+    return GroupedDraw(y=y, x=x, z=z, sate=effect.mean(axis=1))
 
 
 @dataclass(frozen=True)
@@ -116,30 +135,49 @@ class ExperimentRow:
         )
 
 
+def _outer_draws(dgp: GroupedDGP, block: SimConfig, j0: int, j1: int) -> tuple[np.ndarray, ...]:
+    """Draws j0..j1-1 of a cell: each one's size test, and its two fixed outcomes.
+
+    Returns the (draws,) rejections of slope = beta by robust-hc1 at
+    ``block.alpha`` and the (2 * draws, units) outcomes, draw j0 + b's y in
+    row 2b (y-fixed) and its y - beta_hat * x in row 2b + 1 (eps-fixed),
+    beta_hat its realized OLS slope.  Draw j draws from substream(seed, j, 0).
+    One kernel tests every draw on its own realized assignment
+    (engines.realized_tests), on y for beta_hat and on y - beta * x for the
+    size test: testing slope = beta on y is testing a zero slope on
+    y - beta * x, whose residuals are the same.
+    """
+    draw = draw_grouped(dgp, [substream(block.seed, j, 0) for j in range(j0, j1)])
+    n = dgp.design.n_units
+    outcomes = np.stack([draw.y, draw.y - dgp.beta * draw.x], axis=1).reshape(-1, n)
+    rejected, slopes = realized_tests(
+        outcomes, [("robust-hc1",)] * 2, block.alpha, dgp.design, draw.z
+    )
+    ys = np.stack([draw.y, draw.y - slopes[:, :1] * draw.x], axis=1).reshape(-1, n)
+    return rejected[:, 1], ys
+
+
 def _grouped_chunk(cells, outer_reps, threshold, bounds) -> np.ndarray:
     """(cells, 3) tallies of the cell-draw pairs lo..hi-1, all of one cell.
 
     Pair g is draw g % outer_reps of cell g // outer_reps.  A cell is a
     (GroupedDGP, SimConfig) pair: the block configuration at the cell's seed.
+    The chunk's draws are drawn and tested on their realized assignments
+    at once (_outer_draws), and one engine call resamples all of them.
     """
     lo, hi = bounds
     k, j0 = divmod(lo, outer_reps)
     dgp, block = cells[k]
-    counts = np.zeros((len(cells), 3), dtype=np.int64)
-    ys = []
-    for j in range(j0, j0 + hi - lo):
-        draw = draw_grouped(dgp, substream(block.seed, j, 0))
-        fit = ols_simple(draw.y, draw.x)
-        # size column: test the true effect with plain robust inference
-        counts[k, 0] += t_test(fit.slope, dgp.beta, var_robust(fit), block.alpha)
-        ys += [draw.y, draw.y - fit.slope * draw.x]
+    # size column: the true effect tested on each realized draw with plain robust inference
+    size, ys = _outer_draws(dgp, block, j0, j0 + hi - lo)
     # one engine call, keyed by the chunk's first draw, tests one assignment block per
     # draw: its y-fixed (column 1) and eps-fixed (column 2) outcomes with the size
     # column's estimator
     sims = replace(block, seed=derive_seed(block.seed, j0, 1))
     reports = run_outcome_fixed(ys, [("robust-hc1",)] * 2, dgp.design, sims, blocks=hi - lo)
     flags = [flagged(r.rates["robust-hc1"], threshold) for r in reports]
-    counts[k, 1:] += np.reshape(flags, (-1, 2)).sum(axis=0)
+    counts = np.zeros((len(cells), 3), dtype=np.int64)
+    counts[k] = size.sum(), *np.reshape(flags, (-1, 2)).sum(axis=0)
     return counts
 
 
@@ -156,11 +194,15 @@ def run_grouped_experiment(
     their contrast is paired; a mode flags when its robust-hc1 rejection
     rate reaches ``threshold``.  Every cell-draw pair runs through one
     map_chunks call, in chunks of at most _OUTER_CHUNK draws of one cell.
-    Draw j of a cell draws its data from substream(seed, j, 0), and a chunk
-    whose first draw is j0 makes one engine call keyed by
-    derive_seed(seed, j0, 1), in which draw j0 + b is block b.  So a row
-    does not depend on the other cells.
+    Draw j of a cell draws its data from substream(seed, j, 0).  A chunk
+    draws its draws as one block and tests them on their realized
+    assignments with one kernel, whose partition threshold rule decides the
+    size tests and whose contrasts give each beta_hat; a chunk whose first
+    draw is j0 then makes one engine call keyed by derive_seed(seed, j0, 1),
+    in which draw j0 + b is block b.  So a row does not depend on the other
+    cells.
     """
+    check_integer("outer_reps", outer_reps)
     cells = list(cells)
     if not cells:
         raise ValidationError("need at least 1 experiment cell")
@@ -246,7 +288,8 @@ def _flagging_chunk(design, clusters, gammas, block, threshold, bounds) -> np.nd
 
 
 def check_flagging(gamma_grid, outer_reps: int) -> list[float]:
-    """The confound strengths as floats, refused if there are none or outer_reps < 1."""
+    """The confound strengths as floats, refused if there are none or outer_reps is not a count."""
+    check_integer("outer_reps", outer_reps)
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValidationError("gamma grid is empty")

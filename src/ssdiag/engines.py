@@ -17,7 +17,10 @@ with crve; on a partition design one call tests the y-fixed and eps-fixed
 outcomes of up to 16 outer draws of the grouped experiment with
 robust-hc1, one block per draw.  Each replication refits the bivariate OLS
 and tests a zero slope with every requested variance estimator; reports
-carry rejection frequencies.
+carry rejection frequencies.  On a partition design realized_tests tests
+each block once, on its own realized assignment, with the kernel and the
+threshold rule of the simulations: the grouped experiment's size tests and
+realized slopes, for all the draws of a chunk at once.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
 group-level assignments.  The assignments are the candidate rows of F raw
@@ -39,7 +42,9 @@ fixes is built once per experiment (ShareDesign; its Grams on first read, by
 sector space alone), and what a list of menus fixes at one level and design
 size once per process (_menu_terms): each test's factor and critical value
 and, on a partition design, its threshold constants.  A kernel then forms
-its outcomes' terms, and every test of a block is decided in one step:
+its outcomes' terms, on a partition design every outcome's group sums in one
+bincount and its sums of squares in one product, and every test of a block
+is decided in one step:
 over a (tests, draws) array of variances, or of contrasts on a partition
 design.
 
@@ -60,7 +65,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .data import PartitionDesign, _frozen_array
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
 from .rng import check_seed, substream
@@ -88,11 +93,8 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        # bool is an int to Python; a count or a seed takes neither it nor a float, as the CLI does
         for key in ("replications", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{key}: could not parse {value!r} as an integer")
+            check_integer(key, getattr(self, key))
         if self.replications < 1:
             raise ValidationError("need at least 1 replication")
         check_seed(self.seed)
@@ -175,13 +177,16 @@ def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
     bits = substream(seed, lo // _CHUNK).bit_generator
     kept, need = [], hi - lo
     while need:
-        batch = max(1, min(_KERNEL_BYTES // (8 * words), int(1.2 * need / accept) + 64))
+        # about 5% more candidates than the need takes on average; a short batch is topped
+        # up by the next, and no row depends on the batch
+        batch = max(1, min(_KERNEL_BYTES // (8 * words), int(1.05 * need / accept) + 64))
         rows = bits.random_raw(batch * words).reshape(batch, words)
         rows[:, -1] &= mask
-        if words == 1:
-            ones = np.bitwise_count(rows[:, 0])
-        else:  # a product sums each row's counts several times faster than sum(axis=1)
-            ones = np.bitwise_count(rows) @ np.ones(words)
+        counts = np.bitwise_count(rows)  # (batch, words) uint8
+        # a row's ones, by one add per word column: in uint8 while a row has under 256 bits
+        ones = counts[:, 0] if n_groups < 256 else counts[:, 0].astype(np.intp)
+        for w in range(1, words):
+            ones = ones + counts[:, w]
         hits = rows[np.flatnonzero(ones == n_groups // 2)[:need]]
         kept.append(hits)
         need -= len(hits)
@@ -492,10 +497,16 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks
         # estimators.rejects does: c becomes the least positive float.  T is not the
         # treated sum z.S: rounding can leave sum S != 0 (say, a constant 0.1), and
         # then z.S rejects draws whose contrast, as the unit-level slope, is 0.
-        sums = np.array(
-            [np.bincount(design.group_of, weights=y, minlength=n_sectors) for y in yc]
-        )
-        a = np.array([[y @ y, S @ S] for y, S in zip(yc, sums)]).reshape(blocks, -1, 2)
+        # every outcome's group sums in one bincount, outcome k's in bins k*F..k*F+F-1,
+        # and each sum of squares as a stacked (1, n) @ (n, 1) product: each bin sums
+        # its units in unit order and each product is the dot of y @ y, so the bits are
+        # those of one bincount and one dot per outcome
+        K = len(yc)
+        bins = (np.arange(K)[:, None] * n_sectors + design.group_of).ravel()
+        sums = np.bincount(bins, weights=yc.ravel(), minlength=K * n_sectors)
+        sums = sums.reshape(K, n_sectors)
+        a = np.concatenate([yc[:, None] @ yc[:, :, None], sums[:, None] @ sums[:, :, None]], 1)
+        a = a.reshape(blocks, -1, 2)
         a = np.where(tests.robust, a[:, tests.outcome, 0], a[:, tests.outcome, 1])
         c = np.sqrt(tests.k * a / (1.0 + tests.k * tests.b))  # (blocks, tests)
         thresholds = np.maximum(c, math.ulp(0.0)).ravel()
@@ -751,3 +762,27 @@ def run_outcome_fixed(
     blocks are independent simulations.
     """
     return _run_sim(outcomes, menus, cfg, workers, design, blocks).reports
+
+
+def realized_tests(ys, menus, alpha, design: PartitionDesign, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Test each block of outcomes once, on its own realized assignment of ``design``.
+
+    ``ys`` holds len(Z) blocks of len(menus) outcomes, as run_outcome_fixed
+    takes them, and block b is tested on the balanced group assignment Z[b]
+    alone: one kernel for every block, whose tests reject as the
+    simulations' do, when |(Z[b] - 1/2).S| reaches the test's threshold (see
+    _make_kernel).  Returns the (blocks, tests) rejections, tests in menu
+    order outcome by outcome, and the (blocks, K) realized OLS slopes, each
+    contrast over n/4.
+    """
+    Z = np.asarray(Z, dtype=float)
+    half = design.n_groups // 2
+    if Z.ndim != 2 or Z.shape[1] != design.n_groups:
+        raise ValidationError("need one row of group assignments per block")
+    if not (((Z == 0.0) | (Z == 1.0)).all() and (Z.sum(axis=1) == half).all()):
+        raise ValidationError(f"each assignment must treat {half} of {design.n_groups} groups")
+    kernel = _make_kernel(ys, menus, alpha, design, len(Z))
+    S = kernel.S.reshape(len(Z), len(menus), -1)
+    T = (S @ (Z - 0.5)[:, :, None])[..., 0]  # (blocks, K)
+    rejected = np.abs(T[:, kernel.tests.outcome]) >= kernel.thresholds.reshape(len(Z), -1)
+    return rejected, T / (design.n_units / 4)

@@ -16,6 +16,17 @@ takes none.  32 MiB is the ceiling of glibc's own dynamic threshold, so
 larger blocks, such as a 20 MB regressor block at 10,000 regions, come from
 the heap as before.  Results do not change, forked workers inherit the
 setting, and without ``mallopt`` in the C library it does nothing.
+
+Each pool worker runs one BLAS thread.  A worker forked from a process whose
+OpenBLAS keeps its default thread count would otherwise start one BLAS
+thread per core, so that 2 workers on 2 cores run 4 threads: on such a
+machine a 2-worker ``diagnose`` at 10,000 regions took 2.8 times as long,
+and a 2-worker ``flag-curve`` of 500 draws 3.9 times.  The pool's
+initializer finds the OpenBLAS that numpy bundles (``numpy.libs``) through
+``ctypes``, sets its thread count to 1, whatever OPENBLAS_NUM_THREADS says,
+and stops its thread pool; where no such library or symbol is found, it
+does nothing.  A serial run keeps the process's BLAS threads.  Results do
+not change.
 """
 
 from __future__ import annotations
@@ -24,6 +35,9 @@ import ctypes
 import functools
 import os
 from multiprocessing import get_context
+from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -64,6 +78,51 @@ def keep_freed_memory() -> tuple[int, ...]:
     return (mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
+# the symbol prefixes of numpy's bundled OpenBLAS and of a plain OpenBLAS build, and
+# the suffix of the former
+_BLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", ""))
+
+
+@functools.cache
+def blas_threads():
+    """The thread-count setter and getter of the OpenBLAS numpy bundles, and its pool stop.
+
+    None where numpy bundles no OpenBLAS; the pool stop, OpenBLAS's own fork
+    handler, is None where the library does not export it.  Opening the
+    library numpy has loaded returns numpy's own handle.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in _BLAS_SYMBOLS:
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                stop_pool = getattr(lib, "blas_thread_shutdown_", None)
+                if stop_pool is not None:
+                    stop_pool.argtypes, stop_pool.restype = (), ctypes.c_int
+                return set_threads, get_threads, stop_pool
+    return None
+
+
+def one_blas_thread() -> None:
+    """Pool initializer: this process runs one BLAS thread (module docstring)."""
+    found = blas_threads()
+    if found is not None:
+        set_threads, _, stop_pool = found
+        set_threads(1)
+        # in a forked worker the setter restarts the pool of BLAS threads that the fork
+        # left behind, and its idle threads spin for about 0.1 s before they sleep: a
+        # 2-worker mc-table took 4-15% longer.  One thread needs no pool, so stop it
+        if stop_pool is not None:
+            stop_pool()
+
+
 def chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
@@ -86,7 +145,7 @@ def map_chunks(fn, bounds, workers: int):
     ctx = get_context("fork")
     _TASK_FN = fn
     try:
-        with ctx.Pool(processes=min(workers, len(bounds))) as pool:
+        with ctx.Pool(processes=min(workers, len(bounds)), initializer=one_blas_thread) as pool:
             # one chunk per task: a free worker takes the next chunk
             return pool.map(_run_task, bounds, chunksize=1)
     finally:

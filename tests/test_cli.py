@@ -204,7 +204,7 @@ class TestIngest:
 def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     """CSV pair from a grouped draw: one-hot state shares, clusters, x column."""
     dgp = GroupedDGP(n_states=n_states, per_state=per_state, beta=beta)
-    draw = draw_grouped(dgp, substream(seed, 0))
+    draw = draw_grouped(dgp, [substream(seed, 0)])
     n = dgp.design.n_units
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, n_states + 1))
     share_lines = [header]
@@ -215,7 +215,7 @@ def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     out_lines = ["region_id,y,cluster,x_realized"]
     for i in range(n):
         out_lines.append(
-            f"u{i},{float(draw.y[i])!r},{dgp.design.group_of[i]},{float(draw.x[i])!r}"
+            f"u{i},{float(draw.y[0, i])!r},{dgp.design.group_of[i]},{float(draw.x[0, i])!r}"
         )
     outcomes = _write(tmp_path / "p_outcomes.csv", "\n".join(out_lines) + "\n")
     return shares, outcomes

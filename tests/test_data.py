@@ -1,5 +1,7 @@
 """Tests for dataset validation and partition designs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,25 @@ class TestPartitionDesign:
     def test_empty_groups_rejected(self):
         with pytest.raises(ValidationError, match="group size"):
             contiguous_partition(2, 0)
+
+    @pytest.mark.parametrize(
+        "n_groups, group_size, key, value",
+        [
+            (4, 2.5, "group_size", 2.5),  # built 10.0 units but 8 group labels
+            (4, 2.0, "group_size", 2.0),
+            (4.0, 2, "n_groups", 4.0),
+            (True, 2, "n_groups", True),
+            (4, True, "group_size", True),
+        ],
+    )
+    def test_non_integer_count_rejected(self, n_groups, group_size, key, value):
+        message = re.escape(f"{key}: could not parse {value!r} as an integer")
+        with pytest.raises(ValidationError, match=message):
+            contiguous_partition(n_groups, group_size)
+
+    def test_numpy_integer_counts_accepted(self):
+        design = contiguous_partition(np.int64(4), np.int32(3))
+        assert design.n_units == 12 == design.group_of.size
 
     @settings(max_examples=30, deadline=None)
     @given(f=st.sampled_from([2, 4, 6]), m=st.integers(1, 3), seed=st.integers(0, 99))

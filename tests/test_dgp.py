@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo experiment generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from ssdiag import (
     share_design,
 )
 from ssdiag.data import contiguous_partition
-from ssdiag.estimators import ols_fits
+from ssdiag.estimators import ols_fits, t_test, var_robust
 from ssdiag.parallel import chunk_bounds
 from ssdiag.rng import derive_seed, substream
 
@@ -30,20 +32,21 @@ class TestDrawGrouped:
     def test_null_model_is_iid_standard_normal(self):
         dgp = GroupedDGP(n_states=20, per_state=10)
         rng = np.random.default_rng(0)
-        pooled = np.concatenate([draw_grouped(dgp, rng).y for _ in range(200)])
+        pooled = draw_grouped(dgp, [rng] * 200).y.ravel()
         assert pooled.mean() == pytest.approx(0.0, abs=0.02)
         assert pooled.std() == pytest.approx(1.0, abs=0.02)
 
     def test_homogeneous_effect_sate(self):
         dgp = GroupedDGP(n_states=6, per_state=4, beta=0.5)
-        draw = draw_grouped(dgp, np.random.default_rng(1))
-        assert draw.sate == pytest.approx(0.5, abs=1e-12)
+        draw = draw_grouped(dgp, [np.random.default_rng(1)])
+        assert draw.sate.tolist() == pytest.approx([0.5], abs=1e-12)
 
     def test_balanced_treatment(self):
         dgp = GroupedDGP(n_states=10, per_state=3)
-        draw = draw_grouped(dgp, np.random.default_rng(2))
+        draw = draw_grouped(dgp, [np.random.default_rng(2)])
         # 5 of the 10 states treated, every unit of a state alike
-        treated_units = np.bincount(dgp.design.group_of, weights=draw.x)
+        treated_units = np.bincount(dgp.design.group_of, weights=draw.x[0])
+        assert draw.z.tolist() == [(treated_units > 0).tolist()]
         assert sorted(treated_units) == [0.0] * 5 + [3.0] * 5
         assert dgp.design.group_size == 3
 
@@ -52,25 +55,21 @@ class TestDrawGrouped:
         omega = 0.3
         dgp = GroupedDGP(n_states=2, per_state=2, omega=omega)
         rng = np.random.default_rng(3)
-        pairs = []
-        for _ in range(40000):
-            draw = draw_grouped(dgp, rng)
-            control = draw.y[draw.x == 0.0]
-            pairs.append(control)
-        pairs = np.array(pairs)
+        draw = draw_grouped(dgp, [rng] * 40000)
+        pairs = draw.y[draw.x == 0.0].reshape(-1, 2)  # the control units of each draw
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(omega**2 / (omega**2 + 1), abs=0.02)
 
     def test_heterogeneous_effects_average_zero(self):
         dgp = GroupedDGP(n_states=50, per_state=2, het_loading=0.4)
         rng = np.random.default_rng(4)
-        sates = [draw_grouped(dgp, rng).sate for _ in range(3000)]
+        sates = draw_grouped(dgp, [rng] * 3000).sate
         assert np.mean(sates) == pytest.approx(0.0, abs=0.01)
 
     def test_deterministic_given_stream(self):
         dgp = GroupedDGP(n_states=8, per_state=2, omega=0.2, beta=0.1)
-        a = draw_grouped(dgp, substream(7, 0))
-        b = draw_grouped(dgp, substream(7, 0))
+        a = draw_grouped(dgp, [substream(7, 0)])
+        b = draw_grouped(dgp, [substream(7, 0)])
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.x, b.x)
 
@@ -82,6 +81,17 @@ class TestDrawGrouped:
         with pytest.raises(ValidationError):
             GroupedDGP(n_states=4, omega=-0.1)
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_states", 4.0), ("n_states", True), ("per_state", 2.5),
+                       ("per_state", True)],
+    )
+    def test_non_integer_count_refused(self, key, value):
+        # a float ended in numpy's TypeError mid-run, and True ran as 1
+        settings = {"n_states": 4, "per_state": 2, key: value}
+        message = re.escape(f"{key}: could not parse {value!r} as an integer")
+        with pytest.raises(ValidationError, match=message):
+            GroupedDGP(**settings)
+
     @pytest.mark.parametrize("key", ["beta", "omega", "het_loading"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_refused(self, key, value):
@@ -91,6 +101,37 @@ class TestDrawGrouped:
 
 
 class TestGroupedExperiment:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    def test_realized_tests_match_the_scalar_tests(self, alpha):
+        # every panel cell, 40 draws in chunks of 16, 16 and 8: each chunk's one kernel
+        # decides every draw's size test as t_test(var_robust) does, its outcomes are
+        # the draw's y and y - beta_hat * x with beta_hat the OLS slope, and the size
+        # tally counts those tests
+        cells = [
+            GroupedDGP(n_states=n_states, per_state=10, **params)
+            for params in PANEL_PARAMS.values()
+            for n_states in (20, 100)
+        ]
+        rejections = 0
+        for seed, dgp in enumerate(cells, 310):
+            block = SimConfig(replications=2, seed=seed, alpha=alpha)
+            want = []
+            for j0, j1 in chunk_bounds(40, dgp_module._OUTER_CHUNK):
+                size, ys = dgp_module._outer_draws(dgp, block, j0, j1)
+                assert size.shape == (j1 - j0,) and ys.shape == (2 * (j1 - j0), dgp.design.n_units)
+                for b, j in enumerate(range(j0, j1)):
+                    draw = draw_grouped(dgp, [substream(seed, j, 0)])
+                    y, x = draw.y[0], draw.x[0]
+                    fit = ols_simple(y, x)
+                    want.append(t_test(fit.slope, dgp.beta, var_robust(fit), alpha))
+                    assert size[b] == want[-1], (seed, j)
+                    np.testing.assert_allclose(ys[2 * b], y, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(ys[2 * b + 1], y - fit.slope * x, rtol=0, atol=1e-12)
+            (row,) = run_grouped_experiment([(dgp, seed)], 40, 2, alpha)
+            assert row.size == sum(want) / 40, seed
+            rejections += sum(want)
+        assert 0 < rejections < 40 * len(cells)
+
     def test_report_shape_and_determinism(self):
         dgp = GroupedDGP(n_states=8, per_state=3, beta=0.5)
         results = [run_grouped_experiment([(dgp, 11)], 96, 40, workers=w) for w in (1, 2)]
@@ -126,9 +167,9 @@ class TestGroupedExperiment:
         for j0, hi in chunk_bounds(outer_reps, dgp_module._OUTER_CHUNK):
             ys = []
             for j in range(j0, hi):
-                draw = draw_grouped(dgp, substream(seed, j, 0))
-                slope = ols_simple(draw.y, draw.x).slope
-                ys += [draw.y, draw.y - slope * draw.x]
+                draw = draw_grouped(dgp, [substream(seed, j, 0)])
+                y, x = draw.y[0], draw.x[0]
+                ys += [y, y - ols_simple(y, x).slope * x]
             reports = run_outcome_fixed(
                 ys, [("robust-hc1",)] * 2, dgp.design,
                 SimConfig(replications=400, seed=derive_seed(seed, j0, 1)), blocks=hi - j0,
@@ -307,6 +348,25 @@ class TestFlaggingCurve:
             (row,) = run_flagging_curve(shares, clusters, [1.0], 1, 400, seed, threshold=threshold)
             y_flag = reports[0].rates["crve"] >= threshold
             assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), float(rate >= threshold))
+
+
+@pytest.mark.parametrize("experiment", ["grouped", "flagging"])
+@pytest.mark.parametrize("outer_reps", [2.5, 4.0, True])
+def test_non_integer_outer_reps_refused_before_any_draw(experiment, outer_reps, monkeypatch):
+    # 2.5 and 4.0 ended in "TypeError: 'float' object cannot be interpreted as an
+    # integer", and True ran as 1 draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr(dgp_module, "map_chunks", no_draws)
+    monkeypatch.setattr(dgp_module, "substream", no_draws)
+    message = re.escape(f"outer_reps: could not parse {outer_reps!r} as an integer")
+    with pytest.raises(ValidationError, match=message):
+        if experiment == "grouped":
+            run_grouped_experiment([(GroupedDGP(n_states=4, per_state=2), 1)], outer_reps, 5)
+        else:
+            shares, clusters = crossed_shares(3, 2)
+            run_flagging_curve(shares, clusters, [0.0], outer_reps, 5, 1)
 
 
 def _grouped(perms, alpha, threshold):

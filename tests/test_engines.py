@@ -24,9 +24,9 @@ from ssdiag import (
     share_design,
     validate_dataset,
     var_cluster,
-    var_robust,
 )
-from ssdiag import engines
+from ssdiag import engines, parallel
+from ssdiag.estimators import var_robust
 from ssdiag.parallel import chunk_bounds, map_chunks
 from ssdiag.rng import substream
 
@@ -456,6 +456,55 @@ class TestCellKernel:
                     assert min(counts) >= 2, case
                 if name.endswith("constant"):
                     assert max(counts) == 0, case
+
+    def test_realized_tests_match_unit_oracle(self):
+        # each balanced assignment as the one realized row of its own block, on the edge
+        # outcomes of test_exhaustive_matches_unit_oracle: every test's rejection is the
+        # unit kernel's on that row alone, and each slope is the least-squares slope
+        for n_groups, group_size in [(4, 1), (4, 2), (6, 3)]:
+            design = contiguous_partition(n_groups, group_size)
+            first_half = oracles.first_half_treated(design)
+            X = _balanced_assignments(n_groups)
+            ys = {
+                "pure effect": 1.7 * first_half,
+                "constant": np.full(design.n_units, 2.0),
+                "inexact constant": np.full(design.n_units, 0.1),
+                "shifted effect": 3.0 + 0.5 * first_half,
+            }
+            for name, y in ys.items():
+                rejected, slopes = engines.realized_tests(
+                    [y] * len(X), [FULL_MENU], 0.3, design, X
+                )
+                case = (n_groups, group_size, name)
+                want = [
+                    oracles.unit_kernel_counts(
+                        y, z[None, design.group_of], FULL_MENU, 0.3,
+                        clusters=design.group_of, shares=oracles.partition_to_shares(design),
+                    )
+                    for z in X
+                ]
+                assert [skipped for _, skipped in want] == [0] * len(X), case
+                assert rejected.astype(int).tolist() == [counts for counts, _ in want], case
+                for z, slope in zip(X, slopes[:, 0]):
+                    assert slope == pytest.approx(
+                        oracles.lstsq_fit(y, z[design.group_of])[1], abs=1e-12
+                    ), case
+                if name == "pure effect":
+                    assert rejected.sum(axis=0).min() >= 2, case
+                if name.endswith("constant"):
+                    assert not rejected.any(), case
+
+    def test_realized_tests_refuse_an_unbalanced_row(self):
+        design = contiguous_partition(4, 2)
+        y = np.arange(8.0)
+        for Z, message in [
+            ([[1.0, 1.0, 1.0, 0.0]], "treat 2 of 4 groups"),
+            ([[1.0, 0.5, 0.5, 0.0]], "treat 2 of 4 groups"),
+            ([[1.0, 0.0, 1.0]], "one row of group assignments per block"),
+            ([1.0, 0.0, 1.0, 0.0], "one row of group assignments per block"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                engines.realized_tests([y], [("robust-hc1",)], 0.05, design, Z)
 
     def test_shift_share_matches_unit_oracle(self):
         data = _dataset(10, n=30, f=6)
@@ -974,6 +1023,28 @@ class TestPool:
 
         bounds = chunk_bounds(1000, 256)
         assert map_chunks(chunk, bounds, workers=2) == [256, 256, 256, 232]
+
+    @pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS in numpy.libs")
+    def test_pool_workers_run_one_blas_thread(self):
+        set_threads, get_threads, _ = parallel.blas_threads()
+        before = get_threads()
+        set_threads(2)
+        try:
+            serial = get_threads()
+            bounds = chunk_bounds(2, 1)
+            assert map_chunks(lambda b: get_threads(), bounds, workers=2) == [1, 1]
+            if os.path.isdir("/proc/self/task"):
+                # and keeps no idle BLAS threads: a worker runs on its one thread alone
+                def threads(bounds):
+                    np.ones((300, 300)) @ np.ones((300, 300))
+                    return len(os.listdir("/proc/self/task"))
+
+                assert map_chunks(threads, bounds, workers=2) == [1, 1]
+            # a serial run keeps the process's threads, and the pool leaves them alone
+            assert map_chunks(lambda b: get_threads(), bounds, workers=1) == [serial] * 2
+            assert get_threads() == serial
+        finally:
+            set_threads(before)
 
     @pytest.mark.skipif(
         sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

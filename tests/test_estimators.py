@@ -15,12 +15,11 @@ from ssdiag import (
     ols_simple,
     t_test,
     var_cluster,
-    var_robust,
 )
 from ssdiag import engines
 from ssdiag.data import contiguous_partition
 from ssdiag.errors import ValidationError
-from ssdiag.estimators import ols_fits, small_sample, t_crits
+from ssdiag.estimators import ols_fits, small_sample, t_crits, var_robust
 
 
 def _random_case(seed, n=12, n_clusters=3):
