@@ -83,11 +83,10 @@ class GroupedDraw:
     y: np.ndarray  # (samples, units)
     x: np.ndarray  # (samples, units) the realized unit-level 0/1 treatment
     z: np.ndarray  # (samples, groups) the realized 0/1 group assignment
-    sate: np.ndarray  # (samples,) the realized SATE
 
 
 def draw_grouped(dgp: GroupedDGP, rngs) -> GroupedDraw:
-    """One realized sample per generator in ``rngs``: outcomes, treatment and the realized SATE.
+    """One realized sample per generator in ``rngs``: its outcomes and treatment.
 
     Each generator draws its sample's state shocks, unit noise and
     assignment, in that order, the assignment as one permutation of the
@@ -107,7 +106,7 @@ def draw_grouped(dgp: GroupedDGP, rngs) -> GroupedDraw:
     x = z[:, design.group_of]
     effect = dgp.beta + dgp.het_loading * state_shock
     y = dgp.omega * state_shock + noise + x * effect
-    return GroupedDraw(y=y, x=x, z=z, sate=effect.mean(axis=1))
+    return GroupedDraw(y=y, x=x, z=z)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ space on (draws, F) and (draws, F(F+1)/2) arrays and never forms the
 regressors: all of flag-curve's simulations, and diagnose's with a
 crve-only menu.  A menu with any other test keeps the unit path, which
 forms the (draws, N) regressors once per block for all K outcomes.  Both
-shift-share paths walk a block in row sub-blocks of bounded size.
+shift-share paths walk a block in row sub-blocks of bounded size, then
+form the score-agg tests' sector scores and decide every test once per
+block (see _kernel_counts).
 
 A simulation pays only for what its outcomes change.  What the share matrix
 fixes is built once per experiment (ShareDesign; its Grams on first read, by
@@ -323,10 +325,14 @@ class _Tests:
     # positions and their outcomes; empty unless the design holds sector-space terms
     crve: np.ndarray
     crve_rows: np.ndarray
-    # per outcome whose menu holds another test: its position, whether a test reads the
-    # (draws, N) unit scores, and its other tests as (position, estimator) pairs, whose
-    # variances _block_counts forms one by one
-    scored: tuple[tuple[int, bool, tuple[tuple[int, str], ...]], ...]
+    # per outcome whose menu holds a test that reads the (draws, N) unit scores (robust,
+    # crve-hc3, crve off the sector form): its position and those tests as (position,
+    # estimator) pairs, whose variances _block_counts forms one by one
+    scored: tuple[tuple[int, tuple[tuple[int, str], ...]], ...]
+    # per outcome whose menu holds score-agg or score-agg-null: its position and the
+    # positions of those two tests (None for one the menu lacks), whose variances
+    # _kernel_counts forms once per chunk from sector scores
+    aggregated: tuple[tuple[int, int | None, int | None], ...]
     sector_space: bool  # whether every test has a sector form (see _kernel_counts)
     # on a partition design, per test: k, b and whether a = sum yc**2 (see _make_kernel)
     k: np.ndarray | None
@@ -360,21 +366,22 @@ def _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector) -> _T
     factors = [factor for menu in menus for factor, _ in conventions[menu][0]]
     crits = [crit for menu in menus for crit in conventions[menu][1]]
     guarded = [[any(est in _DEFLATED for est in menu)] for menu in menus]
-    crve_sector = sector and "crve" in estimators
-    sector_forms = ("score-agg-null", "crve") if crve_sector else ("score-agg-null",)
-    crve, crve_rows, scored, position = [], [], [], 0
+    crve, crve_rows, scored, aggregated, position = [], [], [], [], 0
     for i, menu in enumerate(menus):
-        rest = []
+        rest, agg = [], {}
         for j, est in enumerate(menu, position):
-            if est == "crve" and crve_sector:
+            if est == "crve" and sector:
                 crve.append(j)
                 crve_rows.append(i)
+            elif est in ("score-agg-null", "score-agg"):
+                agg[est] = j
             else:
                 rest.append((j, est))
         position += len(menu)
         if rest:
-            unit_scores = not partition and any(est not in sector_forms for est in menu)
-            scored.append((i, unit_scores, tuple(rest)))
+            scored.append((i, tuple(rest)))
+        if agg:
+            aggregated.append((i, agg.get("score-agg-null"), agg.get("score-agg")))
     k = b = robust = None
     if partition:  # see _make_kernel
         q, m, deflation = n / 4, n // n_clusters, (1.0 - 2.0 / n) ** -2
@@ -400,7 +407,8 @@ def _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector) -> _T
         crve=_frozen_array(crve, np.intp),
         crve_rows=_frozen_array(crve_rows, np.intp),
         scored=tuple(scored),
-        sector_space=sector and not any(unit_scores for _, unit_scores, _ in scored),
+        aggregated=tuple(aggregated),
+        sector_space=sector and set(estimators) <= {"crve", "score-agg-null"},
         k=k,
         b=b,
         robust=robust,
@@ -415,8 +423,9 @@ class _Kernel:
     tests: _Tests
     # (K, N) the centred outcomes; on a partition design (K, F), their group sums
     S: np.ndarray
-    # per outcome, score-agg-null in sector space: shares' diag(S) shares (F, F) and
-    # S @ shares (F,); None unless the menu holds score-agg-null on a shift-share design
+    # per outcome, the null scores in sector space: H = shares' diag(S) shares (F, F) and
+    # S @ shares (F,); None unless the menu holds score-agg or score-agg-null on a
+    # shift-share design
     null: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     # crve in sector form: Q~, the cluster sums of w~_i * S_i, of each outcome whose menu
     # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
@@ -529,7 +538,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks
                 crve[members] = np.matmul(S_piece, rows)
             crve = crve.transpose(1, 0, 2).reshape(-1, n_sectors)
         for i, (S, menu) in enumerate(zip(yc, menus * blocks)):
-            if "score-agg-null" in menu:
+            if "score-agg-null" in menu or "score-agg" in menu:
                 null[i] = shares.T @ (S[:, None] * shares), S @ shares
         if tests.sector_space:
             slopes = yc @ shares - yc.sum(axis=1)[:, None] * design.ubar
@@ -572,18 +581,23 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     one product for all outcomes.  A menu with any other test keeps the
     unit path: Z is mapped once to the (draws, N) regressors X = Z @
     shares.T; with xc a unit's centred regressor, its score is
-    xc*(S - slope*xc) and its leverage 1/n + xc**2/ssq.  The regressor
-    terms are formed once for all outcomes, an outcome's scores once for
-    all its estimators, and cluster scores are segment sums over the units
-    sorted by cluster, or, for crve where the design holds sector terms,
-    z'Q~ less the slope times B_g summed from the units.  score-agg-null's
-    sector scores sum_i shares_if*xc_i*S_i are (Z @ H)_f - xbar*(S @ shares)_f
-    with H = shares' diag(S) shares on either path.  On either design every
-    test is decided in one step over a (draws, tests) or (tests, draws)
-    array.  Both shift-share paths walk the block in row sub-blocks whose
-    widest temporary stays within _KERNEL_BYTES.  tests/oracles.py keeps a
-    dense unit-level form and the scalar forms of the menu, and the engine
-    tests pin agreement with both.
+    xc*(S - slope*xc) and its leverage 1/n + xc**2/ssq, and a draw is
+    usable by the same rule.  The regressor terms are formed once for all
+    outcomes, an outcome's scores once for all its estimators, and cluster
+    scores are segment sums over the units sorted by cluster, or, for crve
+    where the design holds sector terms, z'Q~ less the slope times B_g
+    summed from the units.  Neither score-agg test reads the unit scores:
+    score-agg-null's sector scores sum_i shares_if*xc_i*S_i are the null
+    scores (Z @ H)_f - xbar*(S @ shares)_f with H = shares' diag(S) shares,
+    and score-agg's sum_i shares_if*xc_i*(S_i - slope*xc_i) are those less
+    slope*(X2 @ shares)_f, X2 the squared centred regressors.  Both
+    shift-share paths walk the block in row sub-blocks whose widest
+    temporary stays within _KERNEL_BYTES (_block_counts), each leaving its
+    X2 in its rows of X; the score-agg pair, the factors and every test's
+    decision, over one (tests, draws) array, then run once per block, X2 @
+    shares in one product for every score-agg outcome.  tests/oracles.py
+    keeps a dense unit-level form and the scalar forms of the menu, and the
+    engine tests pin agreement with both.
     """
     d, tests = kernel.design, kernel.tests
     if isinstance(d, PartitionDesign):
@@ -599,19 +613,45 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     else:
         width = max(d.grams[1].shape[1], kernel.crve.shape[0])
     rows = max(1, _KERNEL_BYTES // (8 * width))
-    blocks = [
+    parts = [
         _block_counts(kernel, None if X is None else X[lo : lo + rows], Z[lo : lo + rows])
         for lo in range(0, Z.shape[0], rows)
     ]
-    return sum(c for c, _ in blocks), sum(s for _, s in blocks)
+    values, slopes, xbar, ssq, usable, leverage_ok = parts[0] if len(parts) == 1 else [
+        None if t[0] is None else np.concatenate(t, axis=-1) for t in zip(*parts)
+    ]
+    X2_shares = None  # X2 @ shares, formed once for every score-agg outcome
+    for i, null_at, agg_at in tests.aggregated:
+        H, s = kernel.null[i]
+        scores = Z @ H - xbar[:, None] * s  # the null scores
+        if null_at is not None:
+            values[null_at] = np.einsum("bk,bk->b", scores, scores)
+        if agg_at is not None:
+            if X2_shares is None:
+                X2_shares = X @ d.shares
+            scores -= slopes[i][:, None] * X2_shares
+            values[agg_at] = np.einsum("bk,bk->b", scores, scores)
+    np.multiply(tests.factors, values, out=values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values /= ssq * ssq
+    reject = rejects(slopes[tests.outcome], values, tests.crits)
+    ok = usable[None, :].repeat(len(tests.menus), axis=0)  # (outcomes, draws)
+    if leverage_ok is not None:
+        ok &= leverage_ok | ~tests.guarded
+    reject &= ok[tests.outcome]
+    return reject.sum(axis=1), (~ok).sum(axis=1)
 
 
-def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of one row sub-block of a shift-share design; X is None in sector space.
+def _block_counts(kernel: _Kernel, X, Z) -> tuple:
+    """The terms of one row sub-block of a shift-share design; X is None in sector space.
 
-    Each test's variance fills one row of a (tests, draws) array, and one
-    step applies the factors, the rejection rule and the usable and
-    leverage masks to all of them.
+    Returns, over the sub-block's rows: the (tests, rows) variances before
+    their factors, one row per test, the score-agg pair's left for
+    _kernel_counts; the (outcomes, rows) slopes, 0 on an unusable draw;
+    and per row xbar, ssq, whether the draw is usable and whether every
+    unit's leverage stays below 1 (None unless a menu holds an hc3 test).
+    On the unit path X is dead once centred, and its rows become the
+    squared centred regressors X2.
     """
     d, tests = kernel.design, kernel.tests
     n = d.n
@@ -619,17 +659,15 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
         gram, cluster_grams, (iu, ju) = d.grams
         xbar = Z @ d.ubar
         ssq = np.einsum("bf,bf->b", Z @ gram, Z)
-        usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
     else:
         xbar = X.mean(axis=1)
         Xc = X - xbar[:, None]
-        X2 = Xc * Xc
+        X2 = np.multiply(Xc, Xc, out=X)
         ssq = X2.sum(axis=1)
-        usable = ssq > DEGENERATE_TOL * np.einsum("bn,bn->b", X, X)
-    ssq2 = ssq * ssq
+    usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
 
     values = np.empty((len(tests.estimators), Z.shape[0]))
-    ok = usable[None, :].repeat(len(tests.menus), axis=0)  # (outcomes, rows)
+    leverage_ok = None
     with np.errstate(divide="ignore", invalid="ignore"):
         if X is None:
             slopes = kernel.slopes @ Z.T
@@ -637,10 +675,10 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
             slopes = np.array([Xc @ S for S in kernel.S])
         slopes = np.where(usable, slopes / ssq, 0.0)  # (outcomes, rows)
         if tests.guarded is not None:
+            # rounding is monotone, so the largest leverage decides as every unit's would
+            leverage_ok = X2.max(axis=1) / ssq + 1.0 / n < 1.0 - 1e-12
             deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
-            leverage_ok = ~np.any(deflate >= 1.0 - 1e-12, axis=1)
             np.divide(1.0, 1.0 - deflate, out=deflate)
-            ok &= leverage_ok | ~tests.guarded
         if kernel.crve is not None:  # (G, draws) B, then (K_crve, G, draws) scores
             if X is None:
                 Zt = np.ascontiguousarray(Z.T)
@@ -652,13 +690,10 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
             scores -= slopes[tests.crve_rows][:, None, :] * B
             values[tests.crve] = np.einsum("kgb,kgb->kb", scores, scores)
 
-        for i, unit_scores, rest in tests.scored:
-            slope = slopes[i]
-            P = None  # the (draws, N) scores, formed only for a test that reads them
-            if unit_scores:
-                P = slope[:, None] * Xc  # becomes the unit scores xc * (S - slope*xc)
-                np.subtract(kernel.S[i], P, out=P)
-                P *= Xc
+        for i, rest in tests.scored:
+            P = slopes[i][:, None] * Xc  # becomes the unit scores xc * (S - slope*xc)
+            np.subtract(kernel.S[i], P, out=P)
+            P *= Xc
             if tests.guarded is not None and tests.guarded[i, 0]:
                 P_deflated = P * deflate
             for j, est in rest:
@@ -667,17 +702,8 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple[np.ndarray, np.ndarray]:
                     if d.order is not None:
                         scores = scores[:, d.order]
                     scores = np.add.reduceat(scores, d.starts, axis=1)
-                elif est == "score-agg-null":  # null residuals are the outcome
-                    H, s = kernel.null[i]
-                    scores = Z @ H - xbar[:, None] * s
-                elif est == "score-agg":
-                    scores = scores @ d.shares
                 values[j] = np.einsum("bk,bk->b", scores, scores)
-        np.multiply(tests.factors, values, out=values)
-        values /= ssq2
-    reject = rejects(slopes[tests.outcome], values, tests.crits)
-    reject &= ok[tests.outcome]
-    return reject.sum(axis=1), (~ok).sum(axis=1)
+    return values, slopes, xbar, ssq, usable, leverage_ok
 
 
 def _sim_chunk(kernels, replications, draw, bounds) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -717,8 +743,9 @@ def _run_sim(ys, menus, cfg, workers, design, blocks=1) -> _Reports:
     PartitionDesign, in chunks of _PARTITION_CHUNK rows, and sector shocks on
     a ShareDesign, in chunks of _CHUNK rows.
     """
-    if isinstance(blocks, bool) or not isinstance(blocks, (int, np.integer)) or blocks < 1:
-        raise ValidationError(f"blocks: need an integer of at least 1 (got {blocks!r})")
+    check_integer("blocks", blocks)
+    if blocks < 1:
+        raise ValidationError("need at least 1 block")
     kernel = _make_kernel(ys, menus, cfg.alpha, design, blocks)
     if isinstance(design, PartitionDesign):
         draw, size = partial(_partition_regressors, design.n_groups, cfg.seed), _PARTITION_CHUNK

@@ -28,6 +28,25 @@ from ssdiag.parallel import chunk_bounds
 from ssdiag.rng import derive_seed, substream
 
 
+def _replayed_effects(dgp, rngs):
+    """Each sample's untreated outcomes and unit effects, replayed from its generator.
+
+    draw_grouped draws a sample's state shocks, unit noise and assignment, in
+    that order; the replay makes the same three calls, so a generator shared
+    by several samples stays in step.  The effect is beta + het_loading *
+    state_shock, and a sample's SATE its mean.
+    """
+    design = dgp.design
+    untreated, effects = [], []
+    for rng in rngs:
+        state_shock = rng.standard_normal(design.n_groups)[design.group_of]
+        noise = rng.standard_normal(design.n_units)
+        rng.permutation(design.n_groups)
+        untreated.append(dgp.omega * state_shock + noise)
+        effects.append(dgp.beta + dgp.het_loading * state_shock)
+    return np.array(untreated), np.array(effects)
+
+
 class TestDrawGrouped:
     def test_null_model_is_iid_standard_normal(self):
         dgp = GroupedDGP(n_states=20, per_state=10)
@@ -39,7 +58,9 @@ class TestDrawGrouped:
     def test_homogeneous_effect_sate(self):
         dgp = GroupedDGP(n_states=6, per_state=4, beta=0.5)
         draw = draw_grouped(dgp, [np.random.default_rng(1)])
-        assert draw.sate.tolist() == pytest.approx([0.5], abs=1e-12)
+        untreated, effects = _replayed_effects(dgp, [np.random.default_rng(1)])
+        assert np.array_equal(draw.y, untreated + draw.x * effects)
+        assert effects.mean(axis=1).tolist() == pytest.approx([0.5], abs=1e-12)
 
     def test_balanced_treatment(self):
         dgp = GroupedDGP(n_states=10, per_state=3)
@@ -63,7 +84,12 @@ class TestDrawGrouped:
     def test_heterogeneous_effects_average_zero(self):
         dgp = GroupedDGP(n_states=50, per_state=2, het_loading=0.4)
         rng = np.random.default_rng(4)
-        sates = draw_grouped(dgp, [rng] * 3000).sate
+        draw = draw_grouped(dgp, [rng] * 3000)
+        rng = np.random.default_rng(4)
+        untreated, effects = _replayed_effects(dgp, [rng] * 3000)
+        assert np.array_equal(draw.y, untreated + draw.x * effects)
+        sates = effects.mean(axis=1)
+        assert np.std(sates) > 0.01  # the effects do vary by state
         assert np.mean(sates) == pytest.approx(0.0, abs=0.01)
 
     def test_deterministic_given_stream(self):

@@ -541,6 +541,69 @@ class TestCellKernel:
         gapped = engines._make_kernel([ys[0]], menus[:1], 0.3, gapped_design)
         assert engines._kernel_counts(gapped, Z)[0].tolist() == want[0][0]
 
+    # 60 units on 4 sectors: 15 clusters give the design sector terms (F*G = N), so crve
+    # takes its sector form on the unit path, and 16 leave it to the cell form (F*G > N)
+    @pytest.mark.parametrize("n_clusters", [15, 16])
+    def test_chunk_wide_score_agg_matches_unit_oracle(self, n_clusters, monkeypatch):
+        # score-agg's sector scores are formed once per chunk, for the two outcomes whose
+        # menus hold it, from the squared centred regressors every sub-block leaves in X;
+        # 5-row sub-blocks split the 256-row chunk and the 46-row tail each into whole
+        # sub-blocks and a 1-row one, on unsorted gapped labels and outcomes whose mean is
+        # not 0
+        n, f = 60, 4
+        rng = np.random.default_rng(27)
+        clusters = self._gapped_clusters(rng, n, n_clusters)
+        shares = rng.uniform(0.0, 1.5, (n, f)) * (rng.random((n, f)) < 0.7)
+        ys = [3.0 + rng.standard_normal(n), rng.standard_normal(n), -1.0 + rng.standard_normal(n)]
+        menus = [("score-agg", "crve"), FULL_MENU, ("robust-hc1", "crve-hc3")]
+        monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * 5 * n)
+        design = share_design(shares, clusters)
+        assert (design.ubar is not None) == (n_clusters == 15)
+        blocks = []
+        real = engines._block_counts
+        monkeypatch.setattr(
+            engines,
+            "_block_counts",
+            lambda kernel, X, Z: blocks.append(len(X)) or real(kernel, X, Z),
+        )
+        cfg = SimConfig(replications=256 + 46, seed=28, alpha=0.3)
+        reports = run_outcome_fixed(ys, menus, design, cfg)
+        assert blocks.count(1) == 2 and set(blocks) == {1, 5} and sum(blocks) == 302
+        X = _chunked_shocks(cfg.seed, cfg.replications, f) @ shares.T
+        for y, menu, report in zip(ys, menus, reports):
+            counts, skipped = oracles.unit_kernel_counts(
+                y, X, menu, cfg.alpha, clusters=clusters, shares=shares
+            )
+            assert list(report.rejections.values()) == counts
+            assert report.skipped_degenerate == skipped
+            assert report.rejections.get("score-agg", 1) > 0
+
+    def test_leverage_guard_at_near_one_leverage(self):
+        # rows e_k + delta * r put unit k at leverage 1 - O(delta**2): the hc3 guard skips
+        # the rows within 1e-12 of 1 and keeps the others, by the largest leverage of each
+        # row as by every unit's; the menu without an hc3 test skips none of them
+        rng = np.random.default_rng(29)
+        n = 16
+        shares = _diagonal_shares(rng, n)
+        clusters = np.arange(n) % 4
+        deltas = np.repeat(10.0 ** np.arange(-9.0, -3.0, 0.25), 2)
+        units = rng.integers(0, n, deltas.size)
+        noise = deltas[:, None] * rng.standard_normal((deltas.size, n))
+        near = np.eye(n)[units] / shares.diagonal() + noise
+        Z = np.vstack([rng.standard_normal((30, n)), near])
+        X = Z @ shares.T
+        menus = [("robust-hc3", "score-agg", "crve-hc3"), ("robust-hc1", "score-agg")]
+        ys = [rng.standard_normal(n), 2.0 + rng.standard_normal(n)]
+        kernel = engines._make_kernel(ys, menus, 0.3, share_design(shares, clusters))
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        want = [
+            oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
+            for y, menu in zip(ys, menus)
+        ]
+        got = np.split(counts, [len(menus[0])])
+        assert [(c.tolist(), s) for c, s in zip(got, skipped.tolist())] == want
+        assert 0 < want[0][1] < deltas.size and want[1][1] == 0
+
     def test_design_and_conventions_built_once(self, monkeypatch):
         # three outcomes on two distinct menus: one cluster sort, each menu's factors once,
         # in menu order; the menu terms are kept across kernels, so start from none
@@ -948,6 +1011,24 @@ class TestMemory:
         large, large_inputs = self._traced_peak(40_000)
         assert large - small <= large_inputs - small_inputs
 
+    def test_default_menu_peak_within_the_regressor_block(self):
+        # one 256-draw chunk of diagnose's default menu and its crve outcomes at
+        # N = 10,000, F = 100, G = 100 holds one (256, N) regressor block, whose rows
+        # the kernel reuses for the squared centred regressors; sub-block temporaries
+        # and the kernel's terms stay within 8 MiB above it
+        n = 10_000
+        rng = np.random.default_rng(30)
+        design = share_design(rng.uniform(0.0, 1.0, (n, 100)), np.arange(n) // 100)
+        ys = rng.standard_normal((3, n))
+        cfg = SimConfig(replications=256, seed=31)
+        tracemalloc.start()
+        try:
+            run_outcome_fixed(ys, [FULL_MENU, ("crve",), ("crve",)], design, cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 256 * n + 8 * 2**20
+
 
 class TestStreamLayout:
     # 64, 66 and 128 groups fill one raw word, spill 2 bits into a second, and fill two
@@ -1215,10 +1296,10 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "blocks, message",
         [
-            (0, r"blocks: need an integer of at least 1 \(got 0\)"),
-            (-2, r"blocks: need an integer of at least 1 \(got -2\)"),
-            (1.0, r"blocks: need an integer of at least 1 \(got 1.0\)"),
-            (True, r"blocks: need an integer of at least 1 \(got True\)"),
+            (0, "need at least 1 block"),
+            (-2, "need at least 1 block"),
+            (1.0, "blocks: could not parse 1.0 as an integer"),
+            (True, "blocks: could not parse True as an integer"),
             (3, "need one estimator menu per outcome"),  # 4 outcomes are not 3 blocks of 1
         ],
     )
