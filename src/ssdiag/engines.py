@@ -35,13 +35,16 @@ space on (draws, F) and (draws, F(F+1)/2) arrays and never forms the
 regressors: all of flag-curve's simulations, and diagnose's with a
 crve-only menu.  A menu with any other test keeps the unit path, which
 forms the (draws, N) regressors once per block for all K outcomes.  Both
-shift-share paths walk a block in row sub-blocks of bounded size, then
-form the score-agg tests' sector scores and decide every test once per
-block (see _kernel_counts).
+shift-share paths take each draw's mean regressor, centred sum of squares
+and slopes from (draws, F) products with the design's and the outcomes'
+terms, so the unit path walks the regressors only for the unit scores.
+Both walk a block in row sub-blocks of bounded size, then form the
+score-agg tests' sector scores and decide every test once per block (see
+_kernel_counts).
 
 A simulation pays only for what its outcomes change.  What the share matrix
-fixes is built once per experiment (ShareDesign; its Grams on first read, by
-sector space alone), and what a list of menus fixes at one level and design
+fixes is built once per experiment (ShareDesign; its per-cluster Grams on first
+read, by sector space alone), and what a list of menus fixes at one level and design
 size once per process (_menu_terms): each test's factor and critical value
 and, on a partition design, its threshold constants.  A kernel then forms
 its outcomes' terms, on a partition design every outcome's group sums in one
@@ -222,29 +225,31 @@ ESTIMATORS = (
 class ShareDesign:
     """The terms of a fixed share matrix that every simulation on it shares, built once.
 
-    Units nest in clusters.  Where sectors * clusters <= units, the design
-    also holds the test kernel's sector-space terms.  With w_i a share row,
-    ubar the mean share row and w~_i = w_i - ubar, a draw z of sector shocks
-    has mean regressor z.ubar, centred regressors xc_i = w~_i.z and
-    ssq = z'Cz with the centred Gram C = sum_i w~_i w~_i', and crve's
-    B_g = sum_{i in g} xc_i**2 = z'C_g z with C_g the same sum over the
-    units of cluster g.  Construct through :func:`share_design`.
+    Units nest in clusters.  With w_i a share row, ubar the mean share row
+    and w~_i = w_i - ubar, a draw z of sector shocks has mean regressor
+    xbar = z.ubar, centred regressors xc_i = w~_i.z and ssq = z'Cz with the
+    centred Gram C = sum_i w~_i w~_i'; both kernel paths read xbar and ssq
+    from these (F,) and (F, F) terms.  Where sectors * clusters <= units the
+    design also holds the test kernel's sector-space terms: crve's
+    B_g = sum_{i in g} xc_i**2 = z'C_g z, with C_g the sum over the units of
+    cluster g, reads them.  Construct through :func:`share_design`.
     """
 
     n: int  # units
     shares: np.ndarray  # (N, F)
     order: np.ndarray | None  # units sorted by cluster; None: already sorted
     starts: np.ndarray | None  # (G,) first sorted unit of each cluster; None: no clusters
-    # the sector-space terms, None unless the design has clusters and F*G <= N:
-    ubar: np.ndarray | None  # (F,)
-    # the clusters of each size n_g, in order of size and in pieces whose centred share
+    ubar: np.ndarray  # (F,)
+    gram: np.ndarray  # (F, F) C
+    # the sector-space terms, None unless the design has clusters and F*G <= N: the
+    # clusters of each size n_g, in order of size and in pieces whose centred share
     # rows fit in _KERNEL_BYTES, so that Q~ takes one batched product per piece: their
     # positions (b,) and their units (b, n_g)
     pieces: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
     @cached_property
-    def grams(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
-        """C, the packed C_g and their pair indices; None without sector-space terms.
+    def grams(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+        """The packed C_g and their pair indices; None without sector-space terms.
 
         The packed C_g are (G, F(F+1)/2): the upper triangles of the C_g at
         the pair indices (e, f), e <= f, off-diagonal entries doubled, so that
@@ -253,7 +258,7 @@ class ShareDesign:
         cluster, and no (units, F**2) temporary.  With G <= N/F their
         (G, F, F) stack holds at most as many numbers as the shares.
         """
-        if self.ubar is None:
+        if self.pieces is None:
             return None
         n_sectors = self.shares.shape[1]
         grams = np.empty((self.starts.size, n_sectors, n_sectors))
@@ -262,7 +267,7 @@ class ShareDesign:
                 w = self.shares[cluster] - self.ubar
                 np.matmul(w.T, w, out=grams[g])
         iu, ju = np.triu_indices(n_sectors)
-        return grams.sum(axis=0), grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0), (iu, ju)
+        return grams[:, iu, ju] * np.where(iu == ju, 1.0, 2.0), (iu, ju)
 
 
 def share_design(shares, clusters=None) -> ShareDesign:
@@ -277,18 +282,25 @@ def share_design(shares, clusters=None) -> ShareDesign:
         raise ValidationError("shares must be a matrix")
     if shares.shape[1] == 0:
         raise ValidationError("need at least 1 sector")
+    if shares.shape[0] < 3:
+        raise ValidationError("need at least 3 observations")
     if not np.isfinite(shares).all():
         raise ValidationError("non-finite share")
     if clusters is not None and np.shape(clusters) != (shares.shape[0],):
         raise ValidationError("cluster labels do not match shares")
     n, n_sectors = shares.shape
-    order = starts = ubar = pieces = None
+    ubar = shares.mean(axis=0)
+    gram = np.zeros((n_sectors, n_sectors))
+    rows = max(1, _KERNEL_BYTES // (8 * n_sectors))
+    for lo in range(0, n, rows):  # C from centred share rows piece by piece, no (N, F) copy
+        w = shares[lo : lo + rows] - ubar
+        gram += w.T @ w
+    order = starts = pieces = None
     if clusters is not None:
         order, starts = _cluster_segments(np.asarray(clusters))
     # the sector form costs F(F+1)/2 * G multiply-adds per draw for B, less than the
     # F * N of forming the regressors where F*G <= N
     if starts is not None and n_sectors * starts.size <= n:
-        ubar = shares.mean(axis=0)
         sizes = np.diff(starts, append=n)
         sorted_units = np.arange(n) if order is None else order
         pieces = []
@@ -299,7 +311,9 @@ def share_design(shares, clusters=None) -> ShareDesign:
                 members = of_size[lo : lo + batch]
                 pieces.append((members, sorted_units[starts[members, None] + np.arange(size)]))
         pieces = tuple(pieces)
-    return ShareDesign(n=n, shares=shares, order=order, starts=starts, ubar=ubar, pieces=pieces)
+    return ShareDesign(
+        n=n, shares=shares, order=order, starts=starts, ubar=ubar, gram=gram, pieces=pieces
+    )
 
 
 _CLUSTERED = ("crve", "crve-hc3")
@@ -431,8 +445,7 @@ class _Kernel:
     # holds crve, in outcome order, (K_crve * G, F); None unless the design holds
     # sector-space terms
     crve: np.ndarray | None
-    # (K, F) each outcome's W~'S, slope = z.(W~'S) / ssq; None unless every test of every
-    # outcome has a sector form, so that the kernel never forms the regressors
+    # (K, F) each outcome's W~'S, slope = z.(W~'S) / ssq; None on a partition design
     slopes: np.ndarray | None
     thresholds: np.ndarray | None  # on a partition design, the contrast threshold per test
 
@@ -462,10 +475,9 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks
     built here, for every block at once: what the menus fix comes from
     _menu_terms and what the shares fix from the ShareDesign, each built
     once.  On a partition design each test gets its contrast threshold.
-    Where a shift-share design holds sector terms, each crve outcome gets its
-    Q~, in one batched product per piece of equal-size clusters
-    (ShareDesign.pieces), and the kernel every outcome's W~'S if every test
-    of every outcome has a sector form (see _kernel_counts).
+    On a shift-share design every outcome gets its W~'S, and where the
+    design holds sector terms each crve outcome its Q~, in one batched
+    product per piece of equal-size clusters (ShareDesign.pieces).
     """
     ys = [np.asarray(y, dtype=float) for y in ys]
     menus = tuple(tuple(menu) for menu in menus)
@@ -486,7 +498,7 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks
         raise ValidationError("non-finite outcome")
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    sector = not partition and design.ubar is not None
+    sector = not partition and design.pieces is not None
     tests = _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector)
     yc -= yc.mean(axis=1, keepdims=True)
     null = [None] * len(ys)
@@ -540,8 +552,8 @@ def _make_kernel(ys, menus, alpha, design: ShareDesign | PartitionDesign, blocks
         for i, (S, menu) in enumerate(zip(yc, menus * blocks)):
             if "score-agg-null" in menu or "score-agg" in menu:
                 null[i] = shares.T @ (S[:, None] * shares), S @ shares
+        slopes = yc @ shares - yc.sum(axis=1)[:, None] * design.ubar
         if tests.sector_space:
-            slopes = yc @ shares - yc.sum(axis=1)[:, None] * design.ubar
             design.grams  # built here, so that a kernel sent to the workers carries them
     return _Kernel(
         design=design, tests=tests, S=sums, null=tuple(null), crve=crve, slopes=slopes,
@@ -571,19 +583,20 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``Z`` is (draws, F): a partition design's group assignments, or sector
     shocks.  On a partition design a test counts the draws whose contrast
     |(z - 1/2).S| reaches its threshold (see _make_kernel), and skips none.  On
-    a shift-share design that holds sector terms (see ShareDesign), where
-    every test is crve or score-agg-null, the kernel works in sector space.
-    Per draw z: xbar = z.ubar and ssq = z'Cz; a draw is usable when
-    ssq > tol * (ssq + n*xbar**2); every outcome's slope is z'(W~'S)/ssq;
-    and every crve outcome's cluster scores
-    sum_{i in g} xc_i*(S_i - slope*xc_i) are (z'Q~)_g - slope*B_g, with
-    Q~_g = sum_{i in g} w~_i*S_i and B_g = (z_e z_f)_{e<=f} . C_g, each in
-    one product for all outcomes.  A menu with any other test keeps the
-    unit path: Z is mapped once to the (draws, N) regressors X = Z @
-    shares.T; with xc a unit's centred regressor, its score is
-    xc*(S - slope*xc) and its leverage 1/n + xc**2/ssq, and a draw is
-    usable by the same rule.  The regressor terms are formed once for all
-    outcomes, an outcome's scores once for all its estimators, and cluster
+    a shift-share design both paths read the regressor terms from the design
+    (see ShareDesign) and the kernel, per draw z: xbar = z.ubar and
+    ssq = z'Cz; a draw is usable when ssq > tol * (ssq + n*xbar**2); and
+    every outcome's slope is z'(W~'S)/ssq, one product for all outcomes.
+    Where the design holds sector terms and every test is crve or
+    score-agg-null, the kernel works in sector space: every crve outcome's
+    cluster scores sum_{i in g} xc_i*(S_i - slope*xc_i) are
+    (z'Q~)_g - slope*B_g, with Q~_g = sum_{i in g} w~_i*S_i and
+    B_g = (z_e z_f)_{e<=f} . C_g, each in one product for all outcomes.  A
+    menu with any other test keeps the unit path: Z is mapped once to the
+    (draws, N) regressors X = Z @ shares.T, whose only passes form the
+    centred regressors xc and what the unit scores need; a unit's score is
+    xc*(S - slope*xc) and its leverage 1/n + xc**2/ssq.  An outcome's
+    scores are formed once for all its estimators, and cluster
     scores are segment sums over the units sorted by cluster, or, for crve
     where the design holds sector terms, z'Q~ less the slope times B_g
     summed from the units.  Neither score-agg test reads the unit scores:
@@ -605,13 +618,13 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
         counts = (T[:, tests.outcome] >= kernel.thresholds).sum(axis=0)
         return counts, np.zeros(len(tests.menus), dtype=np.int64)
     X = None
-    if kernel.slopes is None:
+    if not tests.sector_space:
         X = Z @ d.shares.T
         width = X.shape[1]
     elif kernel.crve is None:
         width = Z.shape[1]
     else:
-        width = max(d.grams[1].shape[1], kernel.crve.shape[0])
+        width = max(d.grams[0].shape[1], kernel.crve.shape[0])
     rows = max(1, _KERNEL_BYTES // (8 * width))
     parts = [
         _block_counts(kernel, None if X is None else X[lo : lo + rows], Z[lo : lo + rows])
@@ -650,37 +663,34 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple:
     _kernel_counts; the (outcomes, rows) slopes, 0 on an unusable draw;
     and per row xbar, ssq, whether the draw is usable and whether every
     unit's leverage stays below 1 (None unless a menu holds an hc3 test).
-    On the unit path X is dead once centred, and its rows become the
-    squared centred regressors X2.
+    xbar, ssq and the slopes come from Z alone, in both paths.  On the unit
+    path X is dead once centred, and its rows become the squared centred
+    regressors X2; hc3's deflated scores are ssq * P / ((1 - 1/n)*ssq - X2),
+    one pass for the divisor and one for the quotient, the ssq factor taken
+    once per draw.
     """
     d, tests = kernel.design, kernel.tests
     n = d.n
-    if X is None:
-        gram, cluster_grams, (iu, ju) = d.grams
-        xbar = Z @ d.ubar
-        ssq = np.einsum("bf,bf->b", Z @ gram, Z)
-    else:
-        xbar = X.mean(axis=1)
-        Xc = X - xbar[:, None]
-        X2 = np.multiply(Xc, Xc, out=X)
-        ssq = X2.sum(axis=1)
+    xbar = Z @ d.ubar
+    ssq = np.einsum("bf,bf->b", Z @ d.gram, Z)
     usable = ssq > DEGENERATE_TOL * (ssq + n * xbar * xbar)
 
     values = np.empty((len(tests.estimators), Z.shape[0]))
     leverage_ok = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if X is None:
-            slopes = kernel.slopes @ Z.T
-        else:
-            slopes = np.array([Xc @ S for S in kernel.S])
-        slopes = np.where(usable, slopes / ssq, 0.0)  # (outcomes, rows)
+        slopes = np.where(usable, (kernel.slopes @ Z.T) / ssq, 0.0)  # (outcomes, rows)
+        if X is not None:
+            Xc = X - xbar[:, None]
+            X2 = np.multiply(Xc, Xc, out=X)
         if tests.guarded is not None:
             # rounding is monotone, so the largest leverage decides as every unit's would
             leverage_ok = X2.max(axis=1) / ssq + 1.0 / n < 1.0 - 1e-12
-            deflate = X2 / ssq[:, None] + 1.0 / n  # becomes 1 / (1 - leverage)
-            np.divide(1.0, 1.0 - deflate, out=deflate)
+            # ssq * (1 - leverage), leverage 1/n + xc**2/ssq: a deflated score is ssq times
+            # P / D, and each deflated test's variance takes its ssq**2 once per draw
+            D = np.subtract(((1.0 - 1.0 / n) * ssq)[:, None], X2)
         if kernel.crve is not None:  # (G, draws) B, then (K_crve, G, draws) scores
             if X is None:
+                cluster_grams, (iu, ju) = d.grams
                 Zt = np.ascontiguousarray(Z.T)
                 B = cluster_grams @ (Zt[iu] * Zt[ju])
             else:
@@ -691,11 +701,14 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple:
             values[tests.crve] = np.einsum("kgb,kgb->kb", scores, scores)
 
         for i, rest in tests.scored:
+            # the last outcome writes its scores over Xc and its deflated scores over D,
+            # which nothing reads after it
+            last = i == tests.scored[-1][0]
             P = slopes[i][:, None] * Xc  # becomes the unit scores xc * (S - slope*xc)
             np.subtract(kernel.S[i], P, out=P)
-            P *= Xc
+            P = np.multiply(Xc, P, out=Xc if last else P)
             if tests.guarded is not None and tests.guarded[i, 0]:
-                P_deflated = P * deflate
+                P_deflated = np.divide(P, D, out=D if last else None)
             for j, est in rest:
                 scores = P_deflated if est in _DEFLATED else P  # robust: the unit scores
                 if est in _CLUSTERED:
@@ -703,6 +716,8 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple:
                         scores = scores[:, d.order]
                     scores = np.add.reduceat(scores, d.starts, axis=1)
                 values[j] = np.einsum("bk,bk->b", scores, scores)
+                if est in _DEFLATED:
+                    values[j] *= ssq * ssq
     return values, slopes, xbar, ssq, usable, leverage_ok
 
 

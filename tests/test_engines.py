@@ -203,6 +203,10 @@ class TestValidation:
             run_outcome_fixed(
                 [np.array([1.0, 2.0])], [HC1], design, SimConfig(replications=5, seed=1)
             )
+        # a share design is refused when built, before its mean share row is taken
+        for n in (0, 2):
+            with pytest.raises(ValidationError, match="at least 3 observations"):
+                share_design(np.ones((n, 3)))
 
     @staticmethod
     def _no_simulation(monkeypatch):
@@ -558,7 +562,7 @@ class TestCellKernel:
         menus = [("score-agg", "crve"), FULL_MENU, ("robust-hc1", "crve-hc3")]
         monkeypatch.setattr(engines, "_KERNEL_BYTES", 8 * 5 * n)
         design = share_design(shares, clusters)
-        assert (design.ubar is not None) == (n_clusters == 15)
+        assert (design.pieces is not None) == (n_clusters == 15)
         blocks = []
         real = engines._block_counts
         monkeypatch.setattr(
@@ -578,19 +582,28 @@ class TestCellKernel:
             assert report.skipped_degenerate == skipped
             assert report.rejections.get("score-agg", 1) > 0
 
-    def test_leverage_guard_at_near_one_leverage(self):
-        # rows e_k + delta * r put unit k at leverage 1 - O(delta**2): the hc3 guard skips
-        # the rows within 1e-12 of 1 and keeps the others, by the largest leverage of each
-        # row as by every unit's; the menu without an hc3 test skips none of them
-        rng = np.random.default_rng(29)
-        n = 16
+    @staticmethod
+    def _near_one_leverage_block(rng, n=16):
+        """Diagonal shares, 4 clusters, 30 random rows and 48 rows e_k + delta * r.
+
+        Each row e_k + delta * r puts unit k at leverage 1 - O(delta**2), for
+        delta from 1e-9 to 1e-3.25.
+        """
         shares = _diagonal_shares(rng, n)
         clusters = np.arange(n) % 4
         deltas = np.repeat(10.0 ** np.arange(-9.0, -3.0, 0.25), 2)
         units = rng.integers(0, n, deltas.size)
         noise = deltas[:, None] * rng.standard_normal((deltas.size, n))
         near = np.eye(n)[units] / shares.diagonal() + noise
-        Z = np.vstack([rng.standard_normal((30, n)), near])
+        return shares, clusters, np.vstack([rng.standard_normal((30, n)), near])
+
+    def test_leverage_guard_at_near_one_leverage(self):
+        # the hc3 guard skips the rows within 1e-12 of leverage 1 and keeps the others, by
+        # the largest leverage of each row as by every unit's; the menu without an hc3
+        # test skips none of them
+        rng = np.random.default_rng(29)
+        n = 16
+        shares, clusters, Z = self._near_one_leverage_block(rng, n)
         X = Z @ shares.T
         menus = [("robust-hc3", "score-agg", "crve-hc3"), ("robust-hc1", "score-agg")]
         ys = [rng.standard_normal(n), 2.0 + rng.standard_normal(n)]
@@ -602,7 +615,27 @@ class TestCellKernel:
         ]
         got = np.split(counts, [len(menus[0])])
         assert [(c.tolist(), s) for c, s in zip(got, skipped.tolist())] == want
-        assert 0 < want[0][1] < deltas.size and want[1][1] == 0
+        assert 0 < want[0][1] < 48 and want[1][1] == 0
+
+    def test_two_per_region_outcomes_at_near_one_leverage(self):
+        # the last per-region outcome writes its scores over the centred regressors and its
+        # deflated scores over the hc3 divisor, so the first must read both intact: two
+        # outcomes of one menu, whose hc3 deflation runs up to leverage 1 - 1e-12, match
+        # the unit-level oracle outcome by outcome
+        rng = np.random.default_rng(31)
+        n = 16
+        shares, clusters, Z = self._near_one_leverage_block(rng, n)
+        menus = [("robust-hc1", "crve-hc3")] * 2
+        ys = [rng.standard_normal(n), 3.0 + rng.standard_normal(n)]
+        kernel = engines._make_kernel(ys, menus, 0.3, share_design(shares, clusters))
+        assert not kernel.tests.sector_space and [i for i, _ in kernel.tests.scored] == [0, 1]
+        counts, skipped = engines._kernel_counts(kernel, Z)
+        want = [
+            oracles.unit_kernel_counts(y, Z @ shares.T, menu, 0.3, clusters=clusters)
+            for y, menu in zip(ys, menus)
+        ]
+        assert list(zip(counts.reshape(2, 2).tolist(), skipped.tolist())) == want
+        assert 0 < want[0][1] < 48 and min(min(c) for c, _ in want) > 0
 
     def test_design_and_conventions_built_once(self, monkeypatch):
         # three outcomes on two distinct menus: one cluster sort, each menu's factors once,
@@ -757,10 +790,10 @@ class TestCellKernel:
         slope = (Xc @ S) / ssq
         want = np.add.reduceat((Xc * (S - slope[:, None] * Xc))[:, order], starts, axis=1)
         B = np.add.reduceat((Xc * Xc)[:, order], starts, axis=1)
-        gram, cluster_grams, (iu, ju) = design.grams
+        cluster_grams, (iu, ju) = design.grams
         assert np.array_equal((iu, ju), np.triu_indices(f))
         got_B = (Z[:, iu] * Z[:, ju]) @ cluster_grams.T
-        got_ssq = np.einsum("bf,bf->b", Z @ gram, Z)
+        got_ssq = np.einsum("bf,bf->b", Z @ design.gram, Z)
         got_slope = (Z @ kernel.slopes[0]) / got_ssq
         got = Z @ kernel.crve.T - got_slope[:, None] * got_B
         for got_terms, want_terms in ((Z @ design.ubar, xbar), (got_ssq, ssq), (got_slope, slope)):
@@ -768,6 +801,36 @@ class TestCellKernel:
         for got_terms, want_terms in ((got_B, B), (got, want)):
             scale = np.abs(want_terms).max(axis=1, keepdims=True)
             assert np.all(np.abs(got_terms - want_terms) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_regressor_terms_on_the_per_region_path(self, seed, clustered):
+        # a design without sector terms, unclustered or at F*G > N, still gives
+        # xbar = z.ubar, ssq = z'Cz and each outcome's slope z'(W~'S) / ssq, and each
+        # equals its unit-level form, on share rows that do not sum to 1 and outcomes
+        # whose mean is not 0
+        rng = np.random.default_rng(100 + seed)
+        n, f = int(rng.integers(20, 400)), int(rng.integers(2, 10))
+        clusters = self._gapped_clusters(rng, n, n // f + 1) if clustered else None
+        shares = rng.uniform(0.0, 2.0, (n, f)) * (rng.random((n, f)) < 0.6)
+        ys = [5.0 + rng.standard_normal(n), -3.0 + rng.standard_normal(n)]
+        design = share_design(shares, clusters)
+        assert design.pieces is None and design.grams is None
+        menus = [("robust-hc1", "crve-hc3" if clustered else "robust-hc3"), ("robust-hc1",)]
+        kernel = engines._make_kernel(ys, menus, 0.05, design)
+        assert not kernel.tests.sector_space
+        Z = rng.standard_normal((64, f))
+        X = Z @ shares.T
+        xbar = X.mean(axis=1)
+        Xc = X - xbar[:, None]
+        ssq = np.einsum("bn,bn->b", Xc, Xc)
+        got_ssq = np.einsum("bf,bf->b", Z @ design.gram, Z)
+        for got_terms, want_terms in [
+            (Z @ design.ubar, xbar),
+            (got_ssq, ssq),
+            *(((Z @ w) / got_ssq, (Xc @ S) / ssq) for w, S in zip(kernel.slopes, kernel.S)),
+        ]:
+            assert np.all(np.abs(got_terms - want_terms) <= 1e-12 * np.abs(want_terms).max())
 
     # each case: (units, sectors, clusters) and one menu per outcome; F*G = N in all but
     # the last, whose F*G > N leaves its crve to the unit path
@@ -790,7 +853,7 @@ class TestCellKernel:
         design = share_design(shares, clusters)
         kernel = engines._make_kernel(ys, menus, 0.3, design)
         sector = case in ("crve-only", "crve-and-null")
-        assert (kernel.slopes is not None) == sector
+        assert kernel.tests.sector_space == sector
         assert (kernel.crve is not None) == (case != "cell-form")
         blocks = []
         real = engines._block_counts
@@ -825,7 +888,7 @@ class TestCellKernel:
         rng = np.random.default_rng(20)
         ys = [1.0 + rng.standard_normal(500), rng.standard_normal(500)]
         kernel = engines._make_kernel(ys, [("crve",)] * 2, 0.3, share_design(shares, clusters))
-        assert kernel.slopes is not None
+        assert kernel.tests.sector_space
         Z = np.vstack([rng.standard_normal((50, 20)), np.outer([0.0, 1.0, -3.5], np.ones(20))])
         counts, skipped = engines._kernel_counts(kernel, Z)
         want = [
@@ -847,14 +910,14 @@ class TestCellKernel:
         shares, clusters = crossed_shares(25, 20)  # flag-curve's design, F*G = N = 500
         crossed = share_design(shares, clusters)
         crve_only = kernel(("crve",), crossed)
-        assert crve_only.crve is not None and crve_only.slopes is not None
+        assert crve_only.crve is not None and crve_only.tests.sector_space
         # diagnose-large's shape, F*G = N = 10,000
         large = share_design(rng.uniform(0, 1, (10_000, 100)), np.arange(10_000) // 100)
-        assert large.grams[1].shape == (100, 5050)
+        assert large.grams[0].shape == (100, 5050)
         assert kernel(("crve",), large).crve.shape == (100, 100)
         # a mixed menu keeps the unit path, with crve in sector form
         mixed = kernel(("robust-hc1", "crve"), crossed)
-        assert mixed.crve is not None and mixed.slopes is None
+        assert mixed.crve is not None and not mixed.tests.sector_space
         # singleton clusters: F*G = 3N
         assert share_design(rng.uniform(0, 1, (12, 3)), np.arange(12)).grams is None
         # a partition design is tested by one treated-sum threshold per test instead
@@ -958,7 +1021,7 @@ class TestDesignOnce:
         yc = ys[0] - ys[0].mean()
         assert np.all(yc - (xc @ yc) / (xc @ xc) * xc == 0.0)  # no residual: zero variance
         kernel = engines._make_kernel(ys, menus, 0.3, share_design(shares, clusters))
-        assert (kernel.slopes is not None) == sector
+        assert kernel.tests.sector_space == sector
         counts, skipped = engines._kernel_counts(kernel, Z)
         want = [
             oracles.unit_kernel_counts(y, X, menu, 0.3, clusters=clusters, shares=shares)
@@ -976,12 +1039,12 @@ class TestDesignOnce:
         assert skipped.tolist()[1] >= 2  # the constant draws
 
     def test_grams_built_where_sector_space_reads_them(self):
-        # a mixed menu keeps the unit path, whose crve reads ubar and Q~ but no Gram
+        # a mixed menu keeps the unit path, whose crve reads ubar and Q~ but no packed C_g
         data = _dataset(26, n=40, f=4, placebo=True)
         design = _design(data)
         cfg = SimConfig(replications=300, seed=26)
         run_outcome_fixed([data.y, data.y_placebo], [FULL_MENU, ("crve",)], design, cfg)
-        assert design.ubar is not None and "grams" not in vars(design)
+        assert design.pieces is not None and "grams" not in vars(design)
         run_outcome_fixed([data.y_placebo], [("crve",)], design, cfg)
         assert "grams" in vars(design)
 

@@ -9,6 +9,7 @@ CHANGES.md:
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_acceptance import REFERENCE_TABLE
 
@@ -122,8 +124,13 @@ def test_readme_convergence(tmp_path):
 def test_run_full_table(tmp_path):
     # the report bytes are mc-table's; stderr scores the 20-state cells, the ones the
     # reference table holds, and the test recomputes that score from the report
-    args = ["--seed", "1", "--reps", "3", "--perms", "10", "--states", "4,20", "--per-state", "2"]
-    out, err = _run([str(SCRIPTS / "run_full_table.py"), *args], tmp_path, stderr=True)
+    args = [
+        "--seed", "1", "--reps", "3", "--perms", "10", "--states", "4,20", "--per-state", "2",
+        "--workers", "1",
+    ]
+    record = tmp_path / "record.json"
+    script = [str(SCRIPTS / "run_full_table.py"), "--record", str(record), *args]
+    out, err = _run(script, tmp_path, stderr=True)
     assert out == _run(["-m", "ssdiag.cli", "mc-table", *args], tmp_path)
     comment, body = out.split("\n", 1)
     assert comment.startswith("# ") and "reps=3" in comment and "perms=10" in comment
@@ -145,6 +152,30 @@ def test_run_full_table(tmp_path):
         f"chi2(15) = {chi2:.1f} against the reference table; "
         f"largest |z| = {abs(z[worst]):.2f} ({worst})\n"
     )
+    # --record appends one entry per run, and leaves the report and stderr as they are
+    assert _run(script, tmp_path, stderr=True) == (out, err)
+    entries = json.loads(record.read_text(encoding="utf-8"))
+    assert len(entries) == 2 and entries[0] == entries[1]
+    entry = entries[0]
+    assert list(entry) == [
+        "seed", "reps", "perms", "workers", "numpy", "sha256", "df", "chi2",
+        "chi2_with_rounding", "cells",
+    ]
+    assert (entry["seed"], entry["reps"], entry["perms"], entry["workers"]) == (1, 3, 10, 1)
+    assert entry["numpy"] == np.__version__
+    assert entry["sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert [cell["cell"] for cell in entry["cells"]] == list(z) and entry["df"] == 15
+    for cell in entry["cells"]:
+        assert list(cell) == ["cell", "value", "reference", "se", "z"]
+        panel, column = cell["cell"].split("/20 ")
+        ref = REFERENCE_TABLE[(panel, 20)][columns.index(column)]
+        assert cell["reference"] == ref and cell["se"] == math.sqrt(ref * (1 - ref) / 3)
+        assert cell["z"] == z[cell["cell"]] == (cell["value"] - ref) / cell["se"]
+    assert entry["chi2"] == pytest.approx(chi2, rel=1e-12)
+    assert entry["chi2_with_rounding"] == pytest.approx(sum(
+        (c["value"] - c["reference"]) ** 2 / (c["se"] ** 2 + 0.001**2 / 12) for c in entry["cells"]
+    ), rel=1e-12)
+    assert entry["chi2_with_rounding"] < entry["chi2"]
     # --help leaves by SystemExit from inside mc-table; its text still reaches stdout
     out, err = _run([str(SCRIPTS / "run_full_table.py"), "--help"], tmp_path, stderr=True)
     assert out == _run(["-m", "ssdiag.cli", "mc-table", "--help"], tmp_path) and not err
