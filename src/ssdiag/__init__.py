@@ -39,8 +39,6 @@ from .estimators import (
     RegressionFit,
     VarianceEstimate,
     ols_simple,
-    t_test,
-    var_cluster,
 )
 
 __version__ = "0.1.0"

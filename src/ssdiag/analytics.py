@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import PartitionDesign, contiguous_partition, draw_treatment
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_integer
 from .estimators import ols_simple
 from .parallel import chunk_bounds, map_chunks
 from .rng import check_seed, substream
@@ -47,6 +47,7 @@ class StylizedParams:
     group_size: int
 
     def __post_init__(self):
+        check_integer("group_size", self.group_size)
         if not self.sigma2 > 0.0:
             raise ValidationError("sigma2 must be positive")
         if self.group_size < 1:
@@ -202,7 +203,7 @@ def _ratio_chunk(p, designs, replications, seed, mode, bounds) -> np.ndarray:
         f_index, rep = divmod(g, replications)
         design = designs[f_index]
         rng = substream(seed, f_index, rep)
-        x = draw_treatment(design, rng)
+        x = draw_treatment(design, rng)[design.group_of]
         errors = draw_equicorrelated_errors(rng, design.n_groups, p)
         y = p.beta * x + errors
         if mode == "eps-fixed":
@@ -231,14 +232,18 @@ def ratio_convergence_experiment(
     """
     if mode not in ("y-fixed", "eps-fixed"):
         raise ValidationError(f"unknown mode {mode!r}")
+    check_integer("replications", replications)
     if replications < 2:
         raise ValidationError("need at least 2 replications")
+    check_integer("seed", seed)
     check_seed(seed)
     limit_fn = (
         y_fixed_variance_ratio_limit if mode == "y-fixed" else eps_fixed_variance_ratio_limit
     )
     limit = limit_fn(p)
-    grid = [int(n_groups) for n_groups in f_grid]
+    grid = list(f_grid)
+    for n_groups in grid:
+        check_integer("f_grid", n_groups)
     if not grid:
         raise ValidationError("group-count grid is empty")
     if any(n_groups % 2 or n_groups <= 2 for n_groups in grid):

@@ -158,10 +158,10 @@ def contiguous_partition(n_groups: int, group_size: int) -> PartitionDesign:
 
 
 def draw_treatment(design: PartitionDesign, rng: np.random.Generator) -> np.ndarray:
-    """Unit-level 0/1 regressor of one balanced assignment, drawn from ``rng``.
+    """Group-level 0/1 treatment of one balanced assignment, drawn from ``rng``.
 
     One permutation of the groups treats its first half.
     """
     treated = np.zeros(design.n_groups)
     treated[rng.permutation(design.n_groups)[: design.n_groups // 2]] = 1.0
-    return treated[design.group_of]
+    return treated

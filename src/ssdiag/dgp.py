@@ -20,15 +20,15 @@ from functools import partial
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_labels, contiguous_partition
+from .data import PartitionDesign, contiguous_partition, draw_treatment
 from .engines import (
     SimConfig, check_threshold, flagged, mc_se, realized_tests, run_outcome_fixed, share_design,
 )
 from .errors import ValidationError, check_integer
-# mc-table tests its realized draws in the kernel and reads neither ols_simple nor
-# var_robust, but bench/tracer.py wraps these four names in this module and raises
-# AttributeError if one is missing
-from .estimators import ols_fits, ols_simple, t_test, var_cluster, var_robust  # noqa: F401
+# both experiments test their realized draws in the kernel (engines.realized_tests)
+# and read none of these four names, but bench/tracer.py wraps them in this module
+# and raises AttributeError if one is missing
+from .estimators import ols_simple, t_test, var_cluster, var_robust  # noqa: F401
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
@@ -89,19 +89,18 @@ def draw_grouped(dgp: GroupedDGP, rngs) -> GroupedDraw:
     """One realized sample per generator in ``rngs``: its outcomes and treatment.
 
     Each generator draws its sample's state shocks, unit noise and
-    assignment, in that order, the assignment as one permutation of the
-    groups that treats its first half; the samples' arithmetic is then done
-    at once, element by element as for one sample.
+    assignment (data.draw_treatment), in that order; the samples' arithmetic
+    is then done at once, element by element as for one sample.
     """
     design = dgp.design
     rngs = list(rngs)
     shocks = np.empty((len(rngs), design.n_groups))
     noise = np.empty((len(rngs), design.n_units))
-    z = np.zeros((len(rngs), design.n_groups))
+    z = np.empty((len(rngs), design.n_groups))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=shocks[b])
         rng.standard_normal(out=noise[b])
-        z[b, rng.permutation(design.n_groups)[: design.n_groups // 2]] = 1.0
+        z[b] = draw_treatment(design, rng)
     state_shock = shocks[:, design.group_of]
     x = z[:, design.group_of]
     effect = dgp.beta + dgp.het_loading * state_shock
@@ -250,7 +249,8 @@ class FlaggingDraw:
 
     z: np.ndarray
     confound: np.ndarray  # shares @ u
-    x: np.ndarray
+    x: np.ndarray  # shares @ shocks
+    shocks: np.ndarray
 
     def outcome(self, gamma: float) -> np.ndarray:
         return self.z + gamma * self.confound
@@ -261,26 +261,31 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
     n, n_sectors = shares.shape
     z = rng.standard_normal(n)
     confound = shares @ rng.standard_normal(n_sectors)
-    x = shares @ rng.standard_normal(n_sectors)
-    return FlaggingDraw(z=z, confound=confound, x=x)
+    shocks = rng.standard_normal(n_sectors)
+    return FlaggingDraw(z=z, confound=confound, x=shares @ shocks, shocks=shocks)
 
 
-def _flagging_chunk(design, clusters, gammas, block, threshold, bounds) -> np.ndarray:
-    """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed."""
+def _flagging_chunk(design, gammas, block, threshold, bounds) -> np.ndarray:
+    """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed.
+
+    One kernel call tests every draw on its own shocks: the size tests and each beta_hat.
+    """
     lo, hi = bounds
-    counts = np.zeros((len(gammas), 3), dtype=np.int64)
-    for j in range(lo, hi):
-        draw = draw_flagging(design.shares, substream(block.seed, j, 0))
-        ys = [draw.outcome(gamma) for gamma in gammas]
-        fits = ols_fits(ys, draw.x)
-        for gi, fit in enumerate(fits):
-            variance = var_cluster(fit, clusters)
-            counts[gi, 0] += t_test(fit.slope, 0.0, variance, block.alpha)
-        ydots = [y_star - fit.slope * draw.x for y_star, fit in zip(ys, fits)]
+    k = len(gammas)
+    draws = [draw_flagging(design.shares, substream(block.seed, j, 0)) for j in range(lo, hi)]
+    ys = [draw.outcome(gamma) for draw in draws for gamma in gammas]
+    rejected, slopes = realized_tests(
+        ys, [("crve",)] * k, block.alpha, design, [draw.shocks for draw in draws]
+    )
+    counts = np.zeros((k, 3), dtype=np.int64)
+    counts[:, 0] = rejected.sum(axis=0)
+    for b, draw in enumerate(draws):
+        y_stars = ys[b * k : (b + 1) * k]
+        ydots = [y_star - slope * draw.x for y_star, slope in zip(y_stars, slopes[b])]
         # one shock block, drawn from derive_seed(seed, j, 1), tests every gamma in
         # both modes: y-fixed fills column 1 and eps-fixed column 2
-        block_j = replace(block, seed=derive_seed(block.seed, j, 1))
-        reports = run_outcome_fixed(ys + ydots, [("crve",)] * (2 * len(gammas)), design, block_j)
+        block_j = replace(block, seed=derive_seed(block.seed, lo + b, 1))
+        reports = run_outcome_fixed(y_stars + ydots, [("crve",)] * (2 * k), design, block_j)
         flags = [flagged(r.rates["crve"], threshold) for r in reports]
         counts[:, 1:] += np.reshape(flags, (2, -1)).T
     return counts
@@ -310,9 +315,9 @@ def run_flagging_curve(
     substream per outer index, and one shock simulation per outer draw tests
     every gamma in both modes), so curve differences and the y-versus-eps
     contrast are low-noise.  Cluster labels count only the clusters they
-    name: they are relabeled 0..G-1 in order of first appearance.  The
-    shares' design terms are built once, for every simulation of the
-    command.  Returns one row per gamma, in grid order.
+    name (share_design).  The shares' design terms are built once, for
+    every realized test and simulation of the command.  Returns one row per
+    gamma, in grid order.
     """
     gammas = check_flagging(gamma_grid, outer_reps)
     check_threshold(threshold)
@@ -320,9 +325,8 @@ def run_flagging_curve(
     if clusters is None:
         raise ValidationError("cluster labels do not match shares")
     design = share_design(shares, clusters)
-    clusters = contiguous_labels(clusters)
     parts = map_chunks(
-        partial(_flagging_chunk, design, clusters, gammas, block, threshold),
+        partial(_flagging_chunk, design, gammas, block, threshold),
         chunk_bounds(outer_reps, _OUTER_CHUNK),
         workers,
     )

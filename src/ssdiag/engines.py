@@ -17,10 +17,10 @@ with crve; on a partition design one call tests the y-fixed and eps-fixed
 outcomes of up to 16 outer draws of the grouped experiment with
 robust-hc1, one block per draw.  Each replication refits the bivariate OLS
 and tests a zero slope with every requested variance estimator; reports
-carry rejection frequencies.  On a partition design realized_tests tests
-each block once, on its own realized assignment, with the kernel and the
-threshold rule of the simulations: the grouped experiment's size tests and
-realized slopes, for all the draws of a chunk at once.
+carry rejection frequencies.  realized_tests tests each block once, on its
+own realized draw, with the kernel and the decision rule of the
+simulations: both experiments' size tests and realized slopes, for all the
+draws of a chunk at once.
 
 A draw is a (draws, F) block: sector shocks, or a partition design's
 group-level assignments.  The assignments are the candidate rows of F raw
@@ -40,7 +40,7 @@ and slopes from (draws, F) products with the design's and the outcomes'
 terms, so the unit path walks the regressors only for the unit scores.
 Both walk a block in row sub-blocks of bounded size, then form the
 score-agg tests' sector scores and decide every test once per block (see
-_kernel_counts).
+_kernel_tests).
 
 A simulation pays only for what its outcomes change.  What the share matrix
 fixes is built once per experiment (ShareDesign; its per-cluster Grams on first
@@ -70,7 +70,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .data import PartitionDesign, _frozen_array
-from .errors import ValidationError, check_integer
+from .errors import DegeneracyError, ValidationError, check_integer
 from .estimators import DEGENERATE_TOL, rejects, small_sample, t_crits
 from .parallel import chunk_bounds, map_chunks
 from .rng import check_seed, substream
@@ -345,9 +345,9 @@ class _Tests:
     scored: tuple[tuple[int, tuple[tuple[int, str], ...]], ...]
     # per outcome whose menu holds score-agg or score-agg-null: its position and the
     # positions of those two tests (None for one the menu lacks), whose variances
-    # _kernel_counts forms once per chunk from sector scores
+    # _kernel_tests forms once per chunk from sector scores
     aggregated: tuple[tuple[int, int | None, int | None], ...]
-    sector_space: bool  # whether every test has a sector form (see _kernel_counts)
+    sector_space: bool  # whether every test has a sector form (see _kernel_tests)
     # on a partition design, per test: k, b and whether a = sum yc**2 (see _make_kernel)
     k: np.ndarray | None
     b: np.ndarray | None
@@ -361,24 +361,26 @@ def _menu_terms(menus, alpha, n, n_clusters, n_sectors, partition, sector) -> _T
     ``partition`` names a partition design of ``n_clusters`` groups and
     ``sector`` a shift-share design that holds sector-space terms.  Built
     once per key and kept, so a kernel pays only for its outcomes and its
-    menus are checked (check_menu) once per process.  Menus are checked in
-    order, each in menu order, and each distinct menu's factors and critical
-    values are built once.
+    menus are checked (check_menu) once per process.  A longer list takes
+    each menu's factors and critical values from its one-menu entry, so
+    that flag-curve's K realized and 2K simulated outcomes share them.
     """
-    conventions = {}  # menu -> ((factor, dof) per estimator, crits)
-    for menu in menus:
-        if menu in conventions:
-            continue
+    if len(menus) == 1:
+        (menu,) = menus
         check_menu(menu)
         terms = []
         for est in menu:
             if est in _CLUSTERED and not n_clusters:
                 raise ValidationError(f"{est} requires cluster labels")
             terms.append(small_sample(est, n, n_clusters, n_sectors))
-        conventions[menu] = terms, t_crits(alpha, tuple(dof for _, dof in terms))
+        factors = [factor for factor, _ in terms]
+        crits = t_crits(alpha, tuple(dof for _, dof in terms))
+    else:
+        key = alpha, n, n_clusters, n_sectors, partition, sector
+        ones = [_menu_terms((menu,), *key) for menu in menus]
+        factors = [f for one in ones for f in one.factors[:, 0].tolist()]
+        crits = [c for one in ones for c in one.crits[:, 0].tolist()]
     estimators = tuple(est for menu in menus for est in menu)
-    factors = [factor for menu in menus for factor, _ in conventions[menu][0]]
-    crits = [crit for menu in menus for crit in conventions[menu][1]]
     guarded = [[any(est in _DEFLATED for est in menu)] for menu in menus]
     crve, crve_rows, scored, aggregated, position = [], [], [], [], 0
     for i, menu in enumerate(menus):
@@ -581,15 +583,35 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Rejection counts per test in ``kernel.estimators``, and skipped draws per outcome.
 
     ``Z`` is (draws, F): a partition design's group assignments, or sector
-    shocks.  On a partition design a test counts the draws whose contrast
-    |(z - 1/2).S| reaches its threshold (see _make_kernel), and skips none.  On
-    a shift-share design both paths read the regressor terms from the design
-    (see ShareDesign) and the kernel, per draw z: xbar = z.ubar and
-    ssq = z'Cz; a draw is usable when ssq > tol * (ssq + n*xbar**2); and
-    every outcome's slope is z'(W~'S)/ssq, one product for all outcomes.
-    Where the design holds sector terms and every test is crve or
-    score-agg-null, the kernel works in sector space: every crve outcome's
-    cluster scores sum_{i in g} xc_i*(S_i - slope*xc_i) are
+    shocks (see _kernel_tests).  On a partition design a test counts the
+    draws whose contrast |(z - 1/2).S| reaches its threshold (see
+    _make_kernel), and skips none.
+    """
+    if isinstance(kernel.design, PartitionDesign):
+        counts = _contrast_rejects(kernel, (Z - 0.5) @ kernel.S.T).sum(axis=0)
+        return counts, np.zeros(len(kernel.tests.menus), dtype=np.int64)
+    reject, ok, _ = _kernel_tests(kernel, Z)
+    return reject.sum(axis=1), (~ok).sum(axis=1)
+
+
+def _contrast_rejects(kernel: _Kernel, T: np.ndarray) -> np.ndarray:
+    """(rows, tests): whether the (rows, K) contrasts |(z - 1/2).S| reach their thresholds."""
+    tests = kernel.tests
+    return np.abs(T)[:, tests.outcome] >= kernel.thresholds.reshape(-1, tests.outcome.size)
+
+
+def _kernel_tests(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (tests, draws) rejections, and the (outcomes, draws) usable draws and OLS slopes.
+
+    ``Z`` is (draws, F) sector shocks, and an unusable draw rejects
+    nothing.  Both shift-share paths read the regressor terms from the
+    design (see ShareDesign) and the kernel, per draw z:
+    xbar = z.ubar and ssq = z'Cz; a draw is usable when
+    ssq > tol * (ssq + n*xbar**2); and every outcome's slope is
+    z'(W~'S)/ssq, one product for all outcomes.  Where the design holds
+    sector terms and every test is crve or score-agg-null, the kernel works
+    in sector space: every crve outcome's cluster scores
+    sum_{i in g} xc_i*(S_i - slope*xc_i) are
     (z'Q~)_g - slope*B_g, with Q~_g = sum_{i in g} w~_i*S_i and
     B_g = (z_e z_f)_{e<=f} . C_g, each in one product for all outcomes.  A
     menu with any other test keeps the unit path: Z is mapped once to the
@@ -613,10 +635,6 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     engine tests pin agreement with both.
     """
     d, tests = kernel.design, kernel.tests
-    if isinstance(d, PartitionDesign):
-        T = np.abs((Z - 0.5) @ kernel.S.T)  # (draws, K)
-        counts = (T[:, tests.outcome] >= kernel.thresholds).sum(axis=0)
-        return counts, np.zeros(len(tests.menus), dtype=np.int64)
     X = None
     if not tests.sector_space:
         X = Z @ d.shares.T
@@ -652,7 +670,7 @@ def _kernel_counts(kernel: _Kernel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if leverage_ok is not None:
         ok &= leverage_ok | ~tests.guarded
     reject &= ok[tests.outcome]
-    return reject.sum(axis=1), (~ok).sum(axis=1)
+    return reject, ok, slopes
 
 
 def _block_counts(kernel: _Kernel, X, Z) -> tuple:
@@ -660,7 +678,7 @@ def _block_counts(kernel: _Kernel, X, Z) -> tuple:
 
     Returns, over the sub-block's rows: the (tests, rows) variances before
     their factors, one row per test, the score-agg pair's left for
-    _kernel_counts; the (outcomes, rows) slopes, 0 on an unusable draw;
+    _kernel_tests; the (outcomes, rows) slopes, 0 on an unusable draw;
     and per row xbar, ssq, whether the draw is usable and whether every
     unit's leverage stays below 1 (None unless a menu holds an hc3 test).
     xbar, ssq and the slopes come from Z alone, in both paths.  On the unit
@@ -806,25 +824,32 @@ def run_outcome_fixed(
     return _run_sim(outcomes, menus, cfg, workers, design, blocks).reports
 
 
-def realized_tests(ys, menus, alpha, design: PartitionDesign, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Test each block of outcomes once, on its own realized assignment of ``design``.
+def realized_tests(ys, menus, alpha, design: ShareDesign | PartitionDesign, Z) -> tuple:
+    """Test each block of outcomes once, on its own realized draw of ``design``.
 
     ``ys`` holds len(Z) blocks of len(menus) outcomes, as run_outcome_fixed
-    takes them, and block b is tested on the balanced group assignment Z[b]
-    alone: one kernel for every block, whose tests reject as the
-    simulations' do, when |(Z[b] - 1/2).S| reaches the test's threshold (see
-    _make_kernel).  Returns the (blocks, tests) rejections, tests in menu
-    order outcome by outcome, and the (blocks, K) realized OLS slopes, each
-    contrast over n/4.
+    takes them, and block b is tested on Z[b] alone, a balanced group
+    assignment or sector shocks, with the kernel's decision rule.  Returns
+    the (blocks, tests) rejections, tests in menu order outcome by outcome,
+    and the (blocks, K) realized OLS slopes.  A partition design tests every
+    block at once; a shift-share design tests block by block (_kernel_tests)
+    and raises DegeneracyError on a draw the kernel would skip.
     """
     Z = np.asarray(Z, dtype=float)
-    half = design.n_groups // 2
-    if Z.ndim != 2 or Z.shape[1] != design.n_groups:
-        raise ValidationError("need one row of group assignments per block")
-    if not (((Z == 0.0) | (Z == 1.0)).all() and (Z.sum(axis=1) == half).all()):
-        raise ValidationError(f"each assignment must treat {half} of {design.n_groups} groups")
+    partition = isinstance(design, PartitionDesign)
+    width = design.n_groups if partition else design.shares.shape[1]
+    what = "group assignments" if partition else "sector shocks"
+    if Z.ndim != 2 or Z.shape[1] != width:
+        raise ValidationError(f"need one row of {what} per block")
+    if partition and not (np.isin(Z, (0.0, 1.0)).all() and (Z.sum(axis=1) == width // 2).all()):
+        raise ValidationError(f"each assignment must treat {width // 2} of {width} groups")
     kernel = _make_kernel(ys, menus, alpha, design, len(Z))
-    S = kernel.S.reshape(len(Z), len(menus), -1)
-    T = (S @ (Z - 0.5)[:, :, None])[..., 0]  # (blocks, K)
-    rejected = np.abs(T[:, kernel.tests.outcome]) >= kernel.thresholds.reshape(len(Z), -1)
-    return rejected, T / (design.n_units / 4)
+    if partition:
+        S = kernel.S.reshape(len(Z), len(menus), -1)
+        T = (S @ (Z - 0.5)[:, :, None])[..., 0]  # (blocks, K)
+        return _contrast_rejects(kernel, T), T / (design.n_units / 4)
+    parts = [_kernel_tests(block, z[None]) for block, z in zip(_kernel_blocks(kernel), Z)]
+    rejected, ok, slopes = (np.concatenate(t, axis=1).T for t in zip(*parts))
+    if not ok.all():
+        raise DegeneracyError("degenerate regressor (no variation)")
+    return rejected, slopes

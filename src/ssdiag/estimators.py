@@ -1,11 +1,11 @@
 """Bivariate OLS and the two-sided t test.
 
-The experiments test each realized sample once, with robust-hc1 or crve; the
-simulations test their draws with the vectorized kernel of
-:mod:`ssdiag.engines`.  Both take each estimator's finite-sample factor and
-dof from :func:`small_sample` and decide with the one test defined here:
-:func:`t_crits` gives the critical values and :func:`rejects` the rejection
-rule.
+Every test of a simulated or realized draw runs in the kernel of
+:mod:`ssdiag.engines`, which takes each estimator's factor and dof from
+:func:`small_sample`, the critical values from :func:`t_crits` and the rule
+from :func:`rejects`.  :func:`ols_simple` gives diagnose's and the
+convergence experiment's beta_hat; the scalar variances and :func:`t_test`
+keep those conventions and are the tests' reference for the kernel.
 """
 
 from __future__ import annotations
@@ -161,19 +161,9 @@ def rejects(diff, value, crit) -> np.ndarray:
 
 def ols_simple(y, x) -> RegressionFit:
     """Least-squares fit of y on an intercept and a single regressor."""
-    (fit,) = ols_fits([y], x)
-    return fit
-
-
-def ols_fits(ys, x) -> list[RegressionFit]:
-    """The ols_simple fit of each outcome in ``ys`` on the one regressor ``x``.
-
-    The centred regressor and its sum of squares are formed once for all
-    outcomes; each fit equals ols_simple's bit for bit.
-    """
+    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    ys = [np.asarray(y, dtype=float) for y in ys]
-    if x.ndim != 1 or any(y.shape != x.shape for y in ys):
+    if x.ndim != 1 or y.shape != x.shape:
         raise ValidationError("y and x must be vectors of equal length")
     if x.shape[0] < 3:
         raise ValidationError("need at least 3 observations")
@@ -182,18 +172,10 @@ def ols_fits(ys, x) -> list[RegressionFit]:
     ssq = float(xt @ xt)
     if ssq <= DEGENERATE_TOL * float(x @ x):
         raise DegeneracyError("degenerate regressor (no variation)")
-    fits = []
-    for y in ys:
-        ybar = y.mean()
-        slope = float(xt @ (y - ybar)) / ssq
-        intercept = ybar - slope * xbar
-        residuals = y - intercept - slope * x
-        fits.append(
-            RegressionFit(
-                slope=slope, residuals=residuals, regressor_demeaned_ssq=ssq, x_demeaned=xt
-            )
-        )
-    return fits
+    ybar = y.mean()
+    slope = float(xt @ (y - ybar)) / ssq
+    residuals = y - (ybar - slope * xbar) - slope * x
+    return RegressionFit(slope, residuals, ssq, xt)
 
 
 def var_robust(fit: RegressionFit) -> VarianceEstimate:
@@ -206,36 +188,20 @@ def var_robust(fit: RegressionFit) -> VarianceEstimate:
 
 
 def var_cluster(fit: RegressionFit, clusters) -> VarianceEstimate:
-    """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels.
-
-    Labels numbered 0..G-1, each in use (:func:`ssdiag.data.contiguous_labels`),
-    are counted by one bincount; any others are first renumbered by np.unique.
-    """
+    """Cluster-robust (CR1) slope variance; the cluster count is the number of distinct labels."""
     clusters = np.asarray(clusters)
     n = fit.n_obs
     if clusters.shape != (n,):
         raise ValidationError("cluster labels do not match the fit")
-    try:
-        # labels 0..G-1 lie below n; bincount refuses negative and non-integer labels
-        used = np.bincount(clusters) if clusters.max() < n else None
-    except (TypeError, ValueError):
-        used = None
-    if used is None or not used.all():
-        labels, clusters = np.unique(clusters, return_inverse=True)
-        n_clusters = labels.size
-    else:
-        n_clusters = used.size
-    factor, dof = small_sample("crve", n, n_clusters, 0)
-    scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=n_clusters)
+    labels, clusters = np.unique(clusters, return_inverse=True)
+    factor, dof = small_sample("crve", n, labels.size, 0)
+    scores = np.bincount(clusters, weights=fit.x_demeaned * fit.residuals, minlength=labels.size)
     value = factor * float(scores @ scores) / fit.regressor_demeaned_ssq**2
     return VarianceEstimate(value=value, dof=float(dof))
 
 
 def t_test(
-    slope: float,
-    null_value: float,
-    variance: VarianceEstimate,
-    level: float = 0.05,
+    slope: float, null_value: float, variance: VarianceEstimate, level: float = 0.05
 ) -> bool:
     """Whether the two-sided t test at ``level`` rejects slope = null_value."""
     if not 0.0 < level < 1.0:

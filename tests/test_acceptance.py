@@ -33,10 +33,10 @@ from ssdiag import (
     run_outcome_fixed,
     share_design,
     validate_dataset,
-    var_cluster,
     y_fixed_variance_ratio_limit,
 )
 from ssdiag.cli import main
+from ssdiag.estimators import var_cluster
 from ssdiag.rng import derive_seed, substream
 
 WORKERS = min(8, os.cpu_count() or 1)

@@ -1,5 +1,7 @@
 """Tests for closed-form ratio limits, exact variances, and the enumeration oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ class TestRatioLimits:
             _params(rho=1.5)  # above sigma2
         with pytest.raises(ValidationError):
             _params(rho=-0.6, m=3)  # indefinite covariance
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    def test_non_integer_group_size_refused(self, m):
+        # 2.5 was accepted as a group size
+        with pytest.raises(ValidationError, match=re.escape(f"group_size: could not parse {m!r}")):
+            _params(m=m)
+        assert _params(m=np.int64(2)).group_size == 2
 
 
 class TestExactVariances:
@@ -229,3 +238,25 @@ class TestConvergenceExperiment:
         with pytest.raises(ValidationError, match=message):
             ratio_convergence_experiment(_params(), grid, replications=10, seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("f_grid", 4.5), ("f_grid", 10.0), ("f_grid", True), ("replications", 2.5),
+         ("seed", 1.5)],
+    )
+    def test_non_integer_count_refused_before_any_simulation(self, key, value, monkeypatch):
+        # f_grid=[4.5] ran at 4 groups, and a float replication count or seed ended in
+        # numpy's TypeError
+        calls = []
+        monkeypatch.setattr(analytics, "map_chunks", lambda *args: calls.append(args))
+        settings = {"f_grid": [10], "replications": 10, "seed": 1}
+        settings[key] = [value] if key == "f_grid" else value
+        message = re.escape(f"{key}: could not parse {value!r} as an integer")
+        with pytest.raises(ValidationError, match=message):
+            ratio_convergence_experiment(_params(), **settings)
+        assert calls == []
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = {"f_grid": [np.int64(4)], "replications": np.int32(3), "seed": np.uint8(1)}
+        (row,) = ratio_convergence_experiment(_params(m=2), **counts)
+        assert row == ratio_convergence_experiment(_params(m=2), [4], 3, 1)[0]

@@ -756,6 +756,26 @@ class TestTableAndCurve:
         assert "--shares" in capsys.readouterr().err
         assert calls == []
 
+    def test_flag_curve_on_equal_share_rows_exits_3(self, tmp_path, capsys):
+        # every region has the same shares, so each draw's regressor shares @ v is
+        # constant and its realized test has nothing to fit
+        shares = _write(
+            tmp_path / "shares.csv",
+            "region_id,s_1,s_2\n" + "".join(f"r{i},0.3,0.7\n" for i in range(6)),
+        )
+        outcomes = _write(
+            tmp_path / "outcomes.csv",
+            "region_id,y,cluster\n" + "".join(f"r{i},{i * 0.5},{i % 3}\n" for i in range(6)),
+        )
+        out = tmp_path / "curve.csv"
+        code = main([
+            "flag-curve", "--seed", "1", "--reps", "3", "--perms", "10", "--shares", shares,
+            "--outcomes", outcomes, "--out", str(out),
+        ])
+        assert code == 3
+        assert "degeneracy: degenerate regressor (no variation)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_supplies_settings(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -136,10 +136,12 @@ class TestPartitionDesign:
     @given(f=st.sampled_from([2, 4, 6]), m=st.integers(1, 3), seed=st.integers(0, 99))
     def test_rows_sum_to_one_and_round_trip(self, f, m, seed):
         design = contiguous_partition(f, m)
-        x = draw_treatment(design, np.random.default_rng(seed))
+        treated = draw_treatment(design, np.random.default_rng(seed))
         shares = oracles.partition_to_shares(design)
         np.testing.assert_array_equal(shares.sum(axis=1), 1.0)
-        # the group-level assignment behind x is balanced and maps back onto x
-        treated = shares.T @ x / m
+        # the group-level assignment is balanced, and the shares map it onto the units
+        # and back
         assert sorted(treated) == [0.0] * (f // 2) + [1.0] * (f // 2)
-        np.testing.assert_array_equal(shares @ treated, x)
+        x = shares @ treated
+        np.testing.assert_array_equal(x, treated[design.group_of])
+        np.testing.assert_array_equal(shares.T @ x / m, treated)

@@ -23,7 +23,7 @@ from ssdiag import (
     share_design,
 )
 from ssdiag.data import contiguous_partition
-from ssdiag.estimators import ols_fits, t_test, var_robust
+from ssdiag.estimators import t_test, var_cluster, var_robust
 from ssdiag.parallel import chunk_bounds
 from ssdiag.rng import derive_seed, substream
 
@@ -128,7 +128,7 @@ class TestDrawGrouped:
 
 class TestGroupedExperiment:
     @pytest.mark.parametrize("alpha", [0.05, 0.3])
-    def test_realized_tests_match_the_scalar_tests(self, alpha):
+    def test_realized_tests_match_the_scalar_tests(self, alpha, monkeypatch):
         # every panel cell, 40 draws in chunks of 16, 16 and 8: each chunk's one kernel
         # decides every draw's size test as t_test(var_robust) does, its outcomes are
         # the draw's y and y - beta_hat * x with beta_hat the OLS slope, and the size
@@ -157,6 +157,46 @@ class TestGroupedExperiment:
             assert row.size == sum(want) / 40, seed
             rejections += sum(want)
         assert 0 < rejections < 40 * len(cells)
+        # flag-curve's chunks, tested by one kernel on each draw's own shocks, decide as
+        # t_test(var_cluster) does and give each beta_hat, on the crossed design (sector
+        # space, F*G = N), a per-region design (F*G > N) and unequal clusters; the
+        # simulations test y and y - beta_hat * x
+        rng = np.random.default_rng(46)
+        unequal = rng.permutation(np.repeat(np.arange(8), [1, 2, 3, 4, 5, 6, 7, 12]))
+        designs = [
+            crossed_shares(5, 4),
+            (rng.uniform(0.05, 1.0, (24, 6)), np.arange(24) % 8),
+            (rng.uniform(0.05, 1.0, (40, 3)), unequal),
+        ]
+        gammas = [0.0, 1.0, 2.0]
+        simulated = []
+        real = dgp_module.run_outcome_fixed
+        monkeypatch.setattr(
+            dgp_module, "run_outcome_fixed", lambda ys, *a: simulated.append(ys) or real(ys, *a)
+        )
+        for seed, (shares, clusters) in enumerate(designs, 330):
+            design = share_design(shares, clusters)
+            want, ydots = [], []
+            for j0, j1 in chunk_bounds(40, dgp_module._OUTER_CHUNK):
+                draws = [draw_flagging(shares, substream(seed, j, 0)) for j in range(j0, j1)]
+                ys = [draw.outcome(gamma) for draw in draws for gamma in gammas]
+                rejected, slopes = engines.realized_tests(
+                    ys, [("crve",)] * 3, alpha, design, [draw.shocks for draw in draws]
+                )
+                for b, draw in enumerate(draws):
+                    for k, y in enumerate(ys[3 * b : 3 * b + 3]):
+                        fit = ols_simple(y, draw.x)
+                        want.append(t_test(fit.slope, 0.0, var_cluster(fit, clusters), alpha))
+                        assert rejected[b, k] == want[-1], (seed, j0 + b, k)
+                        assert slopes[b, k] == pytest.approx(fit.slope, abs=1e-12)
+                        ydots.append(y - fit.slope * draw.x)
+            simulated.clear()
+            rows = run_flagging_curve(shares, clusters, gammas, 40, 2, seed, alpha)
+            assert [row.size for row in rows] == np.reshape(want, (40, 3)).mean(axis=0).tolist()
+            got = [ys[3:] for ys in simulated]  # each draw's eps-fixed outcomes
+            np.testing.assert_allclose(np.reshape(got, (120, -1)), ydots, rtol=0, atol=1e-12)
+            rejections += sum(want)
+        assert 0 < rejections < 40 * (len(cells) + 3 * len(designs))
 
     def test_report_shape_and_determinism(self):
         dgp = GroupedDGP(n_states=8, per_state=3, beta=0.5)
@@ -362,7 +402,7 @@ class TestFlaggingCurve:
         shares, clusters = crossed_shares(6, 4)
         draw = draw_flagging(shares, substream(seed, 0, 0))
         y = draw.outcome(1.0)
-        (fit,) = ols_fits([y], draw.x)
+        fit = ols_simple(y, draw.x)
         reports = run_outcome_fixed(
             [y, y - fit.slope * draw.x], [("crve",)] * 2, share_design(shares, clusters),
             SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),

@@ -15,6 +15,7 @@ from scipy import stats
 
 import oracles
 from ssdiag import (
+    DegeneracyError,
     SimConfig,
     ValidationError,
     contiguous_partition,
@@ -23,10 +24,9 @@ from ssdiag import (
     run_outcome_fixed,
     share_design,
     validate_dataset,
-    var_cluster,
 )
 from ssdiag import engines, parallel
-from ssdiag.estimators import var_robust
+from ssdiag.estimators import var_cluster, var_robust
 from ssdiag.parallel import chunk_bounds, map_chunks
 from ssdiag.rng import substream
 
@@ -79,6 +79,21 @@ def _balanced_assignments(n_groups):
     """Every assignment treating half of ``n_groups`` groups, one 0/1 row each."""
     treated = combinations(range(n_groups), n_groups // 2)
     return np.array([np.isin(np.arange(n_groups), t) for t in treated], dtype=float)
+
+
+def _realized_share_cases():
+    """Shift-share designs of the realized-test cases: (name, shares, clusters, menus)."""
+    rng = np.random.default_rng(44)
+    crossed, crossed_clusters = crossed_shares(5, 4)
+    # 8 clusters of 1 to 12 units, F*G = 24 <= 40 units: sector space on unequal pieces
+    unequal = rng.permutation(np.repeat(np.arange(8), [1, 2, 3, 4, 5, 6, 7, 12]))
+    sector_menus = [("crve",), ("crve", "score-agg-null")]
+    return [
+        ("crossed", crossed, crossed_clusters, sector_menus),
+        ("crossed, full menu", crossed, crossed_clusters, [FULL_MENU]),
+        ("per region", rng.uniform(0.05, 1.0, (24, 6)), np.arange(24) % 8, [FULL_MENU, ("crve",)]),
+        ("unequal clusters", rng.uniform(0.05, 1.0, (40, 3)), unequal, sector_menus),
+    ]
 
 
 def _design(data):
@@ -497,6 +512,54 @@ class TestCellKernel:
                     assert rejected.sum(axis=0).min() >= 2, case
                 if name.endswith("constant"):
                     assert not rejected.any(), case
+        # shift-share designs, each block tested on its own row of sector shocks: sector
+        # space (crossed, F*G = N), the unit path with crve's sector form, the per-region
+        # path (F*G > N) and unequal clusters; block b's outcome k is noisy, has no
+        # residual (3 + 1.7x) or is constant, by (b + k) % 3
+        for name, shares, clusters, menus in _realized_share_cases():
+            rng = np.random.default_rng(len(shares))
+            Z = rng.standard_normal((12, shares.shape[1]))
+            X = Z @ shares.T
+            kinds = [
+                lambda x: rng.standard_normal(x.size) + 0.5 * x, lambda x: 3.0 + 1.7 * x,
+                lambda x: np.full(x.size, 2.0),
+            ]
+            ys = [kinds[(b + k) % 3](x) for b, x in enumerate(X) for k in range(len(menus))]
+            design = share_design(shares, clusters)
+            assert (design.pieces is None) == (name == "per region"), name
+            rejected, slopes = engines.realized_tests(ys, menus, 0.3, design, Z)
+            assert rejected.shape == (len(Z), sum(map(len, menus)))
+            for b, x in enumerate(X):
+                got = np.split(rejected[b].astype(int), np.cumsum([len(m) for m in menus])[:-1])
+                for k, menu in enumerate(menus):
+                    y = ys[b * len(menus) + k]
+                    counts, skipped = oracles.unit_kernel_counts(
+                        y, x[None], menu, 0.3, clusters=clusters, shares=shares
+                    )
+                    case = (name, b, k)
+                    assert skipped == 0 and got[k].tolist() == counts, case
+                    want_slope = oracles.lstsq_fit(y, x)[1]
+                    assert slopes[b, k] == pytest.approx(want_slope, abs=1e-12), case
+            assert 0 < rejected.sum() < rejected.size, name
+
+    def test_realized_tests_raise_on_a_degenerate_draw(self):
+        # a draw the simulations would skip ends a realized test: a constant regressor,
+        # and a unit at leverage 1 where the menu holds an hc3 test
+        rng = np.random.default_rng(45)
+        shares = _diagonal_shares(rng, 8)
+        design = share_design(shares, np.arange(8) % 4)
+        y = rng.standard_normal(8)
+        for z, menu in [
+            (1 / shares.diagonal(), ("crve",)), (np.zeros(8), ("robust-hc1",)),
+            (np.eye(8)[2], ("robust-hc3",)), (np.eye(8)[2], FULL_MENU),
+        ]:
+            Z = np.vstack([rng.standard_normal(8), z])
+            with pytest.raises(DegeneracyError, match="degenerate regressor"):
+                engines.realized_tests([y, y], [menu], 0.05, design, Z)
+        # the unit at leverage 1 leaves the tests without hc3 usable
+        menu = ("robust-hc1", "crve")
+        rejected, _ = engines.realized_tests([y], [menu], 0.05, design, [np.eye(8)[2]])
+        assert rejected.shape == (1, 2)
 
     def test_realized_tests_refuse_an_unbalanced_row(self):
         design = contiguous_partition(4, 2)

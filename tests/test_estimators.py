@@ -13,13 +13,11 @@ from ssdiag import (
     DegeneracyError,
     VarianceEstimate,
     ols_simple,
-    t_test,
-    var_cluster,
 )
 from ssdiag import engines
 from ssdiag.data import contiguous_partition
 from ssdiag.errors import ValidationError
-from ssdiag.estimators import ols_fits, small_sample, t_crits, var_robust
+from ssdiag.estimators import small_sample, t_crits, t_test, var_cluster, var_robust
 
 
 def _random_case(seed, n=12, n_clusters=3):
@@ -70,11 +68,6 @@ class TestOlsSimple:
     def test_fit_invariants(self, seed):
         y, x, _ = _random_case(seed)
         fit = ols_simple(y, x)
-        # fits of several outcomes on one regressor share its centred terms, bit for bit
-        fits = ols_fits([y, 2.0 * y - 1.0], x)
-        for got, want in zip(fits, [fit, ols_simple(2.0 * y - 1.0, x)]):
-            assert got.slope == want.slope
-            assert np.array_equal(got.residuals, want.residuals)
         scale = max(1.0, float(np.abs(y).max()))
         assert abs(fit.residuals.sum()) <= 1e-10 * y.size * scale
         assert abs(fit.residuals @ x) <= 1e-10 * y.size * scale * max(1.0, np.abs(x).max())
