@@ -402,16 +402,16 @@ def cmd_diagnose(settings: dict) -> None:
         if menu is not None and "y-fixed" not in modes:
             raise ValidationError("diagnose reads --estimators only with the y-fixed mode")
     data = ingest(_path(settings, "shares"), _path(settings, "outcomes"))
-    if menu is None:
-        menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
-        if data.clusters is not None:
-            menu[2:2] = ["crve", "crve-hc3"]
     if modes is None:
         modes = ["y-fixed"]
         if data.x_realized is not None:
             modes.append("eps-fixed")
         if data.y_placebo is not None:
             modes.append("placebo")
+    if menu is None and "y-fixed" in modes:
+        menu = ["robust-hc1", "robust-hc3", "score-agg", "score-agg-null"]
+        if data.clusters is not None:
+            menu[2:2] = ["crve", "crve-hc3"]
     cfg = SimConfig(replications=settings["perms"], seed=settings["seed"], alpha=settings["alpha"])
 
     # every mode's columns are checked before the simulation; one shock block

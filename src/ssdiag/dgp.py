@@ -32,10 +32,9 @@ from .estimators import ols_simple, t_test, var_cluster, var_robust  # noqa: F40
 from .parallel import chunk_bounds, map_chunks
 from .rng import derive_seed, substream
 
-# outer draws per chunk.  A flag-curve draw keys its own streams, so there the
-# chunk size changes no report.  A grouped chunk holds draws of one cell, and its
-# one engine call tests their assignment blocks on one stream, keyed by the
-# chunk's first draw, so there the chunk size is part of the stream layout.
+# outer draws per chunk (a grouped chunk's all of one cell).  A chunk's one engine
+# call tests one block per draw on one stream, keyed by the chunk's first draw, so
+# in both experiments the chunk size is part of the stream layout.
 _OUTER_CHUNK = 16
 
 # scenario panels for the grouped experiment table
@@ -229,6 +228,8 @@ def crossed_shares(n_clusters: int, n_sectors: int) -> tuple[np.ndarray, np.ndar
     cannot absorb.  Clusters equal to sectors would make the confound purely
     within-cluster and leave nothing for the diagnostics to detect.
     """
+    check_integer("n_clusters", n_clusters)
+    check_integer("n_sectors", n_sectors)
     if n_clusters < 2 or n_sectors < 2:
         raise ValidationError("need at least 2 clusters and 2 sectors")
     n = n_clusters * n_sectors
@@ -268,27 +269,25 @@ def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
 def _flagging_chunk(design, gammas, block, threshold, bounds) -> np.ndarray:
     """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed.
 
-    One kernel call tests every draw on its own shocks: the size tests and each beta_hat.
+    One kernel call tests every draw on its own shocks (the size tests and each
+    beta_hat), and one engine call keyed by the chunk's first draw tests draw lo + b
+    as block b: its K y-fixed outcomes, then its K eps-fixed ones y - beta_hat * x.
     """
     lo, hi = bounds
     k = len(gammas)
     draws = [draw_flagging(design.shares, substream(block.seed, j, 0)) for j in range(lo, hi)]
-    ys = [draw.outcome(gamma) for draw in draws for gamma in gammas]
+    ys = np.array([draw.outcome(gamma) for draw in draws for gamma in gammas])
     rejected, slopes = realized_tests(
         ys, [("crve",)] * k, block.alpha, design, [draw.shocks for draw in draws]
     )
-    counts = np.zeros((k, 3), dtype=np.int64)
-    counts[:, 0] = rejected.sum(axis=0)
-    for b, draw in enumerate(draws):
-        y_stars = ys[b * k : (b + 1) * k]
-        ydots = [y_star - slope * draw.x for y_star, slope in zip(y_stars, slopes[b])]
-        # one shock block, drawn from derive_seed(seed, j, 1), tests every gamma in
-        # both modes: y-fixed fills column 1 and eps-fixed column 2
-        block_j = replace(block, seed=derive_seed(block.seed, lo + b, 1))
-        reports = run_outcome_fixed(y_stars + ydots, [("crve",)] * (2 * k), design, block_j)
-        flags = [flagged(r.rates["crve"], threshold) for r in reports]
-        counts[:, 1:] += np.reshape(flags, (2, -1)).T
-    return counts
+    ydots = ys - slopes.reshape(-1, 1) * np.repeat([draw.x for draw in draws], k, axis=0)
+    outcomes = np.hstack([ys.reshape(hi - lo, -1), ydots.reshape(hi - lo, -1)])
+    sims = replace(block, seed=derive_seed(block.seed, lo, 1))
+    reports = run_outcome_fixed(
+        outcomes.reshape(-1, ys.shape[1]), [("crve",)] * (2 * k), design, sims, blocks=hi - lo
+    )
+    flags = np.reshape([flagged(r.rates["crve"], threshold) for r in reports], (-1, 2, k))
+    return np.column_stack([rejected.sum(axis=0), flags.sum(axis=0).T])
 
 
 def check_flagging(gamma_grid, outer_reps: int) -> list[float]:
@@ -312,12 +311,13 @@ def run_flagging_curve(
     at level ``alpha`` (size tally) and test y-fixed and eps-fixed with crve
     over ``perms`` shock draws, flagging when the rejection rate reaches
     ``threshold``.  Draws are paired across gamma values and modes (same
-    substream per outer index, and one shock simulation per outer draw tests
+    substream per outer index, and one shock block per outer draw tests
     every gamma in both modes), so curve differences and the y-versus-eps
-    contrast are low-noise.  Cluster labels count only the clusters they
-    name (share_design).  The shares' design terms are built once, for
-    every realized test and simulation of the command.  Returns one row per
-    gamma, in grid order.
+    contrast are low-noise.  A chunk of at most _OUTER_CHUNK outer draws
+    whose first draw is j0 makes one engine call, keyed by derive_seed(seed,
+    j0, 1), in which draw j0 + b is block b.  Cluster labels count only the
+    clusters they name (share_design), and the shares' design terms are
+    built once per command.  Returns one row per gamma, in grid order.
     """
     gammas = check_flagging(gamma_grid, outer_reps)
     check_threshold(threshold)
@@ -325,9 +325,6 @@ def run_flagging_curve(
     if clusters is None:
         raise ValidationError("cluster labels do not match shares")
     design = share_design(shares, clusters)
-    parts = map_chunks(
-        partial(_flagging_chunk, design, gammas, block, threshold),
-        chunk_bounds(outer_reps, _OUTER_CHUNK),
-        workers,
-    )
+    chunk = partial(_flagging_chunk, design, gammas, block, threshold)
+    parts = map_chunks(chunk, chunk_bounds(outer_reps, _OUTER_CHUNK), workers)
     return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]

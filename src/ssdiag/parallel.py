@@ -39,21 +39,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit worker count, else the SSDIAG_WORKERS env var, else 1; at least 1."""
     if workers is None:
-        env = os.environ.get("SSDIAG_WORKERS")
-        if not env:
-            return 1
+        env = os.environ.get("SSDIAG_WORKERS") or "1"
         try:
             workers = int(env)
         except ValueError:
-            raise ValidationError(
-                f"SSDIAG_WORKERS: could not parse {env!r} as an integer"
-            ) from None
+            message = f"SSDIAG_WORKERS: could not parse {env!r} as an integer"
+            raise ValidationError(message) from None
+    return check_workers(workers)
+
+
+def check_workers(workers: int) -> int:
+    """Refuse a worker count that is a bool, not an integer or below 1, before any work."""
+    check_integer("workers", workers)
     if workers < 1:
         raise ValidationError(f"workers must be at least 1 (got {workers})")
     return workers
@@ -139,6 +142,7 @@ def _run_task(bounds):
 def map_chunks(fn, bounds, workers: int):
     """Apply fn to each (lo, hi) chunk, returning results in chunk order."""
     global _TASK_FN
+    check_workers(workers)
     keep_freed_memory()
     if workers <= 1 or len(bounds) <= 1:
         return [fn(b) for b in bounds]

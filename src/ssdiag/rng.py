@@ -4,10 +4,9 @@ Each stream is a Philox generator keyed by ``(seed, *path)``: the chunk of
 a simulation's draws whose first row is lo draws from
 ``substream(seed, lo // 256)``, outer draw j of an experiment its data from
 ``substream(seed, j, 0)``, and replication r of the convergence experiment
-at grid point f from ``substream(seed, f, r)``.  A flag-curve draw j keys
-its one inner simulation by ``derive_seed(seed, j, 1)``; an mc-table chunk
-of outer draws keys the one inner simulation of all its draws by
-``derive_seed(seed, j0, 1)``, j0 its first draw.
+at grid point f from ``substream(seed, f, r)``.  A chunk of an
+experiment's outer draws whose first draw is j0 keys the one inner
+simulation of all its draws by ``derive_seed(seed, j0, 1)``.
 Philox is counter-based, so streams for distinct keys are independent, and
 since chunk boundaries never depend on the worker count, results do not
 depend on execution order or workers.

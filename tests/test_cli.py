@@ -375,6 +375,32 @@ class TestDiagnose:
         assert calls == dict.fromkeys(calls, sims)
         assert sorted(json.loads(out.read_text())["modes"]) == sorted(modes.split(","))
 
+    @pytest.mark.parametrize(
+        "modes, echoed",
+        [
+            ("eps-fixed,placebo", None),
+            ("placebo", None),
+            ("placebo,y-fixed", "default"),
+            (None, "default"),
+        ],
+    )
+    def test_menu_echoed_only_with_y_fixed(self, modes, echoed, tmp_path):
+        # the menu is y-fixed's alone: without y-fixed only crve ran, yet the report
+        # echoed the six-estimator default menu
+        out = tmp_path / "r.json"
+        argv = [
+            "diagnose", "--shares", str(GOLDEN / "shares.csv"), "--outcomes",
+            str(GOLDEN / "outcomes.csv"), "--seed", "7", "--perms", "30", "--out", str(out),
+        ]
+        assert main(argv + (["--modes", modes] if modes else [])) == 0
+        report = json.loads(out.read_text())
+        default = ["robust-hc1", "robust-hc3", "crve", "crve-hc3", "score-agg", "score-agg-null"]
+        assert report["config"]["estimators"] == (default if echoed else None)
+        if echoed:
+            assert sorted(report["modes"]["y-fixed"]["estimators"]) == sorted(default)
+        else:
+            assert all(list(block["estimators"]) == ["crve"] for block in report["modes"].values())
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_mode_as_if_run_alone(self, workers, tmp_path):
         def blocks(*modes):

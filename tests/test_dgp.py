@@ -159,8 +159,8 @@ class TestGroupedExperiment:
         assert 0 < rejections < 40 * len(cells)
         # flag-curve's chunks, tested by one kernel on each draw's own shocks, decide as
         # t_test(var_cluster) does and give each beta_hat, on the crossed design (sector
-        # space, F*G = N), a per-region design (F*G > N) and unequal clusters; the
-        # simulations test y and y - beta_hat * x
+        # space, F*G = N), a per-region design (F*G > N) and unequal clusters; each
+        # chunk's one simulation tests every draw's y and y - beta_hat * x as a block
         rng = np.random.default_rng(46)
         unequal = rng.permutation(np.repeat(np.arange(8), [1, 2, 3, 4, 5, 6, 7, 12]))
         designs = [
@@ -172,7 +172,9 @@ class TestGroupedExperiment:
         simulated = []
         real = dgp_module.run_outcome_fixed
         monkeypatch.setattr(
-            dgp_module, "run_outcome_fixed", lambda ys, *a: simulated.append(ys) or real(ys, *a)
+            dgp_module,
+            "run_outcome_fixed",
+            lambda ys, *a, **kw: simulated.append((ys, kw["blocks"])) or real(ys, *a, **kw),
         )
         for seed, (shares, clusters) in enumerate(designs, 330):
             design = share_design(shares, clusters)
@@ -193,8 +195,12 @@ class TestGroupedExperiment:
             simulated.clear()
             rows = run_flagging_curve(shares, clusters, gammas, 40, 2, seed, alpha)
             assert [row.size for row in rows] == np.reshape(want, (40, 3)).mean(axis=0).tolist()
-            got = [ys[3:] for ys in simulated]  # each draw's eps-fixed outcomes
-            np.testing.assert_allclose(np.reshape(got, (120, -1)), ydots, rtol=0, atol=1e-12)
+            assert [blocks for _, blocks in simulated] == [16, 16, 8]
+            # each block's last 3 outcomes are its draw's eps-fixed ones
+            got = np.concatenate(
+                [np.reshape(ys, (blocks, 6, -1))[:, 3:] for ys, blocks in simulated]
+            )
+            np.testing.assert_allclose(got.reshape(120, -1), ydots, rtol=0, atol=1e-12)
             rejections += sum(want)
         assert 0 < rejections < 40 * (len(cells) + 3 * len(designs))
 
@@ -330,8 +336,9 @@ class TestFlaggingCurve:
         gapped = run_flagging_curve(shares, 2 * clusters, [0.0, 1.0], 40, 200, 3)
         assert gapped == contiguous
 
-    def test_one_simulation_per_outer_draw(self, monkeypatch):
-        # both modes of every gamma share one shock simulation per outer draw
+    def test_one_simulation_per_chunk(self, monkeypatch):
+        # both modes of every gamma of every outer draw of a chunk share one shock
+        # simulation: 3 gammas x 2 modes x 7 draws, then x 16 and x 4 at 20 draws
         calls = []
         real = engines._run_sim
 
@@ -342,7 +349,10 @@ class TestFlaggingCurve:
         monkeypatch.setattr(engines, "_run_sim", counting)
         shares, clusters = crossed_shares(4, 3)
         run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 7, 20, 5)
-        assert calls == [6] * 7  # 3 gammas x 2 modes
+        assert calls == [42]
+        calls.clear()
+        run_flagging_curve(shares, clusters, [0.0, 0.5, 1.0], 20, 20, 5)
+        assert calls == [96, 24]
         calls.clear()
         # the grouped experiment makes one per chunk of outer draws: 2 modes x 5 draws,
         # then 2 x 16 and 2 x 4 at 20 draws
@@ -394,26 +404,49 @@ class TestFlaggingCurve:
             run_flagging_curve(shares, design.group_of, [0.0], 0, 5, 1)
         with pytest.raises(ValidationError, match="do not match shares"):
             run_flagging_curve(shares, design.group_of[:-1], [0.0], 10, 5, 1)
+        # a float or bool design size ended in numpy's "TypeError: 'float' object cannot
+        # be interpreted as an integer"; numpy integers pass
+        for sizes, message in (
+            ((2.0, 3), "n_clusters: could not parse 2.0"),
+            ((3, 2.5), "n_sectors: could not parse 2.5"),
+            ((True, 3), "n_clusters: could not parse True"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                crossed_shares(*sizes)
+        with pytest.raises(ValidationError, match="at least 2 clusters and 2 sectors"):
+            crossed_shares(1, 3)
+        shares, clusters = crossed_shares(np.int64(3), np.int32(2))
+        assert shares.shape == (6, 2) and clusters.tolist() == [0, 0, 1, 1, 2, 2]
 
-    @pytest.mark.parametrize("seed", [31, 32, 33, 34])
-    def test_one_block_tests_both_modes(self, seed):
-        # draw 0 keys substream(seed, 0, 0) for the data and derive_seed(seed, 0, 1)
-        # for the one crve shock block that tests y-fixed and eps-fixed
+    @pytest.mark.parametrize("seed, outer_reps", [(31, 1), (32, 4), (33, 19)])
+    def test_one_block_tests_both_modes(self, seed, outer_reps):
+        # draw j keys substream(seed, j, 0) for the data, and is block j - j0 of the
+        # one crve shock simulation of its chunk, keyed by derive_seed(seed, j0, 1)
+        # for the chunk's first draw j0; that block tests y-fixed and eps-fixed.  The
+        # last draw is not first in its chunk unless outer_reps is 1, and at 19 draws
+        # it is in the second chunk
         shares, clusters = crossed_shares(6, 4)
-        draw = draw_flagging(shares, substream(seed, 0, 0))
-        y = draw.outcome(1.0)
-        fit = ols_simple(y, draw.x)
-        reports = run_outcome_fixed(
-            [y, y - fit.slope * draw.x], [("crve",)] * 2, share_design(shares, clusters),
-            SimConfig(replications=400, seed=derive_seed(seed, 0, 1)),
-        )
-        # thresholds at the block's eps-fixed crve rate and just above it: a block
-        # flags at both only if its eps-fixed rate is that rate exactly
-        rate = reports[1].rates["crve"]
-        for threshold in (rate, np.nextafter(rate, 1.0)):
-            (row,) = run_flagging_curve(shares, clusters, [1.0], 1, 400, seed, threshold=threshold)
-            y_flag = reports[0].rates["crve"] >= threshold
-            assert (row.pr_flag_y, row.pr_flag_eps) == (float(y_flag), float(rate >= threshold))
+        design = share_design(shares, clusters)
+        rates = []
+        for j0, hi in chunk_bounds(outer_reps, dgp_module._OUTER_CHUNK):
+            ys = []
+            for j in range(j0, hi):
+                draw = draw_flagging(shares, substream(seed, j, 0))
+                y = draw.outcome(1.0)
+                ys += [y, y - ols_simple(y, draw.x).slope * draw.x]
+            reports = run_outcome_fixed(
+                ys, [("crve",)] * 2, design,
+                SimConfig(replications=400, seed=derive_seed(seed, j0, 1)), blocks=hi - j0,
+            )
+            rates += [r.rates["crve"] for r in reports]
+        # thresholds at the last block's eps-fixed crve rate and just above it: a block
+        # flags at both only if its rate is that rate exactly
+        for threshold in (rates[-1], np.nextafter(rates[-1], 1.0)):
+            (row,) = run_flagging_curve(
+                shares, clusters, [1.0], outer_reps, 400, seed, threshold=threshold
+            )
+            flags = np.reshape([rate >= threshold for rate in rates], (outer_reps, 2))
+            assert (row.pr_flag_y, row.pr_flag_eps) == tuple(flags.mean(axis=0))
 
 
 @pytest.mark.parametrize("experiment", ["grouped", "flagging"])

@@ -16,16 +16,21 @@ from scipy import stats
 import oracles
 from ssdiag import (
     DegeneracyError,
+    GroupedDGP,
     SimConfig,
+    StylizedParams,
     ValidationError,
     contiguous_partition,
     crossed_shares,
     ols_simple,
+    ratio_convergence_experiment,
+    run_flagging_curve,
+    run_grouped_experiment,
     run_outcome_fixed,
     share_design,
     validate_dataset,
 )
-from ssdiag import engines, parallel
+from ssdiag import analytics, dgp, engines, parallel
 from ssdiag.estimators import var_cluster, var_robust
 from ssdiag.parallel import chunk_bounds, map_chunks
 from ssdiag.rng import substream
@@ -1221,6 +1226,42 @@ class TestStreamLayout:
 
 
 class TestPool:
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (0, r"workers must be at least 1 \(got 0\)"),
+            (-1, r"workers must be at least 1 \(got -1\)"),
+            (1.5, "workers: could not parse 1.5 as an integer"),
+            (True, "workers: could not parse True as an integer"),
+        ],
+    )
+    def test_bad_worker_count_refused_before_any_draw(self, workers, message, monkeypatch):
+        # 0 and -1 ran serially, where the CLI exits 2, 1.5 ended in a TypeError at
+        # 2 chunks or more, and True ran as 1 worker
+        def refused(*args, **kwargs):
+            raise AssertionError("a pool or a draw started")
+
+        monkeypatch.setattr(parallel, "get_context", refused)
+        monkeypatch.setattr(dgp, "substream", refused)
+        monkeypatch.setattr(analytics, "substream", refused)
+        monkeypatch.setattr(engines, "_shares_regressors", refused)
+        monkeypatch.setattr(engines, "_partition_regressors", refused)
+        shares, clusters = crossed_shares(3, 2)
+        design = share_design(shares, clusters)
+        cells = [(GroupedDGP(n_states=4, per_state=2), 1)]
+        params = StylizedParams(beta=0.0, sigma2=1.0, rho=0.0, group_size=2)
+        cfg = SimConfig(replications=10, seed=1)
+        runs = [
+            lambda: map_chunks(refused, chunk_bounds(4, 2), workers),
+            lambda: run_outcome_fixed([shares[:, 0]], [("crve",)], design, cfg, workers),
+            lambda: run_grouped_experiment(cells, 4, 5, workers=workers),
+            lambda: run_flagging_curve(shares, clusters, [0.0], 4, 5, 1, workers=workers),
+            lambda: ratio_convergence_experiment(params, [4, 6], 2, 1, workers=workers),
+        ]
+        for run in runs:
+            with pytest.raises(ValidationError, match=message):
+                run()
+
     def test_tasks_do_not_pickle_the_chunk_function(self):
         lock = threading.Lock()  # unpicklable state the chunk function closes over
 
