@@ -2,8 +2,9 @@
 """Write a small example dataset (shares + outcomes CSVs) for the CLI.
 
 The data come from a grouped draw with a homogeneous effect, so the y-fixed
-diagnostic should flag cluster-robust inference while the eps-fixed one
-should not.  Bad settings print ``error: ...`` to stderr and exit 2, as
+diagnostic should flag cluster-robust inference, while the eps-fixed one
+residualizes the effect away: its report is the one the same draw gives at
+``--beta 0``.  Bad settings print ``error: ...`` to stderr and exit 2, as
 ``ssdiag`` does.
 """
 
@@ -28,9 +29,9 @@ def main() -> None:
 
     check_seed(args.seed)
     dgp = GroupedDGP(n_states=args.states, per_state=args.per_state, beta=args.beta)
-    draw = draw_grouped(dgp, [substream(args.seed, 0)])
+    draw = draw_grouped(dgp, substream(args.seed, 0), 1)
     placebo = draw_grouped(
-        GroupedDGP(n_states=args.states, per_state=args.per_state), [substream(args.seed, 1)]
+        GroupedDGP(n_states=args.states, per_state=args.per_state), substream(args.seed, 1), 1
     )
     n = dgp.design.n_units
 

@@ -22,15 +22,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_partition, draw_treatment
+from .data import PartitionDesign, contiguous_partition
+from .engines import balanced_assignments
 from .errors import BudgetError, ValidationError, check_integer
-from .estimators import ols_simple
 from .parallel import chunk_bounds, map_chunks
-from .rng import check_seed, substream
+from .rng import OUTER_CHUNK, check_seed, substream
 
 ENUMERATION_CAP = 10**6
-
-_CONVERGENCE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -95,31 +93,31 @@ def eps_fixed_variance_ratio_limit(p: StylizedParams) -> float:
 
 
 def _group_means(y: np.ndarray, design: PartitionDesign) -> np.ndarray:
-    return np.bincount(design.group_of, weights=y, minlength=design.n_groups) / design.group_size
+    return y.reshape(*y.shape[:-1], design.n_groups, design.group_size).mean(axis=-1)
 
 
-def randomization_variance_true(y, design: PartitionDesign) -> float:
-    """Exact-form variance of the group-assignment slope: 4/(F(F-2)) * sum_f (ybar_f - ybar)^2."""
+def randomization_variance_true(y, design: PartitionDesign):
+    """Group-assignment slope variance 4/(F(F-2)) * sum_f (ybar_f - ybar)^2, over the last axis."""
     y = np.asarray(y, dtype=float)
     n_groups = design.n_groups
     if n_groups <= 2:
         raise ValidationError("need more than 2 groups")
-    if y.shape[0] != design.n_units:
+    if y.shape[-1] != design.n_units:
         raise ValidationError("outcome length does not match the design")
-    dev = _group_means(y, design) - y.mean()
-    return 4.0 / (n_groups * (n_groups - 2)) * float(dev @ dev)
+    dev = _group_means(y, design) - y.mean(axis=-1, keepdims=True)
+    return 4.0 / (n_groups * (n_groups - 2)) * np.vecdot(dev, dev)
 
 
-def randomization_variance_robust(y, design: PartitionDesign) -> float:
-    """Unit-level-assignment counterpart: 4/(N(N-2)) * sum_i (y_i - ybar)^2."""
+def randomization_variance_robust(y, design: PartitionDesign):
+    """Unit-level-assignment counterpart: 4/(N(N-2)) * sum_i (y_i - ybar)^2, over the last axis."""
     y = np.asarray(y, dtype=float)
     n = design.n_units
     if n <= 2:
         raise ValidationError("need more than 2 units")
-    if y.shape[0] != n:
+    if y.shape[-1] != n:
         raise ValidationError("outcome length does not match the design")
-    dev = y - y.mean()
-    return 4.0 / (n * (n - 2)) * float(dev @ dev)
+    dev = y - y.mean(axis=-1, keepdims=True)
+    return 4.0 / (n * (n - 2)) * np.vecdot(dev, dev)
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,9 @@ class ConvergenceRow:
 
 
 def draw_equicorrelated_errors(
-    rng: np.random.Generator, n_groups: int, p: StylizedParams
+    rng: np.random.Generator, n_groups: int, p: StylizedParams, rows: int
 ) -> np.ndarray:
-    """Errors with variance sigma2 and within-group covariance rho.
+    """(rows, N) errors with variance sigma2 and within-group covariance rho.
 
     For rho >= 0 a shared group component plus idiosyncratic noise matches the
     moments; negative rho falls back to an eigenvalue factorization of the
@@ -183,34 +181,30 @@ def draw_equicorrelated_errors(
     """
     m = p.group_size
     if m == 1:
-        return math.sqrt(p.sigma2) * rng.standard_normal(n_groups)
+        return math.sqrt(p.sigma2) * rng.standard_normal((rows, n_groups))
     if p.rho >= 0.0:
-        shared = rng.standard_normal(n_groups)
-        own = rng.standard_normal(n_groups * m)
-        return math.sqrt(p.rho) * np.repeat(shared, m) + math.sqrt(p.sigma2 - p.rho) * own
+        shared = rng.standard_normal((rows, n_groups))
+        own = rng.standard_normal((rows, n_groups * m))
+        return math.sqrt(p.rho) * np.repeat(shared, m, axis=1) + math.sqrt(p.sigma2 - p.rho) * own
     cov = np.full((m, m), p.rho)
     np.fill_diagonal(cov, p.sigma2)
     eigval, eigvec = np.linalg.eigh(cov)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    return (rng.standard_normal((n_groups, m)) @ factor.T).ravel()
+    return (rng.standard_normal((rows, n_groups, m)) @ factor.T).reshape(rows, -1)
 
 
 def _ratio_chunk(p, designs, replications, seed, mode, bounds) -> np.ndarray:
-    # pair g is replication g % replications of grid point g // replications
+    # pair g is replication g % replications of grid point g // replications; a balanced
+    # x has mean 1/2 and centred sum of squares N/4, so a row's OLS slope is (x - 1/2).y / (N/4)
     lo, hi = bounds
-    out = np.empty(hi - lo)
-    for g in range(lo, hi):
-        f_index, rep = divmod(g, replications)
-        design = designs[f_index]
-        rng = substream(seed, f_index, rep)
-        x = draw_treatment(design, rng)[design.group_of]
-        errors = draw_equicorrelated_errors(rng, design.n_groups, p)
-        y = p.beta * x + errors
-        if mode == "eps-fixed":
-            y = y - ols_simple(y, x).slope * x
-        v_robust = randomization_variance_robust(y, design)
-        out[g - lo] = v_robust / randomization_variance_true(y, design)
-    return out
+    f_index, r0 = divmod(lo, replications)
+    design = designs[f_index]
+    rng = substream(seed, f_index, r0)
+    x = balanced_assignments(rng, design.n_groups, hi - lo)[:, design.group_of]
+    y = p.beta * x + draw_equicorrelated_errors(rng, design.n_groups, p, hi - lo)
+    if mode == "eps-fixed":
+        y = y - (np.vecdot(x - 0.5, y) / (design.n_units / 4))[:, None] * x
+    return randomization_variance_robust(y, design) / randomization_variance_true(y, design)
 
 
 def ratio_convergence_experiment(
@@ -228,7 +222,10 @@ def ratio_convergence_experiment(
     variances (on residualized outcomes in eps-fixed mode), and averages the
     ratio across replications next to the closed-form limit.  Every grid
     entry is checked before the first simulation runs, and every (grid
-    point, replication) pair runs through one map_chunks call.
+    point, replication) pair runs through one map_chunks call, in chunks of
+    at most OUTER_CHUNK replications of one grid point.  A chunk draws its
+    assignments, then its errors, as blocks from substream(seed, f, r0), r0
+    its first replication at grid point f.
     """
     if mode not in ("y-fixed", "eps-fixed"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -250,7 +247,11 @@ def ratio_convergence_experiment(
         raise ValidationError("grid entries must be even group counts above 2")
     designs = [contiguous_partition(n_groups, p.group_size) for n_groups in grid]
     chunk = partial(_ratio_chunk, p, designs, replications, seed, mode)
-    bounds = chunk_bounds(len(grid) * replications, _CONVERGENCE_CHUNK)
+    bounds = [
+        (f * replications + lo, f * replications + hi)
+        for f in range(len(grid))
+        for lo, hi in chunk_bounds(replications, OUTER_CHUNK)
+    ]
     ratios = np.concatenate(map_chunks(chunk, bounds, workers)).reshape(len(grid), -1)
     return [
         ConvergenceRow(

@@ -246,6 +246,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
+def _echo_line(echo: dict) -> str:
+    return "# " + " ".join(f"{k}={v}" for k, v in echo.items())
+
+
 def _emit_csv(echo: dict, labels: list[str], prefix: str, rows, out: str | None) -> None:
     """Write an experiment CSV: a ``# k=v ...`` line echoing ``echo``, a header, one line per row.
 
@@ -256,7 +260,7 @@ def _emit_csv(echo: dict, labels: list[str], prefix: str, rows, out: str | None)
     """
     rates = ["size", f"{prefix}_y", f"{prefix}_eps"]
     columns = labels + [name for rate in rates for name in (rate, f"{rate}_mc_se")]
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in echo.items()), ",".join(columns)]
+    lines = [_echo_line(echo), ",".join(columns)]
     for label, row in rows:
         lines.append(",".join(str(v) for v in [*label, *astuple(row)]))
     _emit_text("\n".join(lines) + "\n", out)
@@ -599,7 +603,9 @@ def cmd_convergence(settings: dict) -> None:
         params, settings["grid"], settings["reps"], settings["seed"], settings["mode"],
         settings["workers"],
     )
-    lines = ["n_groups,mean_ratio,se_ratio,limit"]
+    echo = {"ssdiag": __version__, "command": "convergence", "seed": settings["seed"],
+            "reps": settings["reps"], "mode": settings["mode"], **asdict(params)}
+    lines = [_echo_line(echo), "n_groups,mean_ratio,se_ratio,limit"]
     lines += [f"{r.n_groups},{r.mean_ratio!r},{r.se_ratio!r},{r.limit!r}" for r in rows]
     _emit_text("\n".join(lines) + "\n", settings["out"])
 

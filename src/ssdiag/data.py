@@ -52,8 +52,8 @@ class PartitionDesign:
 
     Units 0..m-1 form group 0, the next m group 1, and so on; the group count
     is even, so half the groups can be treated.  A realized assignment is a
-    draw, not part of the design (:func:`draw_treatment`).  Construct through
-    :func:`contiguous_partition`.
+    draw, not part of the design (:func:`ssdiag.engines.balanced_assignments`).
+    Construct through :func:`contiguous_partition`.
     """
 
     n_groups: int
@@ -156,12 +156,3 @@ def contiguous_partition(n_groups: int, group_size: int) -> PartitionDesign:
     group_of = _frozen_array(np.repeat(np.arange(n_groups), group_size), dtype=np.int64)
     return PartitionDesign(n_groups=n_groups, group_size=group_size, group_of=group_of)
 
-
-def draw_treatment(design: PartitionDesign, rng: np.random.Generator) -> np.ndarray:
-    """Group-level 0/1 treatment of one balanced assignment, drawn from ``rng``.
-
-    One permutation of the groups treats its first half.
-    """
-    treated = np.zeros(design.n_groups)
-    treated[rng.permutation(design.n_groups)[: design.n_groups // 2]] = 1.0
-    return treated

@@ -4,12 +4,12 @@ Two data-generating processes drive the experiments:
 
 * a grouped DGP (states of equal size, balanced state-level treatment,
   optional state shocks and state-heterogeneous effects) used to study the
-  distribution of the simulation diagnostics across repeated draws; each
-  chunk of up to 16 outer draws of a cell is drawn as one (draws, units)
-  block, tested on its realized assignments by one kernel and resampled by
-  one permutation simulation, one assignment block per draw;
+  distribution of the simulation diagnostics across repeated draws;
 * a spatial-confound DGP over a fixed share matrix used to trace the
   probability of flagging a problem as the confound strength varies.
+
+Each draws a chunk of up to rng.OUTER_CHUNK outer draws as blocks from one
+stream, tests them with one kernel and resamples them with one engine call.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from functools import partial
 
 import numpy as np
 
-from .data import PartitionDesign, contiguous_partition, draw_treatment
+from .data import PartitionDesign, contiguous_partition
 from .engines import (
-    SimConfig, check_threshold, flagged, mc_se, realized_tests, run_outcome_fixed, share_design,
+    SimConfig, balanced_assignments, check_threshold, flagged, mc_se, realized_tests,
+    run_outcome_fixed, share_design,
 )
 from .errors import ValidationError, check_integer
 # both experiments test their realized draws in the kernel (engines.realized_tests)
@@ -30,12 +31,7 @@ from .errors import ValidationError, check_integer
 # and raises AttributeError if one is missing
 from .estimators import ols_simple, t_test, var_cluster, var_robust  # noqa: F401
 from .parallel import chunk_bounds, map_chunks
-from .rng import derive_seed, substream
-
-# outer draws per chunk (a grouped chunk's all of one cell).  A chunk's one engine
-# call tests one block per draw on one stream, keyed by the chunk's first draw, so
-# in both experiments the chunk size is part of the stream layout.
-_OUTER_CHUNK = 16
+from .rng import OUTER_CHUNK, derive_seed, substream
 
 # scenario panels for the grouped experiment table
 PANEL_PARAMS = {
@@ -84,22 +80,17 @@ class GroupedDraw:
     z: np.ndarray  # (samples, groups) the realized 0/1 group assignment
 
 
-def draw_grouped(dgp: GroupedDGP, rngs) -> GroupedDraw:
-    """One realized sample per generator in ``rngs``: its outcomes and treatment.
+def draw_grouped(dgp: GroupedDGP, rng, draws: int) -> GroupedDraw:
+    """``draws`` realized samples from ``rng``: their outcomes and treatment.
 
-    Each generator draws its sample's state shocks, unit noise and
-    assignment (data.draw_treatment), in that order; the samples' arithmetic
-    is then done at once, element by element as for one sample.
+    ``rng`` draws the samples' (draws, groups) state shocks, then their
+    (draws, units) unit noise, then their balanced assignments
+    (engines.balanced_assignments), each as one block.
     """
     design = dgp.design
-    rngs = list(rngs)
-    shocks = np.empty((len(rngs), design.n_groups))
-    noise = np.empty((len(rngs), design.n_units))
-    z = np.empty((len(rngs), design.n_groups))
-    for b, rng in enumerate(rngs):
-        rng.standard_normal(out=shocks[b])
-        rng.standard_normal(out=noise[b])
-        z[b] = draw_treatment(design, rng)
+    shocks = rng.standard_normal((draws, design.n_groups))
+    noise = rng.standard_normal((draws, design.n_units))
+    z = balanced_assignments(rng, design.n_groups, draws)
     state_shock = shocks[:, design.group_of]
     x = z[:, design.group_of]
     effect = dgp.beta + dgp.het_loading * state_shock
@@ -138,13 +129,13 @@ def _outer_draws(dgp: GroupedDGP, block: SimConfig, j0: int, j1: int) -> tuple[n
     Returns the (draws,) rejections of slope = beta by robust-hc1 at
     ``block.alpha`` and the (2 * draws, units) outcomes, draw j0 + b's y in
     row 2b (y-fixed) and its y - beta_hat * x in row 2b + 1 (eps-fixed),
-    beta_hat its realized OLS slope.  Draw j draws from substream(seed, j, 0).
+    beta_hat its realized OLS slope, all drawn from substream(seed, j0, 0).
     One kernel tests every draw on its own realized assignment
     (engines.realized_tests), on y for beta_hat and on y - beta * x for the
     size test: testing slope = beta on y is testing a zero slope on
     y - beta * x, whose residuals are the same.
     """
-    draw = draw_grouped(dgp, [substream(block.seed, j, 0) for j in range(j0, j1)])
+    draw = draw_grouped(dgp, substream(block.seed, j0, 0), j1 - j0)
     n = dgp.design.n_units
     outcomes = np.stack([draw.y, draw.y - dgp.beta * draw.x], axis=1).reshape(-1, n)
     rejected, slopes = realized_tests(
@@ -190,14 +181,13 @@ def run_grouped_experiment(
     * treatment, beta_hat the realized OLS slope) on the same draws, so
     their contrast is paired; a mode flags when its robust-hc1 rejection
     rate reaches ``threshold``.  Every cell-draw pair runs through one
-    map_chunks call, in chunks of at most _OUTER_CHUNK draws of one cell.
-    Draw j of a cell draws its data from substream(seed, j, 0).  A chunk
-    draws its draws as one block and tests them on their realized
-    assignments with one kernel, whose partition threshold rule decides the
-    size tests and whose contrasts give each beta_hat; a chunk whose first
-    draw is j0 then makes one engine call keyed by derive_seed(seed, j0, 1),
-    in which draw j0 + b is block b.  So a row does not depend on the other
-    cells.
+    map_chunks call, in chunks of at most OUTER_CHUNK draws of one cell.  A
+    chunk whose first draw is j0 draws its draws as blocks from
+    substream(seed, j0, 0), tests them on their realized assignments with
+    one kernel, whose partition threshold rule decides the size tests and
+    whose contrasts give each beta_hat, then makes one engine call keyed by
+    derive_seed(seed, j0, 1), in which draw j0 + b is block b.  So a row
+    does not depend on the other cells.
     """
     check_integer("outer_reps", outer_reps)
     cells = list(cells)
@@ -210,7 +200,7 @@ def run_grouped_experiment(
     bounds = [
         (k * outer_reps + lo, k * outer_reps + hi)
         for k in range(len(cells))
-        for lo, hi in chunk_bounds(outer_reps, _OUTER_CHUNK)
+        for lo, hi in chunk_bounds(outer_reps, OUTER_CHUNK)
     ]
     parts = map_chunks(partial(_grouped_chunk, blocks, outer_reps, threshold), bounds, workers)
     return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]
@@ -240,7 +230,7 @@ def crossed_shares(n_clusters: int, n_sectors: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class FlaggingDraw:
-    """The parts of one spatial-confound draw that do not depend on gamma.
+    """The parts of spatial-confound draws, one per row, that do not depend on gamma.
 
     y_i(gamma) = z_i + gamma * sum_f w_if * u_f with z and the latent shocks u
     iid standard normal.  The regressor x uses an independent shock draw over
@@ -248,39 +238,38 @@ class FlaggingDraw:
     inherit share-driven spatial correlation scaled by |gamma|.
     """
 
-    z: np.ndarray
-    confound: np.ndarray  # shares @ u
-    x: np.ndarray  # shares @ shocks
-    shocks: np.ndarray
+    z: np.ndarray  # (draws, units)
+    confound: np.ndarray  # (draws, units), u @ shares.T
+    x: np.ndarray  # (draws, units), shocks @ shares.T
+    shocks: np.ndarray  # (draws, sectors)
 
     def outcome(self, gamma: float) -> np.ndarray:
         return self.z + gamma * self.confound
 
 
-def draw_flagging(shares: np.ndarray, rng: np.random.Generator) -> FlaggingDraw:
-    """Noise, confound and regressor, drawn in that order from ``rng``."""
+def draw_flagging(shares: np.ndarray, rng: np.random.Generator, draws: int) -> FlaggingDraw:
+    """``draws`` draws' noise, confound and regressor blocks, drawn in that order from ``rng``."""
     n, n_sectors = shares.shape
-    z = rng.standard_normal(n)
-    confound = shares @ rng.standard_normal(n_sectors)
-    shocks = rng.standard_normal(n_sectors)
-    return FlaggingDraw(z=z, confound=confound, x=shares @ shocks, shocks=shocks)
+    z = rng.standard_normal((draws, n))
+    confound = rng.standard_normal((draws, n_sectors)) @ shares.T
+    shocks = rng.standard_normal((draws, n_sectors))
+    return FlaggingDraw(z=z, confound=confound, x=shocks @ shares.T, shocks=shocks)
 
 
 def _flagging_chunk(design, gammas, block, threshold, bounds) -> np.ndarray:
     """(gammas, 3) tallies of the outer draws lo..hi-1; ``block`` is at the experiment's seed.
 
-    One kernel call tests every draw on its own shocks (the size tests and each
-    beta_hat), and one engine call keyed by the chunk's first draw tests draw lo + b
-    as block b: its K y-fixed outcomes, then its K eps-fixed ones y - beta_hat * x.
+    The draws come from substream(seed, lo, 0) as one block (draw_flagging).  One
+    kernel call tests every draw on its own shocks (the size tests and each beta_hat),
+    and one engine call keyed by the chunk's first draw tests draw lo + b as block b:
+    its K y-fixed outcomes, then its K eps-fixed ones y - beta_hat * x.
     """
     lo, hi = bounds
     k = len(gammas)
-    draws = [draw_flagging(design.shares, substream(block.seed, j, 0)) for j in range(lo, hi)]
-    ys = np.array([draw.outcome(gamma) for draw in draws for gamma in gammas])
-    rejected, slopes = realized_tests(
-        ys, [("crve",)] * k, block.alpha, design, [draw.shocks for draw in draws]
-    )
-    ydots = ys - slopes.reshape(-1, 1) * np.repeat([draw.x for draw in draws], k, axis=0)
+    draw = draw_flagging(design.shares, substream(block.seed, lo, 0), hi - lo)
+    ys = np.stack([draw.outcome(gamma) for gamma in gammas], axis=1).reshape(k * (hi - lo), -1)
+    rejected, slopes = realized_tests(ys, [("crve",)] * k, block.alpha, design, draw.shocks)
+    ydots = ys - slopes.reshape(-1, 1) * np.repeat(draw.x, k, axis=0)
     outcomes = np.hstack([ys.reshape(hi - lo, -1), ydots.reshape(hi - lo, -1)])
     sims = replace(block, seed=derive_seed(block.seed, lo, 1))
     reports = run_outcome_fixed(
@@ -310,12 +299,13 @@ def run_flagging_curve(
     Per gamma and outer draw: test a zero slope with cluster-robust inference
     at level ``alpha`` (size tally) and test y-fixed and eps-fixed with crve
     over ``perms`` shock draws, flagging when the rejection rate reaches
-    ``threshold``.  Draws are paired across gamma values and modes (same
-    substream per outer index, and one shock block per outer draw tests
+    ``threshold``.  Draws are paired across gamma values and modes (every
+    gamma reads each outer draw, and one shock block per outer draw tests
     every gamma in both modes), so curve differences and the y-versus-eps
-    contrast are low-noise.  A chunk of at most _OUTER_CHUNK outer draws
-    whose first draw is j0 makes one engine call, keyed by derive_seed(seed,
-    j0, 1), in which draw j0 + b is block b.  Cluster labels count only the
+    contrast are low-noise.  A chunk of at most OUTER_CHUNK outer draws
+    whose first draw is j0 draws them from substream(seed, j0, 0) and makes
+    one engine call, keyed by derive_seed(seed, j0, 1), in which draw j0 + b
+    is block b.  Cluster labels count only the
     clusters they name (share_design), and the shares' design terms are
     built once per command.  Returns one row per gamma, in grid order.
     """
@@ -326,5 +316,5 @@ def run_flagging_curve(
         raise ValidationError("cluster labels do not match shares")
     design = share_design(shares, clusters)
     chunk = partial(_flagging_chunk, design, gammas, block, threshold)
-    parts = map_chunks(chunk, chunk_bounds(outer_reps, _OUTER_CHUNK), workers)
+    parts = map_chunks(chunk, chunk_bounds(outer_reps, OUTER_CHUNK), workers)
     return [ExperimentRow.from_counts(c, outer_reps) for c in np.sum(parts, axis=0)]

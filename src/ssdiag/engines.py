@@ -168,36 +168,41 @@ def _shares_regressors(shares, seed, lo, hi) -> np.ndarray:
     return substream(seed, lo // _CHUNK).standard_normal((hi - lo, shares.shape[1]))
 
 
-def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
-    """Group-level 0/1 treatment, exactly n_groups/2 treated groups per row (n_groups even).
+def balanced_assignments(rng, n_groups, rows) -> np.ndarray:
+    """(rows, n_groups) group-level 0/1 treatments, n_groups/2 treated per row (n_groups even).
 
-    Each candidate row is n_groups fair bits of the chunk's raw stream, and
-    the rows kept are the first hi - lo candidates with n_groups/2 ones:
-    uniform over the balanced assignments, and independent of the batch
-    size, which only sets how many candidates one call draws.
+    Each candidate row is n_groups fair bits of the raw stream of ``rng``'s
+    bit generator, and the rows kept are the first ``rows`` candidates with
+    n_groups/2 ones: uniform over the balanced assignments, and independent
+    of the batch size, which only sets how many candidates one call draws.
     """
     words = -(-n_groups // 64)
     mask = np.uint64((1 << (n_groups - 64 * (words - 1))) - 1)
     accept = math.sqrt(2 / (math.pi * n_groups))  # about C(F, F/2) / 2**F, the share kept
-    bits = substream(seed, lo // _CHUNK).bit_generator
-    kept, need = [], hi - lo
+    bits = rng.bit_generator
+    kept, need = [], rows
     while need:
         # about 5% more candidates than the need takes on average; a short batch is topped
         # up by the next, and no row depends on the batch
         batch = max(1, min(_KERNEL_BYTES // (8 * words), int(1.05 * need / accept) + 64))
-        rows = bits.random_raw(batch * words).reshape(batch, words)
-        rows[:, -1] &= mask
-        counts = np.bitwise_count(rows)  # (batch, words) uint8
+        candidates = bits.random_raw(batch * words).reshape(batch, words)
+        candidates[:, -1] &= mask
+        counts = np.bitwise_count(candidates)  # (batch, words) uint8
         # a row's ones, by one add per word column: in uint8 while a row has under 256 bits
         ones = counts[:, 0] if n_groups < 256 else counts[:, 0].astype(np.intp)
         for w in range(1, words):
             ones = ones + counts[:, w]
-        hits = rows[np.flatnonzero(ones == n_groups // 2)[:need]]
+        hits = candidates[np.flatnonzero(ones == n_groups // 2)[:need]]
         kept.append(hits)
         need -= len(hits)
     block = kept[0] if len(kept) == 1 else np.concatenate(kept)
     block = block.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(block, axis=1, count=n_groups, bitorder="little").astype(float)
+
+
+def _partition_regressors(n_groups, seed, lo, hi) -> np.ndarray:
+    """Balanced assignments for the rows lo..hi-1 of a partition design's chunk."""
+    return balanced_assignments(substream(seed, lo // _CHUNK), n_groups, hi - lo)
 
 
 # ---------------------------------------------------------------------------

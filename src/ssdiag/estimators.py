@@ -3,9 +3,9 @@
 Every test of a simulated or realized draw runs in the kernel of
 :mod:`ssdiag.engines`, which takes each estimator's factor and dof from
 :func:`small_sample`, the critical values from :func:`t_crits` and the rule
-from :func:`rejects`.  :func:`ols_simple` gives diagnose's and the
-convergence experiment's beta_hat; the scalar variances and :func:`t_test`
-keep those conventions and are the tests' reference for the kernel.
+from :func:`rejects`.  :func:`ols_simple` gives diagnose's beta_hat; the
+scalar variances and :func:`t_test` keep those conventions and are the
+tests' reference for the kernel.
 """
 
 from __future__ import annotations

@@ -17,10 +17,13 @@ from ssdiag import (
     eps_fixed_variance_ratio_limit,
     randomization_variance_robust,
     randomization_variance_true,
+    ols_simple,
     ratio_convergence_experiment,
     y_fixed_variance_ratio_limit,
 )
 from ssdiag import analytics
+from ssdiag.engines import balanced_assignments
+from ssdiag.rng import substream
 
 
 def _params(beta=0.0, sigma2=1.0, rho=0.0, m=1):
@@ -113,6 +116,14 @@ class TestExactVariances:
         assert randomization_variance_true(y, design) == pytest.approx(
             randomization_variance_robust(y, design), rel=1e-12
         )
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_rows_reduce_as_vectors(self, m):
+        # a (rows, N) block gives one variance per row, bit for bit that of the row alone
+        design = contiguous_partition(6, m)
+        y = np.random.default_rng(m).standard_normal((5, 6 * m))
+        for fn in (randomization_variance_true, randomization_variance_robust):
+            assert fn(y, design).tolist() == [fn(row, design) for row in y]
 
     def test_two_groups_rejected(self):
         design = contiguous_partition(2, 2)
@@ -214,6 +225,53 @@ class TestConvergenceExperiment:
         assert rows[0.0].limit == rows[1.0].limit
         # same seeds and residualized outcomes: estimates nearly coincide
         assert rows[0.0].mean_ratio == pytest.approx(rows[1.0].mean_ratio, rel=0.02)
+
+    @pytest.mark.parametrize("mode", ["y-fixed", "eps-fixed"])
+    @pytest.mark.parametrize("rho, m", [(0.3, 3), (-0.2, 2), (0.0, 1)])
+    def test_chunks_rebuilt_row_by_row(self, mode, rho, m, monkeypatch):
+        # each grid point's replications make chunks of at most 16, so no chunk
+        # straddles a grid point; the chunk whose first replication is r0 at grid
+        # point f draws its balanced assignments, then its errors, from
+        # substream(seed, f, r0), and its ratios are the scalar variances of each
+        # rebuilt row, eps-fixed rows residualized on their own OLS slope
+        p = _params(beta=0.7, sigma2=1.0, rho=rho, m=m)
+        grid, reps, seed = [4, 6], 20, 9
+        bounds, parts, outcomes = [], [], []
+        real_map, real_robust = analytics.map_chunks, analytics.randomization_variance_robust
+
+        def mapped(fn, chunks, workers):
+            bounds.extend(chunks)
+            parts.extend(real_map(fn, chunks, workers))
+            return parts
+
+        monkeypatch.setattr(analytics, "map_chunks", mapped)
+        monkeypatch.setattr(
+            analytics,
+            "randomization_variance_robust",
+            lambda y, design: outcomes.append(y) or real_robust(y, design),
+        )
+        ratio_convergence_experiment(p, grid, reps, seed, mode)
+        assert bounds == [(0, 16), (16, 20), (20, 36), (36, 40)]
+        for (lo, hi), part, got in zip(bounds, parts, outcomes, strict=True):
+            f, r0 = divmod(lo, reps)
+            assert (hi - 1) // reps == f
+            design = contiguous_partition(grid[f], m)
+            rng = substream(seed, f, r0)
+            x = balanced_assignments(rng, grid[f], hi - lo)[:, design.group_of]
+            errors = analytics.draw_equicorrelated_errors(rng, grid[f], p, hi - lo)
+            assert errors.shape == (hi - lo, design.n_units)
+            for xi, ei, yi in zip(x, errors, got):
+                y = p.beta * xi + ei
+                if mode == "eps-fixed":
+                    slope = ols_simple(y, xi).slope
+                    # the chunk's slope, read back from its residualized row
+                    assert (y - yi) @ xi / xi.sum() == pytest.approx(slope, abs=1e-12)
+                    y = y - slope * xi
+                np.testing.assert_allclose(yi, y, rtol=0, atol=1e-12 if mode == "eps-fixed" else 0)
+            want = [
+                real_robust(y, design) / randomization_variance_true(y, design) for y in got
+            ]
+            assert part.tolist() == want
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

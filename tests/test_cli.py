@@ -204,7 +204,7 @@ class TestIngest:
 def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
     """CSV pair from a grouped draw: one-hot state shares, clusters, x column."""
     dgp = GroupedDGP(n_states=n_states, per_state=per_state, beta=beta)
-    draw = draw_grouped(dgp, [substream(seed, 0)])
+    draw = draw_grouped(dgp, substream(seed, 0), 1)
     n = dgp.design.n_units
     header = "region_id," + ",".join(f"s_{j}" for j in range(1, n_states + 1))
     share_lines = [header]
@@ -222,20 +222,27 @@ def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
 
 
 class TestDiagnose:
-    def test_strong_effect_flags_y_fixed_but_not_eps_fixed(self, tmp_path):
-        shares, outcomes = _partition_fixture(tmp_path, beta=2.0)
-        out = tmp_path / "report.json"
-        code = main([
-            "diagnose", "--shares", shares, "--outcomes", outcomes,
-            "--seed", "31", "--perms", "400", "--out", str(out),
-        ])
-        assert code == 0
-        report = json.loads(out.read_text())
+    def test_strong_effect_flags_y_fixed_but_eps_fixed_ignores_it(self, tmp_path):
+        reports = {}
+        for beta in (0.0, 2.0):
+            shares, outcomes = _partition_fixture(tmp_path, beta=beta)
+            out = tmp_path / f"report-{beta}.json"
+            code = main([
+                "diagnose", "--shares", shares, "--outcomes", outcomes,
+                "--seed", "31", "--perms", "400", "--out", str(out),
+            ])
+            assert code == 0
+            reports[beta] = json.loads(out.read_text())
+        report = reports[2.0]
         assert report["version"] and report["seed"] == 31
         # a pure homogeneous effect confounds the y-fixed check ...
         assert report["modes"]["y-fixed"]["estimators"]["crve"]["flag"] is True
-        # ... but residualizing removes it
-        assert report["modes"]["eps-fixed"]["estimators"]["crve"]["flag"] is False
+        # ... but residualizing removes it: on the same draw, y - beta_hat * x does
+        # not depend on beta, so eps-fixed reports at beta = 2 what it reports at 0
+        eps = {beta: dict(r["modes"]["eps-fixed"]) for beta, r in reports.items()}
+        beta_hats = {beta: block.pop("beta_hat") for beta, block in eps.items()}
+        assert beta_hats[2.0] - beta_hats[0.0] == pytest.approx(2.0, abs=1e-12)
+        assert eps[2.0] == eps[0.0]
 
     def test_flag_at_threshold_boundary(self, tmp_path):
         # a rejection rate flags when it reaches the threshold, not only above it
@@ -531,15 +538,15 @@ class TestConvergence:
     """`ssdiag convergence` runs the Monte Carlo convergence experiment of ssdiag.analytics."""
 
     @pytest.mark.parametrize(
-        "name, chunks", [("convergence-y-fixed.csv", 3), ("convergence-eps-fixed.csv", 1)]
+        "name, chunks", [("convergence-y-fixed.csv", 12), ("convergence-eps-fixed.csv", 4)]
     )
     def test_golden_at_two_workers_in_one_map_chunks_call(
         self, name, chunks, tmp_path, monkeypatch
     ):
         # every (grid point, replication) pair goes through one map_chunks call, so
-        # one pool, and the report bytes do not depend on the worker count; the
-        # y-fixed golden's 150 pairs make 3 chunks of at most 64, so a chunk
-        # spans two grid points
+        # one pool, and the report bytes do not depend on the worker count; each grid
+        # point's replications make chunks of at most 16: 4 per point of the y-fixed
+        # golden's 50, and 2 per point of the eps-fixed golden's 30
         calls = []
         real = analytics.map_chunks
         monkeypatch.setattr(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ssdiag import ValidationError, contiguous_partition, validate_dataset
-from ssdiag.data import draw_treatment
+from ssdiag.engines import balanced_assignments
 
 
 def _valid_arrays(n=4, f=2):
@@ -136,12 +136,21 @@ class TestPartitionDesign:
     @given(f=st.sampled_from([2, 4, 6]), m=st.integers(1, 3), seed=st.integers(0, 99))
     def test_rows_sum_to_one_and_round_trip(self, f, m, seed):
         design = contiguous_partition(f, m)
-        treated = draw_treatment(design, np.random.default_rng(seed))
+        treated = balanced_assignments(np.random.default_rng(seed), f, 5)
         shares = oracles.partition_to_shares(design)
         np.testing.assert_array_equal(shares.sum(axis=1), 1.0)
-        # the group-level assignment is balanced, and the shares map it onto the units
-        # and back
-        assert sorted(treated) == [0.0] * (f // 2) + [1.0] * (f // 2)
-        x = shares @ treated
-        np.testing.assert_array_equal(x, treated[design.group_of])
-        np.testing.assert_array_equal(shares.T @ x / m, treated)
+        # every row of the group-level assignments treats half the groups, and the
+        # shares map it onto the units and back
+        assert np.sort(treated, axis=1).tolist() == [[0.0] * (f // 2) + [1.0] * (f // 2)] * 5
+        x = treated @ shares.T
+        np.testing.assert_array_equal(x, treated[:, design.group_of])
+        np.testing.assert_array_equal(x @ shares / m, treated)
+
+    def test_balanced_assignments_are_uniform(self):
+        # at F = 4 each of the C(4, 2) = 6 balanced assignments is equally likely:
+        # 6,000 draws from a caller's generator, read as 4-bit codes, pass a chi-square
+        # test at 5 dof below its 0.999 quantile
+        rows = balanced_assignments(np.random.default_rng(36), 4, 6000)
+        codes, counts = np.unique(rows @ [1, 2, 4, 8], return_counts=True)
+        assert codes.tolist() == [3, 5, 6, 9, 10, 12]
+        assert ((counts - 1000) ** 2 / 1000).sum() < 20.52

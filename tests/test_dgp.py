@@ -22,49 +22,46 @@ from ssdiag import (
     run_outcome_fixed,
     share_design,
 )
+from ssdiag.cli import main
 from ssdiag.data import contiguous_partition
 from ssdiag.estimators import t_test, var_cluster, var_robust
 from ssdiag.parallel import chunk_bounds
-from ssdiag.rng import derive_seed, substream
+from ssdiag.rng import OUTER_CHUNK, derive_seed, substream
 
 
-def _replayed_effects(dgp, rngs):
-    """Each sample's untreated outcomes and unit effects, replayed from its generator.
+def _replayed_effects(dgp, rng, draws):
+    """The samples' untreated outcomes, unit effects and assignments, replayed from ``rng``.
 
-    draw_grouped draws a sample's state shocks, unit noise and assignment, in
-    that order; the replay makes the same three calls, so a generator shared
-    by several samples stays in step.  The effect is beta + het_loading *
-    state_shock, and a sample's SATE its mean.
+    draw_grouped draws the samples' state shocks, unit noise and assignments,
+    in that order, each as one (draws, ...) block; the replay makes the same
+    three calls.  The effect is beta + het_loading * state_shock, and a
+    sample's SATE its mean.
     """
     design = dgp.design
-    untreated, effects = [], []
-    for rng in rngs:
-        state_shock = rng.standard_normal(design.n_groups)[design.group_of]
-        noise = rng.standard_normal(design.n_units)
-        rng.permutation(design.n_groups)
-        untreated.append(dgp.omega * state_shock + noise)
-        effects.append(dgp.beta + dgp.het_loading * state_shock)
-    return np.array(untreated), np.array(effects)
+    state_shock = rng.standard_normal((draws, design.n_groups))[:, design.group_of]
+    noise = rng.standard_normal((draws, design.n_units))
+    z = engines.balanced_assignments(rng, design.n_groups, draws)
+    return dgp.omega * state_shock + noise, dgp.beta + dgp.het_loading * state_shock, z
 
 
 class TestDrawGrouped:
     def test_null_model_is_iid_standard_normal(self):
         dgp = GroupedDGP(n_states=20, per_state=10)
-        rng = np.random.default_rng(0)
-        pooled = draw_grouped(dgp, [rng] * 200).y.ravel()
+        pooled = draw_grouped(dgp, np.random.default_rng(0), 200).y.ravel()
         assert pooled.mean() == pytest.approx(0.0, abs=0.02)
         assert pooled.std() == pytest.approx(1.0, abs=0.02)
 
     def test_homogeneous_effect_sate(self):
         dgp = GroupedDGP(n_states=6, per_state=4, beta=0.5)
-        draw = draw_grouped(dgp, [np.random.default_rng(1)])
-        untreated, effects = _replayed_effects(dgp, [np.random.default_rng(1)])
+        draw = draw_grouped(dgp, np.random.default_rng(1), 1)
+        untreated, effects, z = _replayed_effects(dgp, np.random.default_rng(1), 1)
+        assert np.array_equal(draw.z, z)
         assert np.array_equal(draw.y, untreated + draw.x * effects)
         assert effects.mean(axis=1).tolist() == pytest.approx([0.5], abs=1e-12)
 
     def test_balanced_treatment(self):
         dgp = GroupedDGP(n_states=10, per_state=3)
-        draw = draw_grouped(dgp, [np.random.default_rng(2)])
+        draw = draw_grouped(dgp, np.random.default_rng(2), 1)
         # 5 of the 10 states treated, every unit of a state alike
         treated_units = np.bincount(dgp.design.group_of, weights=draw.x[0])
         assert draw.z.tolist() == [(treated_units > 0).tolist()]
@@ -75,18 +72,16 @@ class TestDrawGrouped:
         # analytic moment: corr = omega^2 / (omega^2 + 1) among untreated units
         omega = 0.3
         dgp = GroupedDGP(n_states=2, per_state=2, omega=omega)
-        rng = np.random.default_rng(3)
-        draw = draw_grouped(dgp, [rng] * 40000)
+        draw = draw_grouped(dgp, np.random.default_rng(3), 40000)
         pairs = draw.y[draw.x == 0.0].reshape(-1, 2)  # the control units of each draw
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(omega**2 / (omega**2 + 1), abs=0.02)
 
     def test_heterogeneous_effects_average_zero(self):
         dgp = GroupedDGP(n_states=50, per_state=2, het_loading=0.4)
-        rng = np.random.default_rng(4)
-        draw = draw_grouped(dgp, [rng] * 3000)
-        rng = np.random.default_rng(4)
-        untreated, effects = _replayed_effects(dgp, [rng] * 3000)
+        draw = draw_grouped(dgp, np.random.default_rng(4), 3000)
+        untreated, effects, z = _replayed_effects(dgp, np.random.default_rng(4), 3000)
+        assert np.array_equal(draw.z, z)
         assert np.array_equal(draw.y, untreated + draw.x * effects)
         sates = effects.mean(axis=1)
         assert np.std(sates) > 0.01  # the effects do vary by state
@@ -94,8 +89,8 @@ class TestDrawGrouped:
 
     def test_deterministic_given_stream(self):
         dgp = GroupedDGP(n_states=8, per_state=2, omega=0.2, beta=0.1)
-        a = draw_grouped(dgp, [substream(7, 0)])
-        b = draw_grouped(dgp, [substream(7, 0)])
+        a = draw_grouped(dgp, substream(7, 0, 0), 3)
+        b = draw_grouped(dgp, substream(7, 0, 0), 3)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.x, b.x)
 
@@ -142,12 +137,12 @@ class TestGroupedExperiment:
         for seed, dgp in enumerate(cells, 310):
             block = SimConfig(replications=2, seed=seed, alpha=alpha)
             want = []
-            for j0, j1 in chunk_bounds(40, dgp_module._OUTER_CHUNK):
+            for j0, j1 in chunk_bounds(40, OUTER_CHUNK):
                 size, ys = dgp_module._outer_draws(dgp, block, j0, j1)
                 assert size.shape == (j1 - j0,) and ys.shape == (2 * (j1 - j0), dgp.design.n_units)
+                draw = draw_grouped(dgp, substream(seed, j0, 0), j1 - j0)
                 for b, j in enumerate(range(j0, j1)):
-                    draw = draw_grouped(dgp, [substream(seed, j, 0)])
-                    y, x = draw.y[0], draw.x[0]
+                    y, x = draw.y[b], draw.x[b]
                     fit = ols_simple(y, x)
                     want.append(t_test(fit.slope, dgp.beta, var_robust(fit), alpha))
                     assert size[b] == want[-1], (seed, j)
@@ -179,19 +174,19 @@ class TestGroupedExperiment:
         for seed, (shares, clusters) in enumerate(designs, 330):
             design = share_design(shares, clusters)
             want, ydots = [], []
-            for j0, j1 in chunk_bounds(40, dgp_module._OUTER_CHUNK):
-                draws = [draw_flagging(shares, substream(seed, j, 0)) for j in range(j0, j1)]
-                ys = [draw.outcome(gamma) for draw in draws for gamma in gammas]
+            for j0, j1 in chunk_bounds(40, OUTER_CHUNK):
+                draw = draw_flagging(shares, substream(seed, j0, 0), j1 - j0)
+                ys = [draw.outcome(gamma)[b] for b in range(j1 - j0) for gamma in gammas]
                 rejected, slopes = engines.realized_tests(
-                    ys, [("crve",)] * 3, alpha, design, [draw.shocks for draw in draws]
+                    ys, [("crve",)] * 3, alpha, design, draw.shocks
                 )
-                for b, draw in enumerate(draws):
+                for b, x in enumerate(draw.x):
                     for k, y in enumerate(ys[3 * b : 3 * b + 3]):
-                        fit = ols_simple(y, draw.x)
+                        fit = ols_simple(y, x)
                         want.append(t_test(fit.slope, 0.0, var_cluster(fit, clusters), alpha))
                         assert rejected[b, k] == want[-1], (seed, j0 + b, k)
                         assert slopes[b, k] == pytest.approx(fit.slope, abs=1e-12)
-                        ydots.append(y - fit.slope * draw.x)
+                        ydots.append(y - fit.slope * x)
             simulated.clear()
             rows = run_flagging_curve(shares, clusters, gammas, 40, 2, seed, alpha)
             assert [row.size for row in rows] == np.reshape(want, (40, 3)).mean(axis=0).tolist()
@@ -229,18 +224,17 @@ class TestGroupedExperiment:
 
     @pytest.mark.parametrize("seed, outer_reps", [(21, 1), (22, 1), (23, 4), (24, 19)])
     def test_one_block_tests_both_modes(self, seed, outer_reps):
-        # draw j keys substream(seed, j, 0) for the data, and is block j - j0 of the
-        # one engine call of its chunk, keyed by derive_seed(seed, j0, 1) for the
-        # chunk's first draw j0; that block tests y-fixed and eps-fixed.  The last
+        # the chunk whose first draw is j0 draws its data from substream(seed, j0, 0),
+        # and draw j is block j - j0 of the chunk's one engine call, keyed by
+        # derive_seed(seed, j0, 1); that block tests y-fixed and eps-fixed.  The last
         # draw is not first in its chunk unless outer_reps is 1, and at 19 draws
         # it is in the second chunk
         dgp = GroupedDGP(n_states=20, per_state=3, beta=0.5, omega=0.6)
         rates = []
-        for j0, hi in chunk_bounds(outer_reps, dgp_module._OUTER_CHUNK):
+        for j0, hi in chunk_bounds(outer_reps, OUTER_CHUNK):
             ys = []
-            for j in range(j0, hi):
-                draw = draw_grouped(dgp, [substream(seed, j, 0)])
-                y, x = draw.y[0], draw.x[0]
+            draw = draw_grouped(dgp, substream(seed, j0, 0), hi - j0)
+            for y, x in zip(draw.y, draw.x):
                 ys += [y, y - ols_simple(y, x).slope * x]
             reports = run_outcome_fixed(
                 ys, [("robust-hc1",)] * 2, dgp.design,
@@ -254,6 +248,20 @@ class TestGroupedExperiment:
         flags = np.reshape([rate >= threshold for rate in rates], (outer_reps, 2)).mean(axis=0)
         assert (row.pr_flag_y, row.pr_flag_eps) == tuple(flags)
         assert flags[1] > 0.0
+
+    def test_one_outer_stream_per_chunk(self, tmp_path, monkeypatch):
+        # mc-table at 2000 draws over its 10 cells keys one outer stream per chunk of
+        # 16 draws, 10 x 125 = 1,250, where one per draw made 20,000
+        keys = []
+        real = dgp_module.substream
+        monkeypatch.setattr(dgp_module, "substream", lambda *a: keys.append(a) or real(*a))
+        out = tmp_path / "table.csv"
+        argv = ["mc-table", "--seed", "1", "--reps", "2000", "--perms", "2", "--states", "4,6",
+                "--per-state", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2 + 10
+        assert len(keys) == len(set(keys)) == 1250
+        assert {j0 for _, j0, _ in keys} == set(range(0, 2000, OUTER_CHUNK))
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="experiment cell"):
@@ -274,27 +282,27 @@ class TestDrawFlagging:
 
     def test_zero_confound_outcome_is_pure_noise(self):
         shares = self._shares()
-        draw = draw_flagging(shares, np.random.default_rng(0))
-        # replay the stream: outcome must equal the first N normals exactly
-        replay = np.random.default_rng(0).standard_normal(shares.shape[0])
+        draw = draw_flagging(shares, np.random.default_rng(0), 3)
+        # replay the stream: the outcomes must equal the first 3 x N normals exactly
+        replay = np.random.default_rng(0).standard_normal((3, shares.shape[0]))
         np.testing.assert_array_equal(draw.outcome(0.0), replay)
 
     def test_identity_shares_structure(self):
-        draw = draw_flagging(np.eye(6), np.random.default_rng(1))
+        draw = draw_flagging(np.eye(6), np.random.default_rng(1), 4)
         replay_rng = np.random.default_rng(1)
-        z = replay_rng.standard_normal(6)
-        latent = replay_rng.standard_normal(6)
-        observed = replay_rng.standard_normal(6)
+        z = replay_rng.standard_normal((4, 6))
+        latent = replay_rng.standard_normal((4, 6))
+        observed = replay_rng.standard_normal((4, 6))
         np.testing.assert_allclose(draw.outcome(2.0), z + 2.0 * latent)
         np.testing.assert_allclose(draw.x, observed)
+        np.testing.assert_array_equal(draw.shocks, observed)
 
     def test_seed_round_trip(self):
         shares = self._shares()
-        a = draw_flagging(shares, substream(5, 1))
-        b = draw_flagging(shares, substream(5, 1))
+        a = draw_flagging(shares, substream(5, 16, 0), 2)
+        b = draw_flagging(shares, substream(5, 16, 0), 2)
         np.testing.assert_array_equal(a.outcome(0.7), b.outcome(0.7))
         np.testing.assert_array_equal(a.x, b.x)
-
 
 class TestFlaggingCurve:
     def test_points_and_determinism(self):
@@ -420,20 +428,19 @@ class TestFlaggingCurve:
 
     @pytest.mark.parametrize("seed, outer_reps", [(31, 1), (32, 4), (33, 19)])
     def test_one_block_tests_both_modes(self, seed, outer_reps):
-        # draw j keys substream(seed, j, 0) for the data, and is block j - j0 of the
-        # one crve shock simulation of its chunk, keyed by derive_seed(seed, j0, 1)
-        # for the chunk's first draw j0; that block tests y-fixed and eps-fixed.  The
+        # the chunk whose first draw is j0 draws its data from substream(seed, j0, 0),
+        # and draw j is block j - j0 of the chunk's one crve shock simulation, keyed
+        # by derive_seed(seed, j0, 1); that block tests y-fixed and eps-fixed.  The
         # last draw is not first in its chunk unless outer_reps is 1, and at 19 draws
         # it is in the second chunk
         shares, clusters = crossed_shares(6, 4)
         design = share_design(shares, clusters)
         rates = []
-        for j0, hi in chunk_bounds(outer_reps, dgp_module._OUTER_CHUNK):
+        for j0, hi in chunk_bounds(outer_reps, OUTER_CHUNK):
             ys = []
-            for j in range(j0, hi):
-                draw = draw_flagging(shares, substream(seed, j, 0))
-                y = draw.outcome(1.0)
-                ys += [y, y - ols_simple(y, draw.x).slope * draw.x]
+            draw = draw_flagging(shares, substream(seed, j0, 0), hi - j0)
+            for y, x in zip(draw.outcome(1.0), draw.x):
+                ys += [y, y - ols_simple(y, x).slope * x]
             reports = run_outcome_fixed(
                 ys, [("crve",)] * 2, design,
                 SimConfig(replications=400, seed=derive_seed(seed, j0, 1)), blocks=hi - j0,

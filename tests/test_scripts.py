@@ -117,7 +117,9 @@ def test_readme_convergence(tmp_path):
         ["-m", "ssdiag.cli", "convergence", "--grid", "10", "--reps", "3", "--seed", "1"],
         tmp_path,
     )
-    (row,) = _csv_rows(out)
+    comment, body = out.split("\n", 1)
+    assert comment.startswith("# ") and "command=convergence" in comment and "reps=3" in comment
+    (row,) = _csv_rows(body)
     assert row["n_groups"] == "10" and float(row["mean_ratio"]) > 0
 
 
