@@ -175,7 +175,10 @@ def balanced_assignments(rng, n_groups, rows) -> np.ndarray:
     bit generator, and the rows kept are the first ``rows`` candidates with
     n_groups/2 ones: uniform over the balanced assignments, and independent
     of the batch size, which only sets how many candidates one call draws.
+    No rows draw nothing from the stream.
     """
+    if rows == 0:
+        return np.empty((0, n_groups))
     words = -(-n_groups // 64)
     mask = np.uint64((1 << (n_groups - 64 * (words - 1))) - 1)
     accept = math.sqrt(2 / (math.pi * n_groups))  # about C(F, F/2) / 2**F, the share kept

@@ -1,7 +1,9 @@
 """Tests for ingestion, the command-line dispatch, and report files."""
 
+import itertools
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import textwrap
@@ -146,7 +148,7 @@ class TestIngest:
         data = ingest(shares, outcomes)
         np.testing.assert_allclose(data.y, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(data.shares, [[0.25, 0.75], [0.5, 0.5], [10.0, 0.0]])
-        assert (cli._loadtxt_shares(shares) is not None) == fast
+        assert (cli._loadtxt_csv(shares, cli._shares_casts, 1) is not None) == fast
 
     def test_one_pass_parse_matches_row_by_row_bit_for_bit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(12)
@@ -166,8 +168,8 @@ class TestIngest:
         )
 
         fast_raw, fast = cli._read_shares(Path(raw)), ingest(clean, outcomes)
-        assert cli._loadtxt_shares(Path(clean)) is not None
-        monkeypatch.setattr(cli, "_loadtxt_shares", lambda path: None)
+        assert cli._loadtxt_csv(Path(clean), cli._shares_casts, 1) is not None
+        monkeypatch.setattr(cli, "_loadtxt_csv", lambda *args: None)
         slow_raw, slow = cli._read_shares(Path(raw)), ingest(clean, outcomes)
         assert fast_raw[0] == slow_raw[0] == [f"r{i}" for i in range(n)]
         assert fast_raw[1].shape == slow_raw[1].shape == (n, f)
@@ -177,6 +179,25 @@ class TestIngest:
         np.testing.assert_array_equal(slow.y, order)
         assert np.array_equal(fast.shares.view(np.uint64), slow.shares.view(np.uint64))
         assert np.array_equal(fast.shares, values[order])
+
+    @pytest.mark.parametrize("command", ["diagnose", "flag-curve"])
+    def test_paths_positional_and_workers_by_keyword(self, command, tmp_path, monkeypatch):
+        # bench/tracer.py's span on ingest reads exactly two positional paths
+        calls = []
+        real = cli.ingest
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest", spy)
+        shares, outcomes = GOLDEN / "shares.csv", GOLDEN / "outcomes.csv"
+        argv = [command, "--shares", str(shares), "--outcomes", str(outcomes), "--seed", "1",
+                "--perms", "20", "--workers", "2", "--out", str(tmp_path / "report")]
+        if command == "flag-curve":
+            argv += ["--reps", "2"]
+        assert main(argv) == 0
+        assert calls == [((shares, outcomes), {"workers": 2})]
 
     _LONG = b"0" * 131072 + b"1"  # one character over csv's default field limit
 
@@ -199,6 +220,215 @@ class TestIngest:
             inputs += ["--shares", shares, "--seed", "1"]
         assert main([command, *inputs]) == 2
         assert f"error: cannot read {tmp_path / name}: " in capsys.readouterr().err
+
+
+def _result(shares, outcomes, **kwargs):
+    """The Dataset's fields as (dtype, shape, bytes), or the ValidationError's message."""
+    try:
+        data = ingest(shares, outcomes, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return {
+        name: None if value is None else (value.dtype.str, value.shape, value.tobytes())
+        for name, value in vars(data).items()
+    }
+
+
+def _row_by_row(monkeypatch, shares, outcomes):
+    """_result with the one-pass parse refused, so the row-by-row parse reads both files."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_loadtxt_csv", lambda *args: None)
+        return _result(shares, outcomes)
+
+
+def _share_lines(n=40, f=3):
+    values = np.random.default_rng(3).gamma(0.5, size=(n, f))
+    header = "region_id," + ",".join(f"s_{j}" for j in range(1, f + 1))
+    return [header] + [f"r{i}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+
+
+def _blank_piece(lines):
+    return "\n".join(lines[:20] + ["\n" * 500] + lines[20:]) + "\n"
+
+
+def _long_row(lines):
+    lines = list(lines)
+    lines[25] = lines[25] + "0" * 300  # the last share gains 300 trailing zeros
+    return "\n".join(lines) + "\n"
+
+
+class TestPiecewiseShares:
+    """The shares CSV parsed in 200-byte pieces: the row-by-row parse's Dataset or message."""
+
+    PIECE = 200
+    LAYOUTS = {
+        "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+        "bare cr": lambda lines: "\r".join(lines) + "\r",
+        "blank lines at and around cuts": lambda lines: "".join(
+            line + "\n" * (1 + i * i % 7) for i, line in enumerate(lines)
+        ),
+        "a piece of blank lines": _blank_piece,
+        "a row longer than a piece": _long_row,
+    }
+
+    @pytest.fixture
+    def outcomes(self, tmp_path):
+        text = "region_id,y\n" + "".join(f"r{i},{i}\n" for i in range(40))
+        return _write(tmp_path / "o.csv", text)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_dataset_bit_identical(self, layout, outcomes, tmp_path, monkeypatch):
+        shares = tmp_path / "s.csv"
+        shares.write_bytes(self.LAYOUTS[layout](_share_lines()).encode("utf-8"))
+        want = _row_by_row(monkeypatch, shares, outcomes)
+        assert isinstance(want, dict) and _result(shares, outcomes) == want  # one piece
+        monkeypatch.setattr(cli, "_PIECE_BYTES", self.PIECE)
+        raw = shares.read_bytes()
+        pieces = [raw[lo:hi] for lo, hi in cli._piece_bounds(shares)]
+        assert b"".join(pieces) == raw and all(p.endswith(b"\n") for p in pieces[:-1])
+        if layout == "bare cr":
+            assert len(pieces) == 1
+        else:
+            assert len(pieces) > 5
+        if layout.startswith("blank lines"):
+            assert any(p.startswith(b"\n") for p in pieces[1:])
+            assert any(p.endswith(b"\n\n") for p in pieces[:-1])
+        if layout == "a piece of blank lines":
+            assert any(p == b"\n" * len(p) for p in pieces)
+        if layout == "a row longer than a piece":
+            assert max(len(line) for line in raw.split(b"\n")) > self.PIECE
+
+        def refused(*args):
+            raise AssertionError("the row-by-row parse ran")
+
+        monkeypatch.setattr(cli, "_read_rows", refused)
+        for workers in (1, 2):
+            assert _result(shares, outcomes, workers=workers) == want
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["duplicate id", "short row", "extra field", "quote", "separator", "invalid utf-8"],
+    )
+    def test_fault_in_a_late_piece(self, fault, outcomes, tmp_path, monkeypatch):
+        lines = _share_lines()
+        fields = lines[36].split(",")  # line 37 of the file
+        message = {
+            "duplicate id": "line 37: duplicate region id 'r0'",
+            "short row": "line 37: expected 4 fields, got 3",
+            "extra field": "line 37: expected 4 fields, got 5",
+            "quote": None,  # csv unquotes the field, which numpy would not take
+            "separator": f"line 37: could not parse {chr(0x1c) + fields[2]!r} as a number",
+            "invalid utf-8": "'utf-8' codec can't decode byte 0xff",
+        }[fault]
+        if fault == "duplicate id":
+            fields[0] = "r0"
+        elif fault == "short row":
+            fields.pop()
+        elif fault == "extra field":
+            fields.append("0.5")
+        elif fault == "quote":
+            fields[2] = f'"{fields[2]}"'
+        elif fault == "separator":
+            fields[2] = "\x1c" + fields[2]
+        lines[36] = ",".join(fields)
+        raw = ("\n".join(lines) + "\n").encode("utf-8")
+        if fault == "invalid utf-8":
+            raw = raw.replace(b"r35,", b"r35\xff,")
+        shares = tmp_path / "s.csv"
+        shares.write_bytes(raw)
+        want = _row_by_row(monkeypatch, shares, outcomes)
+        if message is None:
+            assert isinstance(want, dict)
+        elif fault == "invalid utf-8":
+            assert want.startswith(f"cannot read {shares}: {message}")
+        else:
+            assert want == f"{shares} {message}"
+        monkeypatch.setattr(cli, "_PIECE_BYTES", self.PIECE)
+        bounds = cli._piece_bounds(shares)
+        assert len(bounds) > 5 and bounds[0][1] <= len("\n".join(lines[:36]))
+        for workers in (1, 2):
+            assert _result(shares, outcomes, workers=workers) == want
+
+
+class TestOnePassOutcomes:
+    """The outcomes CSV's one-pass parse gives the row-by-row parse's Dataset or message."""
+
+    @pytest.mark.parametrize(
+        "label, fast, message",
+        [
+            ("3.0", False, "line 3: could not parse '3.0' as an integer"),
+            ("+3", True, None),
+            (" 3 ", True, None),
+            ("1_0", True, None),
+            ("３", True, None),  # a full-width 3
+            (str(2**53), True, None),
+            (str(2**53 + 1), False, None),
+            (str(-(2**53) - 1), False, None),
+        ],
+    )
+    def test_cluster_label(self, label, fast, message, tmp_path, monkeypatch):
+        shares, _ = _toy_files(tmp_path)
+        outcomes = tmp_path / "o.csv"
+        # 2**53 + 1 would round onto r2's label in float64
+        text = f"region_id,y,cluster\nr0,1,0\nr1,2,{label}\nr2,3,{2**53}\n"
+        outcomes.write_bytes(text.encode("utf-8"))
+        want = _row_by_row(monkeypatch, shares, outcomes)
+        assert _result(shares, outcomes) == want
+        if message is not None:
+            assert want == f"{outcomes} {message}"
+        else:
+            assert isinstance(want, dict)
+        assert (cli._loadtxt_csv(outcomes, cli._outcome_casts, 1) is not None) == fast
+
+    @pytest.mark.parametrize(
+        "extras",
+        [
+            extras
+            for k in range(4)
+            for extras in itertools.permutations(("y_placebo", "cluster", "x_realized"), k)
+        ],
+    )
+    def test_optional_columns_in_any_order(self, extras, tmp_path, monkeypatch):
+        shares, _ = _toy_files(tmp_path)
+        values = {"y": ["1.5", "-2", "3e-1"], "y_placebo": ["0.25", "nan", "1"],
+                  "cluster": ["4", "-1", "4"], "x_realized": ["0.5", "1.25", "-0.75"]}
+        columns = ["y", *extras]
+        lines = [",".join(["region_id", *columns])]
+        lines += [",".join([f"r{i}", *(values[c][i] for c in columns)]) for i in range(3)]
+        outcomes = _write(tmp_path / "o.csv", "\n".join(lines) + "\n")
+        want = _row_by_row(monkeypatch, shares, outcomes)
+        assert _result(shares, outcomes) == want
+        assert cli._loadtxt_csv(Path(outcomes), cli._outcome_casts, 1) is not None
+        if "y_placebo" in extras:
+            assert want == "non-finite placebo outcome"
+        else:
+            assert isinstance(want, dict)
+
+    def test_quoted_y(self, tmp_path, monkeypatch):
+        shares, _ = _toy_files(tmp_path)
+        outcomes = _write(tmp_path / "o.csv", 'region_id,y\nr0,1\nr1,"2.5"\nr2,3\n')
+        want = _row_by_row(monkeypatch, shares, outcomes)
+        assert isinstance(want, dict) and _result(shares, outcomes) == want
+        assert cli._loadtxt_csv(Path(outcomes), cli._outcome_casts, 1) is None
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("region_id,y\r\n" + "".join(f"r{i},{0.5 * i - 1}\r\n" for i in range(6)), 0),
+            ("region_id,y,cluster\n" + "".join(f"r{i},{i * i},{i % 2}\n" for i in range(6)), 0),
+            ("region_id,y,cluster\nr0,1,0\nr1,2,1.5\nr2,3,0\nr3,4,1\n", 2),
+            ("region_id,y\nr0,1\nr1,2\nr0,3\nr3,4\n", 2),
+        ],
+    )
+    def test_oracle_reads_alike(self, text, code, tmp_path, monkeypatch, capsys):
+        outcomes = _write(tmp_path / "o.csv", text)
+        argv = ["oracle", "--outcomes", outcomes, "--group-size", "1"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_loadtxt_csv", lambda *args: None)
+            want = main(argv), capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == want and want[0] == code
+        assert (cli._loadtxt_csv(Path(outcomes), cli._outcome_casts, 1) is not None) == (code == 0)
 
 
 def _partition_fixture(tmp_path, beta=0.0, n_states=8, per_state=5, seed=4):
@@ -1063,7 +1293,7 @@ class TestSettingsCheckedFirst:
 
         monkeypatch.setattr(cli, "ingest", refused)
         monkeypatch.setattr(cli, "_read_outcomes", refused)
-        for module in (parallel, engines, dgp, analytics):
+        for module in (parallel, engines, dgp, analytics, cli):
             monkeypatch.setattr(module, "map_chunks", refused)
 
     @pytest.mark.parametrize(

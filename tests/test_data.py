@@ -154,3 +154,12 @@ class TestPartitionDesign:
         codes, counts = np.unique(rows @ [1, 2, 4, 8], return_counts=True)
         assert codes.tolist() == [3, 5, 6, 9, 10, 12]
         assert ((counts - 1000) ** 2 / 1000).sum() < 20.52
+
+    @pytest.mark.parametrize("n_groups", [2, 64, 130])
+    def test_no_rows_draw_nothing(self, n_groups):
+        # zero rows ended in numpy's bare "need at least one array to concatenate"
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        rows = balanced_assignments(rng, n_groups, 0)
+        assert rows.shape == (0, n_groups) and rows.dtype == np.float64
+        assert rng.bit_generator.state == state

@@ -183,6 +183,40 @@ def test_run_full_table(tmp_path):
     assert out == _run(["-m", "ssdiag.cli", "mc-table", "--help"], tmp_path) and not err
 
 
+def test_desk_budgets_records_and_appends(tmp_path):
+    record = tmp_path / "desk.json"
+    tiny = ["--runs", "1", "--reps", "2", "--perms", "10", "--workers", "1", "--record", str(record)]
+    script = [str(SCRIPTS / "desk_budgets.py"), *tiny]
+    out = _run(script, tmp_path)
+    assert out.splitlines()[0].startswith("tree  command")
+    (entry,) = json.loads(record.read_text(encoding="utf-8"))
+    assert list(entry) == [
+        "commit", "src_sha256", "cores", "numpy", "openblas_num_threads", "workers", "runs",
+        "commands",
+    ]
+    assert (entry["cores"], entry["numpy"]) == (os.cpu_count(), np.__version__)
+    assert (entry["workers"], entry["runs"]) == (1, 1)
+    assert entry["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert list(entry["commands"]) == ["diagnose", "mc-table", "flag-curve"]
+    for name, result in entry["commands"].items():
+        assert list(result) == ["argv", "wall_s", "cpu_self_s", "cpu_children_s", "sha256"]
+        assert result["argv"][0] == name and "--perms" in result["argv"]
+        for key in ("wall_s", "cpu_self_s", "cpu_children_s"):
+            assert list(result[key]) == ["min", "median"]
+            assert 0.0 <= result[key]["min"] <= result[key]["median"]
+        # the report is the command's own, as ssdiag writes it from the checkout's root
+        report = _run(["-m", "ssdiag.cli", *result["argv"]], ROOT)
+        assert result["sha256"] == hashlib.sha256(report.encode("utf-8")).hexdigest()
+    # two trees, here the same one, alternate and append one entry each
+    _run([*script, "--src", str(ROOT / "src"), "--src", str(ROOT / "src")], tmp_path)
+    entries = json.loads(record.read_text(encoding="utf-8"))
+    assert len(entries) == 3 and entries[0]["src_sha256"] == entries[2]["src_sha256"]
+    for later in entries[1:]:
+        assert {name: r["sha256"] for name, r in later["commands"].items()} == {
+            name: r["sha256"] for name, r in entry["commands"].items()
+        }
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _run([str(SCRIPTS / "make_toy_data.py"), "--out-dir", tmp], ROOT)
