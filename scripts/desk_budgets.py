@@ -6,9 +6,9 @@
 
 The desk budgets are the end-to-end list of ROADMAP north star item 1:
 `diagnose` on the toy goldens, `mc-table` at 2000 x 200 and `flag-curve` at
-500 x 200 on the crossed 25 x 20 design, each at `--workers` (default 2);
-`--tier1` adds the Tier-1 suite (`pytest -q` in the source tree's root).
-`--reps` and `--perms` shrink the budgets for a quick check.
+500 x 200 on the crossed 25 x 20 design, each on 2 workers; `--tier1` adds
+the Tier-1 suite (`pytest -q` in the source tree's root).  `--reps` and
+`--perms` shrink the budgets for a quick check.
 
 Each command runs `--runs` times through a small launcher that imports
 ssdiag from the `--src` tree (default: this checkout's `src/`) and reports
@@ -21,11 +21,13 @@ Every run of a command must exit 0, and its report must have the same
 SHA-256 on every run and every tree; otherwise the script exits 1 and
 records nothing.  A table goes to stdout.  `--record PATH` appends one entry
 per tree to the JSON list in PATH (a new file starts one): the tree's
-commit (`git describe --always --dirty`), the SHA-256 of its `*.py` files,
-the core count, the numpy version, OPENBLAS_NUM_THREADS (null when unset),
-the worker count and run count, and per command its argv, the minimum and
-median wall time and CPU time (self and children) in seconds, and the
-report's SHA-256 (null for the Tier-1 suite, which writes none).
+commit (`git describe --always`, null outside git), the SHA-256 of its
+`*.py` files, the core count, the numpy version, OPENBLAS_NUM_THREADS (null
+when unset), the run count, and per command its argv, the minimum and median
+wall time and CPU time (self and children) in seconds, and the report's
+SHA-256 (null for the Tier-1 suite, which writes none).  `--record` refuses
+a tree with uncommitted changes under it, so an entry's commit names the
+code it timed.
 """
 
 import argparse
@@ -59,7 +61,7 @@ sys.exit(code)
 """
 
 
-def commands(workers: int, reps: int | None, perms: int | None) -> dict:
+def commands(reps: int | None, perms: int | None) -> dict:
     """The desk commands at their budgets, or at ``reps`` and ``perms`` where given.
 
     Paths are relative to the root of a source tree, where the commands run.
@@ -68,7 +70,7 @@ def commands(workers: int, reps: int | None, perms: int | None) -> dict:
     def budget(default_reps, default_perms):
         return ["--reps", str(reps or default_reps), "--perms", str(perms or default_perms)]
 
-    common = ["--seed", "1", "--workers", str(workers)]
+    common = ["--seed", "1", "--workers", "2"]
     return {
         "diagnose": [
             "diagnose", "--shares", "tests/golden/toy-shares.csv",
@@ -116,10 +118,17 @@ def summary(argv: list[str], runs: list[dict]) -> dict:
     }
 
 
+def uncommitted(src: Path) -> bool:
+    """Whether git reports changed or untracked files under ``src``; False outside git."""
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", "."], cwd=src, capture_output=True, text=True
+    )
+    return status.returncode == 0 and bool(status.stdout.strip())
+
+
 def tree_facts(src: Path) -> dict:
     describe = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=src, capture_output=True,
-        text=True,
+        ["git", "describe", "--always", "--abbrev=12"], cwd=src, capture_output=True, text=True
     )
     source = hashlib.sha256()
     for path in sorted(src.rglob("*.py")):
@@ -134,7 +143,6 @@ def main(args=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, action="append", help="source tree (repeatable)")
     parser.add_argument("--runs", type=int, default=5, help="runs per command and tree")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--reps", type=int, help="outer draws of mc-table and flag-curve")
     parser.add_argument("--perms", type=int, help="simulation replications of every command")
     parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite")
@@ -143,7 +151,10 @@ def main(args=None) -> int:
     if options.runs < 1:
         parser.error("--runs must be at least 1")
     trees = [src.resolve() for src in options.src or [ROOT / "src"]]
-    argv = commands(options.workers, options.reps, options.perms)
+    if options.record is not None:
+        for src in filter(uncommitted, trees):
+            parser.error(f"--record needs committed trees; {src} has uncommitted changes")
+    argv = commands(options.reps, options.perms)
     if options.tier1:
         argv["tier1"] = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     runs = [{name: [] for name in argv} for _ in trees]
@@ -169,7 +180,6 @@ def main(args=None) -> int:
             "cores": os.cpu_count(),
             "numpy": np.__version__,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "workers": options.workers,
             "runs": options.runs,
             "commands": {name: summary(argv[name], per_tree[name]) for name in argv},
         }

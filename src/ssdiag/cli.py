@@ -246,7 +246,11 @@ def _loadtxt_csv(path: Path, header_casts, workers: int, max_line: int | None = 
     except (OSError, ValueError, csv.Error, ValidationError):
         return None
     task = functools.partial(_loadtxt_piece, path, header_lines, casts, max_line)
-    pieces = map_chunks(task, bounds, workers)
+    # one worker or one piece parses here, without map_chunks' process-wide allocator setting
+    if workers > 1 and len(bounds) > 1:
+        pieces = map_chunks(task, bounds, workers)
+    else:
+        pieces = [task(b) for b in bounds]
     if None in pieces:
         return None
     region_ids = [region for ids, _ in pieces for region in ids]

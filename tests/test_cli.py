@@ -306,6 +306,25 @@ class TestPiecewiseShares:
             assert _result(shares, outcomes, workers=workers) == want
             assert multiprocessing.active_children() == []
 
+    def test_one_worker_or_one_piece_parses_in_process(
+        self, outcomes, tmp_path, monkeypatch, capsys
+    ):
+        # map_chunks sets glibc's allocator options for the whole process; a parse that
+        # needs no pool, oracle's included, leaves them as they were
+        shares = _write(tmp_path / "s.csv", "\n".join(_share_lines()) + "\n")
+        want = _result(shares, outcomes)
+
+        def refused(*args):
+            raise AssertionError("map_chunks ran")
+
+        monkeypatch.setattr(cli, "map_chunks", refused)
+        assert _result(shares, outcomes, workers=2) == want  # one piece each
+        oracle = main(["oracle", "--outcomes", outcomes, "--group-size", "10"])
+        assert oracle == 0 and json.loads(capsys.readouterr().out)["command"] == "oracle"
+        monkeypatch.setattr(cli, "_PIECE_BYTES", self.PIECE)
+        assert len(cli._piece_bounds(shares)) > 5
+        assert _result(shares, outcomes, workers=1) == want
+
     @pytest.mark.parametrize(
         "fault",
         ["duplicate id", "short row", "extra field", "quote", "separator", "invalid utf-8"],

@@ -184,37 +184,55 @@ def test_run_full_table(tmp_path):
 
 
 def test_desk_budgets_records_and_appends(tmp_path):
+    # a copy of the source tree and of the goldens its commands read, with nothing uncommitted
+    src = tmp_path / "tree" / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(GOLDEN, src.parent / "tests" / "golden")
     record = tmp_path / "desk.json"
-    tiny = ["--runs", "1", "--reps", "2", "--perms", "10", "--workers", "1", "--record", str(record)]
-    script = [str(SCRIPTS / "desk_budgets.py"), *tiny]
-    out = _run(script, tmp_path)
+    record.write_text('[{"earlier": "entry"}]\n', encoding="utf-8")
+    tiny = ["--runs", "1", "--reps", "2", "--perms", "10", "--record", str(record)]
+    # two trees, here the same one, alternate and append one entry each
+    out = _run([str(SCRIPTS / "desk_budgets.py"), *tiny, "--src", str(src), "--src", str(src)],
+               tmp_path)
     assert out.splitlines()[0].startswith("tree  command")
-    (entry,) = json.loads(record.read_text(encoding="utf-8"))
-    assert list(entry) == [
-        "commit", "src_sha256", "cores", "numpy", "openblas_num_threads", "workers", "runs",
-        "commands",
-    ]
-    assert (entry["cores"], entry["numpy"]) == (os.cpu_count(), np.__version__)
-    assert (entry["workers"], entry["runs"]) == (1, 1)
-    assert entry["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
-    assert list(entry["commands"]) == ["diagnose", "mc-table", "flag-curve"]
-    for name, result in entry["commands"].items():
-        assert list(result) == ["argv", "wall_s", "cpu_self_s", "cpu_children_s", "sha256"]
-        assert result["argv"][0] == name and "--perms" in result["argv"]
-        for key in ("wall_s", "cpu_self_s", "cpu_children_s"):
-            assert list(result[key]) == ["min", "median"]
-            assert 0.0 <= result[key]["min"] <= result[key]["median"]
+    earlier, *entries = json.loads(record.read_text(encoding="utf-8"))
+    assert earlier == {"earlier": "entry"} and len(entries) == 2
+    for entry in entries:
+        assert list(entry) == [
+            "commit", "src_sha256", "cores", "numpy", "openblas_num_threads", "runs", "commands",
+        ]
+        assert (entry["cores"], entry["numpy"]) == (os.cpu_count(), np.__version__)
+        assert entry["runs"] == 1
+        assert entry["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert list(entry["commands"]) == ["diagnose", "mc-table", "flag-curve"]
+        for name, result in entry["commands"].items():
+            assert list(result) == ["argv", "wall_s", "cpu_self_s", "cpu_children_s", "sha256"]
+            assert result["argv"][0] == name and "--perms" in result["argv"]
+            assert result["argv"][-2:] == ["--workers", "2"]
+            for key in ("wall_s", "cpu_self_s", "cpu_children_s"):
+                assert list(result[key]) == ["min", "median"]
+                assert 0.0 <= result[key]["min"] <= result[key]["median"]
+    assert entries[0]["src_sha256"] == entries[1]["src_sha256"]
+    first, second = ({name: r["sha256"] for name, r in e["commands"].items()} for e in entries)
+    assert first == second
+    for name, result in entries[0]["commands"].items():
         # the report is the command's own, as ssdiag writes it from the checkout's root
         report = _run(["-m", "ssdiag.cli", *result["argv"]], ROOT)
         assert result["sha256"] == hashlib.sha256(report.encode("utf-8")).hexdigest()
-    # two trees, here the same one, alternate and append one entry each
-    _run([*script, "--src", str(ROOT / "src"), "--src", str(ROOT / "src")], tmp_path)
-    entries = json.loads(record.read_text(encoding="utf-8"))
-    assert len(entries) == 3 and entries[0]["src_sha256"] == entries[2]["src_sha256"]
-    for later in entries[1:]:
-        assert {name: r["sha256"] for name, r in later["commands"].items()} == {
-            name: r["sha256"] for name, r in entry["commands"].items()
-        }
+
+
+def test_desk_budgets_record_refuses_uncommitted_tree(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "module.py").write_text("", encoding="utf-8")
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    record = tmp_path / "desk.json"
+    _, err = _run(
+        [str(SCRIPTS / "desk_budgets.py"), "--src", str(src), "--record", str(record)], tmp_path,
+        stderr=True, code=2,
+    )
+    assert f"--record needs committed trees; {src} has uncommitted changes" in err
+    assert not record.exists()
 
 
 if __name__ == "__main__":
